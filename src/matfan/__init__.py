@@ -41,10 +41,6 @@ from .intersect import (
     default_displacement,
     degree_pairing,
     divisor_cup,
-    mu_via_displacement,
-    mu_via_divisors,
-    mu_vector_displacement,
-    mu_vector_divisors,
     nef_check,
     pairing_terms,
 )
@@ -60,7 +56,7 @@ from .matroid import (
     validate_rank_table,
 )
 from .schema import InputError, load_matroid, load_matroid_file
-from .validation import CheckResult, run_check
+from .validation import CheckResult, mu_vector_displacement, mu_vector_divisors, run_check
 
 __version__ = "0.1.0"
 
@@ -102,8 +98,6 @@ __all__ = [
     "is_log_concave",
     "load_matroid",
     "load_matroid_file",
-    "mu_via_displacement",
-    "mu_via_divisors",
     "mu_vector_displacement",
     "mu_vector_divisors",
     "mu_vector_flags",

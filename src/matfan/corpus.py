@@ -85,7 +85,3 @@ def build(name: str) -> Matroid:
         return _BUILDERS[name]()
     except KeyError:
         raise ValueError(f"unknown corpus entry {name!r}") from None
-
-
-def build_all() -> list[Matroid]:
-    return [build(name) for name in CORPUS_NAMES]

@@ -18,7 +18,7 @@ condition around each one-smaller cone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Optional, Sequence
 
 from . import linalg
 from .charpoly import FlatLattice
@@ -203,6 +203,58 @@ def cremona_pullback_weight(weight: MinkowskiWeight) -> MinkowskiWeight:
     )
 
 
+def flag_span_coefficients(n: int, flag: Flag, target: Sequence[int]) -> Optional[list[int]]:
+    """Integer coefficients of target in the span of the flag's incidence
+    vectors, or None when target lies outside that span.
+
+    Lifted to {0..n} with coordinate 0 set to 0, the span is exactly the
+    vectors constant on each block F1, F2 minus F1, ..., complement of
+    Fk; the coefficient of F_i is the value on block i minus the value on
+    block i+1.  Flag cones are unimodular, so no division is needed.
+    """
+    lifted = (0, *target)
+    levels = []
+    inside = 0
+    for mask in (*flag, full_mask(n + 1)):
+        block = mask & ~inside
+        inside = mask
+        low = block & -block
+        level = lifted[low.bit_length() - 1]
+        block ^= low
+        while block:
+            low = block & -block
+            if lifted[low.bit_length() - 1] != level:
+                return None
+            block ^= low
+        levels.append(level)
+    return [a - b for a, b in zip(levels, levels[1:])]
+
+
+def facet_ray_sums(
+    weight: MinkowskiWeight,
+) -> Iterator[tuple[Flag, list[tuple[int, int]], list[int]]]:
+    """Yield (tau, above, ray_sum) for every facet tau of a supported cone,
+    in sorted order.
+
+    above lists (inserted subset, weight value) for the supported cones
+    containing tau; ray_sum is the weighted sum of the inserted subsets'
+    incidence vectors.
+    """
+    n = weight.n
+    facet_map: dict[Flag, list[tuple[int, int]]] = {}
+    for flag, value in weight.items():
+        for tau, removed in flag_facets(flag):
+            facet_map.setdefault(tau, []).append((removed, value))
+    for tau in sorted(facet_map):
+        above = facet_map[tau]
+        total = [0] * n
+        for removed, value in above:
+            for j, x in enumerate(incidence_vector(n, removed)):
+                if x:
+                    total[j] += value * x
+        yield tau, above, total
+
+
 @dataclass(frozen=True)
 class BalancingViolation:
     tau: Flag
@@ -217,26 +269,11 @@ def check_balancing(weight: MinkowskiWeight) -> list[BalancingViolation]:
     generators (the lattice normal to tau must see zero).  Returns the
     list of violations; balanced weights return [].
     """
-    n = weight.n
-    if weight.codim == n:
-        return []
-    facet_map: dict[Flag, list[tuple[int, int]]] = {}
-    for flag, value in weight.items():
-        for tau, removed in flag_facets(flag):
-            facet_map.setdefault(tau, []).append((removed, value))
-    violations = []
-    for tau in sorted(facet_map):
-        total = [0] * n
-        for removed, value in facet_map[tau]:
-            vec = incidence_vector(n, removed)
-            for j in range(n):
-                total[j] += value * vec[j]
-        if not any(total):
-            continue
-        coeffs = linalg.solve_in_span(flag_generators(n, tau), total)
-        if coeffs is None:
-            violations.append(BalancingViolation(tau, tuple(total)))
-    return violations
+    return [
+        BalancingViolation(tau, tuple(total))
+        for tau, _, total in facet_ray_sums(weight)
+        if flag_span_coefficients(weight.n, tau, total) is None
+    ]
 
 
 def unimodularity_factors(n: int, flag: Flag) -> list[int]:

@@ -8,13 +8,16 @@ a codimension-k weight produces a codimension-(k+1) weight supported on
 facets of the original support: on each facet the contribution is minus
 the weighted divisor values of the inserted rays, corrected by the
 divisor's value on the balanced ray-sum inside the facet's own span.
+Flag cones are unimodular, so that ray-sum has integer coordinates in
+the facet's generators and the cup is integer-only.
 
 The degree pairing displaces one weight by a generic vector v and counts
 transversal intersections of complementary-dimension cones with lattice
 index multiplicities.  Genericity is certified, never assumed: any exact
 tie (a zero coordinate, or a singular-but-consistent system) aborts the
-sweep and the caller retries with a perturbed v.  All arithmetic is
-integer or Fraction; there are no tolerances anywhere.
+sweep and the caller retries with a perturbed v.  Displacement
+vectors and intersection points are Fractions; there are no tolerances
+anywhere.
 """
 
 from __future__ import annotations
@@ -30,16 +33,14 @@ from .fan import (
     MinkowskiWeight,
     bergman_weight,
     cremona_pullback_weight,
-    flag_facets,
+    facet_ray_sums,
     flag_generators,
+    flag_span_coefficients,
     fundamental_weight,
-    incidence_vector,
     permutohedral_weight,
 )
 from .masks import full_mask
 from .matroid import Matroid
-
-MAX_RETRIES = 32
 
 
 class NotBalancedError(Exception):
@@ -131,32 +132,15 @@ def divisor_cup(d: PLDivisor, weight: MinkowskiWeight) -> MinkowskiWeight:
         raise ValueError("divisor and weight live on different fans")
     if weight.codim >= n:
         raise ValueError("weight already has top codimension")
-    facet_map: dict[Flag, list[tuple[int, int]]] = {}
-    for flag, value in weight.items():
-        for tau, removed in flag_facets(flag):
-            facet_map.setdefault(tau, []).append((removed, value))
     out: dict[Flag, int] = {}
-    for tau in sorted(facet_map):
-        first = 0
-        total = [0] * n
-        for removed, value in facet_map[tau]:
-            first -= d.value(removed) * value
-            vec = incidence_vector(n, removed)
-            for j in range(n):
-                total[j] += value * vec[j]
-        if any(total):
-            coeffs = linalg.solve_in_span(flag_generators(n, tau), total)
-            if coeffs is None:
-                raise NotBalancedError(tau)
-            second = sum(c * d.value(mask) for c, mask in zip(coeffs, tau))
-        else:
-            second = Fraction(0)
-        value = first + second
-        # Unimodular cones make the correction term an integer.
-        if value != int(value):
+    for tau, above, total in facet_ray_sums(weight):
+        coeffs = flag_span_coefficients(n, tau, total)
+        if coeffs is None:
             raise NotBalancedError(tau)
+        inserted = sum(d.value(removed) * w for removed, w in above)
+        value = sum(c * d.value(mask) for c, mask in zip(coeffs, tau)) - inserted
         if value:
-            out[tau] = int(value)
+            out[tau] = value
     return MinkowskiWeight(n, weight.codim + 1, out)
 
 
@@ -333,30 +317,6 @@ def pairing_terms(
     return terms
 
 
-def certified_degree_pairing(
-    w1: MinkowskiWeight,
-    w2: MinkowskiWeight,
-    v: DisplacementVector | None = None,
-    seed: int = 0,
-) -> tuple[int, DisplacementVector]:
-    """degree_pairing with deterministic seeded retries on degeneracy.
-
-    An explicitly supplied v is tried first; afterwards fresh perturbed
-    vectors are drawn until one certifies or the retry budget runs out.
-    """
-    n = w1.n
-    rng = random.Random(seed)
-    candidate = v if v is not None else default_displacement(n)
-    for _ in range(MAX_RETRIES):
-        try:
-            return degree_pairing(w1, w2, candidate), candidate
-        except DegenerateDisplacementError:
-            candidate = perturbed_displacement(n, rng)
-    raise DegenerateDisplacementError(
-        f"no generic displacement found in {MAX_RETRIES} attempts"
-    )
-
-
 def displacement_weights(matroid: Matroid, k: int) -> tuple[MinkowskiWeight, MinkowskiWeight]:
     """The two complementary weights whose pairing computes coefficient k:
     the (n-k)-step size-graded weight against the pulled-back fan of the
@@ -369,52 +329,3 @@ def displacement_weights(matroid: Matroid, k: int) -> tuple[MinkowskiWeight, Min
     truncated = matroid.truncate(k) if k < r else matroid
     w2 = cremona_pullback_weight(bergman_weight(truncated))
     return w1, w2
-
-
-def mu_via_displacement(
-    matroid: Matroid,
-    k: int,
-    v: DisplacementVector | None = None,
-    seed: int = 0,
-) -> int:
-    """Coefficient k by the displacement pairing.
-
-    With v=None the default increasing vector is tried and perturbed on
-    degeneracy; an explicit v is used as the first attempt and then
-    perturbed the same way.
-    """
-    w1, w2 = displacement_weights(matroid, k)
-    total, _ = certified_degree_pairing(w1, w2, v, seed)
-    return total
-
-
-def mu_vector_displacement(
-    matroid: Matroid, seed: int = 0
-) -> tuple[int, ...]:
-    return tuple(
-        mu_via_displacement(matroid, k, seed=seed) for k in range(matroid.full_rank)
-    )
-
-
-# -- divisor-cup route ----------------------------------------------------
-
-
-def mu_via_divisors(matroid: Matroid, k: int) -> int:
-    """Coefficient k as the degree of alpha^(r-k) cup beta^k on the fan,
-    where beta is the pullback of alpha along the negation involution."""
-    n = matroid.size - 1
-    r = matroid.full_rank - 1
-    if not 0 <= k <= r:
-        raise ValueError(f"coefficient index {k} outside 0..{r}")
-    weight = bergman_weight(matroid)
-    alpha = alpha_divisor(n)
-    beta = cremona_pullback_divisor(alpha)
-    for _ in range(r - k):
-        weight = divisor_cup(alpha, weight)
-    for _ in range(k):
-        weight = divisor_cup(beta, weight)
-    return weight.value(())
-
-
-def mu_vector_divisors(matroid: Matroid) -> tuple[int, ...]:
-    return tuple(mu_via_divisors(matroid, k) for k in range(matroid.full_rank))

@@ -2,9 +2,11 @@
 
 Everything is fraction-free or Fraction-based; no floats.  Problem sizes
 are tiny (ambient dimension at most 30), so clarity wins over asymptotics:
-Bareiss elimination for integer determinants and square solves, Gaussian
-elimination over Fraction or GF(p) for ranks and span membership, and a
-textbook Smith normal form for lattice diagnostics.
+Bareiss elimination for integer determinants and the displacement
+pairing's square solves, Gaussian elimination over Fraction or GF(p) for
+ranks, and a textbook Smith normal form for lattice diagnostics.
+solve_in_span, a generic rational span solve, is kept as the reference
+that the flag-cone span test in fan is checked against.
 """
 
 from __future__ import annotations

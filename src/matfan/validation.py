@@ -28,7 +28,6 @@ from .charpoly import (
 )
 from .fan import MinkowskiWeight, bergman_weight, check_balancing
 from .intersect import (
-    MAX_RETRIES,
     DegenerateDisplacementError,
     DisplacementVector,
     PairingTerm,
@@ -37,8 +36,6 @@ from .intersect import (
     default_displacement,
     displacement_weights,
     divisor_cup,
-    mu_vector_displacement,
-    mu_vector_divisors,
     pairing_terms,
     perturbed_displacement,
 )
@@ -46,6 +43,7 @@ from .matroid import Matroid
 from .schema import InputError, fraction_str
 
 GEOMETRY_LIMIT = 8
+MAX_RETRIES = 32
 
 TraceFn = Optional[Callable[[int, PairingTerm], None]]
 
@@ -87,16 +85,17 @@ def charpoly_report(matroid: Matroid) -> dict:
     return report
 
 
-def _certified_terms(
+def certified_terms(
     w1: MinkowskiWeight,
     w2: MinkowskiWeight,
     rng: random.Random,
-    v: DisplacementVector | None,
+    v: DisplacementVector | None = None,
 ) -> tuple[list[PairingTerm], DisplacementVector, bool]:
     """Pairing terms under the first displacement vector that certifies.
 
-    Returns (terms, vector, used_default); degenerate vectors are
-    replaced by seeded perturbations, so results are reproducible.
+    v (default (1, ..., n)) is tried first; degenerate vectors are then
+    replaced by perturbations drawn from rng, so results are
+    reproducible.  Returns (terms, vector, first_vector_certified).
     """
     candidate = v if v is not None else default_displacement(w1.n)
     first = True
@@ -109,6 +108,53 @@ def _certified_terms(
     raise DegenerateDisplacementError(
         f"no generic displacement found in {MAX_RETRIES} attempts"
     )
+
+
+def terms_degree(w1: MinkowskiWeight, w2: MinkowskiWeight, terms: list[PairingTerm]) -> int:
+    """Displacement-rule degree: lattice index times both weights, summed."""
+    return sum(t.index * w1.value(t.sigma) * w2.value(t.tau) for t in terms)
+
+
+def cup_chain(base: MinkowskiWeight) -> tuple[list[MinkowskiWeight], list[int]]:
+    """The alpha-cup chain of a weight of dimension r, and its divisor degrees.
+
+    Returns ([base, alpha.base, ..., alpha^r.base], [mu_0, ..., mu_r])
+    with mu_k the degree of beta^k.alpha^(r-k).base, beta the pullback
+    of alpha along negation.  Each degree finishes from the chain entry
+    at r-k with k beta-cups.  Every cup tests balancing on each facet it
+    visits and raises NotBalancedError on the first failure.
+    """
+    n = base.n
+    r = n - base.codim
+    alpha = alpha_divisor(n)
+    beta = cremona_pullback_divisor(alpha)
+    chain = [base]
+    for _ in range(r):
+        chain.append(divisor_cup(alpha, chain[-1]))
+    degrees = []
+    for k in range(r + 1):
+        w = chain[r - k]
+        for _ in range(k):
+            w = divisor_cup(beta, w)
+        degrees.append(w.value(()))
+    return chain, degrees
+
+
+def mu_vector_divisors(matroid: Matroid) -> tuple[int, ...]:
+    """Coefficients by iterated divisor cups on the fan of a loopless matroid."""
+    return tuple(cup_chain(bergman_weight(matroid))[1])
+
+
+def mu_vector_displacement(matroid: Matroid, seed: int = 0) -> tuple[int, ...]:
+    """Coefficients by the displacement pairing, retrying with seeded
+    perturbations on degeneracy."""
+    rng = random.Random(seed)
+    degrees = []
+    for k in range(matroid.full_rank):
+        w1, w2 = displacement_weights(matroid, k)
+        terms, _, _ = certified_terms(w1, w2, rng)
+        degrees.append(terms_degree(w1, w2, terms))
+    return tuple(degrees)
 
 
 def run_check(
@@ -161,40 +207,27 @@ def run_check(
         }
         skipped: list[str] = []
 
-        def violation_rows(weight: MinkowskiWeight) -> list[dict]:
-            return [
-                {"cone": list(v.tau), "excess": list(v.excess)}
-                for v in check_balancing(weight)
-            ]
-
         t0 = clock()
         base_weight = bergman_weight(simple)
-        balancing_failures = violation_rows(base_weight)
+        # Within the geometry limit every weight is cupped next (or has
+        # top codimension), and the cup runs the balancing test on each
+        # facet itself, raising NotBalancedError.
+        balancing_failures = [] if geometry_ok else [
+            {"cone": list(v.tau), "excess": list(v.excess)}
+            for v in check_balancing(base_weight)
+        ]
         spent["balancing"] = clock() - t0
 
         truncation_identity = True
         if geometry_ok:
-            # One alpha-cup chain serves both the truncation identity and
-            # the divisor degrees: j cups in equal the fan of the
-            # (r-j)-truncation, and the level-k degree finishes from the
-            # chain entry at r-k with k pullback cups.
+            # j alpha-cups into the chain equal the fan of the
+            # (r-j)-truncation.
             t0 = clock()
-            alpha = alpha_divisor(n)
-            beta = cremona_pullback_divisor(alpha)
-            chain = [base_weight]
-            for j in range(1, r + 1):
-                cupped = divisor_cup(alpha, chain[-1])
-                chain.append(cupped)
-                balancing_failures.extend(violation_rows(cupped))
-                if cupped != bergman_weight(simple.truncate(r - j)):
-                    truncation_identity = False
-            mu_divisor = []
-            for k in range(r + 1):
-                w = chain[r - k]
-                for _ in range(k):
-                    w = divisor_cup(beta, w)
-                    balancing_failures.extend(violation_rows(w))
-                mu_divisor.append(w.value(()))
+            chain, mu_divisor = cup_chain(base_weight)
+            truncation_identity = all(
+                chain[j] == bergman_weight(simple.truncate(r - j))
+                for j in range(1, r + 1)
+            )
             methods["divisor"] = mu_divisor
             spent["divisor"] = clock() - t0
         else:
@@ -207,11 +240,8 @@ def run_check(
             mu_disp = []
             for k in range(r + 1):
                 w1, w2 = displacement_weights(simple, k)
-                terms, vector, used_default = _certified_terms(w1, w2, rng, None)
-                degree = sum(
-                    t.index * w1.value(t.sigma) * w2.value(t.tau) for t in terms
-                )
-                mu_disp.append(degree)
+                terms, vector, used_default = certified_terms(w1, w2, rng)
+                mu_disp.append(terms_degree(w1, w2, terms))
                 displacement_detail.append(
                     {
                         "k": k,

@@ -12,12 +12,8 @@ import time
 import pytest
 
 from matfan import corpus
-from matfan.intersect import (
-    certified_degree_pairing,
-    displacement_weights,
-    perturbed_displacement,
-)
-from matfan.validation import GEOMETRY_LIMIT, run_check
+from matfan.intersect import displacement_weights, perturbed_displacement
+from matfan.validation import GEOMETRY_LIMIT, certified_terms, run_check, terms_degree
 
 from oracles import mu_oracle
 
@@ -177,8 +173,8 @@ def test_criterion_7_displacement_independence(corpus_results):
             w1, w2 = displacement_weights(simple, k)
             for round_ in range(PERTURBATION_ROUNDS):
                 v = perturbed_displacement(n, rng)
-                degree, used = certified_degree_pairing(w1, w2, v, seed=round_)
-                if degree != target or not used.certified:
+                terms, used, _ = certified_terms(w1, w2, random.Random(round_), v)
+                if terms_degree(w1, w2, terms) != target or not used.certified:
                     ok = False
     elapsed = time.perf_counter() - start
     within_budget = elapsed < PERTURBATION_BUDGET_SECONDS

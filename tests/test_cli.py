@@ -4,11 +4,12 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from matfan import cli
-from matfan.fan import bergman_weight
+from matfan import cli, validation
+from matfan.fan import MinkowskiWeight, bergman_weight
 from matfan.intersect import PairingTerm
 from matfan.matroid import GraphicMatroid, UniformMatroid
 from matfan.schema import (
@@ -28,6 +29,13 @@ K4_DOC = {
     "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]],
     "name": "k4",
 }
+K5_DOC = {
+    "type": "graphic",
+    "vertices": 5,
+    "edges": [[u, v] for u in range(5) for v in range(u + 1, 5)],
+    "name": "k5",
+}
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # -- input documents -----------------------------------------------------------
@@ -249,6 +257,24 @@ def test_check_command_is_byte_stable(tmp_path, capsys):
     assert traces[0] == traces[1]
 
 
+@pytest.mark.parametrize("doc, argv, report, trace", [
+    # Level 2 of k4 needs a displacement retry under seed 3.
+    (K4_DOC, ["check", "--seed", "3"], "k4_check_seed3.json", "k4_check_seed3.ndjson"),
+    # Above the geometry limit: only the base weight's balancing runs.
+    (K5_DOC, ["check", "--seed", "3"], "k5_check_seed3.json", None),
+    (K4_DOC, ["mu", "--method", "all"], "k4_mu_all.json", None),
+])
+def test_reports_match_golden_files(tmp_path, capsys, doc, argv, report, trace):
+    path = write_doc(tmp_path, "doc.json", doc)
+    trace_path = tmp_path / "trace.ndjson"
+    extra = ["--trace", str(trace_path)] if trace else []
+    code, out, _ = run_cli(capsys, argv[0], path, *argv[1:], *extra)
+    assert code == 0
+    assert out == (GOLDEN / report).read_text()
+    if trace:
+        assert trace_path.read_bytes() == (GOLDEN / trace).read_bytes()
+
+
 def test_check_command_skip_displacement(tmp_path, capsys):
     path = write_doc(tmp_path, "line.json", {"type": "uniform", "rank": 2, "size": 3})
     code, out, _ = run_cli(capsys, "check", path, "--skip", "displacement")
@@ -309,6 +335,16 @@ def test_check_exit_codes_for_failures(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(cli, "run_check", broken)
     assert run_cli(capsys, "check", path)[0] == 3
+
+
+def test_unbalanced_fan_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    # Within the geometry limit the cup product runs the balancing test.
+    lone = MinkowskiWeight(2, 0, {(0b010, 0b110): 1})
+    monkeypatch.setattr(validation, "bergman_weight", lambda matroid: lone)
+    path = write_doc(tmp_path, "free.json", {"type": "free", "size": 3})
+    code, out, _ = run_cli(capsys, "check", path)
+    assert code == 3
+    assert json.loads(out)["error"].startswith("NotBalancedError")
 
 
 def test_corpus_command_on_a_subset(monkeypatch, capsys):

@@ -3,8 +3,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from matfan import corpus
+from matfan import corpus, linalg
 from matfan.fan import (
     BalancingViolation,
     MinkowskiWeight,
@@ -12,6 +13,8 @@ from matfan.fan import (
     check_balancing,
     cremona_flag,
     cremona_pullback_weight,
+    flag_generators,
+    flag_span_coefficients,
     fundamental_weight,
     incidence_vector,
     permutohedral_weight,
@@ -170,6 +173,46 @@ def test_fundamental_weight():
 def test_permutohedral_bounds():
     with pytest.raises(ValueError):
         permutohedral_weight(2, 3)
+
+
+# -- flag spans ------------------------------------------------------------------
+
+
+@st.composite
+def flags(draw):
+    """A random flag on {0..n}, n <= 8: prefixes of a random ordering."""
+    n = draw(st.integers(0, 8))
+    order = draw(st.permutations(range(n + 1)))
+    sizes = sorted(draw(st.sets(st.integers(1, n)))) if n else []
+    return n, tuple(sum(1 << x for x in order[:size]) for size in sizes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flags(), st.data())
+def test_flag_span_matches_rational_solve(flag_case, data):
+    n, flag = flag_case
+    gens = flag_generators(n, flag)
+    if data.draw(st.booleans()):
+        # Built inside the span from integer coefficients.
+        coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=len(flag),
+                                    max_size=len(flag)))
+        target = [sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(n)]
+    else:
+        # Arbitrary, and so mostly outside the span.
+        target = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    expected = linalg.solve_in_span(gens, target)
+    got = flag_span_coefficients(n, flag, target)
+    assert got == expected
+    assert got is None or all(isinstance(c, int) for c in got)
+
+
+def test_flag_span_examples():
+    # Flag ({1}, {1,2}) on {0,1,2}: blocks {1}, {2}, {0}.
+    assert flag_span_coefficients(2, (0b010, 0b110), (3, 1)) == [2, 1]
+    assert flag_span_coefficients(2, (0b010, 0b110), (1, 1)) == [0, 1]
+    assert flag_span_coefficients(2, (0b010,), (1, 1)) is None
+    assert flag_span_coefficients(2, (), (0, 0)) == []
+    assert flag_span_coefficients(2, (), (0, 1)) is None
 
 
 # -- balancing -----------------------------------------------------------------

@@ -22,7 +22,6 @@ from matfan.intersect import (
     NotBalancedError,
     PLDivisor,
     alpha_divisor,
-    certified_degree_pairing,
     cone_displacement_intersect,
     cremona_pullback_divisor,
     default_displacement,
@@ -30,16 +29,18 @@ from matfan.intersect import (
     displacement_weights,
     divisor_cup,
     evaluate_in_cone,
-    mu_via_displacement,
-    mu_via_divisors,
-    mu_vector_displacement,
-    mu_vector_divisors,
     nef_check,
     nef_values,
     pairing_terms,
     perturbed_displacement,
 )
 from matfan.matroid import FreeMatroid, UniformMatroid
+from matfan.validation import (
+    certified_terms,
+    mu_vector_displacement,
+    mu_vector_divisors,
+    terms_degree,
+)
 
 from oracles import min_formula
 
@@ -294,18 +295,20 @@ def test_certified_pairing_retries_past_degeneracy():
     bad = DisplacementVector(frac(1, 1))
     with pytest.raises(DegenerateDisplacementError):
         degree_pairing(w1, w2, bad)
-    degree, used = certified_degree_pairing(w1, w2, DisplacementVector(frac(1, 1)), seed=0)
-    assert degree == 0
+    retry = DisplacementVector(frac(1, 1))
+    terms, used, first = certified_terms(w1, w2, random.Random(0), retry)
+    assert terms_degree(w1, w2, terms) == 0
     assert used.certified
+    assert not first
     assert used.coords != (Fraction(1), Fraction(1))
 
 
 def test_certified_pairing_is_deterministic():
     w1, w2 = displacement_weights(corpus.build("fano"), 1)
-    a = certified_degree_pairing(w1, w2, seed=9)
-    b = certified_degree_pairing(w1, w2, seed=9)
-    assert a[0] == b[0] == 6
-    assert a[1].coords == b[1].coords
+    a_terms, a_used, _ = certified_terms(w1, w2, random.Random(9))
+    b_terms, b_used, _ = certified_terms(w1, w2, random.Random(9))
+    assert terms_degree(w1, w2, a_terms) == terms_degree(w1, w2, b_terms) == 6
+    assert a_used.coords == b_used.coords
 
 
 def test_displacement_weights_shapes():
@@ -315,6 +318,8 @@ def test_displacement_weights_shapes():
         assert w1.codim + w2.codim == w1.n == w2.n
     with pytest.raises(ValueError):
         displacement_weights(m, 3)
+    with pytest.raises(ValueError):
+        displacement_weights(m, -1)
 
 
 # -- the two geometric coefficient routes ------------------------------------------
@@ -342,18 +347,12 @@ def test_both_routes_on_the_rational_configuration():
     assert mu_vector_displacement(m) == (1, 6, 9)
 
 
-def test_mu_level_bounds():
-    m = corpus.build("u-2-3")
-    with pytest.raises(ValueError):
-        mu_via_divisors(m, 2)
-    with pytest.raises(ValueError):
-        mu_via_displacement(m, -1)
-
-
 def test_explicit_displacement_vector_is_used():
-    m = corpus.build("u-2-3")
+    w1, w2 = displacement_weights(corpus.build("u-2-3"), 1)
     v = DisplacementVector(frac(Fraction(3, 2), Fraction(7, 3)))
-    assert mu_via_displacement(m, 1, v=v) == 2
+    terms, used, first = certified_terms(w1, w2, random.Random(0), v)
+    assert terms_degree(w1, w2, terms) == 2
+    assert used is v and first and v.certified
 
 
 def test_pairing_respects_weight_multiplicities():
