@@ -37,6 +37,7 @@ from matfan.intersect import (
 from matfan.matroid import FreeMatroid, UniformMatroid
 from matfan.validation import (
     certified_terms,
+    cup_chain,
     mu_vector_displacement,
     mu_vector_divisors,
     terms_degree,
@@ -345,6 +346,19 @@ def test_both_routes_on_the_rational_configuration():
     m = corpus.build("non-fano")
     assert mu_vector_divisors(m) == (1, 6, 9)
     assert mu_vector_displacement(m) == (1, 6, 9)
+
+
+def test_mu_level_bounds():
+    # u(2,3) has coefficients 0..1 only: neither route reaches level 2 or -1.
+    m = corpus.build("u-2-3")
+    chain, degrees = cup_chain(bergman_weight(m))
+    assert len(degrees) == m.full_rank
+    with pytest.raises(ValueError):
+        divisor_cup(alpha_divisor(chain[-1].n), chain[-1])
+    with pytest.raises(ValueError):
+        displacement_weights(m, 2)
+    with pytest.raises(ValueError):
+        displacement_weights(m, -1)
 
 
 def test_explicit_displacement_vector_is_used():
