@@ -41,7 +41,6 @@ from .intersect import (
     default_displacement,
     degree_pairing,
     divisor_cup,
-    nef_check,
     pairing_terms,
 )
 from .matroid import (
@@ -102,7 +101,6 @@ __all__ = [
     "mu_vector_divisors",
     "mu_vector_flags",
     "mu_vector_mobius",
-    "nef_check",
     "pairing_terms",
     "permutohedral_weight",
     "reduced_char_poly",

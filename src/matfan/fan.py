@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
-from . import linalg
 from .charpoly import FlatLattice
 from .masks import complement, full_mask
 from .matroid import Matroid
@@ -52,10 +51,6 @@ def validate_flag(n: int, flag: Flag) -> None:
         if prev and not (prev & ~mask == 0 and prev != mask):
             raise ValueError(f"flag {flag} is not strictly increasing")
         prev = mask
-
-
-def flag_generators(n: int, flag: Flag) -> list[tuple[int, ...]]:
-    return [incidence_vector(n, mask) for mask in flag]
 
 
 def flag_facets(flag: Flag) -> Iterator[tuple[Flag, int]]:
@@ -275,13 +270,3 @@ def check_balancing(weight: MinkowskiWeight) -> list[BalancingViolation]:
         if flag_span_coefficients(weight.n, tau, total) is None
     ]
 
-
-def unimodularity_factors(n: int, flag: Flag) -> list[int]:
-    """Smith invariant factors of the flag's generator matrix.
-
-    All ones means the generators extend to a basis of the ambient
-    lattice, which is what makes lattice-index bookkeeping trivial.
-    """
-    if not flag:
-        return []
-    return linalg.smith_invariant_factors(flag_generators(n, flag))

@@ -1,7 +1,8 @@
 """Exact intersection products on the fan: piecewise-linear divisors,
 their cup products against Minkowski weights, and the displacement-rule
 degree pairing.  Both give independent geometric routes to the reduced
-characteristic-polynomial coefficients.
+characteristic-polynomial coefficients, and both use only integer
+arithmetic on flag cones.
 
 A divisor is stored by its value on each ray.  Cupping a divisor against
 a codimension-k weight produces a codimension-(k+1) weight supported on
@@ -13,11 +14,14 @@ the facet's generators and the cup is integer-only.
 
 The degree pairing displaces one weight by a generic vector v and counts
 transversal intersections of complementary-dimension cones with lattice
-index multiplicities.  Genericity is certified, never assumed: any exact
-tie (a zero coordinate, or a singular-but-consistent system) aborts the
-sweep and the caller retries with a perturbed v.  Displacement
-vectors and intersection points are Fractions; there are no tolerances
-anywhere.
+index multiplicities.  Each pair is solved by one traversal of a graph
+on the two flags' blocks (see cone_displacement_intersect): a pair meets
+transversally exactly when that graph is a spanning tree, so every
+index is 1.  Genericity is certified, never assumed: any exact tie (a
+zero cone coefficient, or a singular-but-consistent system) aborts the
+sweep and the caller retries with a perturbed v.  Displacement vectors
+and intersection points are Fractions, scaled to integers for the
+solve; there are no tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -34,9 +38,7 @@ from .fan import (
     bergman_weight,
     cremona_pullback_weight,
     facet_ray_sums,
-    flag_generators,
     flag_span_coefficients,
-    fundamental_weight,
     permutohedral_weight,
 )
 from .masks import full_mask
@@ -110,14 +112,6 @@ def cremona_pullback_divisor(d: PLDivisor) -> PLDivisor:
     return PLDivisor(d.n, {top ^ mask: v for mask, v in d.ray_values.items() if v})
 
 
-def evaluate_in_cone(d: PLDivisor, flag: Flag, coefficients: Sequence) -> Fraction:
-    """Value of the linear extension at sum coefficients[i] * ray_i."""
-    if len(flag) != len(coefficients):
-        raise ValueError("one coefficient per flag entry")
-    return sum((Fraction(c) * d.value(mask) for c, mask in zip(coefficients, flag)),
-               Fraction(0))
-
-
 def divisor_cup(d: PLDivisor, weight: MinkowskiWeight) -> MinkowskiWeight:
     """Cup product: push a codim-k weight to codim k+1.
 
@@ -142,18 +136,6 @@ def divisor_cup(d: PLDivisor, weight: MinkowskiWeight) -> MinkowskiWeight:
         if value:
             out[tau] = value
     return MinkowskiWeight(n, weight.codim + 1, out)
-
-
-def nef_values(d: PLDivisor) -> MinkowskiWeight:
-    return divisor_cup(d, fundamental_weight(d.n))
-
-
-def nef_check(d: PLDivisor) -> bool:
-    """True when cupping against the fundamental weight is nonnegative
-    on every one-smaller cone."""
-    if d.n == 0:
-        return True
-    return all(v >= 0 for v in nef_values(d).weights.values())
 
 
 # -- displacement-rule pairing ------------------------------------------
@@ -192,6 +174,21 @@ class PairingTerm:
     index: int
 
 
+def _flag_blocks(n: int, flag: Flag) -> list[int]:
+    """Block of each element 0..n: i for F_(i+1) minus F_i, and len(flag)
+    for the complement of the last subset."""
+    block = [len(flag)] * (n + 1)
+    inside = 0
+    for i, mask in enumerate(flag):
+        new = mask & ~inside
+        inside = mask
+        while new:
+            low = new & -new
+            block[low.bit_length() - 1] = i
+            new ^= low
+    return block
+
+
 def cone_displacement_intersect(
     n: int, sigma: Flag, tau: Flag, v: Sequence[Fraction]
 ) -> Optional[tuple[tuple[Fraction, ...], int]]:
@@ -199,43 +196,60 @@ def cone_displacement_intersect(
 
     Returns (point, lattice index) for a transversal intersection, None
     for an empty one, and raises DegenerateDisplacementError whenever the
-    answer would depend on a boundary tie: some barycentric coordinate is
+    answer would depend on a boundary tie: some cone coefficient is
     exactly zero, or the combined generators are singular yet the system
     is consistent.
+
+    Lifted to {0..n} with v_0 = 0, a point of a flag cone is constant on
+    the flag's blocks and each coefficient is the difference of adjacent
+    block values.  So the system is one equation p[sigma(e)] - q[tau(e)]
+    = v_e per element e, on potentials p of sigma's blocks and q of tau's:
+    a graph with n + 2 block nodes and n + 1 element edges.  It is
+    nonsingular exactly when that graph is connected, hence a tree, whose
+    incidence matrix is totally unimodular: the index is then 1.
     """
     if len(sigma) + len(tau) != n:
         raise ValueError("cone dimensions must sum to the ambient dimension")
-    gens_s = flag_generators(n, sigma)
-    gens_t = flag_generators(n, tau)
-    scale = linalg.lcm_all([x.denominator for x in v]) if n else 1
-    aug = [
-        [g[i] for g in gens_s] + [-g[i] for g in gens_t] + [int(v[i] * scale)]
-        for i in range(n)
-    ]
-    status, det, num, den = linalg.solve_square_int(aug)
-    if status == linalg.SINGULAR_INCONSISTENT:
-        return None
-    if status == linalg.SINGULAR_CONSISTENT:
-        raise DegenerateDisplacementError(
-            f"displacement lies in the degenerate span of {sigma} and {tau}"
-        )
-    # Solution coordinates are num[i] / den; classify by sign alone.
-    if any(c == 0 for c in num):
-        raise DegenerateDisplacementError(f"boundary tie between {sigma} and {tau}")
-    if den > 0:
-        if any(c < 0 for c in num):
-            # The affine intersection point sits outside at least one
-            # cone; emptiness is stable under small perturbations.
-            return None
-    elif any(c > 0 for c in num):
-        return None
+    scale = linalg.lcm_all([x.denominator for x in v])
+    lifted = (0, *(x.numerator * (scale // x.denominator) for x in v))
     a = len(sigma)
-    coeffs = [Fraction(c, den) for c in num[:a]]
-    point = tuple(
-        sum((coeffs[j] * gens_s[j][i] for j in range(a)), Fraction(0)) / scale
-        for i in range(n)
-    )
-    return point, abs(det)
+    # Nodes 0..a are sigma's blocks and a+1..n+1 tau's, each in flag order.
+    left = _flag_blocks(n, sigma)
+    right = [a + 1 + block for block in _flag_blocks(n, tau)]
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n + 2)]
+    for e in range(n + 1):
+        adjacent[left[e]].append((right[e], -lifted[e]))
+        adjacent[right[e]].append((left[e], lifted[e]))
+    potential: list[Optional[int]] = [None] * (n + 2)
+    components = 0
+    for root in range(n + 2):
+        if potential[root] is not None:
+            continue
+        components += 1
+        potential[root] = 0
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            for other, step in adjacent[node]:
+                if potential[other] is None:
+                    potential[other] = potential[node] + step
+                    stack.append(other)
+    if components > 1:
+        if all(potential[left[e]] - potential[right[e]] == lifted[e] for e in range(n + 1)):
+            raise DegenerateDisplacementError(
+                f"displacement lies in the degenerate span of {sigma} and {tau}"
+            )
+        return None
+    coeffs = [potential[i] - potential[i + 1] for i in range(n + 1) if i != a]
+    if 0 in coeffs:
+        raise DegenerateDisplacementError(f"boundary tie between {sigma} and {tau}")
+    if any(c < 0 for c in coeffs):
+        # The affine intersection point sits outside at least one cone;
+        # emptiness is stable under small perturbations.
+        return None
+    origin = potential[left[0]]
+    point = tuple(Fraction(potential[left[j]] - origin, scale) for j in range(1, n + 1))
+    return point, 1
 
 
 def _ray_sign_masks(n: int, flag: Flag) -> tuple[int, int]:
@@ -257,12 +271,14 @@ def _ray_sign_masks(n: int, flag: Flag) -> tuple[int, int]:
     return pos, neg
 
 
-def _pairing_sweep(
-    w1: MinkowskiWeight,
-    w2: MinkowskiWeight,
-    v: DisplacementVector,
-    collect: bool,
-) -> tuple[int, list[PairingTerm]]:
+def pairing_terms(
+    w1: MinkowskiWeight, w2: MinkowskiWeight, v: DisplacementVector
+) -> list[PairingTerm]:
+    """The transversally intersecting support pairs under displacement v.
+
+    Completing the sweep without a DegenerateDisplacementError certifies
+    v for this pair of supports.
+    """
     if w1.n != w2.n:
         raise ValueError("weights live on different fans")
     n = w1.n
@@ -277,44 +293,30 @@ def _pairing_sweep(
     # so skipping them is exact.
     prefilter = all(c > 0 for c in v.coords)
     needed = full_mask(n + 1) ^ 1
-    left = [(sigma, c1, _ray_sign_masks(n, sigma)[0]) for sigma, c1 in w1.items()]
-    right = [(tau, c2, _ray_sign_masks(n, tau)[1]) for tau, c2 in w2.items()]
-    total = 0
+    left = [(sigma, _ray_sign_masks(n, sigma)[0]) for sigma in w1.weights]
+    right = [(tau, _ray_sign_masks(n, tau)[1]) for tau in w2.weights]
     terms: list[PairingTerm] = []
-    for sigma, c1, pos in left:
-        for tau, c2, neg in right:
+    for sigma, pos in left:
+        for tau, neg in right:
             if prefilter and pos | neg != needed:
                 continue
             hit = cone_displacement_intersect(n, sigma, tau, v.coords)
-            if hit is None:
-                continue
-            point, index = hit
-            total += index * c1 * c2
-            if collect:
-                terms.append(PairingTerm(sigma, tau, point, index))
+            if hit is not None:
+                terms.append(PairingTerm(sigma, tau, *hit))
     v.certified = True
-    return total, terms
+    return terms
+
+
+def terms_degree(w1: MinkowskiWeight, w2: MinkowskiWeight, terms: list[PairingTerm]) -> int:
+    """Displacement-rule degree: lattice index times both weights, summed."""
+    return sum(t.index * w1.value(t.sigma) * w2.value(t.tau) for t in terms)
 
 
 def degree_pairing(
     w1: MinkowskiWeight, w2: MinkowskiWeight, v: DisplacementVector
 ) -> int:
-    """Displacement-rule product degree of two complementary weights.
-
-    Sums lattice-index times the two weights over all transversally
-    intersecting support pairs.  Completing the sweep without a
-    DegenerateDisplacementError certifies v for this pair of supports.
-    """
-    total, _ = _pairing_sweep(w1, w2, v, collect=False)
-    return total
-
-
-def pairing_terms(
-    w1: MinkowskiWeight, w2: MinkowskiWeight, v: DisplacementVector
-) -> list[PairingTerm]:
-    """The individual contributing terms of degree_pairing, for audit."""
-    _, terms = _pairing_sweep(w1, w2, v, collect=True)
-    return terms
+    """Displacement-rule product degree of two complementary weights."""
+    return terms_degree(w1, w2, pairing_terms(w1, w2, v))
 
 
 def displacement_weights(matroid: Matroid, k: int) -> tuple[MinkowskiWeight, MinkowskiWeight]:

@@ -1,12 +1,14 @@
 """Exact linear algebra over the integers, the rationals, and GF(p).
 
-Everything is fraction-free or Fraction-based; no floats.  Problem sizes
-are tiny (ambient dimension at most 30), so clarity wins over asymptotics:
-Bareiss elimination for integer determinants and the displacement
-pairing's square solves, Gaussian elimination over Fraction or GF(p) for
-ranks, and a textbook Smith normal form for lattice diagnostics.
-solve_in_span, a generic rational span solve, is kept as the reference
-that the flag-cone span test in fan is checked against.
+Everything is fraction-free or Fraction-based; no floats.  Production
+uses the ranks (Gaussian elimination over Fraction or GF(p)), is_prime
+and lcm_all.  Two generic solvers are kept as references that the
+flag-cone code is tested against: solve_square_int (Bareiss square
+solves, with a rational consistency test for singular systems) for the
+displacement pairing's spanning-tree solve, and solve_in_span for the
+flag-cone span test in fan.  The benchmark's layer tracer
+(perfbench/layertrace.py) wraps both by name, so they stay here rather
+than among the test oracles.
 """
 
 from __future__ import annotations
@@ -19,36 +21,6 @@ from typing import Sequence
 UNIQUE = "unique"
 SINGULAR_CONSISTENT = "singular-consistent"
 SINGULAR_INCONSISTENT = "singular-inconsistent"
-
-
-def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix via Bareiss elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    mat = [list(r) for r in rows]
-    if any(len(r) != n for r in mat):
-        raise ValueError("matrix is not square")
-    sign = 1
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if mat[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            mat[k], mat[piv] = mat[piv], mat[k]
-            sign = -sign
-        pk = mat[k][k]
-        for i in range(k + 1, n):
-            row_i = mat[i]
-            mik = row_i[k]
-            row_k = mat[k]
-            for j in range(k + 1, n):
-                # Bareiss: this division is exact.
-                row_i[j] = (pk * row_i[j] - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pk
-    return sign * mat[n - 1][n - 1]
 
 
 def solve_square_int(aug: list[list[int]]):
@@ -219,93 +191,6 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
         if rank == n:
             break
     return rank
-
-
-def smith_invariant_factors(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Nonzero invariant factors of an integer matrix, in divisibility order."""
-    mat = [list(r) for r in rows]
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    factors: list[int] = []
-    top = 0
-    while top < m and top < n:
-        # Find a nonzero pivot of least absolute value.
-        best = None
-        for i in range(top, m):
-            for j in range(top, n):
-                v = mat[i][j]
-                if v and (best is None or abs(v) < abs(mat[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        mat[top], mat[bi] = mat[bi], mat[top]
-        for row in mat:
-            row[top], row[bj] = row[bj], row[top]
-        # Clear the pivot row and column by remainder steps.
-        dirty = True
-        while dirty:
-            dirty = False
-            p = mat[top][top]
-            for i in range(top + 1, m):
-                if mat[i][top]:
-                    q = mat[i][top] // p
-                    for j in range(top, n):
-                        mat[i][j] -= q * mat[top][j]
-                    if mat[i][top]:
-                        mat[top], mat[i] = mat[i], mat[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(top + 1, n):
-                if mat[top][j]:
-                    q = mat[top][j] // p
-                    for row in mat:
-                        row[j] -= q * row[top]
-                    if mat[top][j]:
-                        for row in mat:
-                            row[top], row[j] = row[j], row[top]
-                        dirty = True
-                        break
-        # Enforce divisibility of the remaining block by the pivot.
-        p = abs(mat[top][top])
-        adjusted = False
-        for i in range(top + 1, m):
-            for j in range(top + 1, n):
-                if mat[i][j] % p:
-                    for jj in range(top, n):
-                        mat[top][jj] += mat[i][jj]
-                    adjusted = True
-                    break
-            if adjusted:
-                break
-        if adjusted:
-            continue
-        factors.append(p)
-        top += 1
-    return factors
-
-
-def lattice_index(rows: Sequence[Sequence[int]]) -> int:
-    """Index in Z^n of the lattice spanned by n integer row vectors.
-
-    For the square full-rank case this is |det|; the Smith normal form
-    covers anything else (0 means the rows do not span a finite-index
-    sublattice).
-    """
-    n = len(rows[0]) if rows else 0
-    if len(rows) == n:
-        d = det_int(rows)
-        if d:
-            return abs(d)
-    factors = smith_invariant_factors(rows)
-    if len(factors) < n:
-        return 0
-    prod = 1
-    for f in factors:
-        prod *= f
-    return prod
 
 
 def is_prime(p: int) -> bool:

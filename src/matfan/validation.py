@@ -38,6 +38,7 @@ from .intersect import (
     divisor_cup,
     pairing_terms,
     perturbed_displacement,
+    terms_degree,
 )
 from .matroid import Matroid
 from .schema import InputError, fraction_str
@@ -108,11 +109,6 @@ def certified_terms(
     raise DegenerateDisplacementError(
         f"no generic displacement found in {MAX_RETRIES} attempts"
     )
-
-
-def terms_degree(w1: MinkowskiWeight, w2: MinkowskiWeight, terms: list[PairingTerm]) -> int:
-    """Displacement-rule degree: lattice index times both weights, summed."""
-    return sum(t.index * w1.value(t.sigma) * w2.value(t.tau) for t in terms)
 
 
 def cup_chain(base: MinkowskiWeight) -> tuple[list[MinkowskiWeight], list[int]]:

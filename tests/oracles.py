@@ -6,12 +6,23 @@ counting chains with alternating signs (Philip Hall), characteristic
 polynomials by the subset expansion over the rank function, and flag
 counts by filtering all chains of flats.  Tests freeze the numbers these
 oracles produce and also re-run the oracles against library output.
+
+The generic integer linear algebra lives here too: Bareiss determinants,
+the Smith form and lattice indices, and a displacement-pair classifier
+built on linalg.solve_square_int.  Production uses the structure of flag
+cones instead (constant on blocks, spanning trees), and these check it.
+The nef helpers evaluate divisors for tests only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+
+from matfan import linalg
+from matfan.fan import fundamental_weight, incidence_vector
+from matfan.intersect import divisor_cup
 
 
 # -- rank oracles ------------------------------------------------------
@@ -235,6 +246,192 @@ def min_formula(point):
         if x < lowest:
             lowest = Fraction(x)
     return lowest
+
+
+# -- lattice diagnostics and the generic displacement solve -------------
+
+def det_int(rows):
+    """Determinant of a square integer matrix via Bareiss elimination."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    mat = [list(r) for r in rows]
+    if any(len(r) != n for r in mat):
+        raise ValueError("matrix is not square")
+    sign = 1
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if mat[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            mat[k], mat[piv] = mat[piv], mat[k]
+            sign = -sign
+        pk = mat[k][k]
+        for i in range(k + 1, n):
+            row_i = mat[i]
+            mik = row_i[k]
+            row_k = mat[k]
+            for j in range(k + 1, n):
+                # Bareiss: this division is exact.
+                row_i[j] = (pk * row_i[j] - mik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pk
+    return sign * mat[n - 1][n - 1]
+
+
+def smith_invariant_factors(rows):
+    """Nonzero invariant factors of an integer matrix, in divisibility order."""
+    mat = [list(r) for r in rows]
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    factors = []
+    top = 0
+    while top < m and top < n:
+        # Find a nonzero pivot of least absolute value.
+        best = None
+        for i in range(top, m):
+            for j in range(top, n):
+                v = mat[i][j]
+                if v and (best is None or abs(v) < abs(mat[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        bi, bj = best
+        mat[top], mat[bi] = mat[bi], mat[top]
+        for row in mat:
+            row[top], row[bj] = row[bj], row[top]
+        # Clear the pivot row and column by remainder steps.
+        dirty = True
+        while dirty:
+            dirty = False
+            p = mat[top][top]
+            for i in range(top + 1, m):
+                if mat[i][top]:
+                    q = mat[i][top] // p
+                    for j in range(top, n):
+                        mat[i][j] -= q * mat[top][j]
+                    if mat[i][top]:
+                        mat[top], mat[i] = mat[i], mat[top]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(top + 1, n):
+                if mat[top][j]:
+                    q = mat[top][j] // p
+                    for row in mat:
+                        row[j] -= q * row[top]
+                    if mat[top][j]:
+                        for row in mat:
+                            row[top], row[j] = row[j], row[top]
+                        dirty = True
+                        break
+        # Enforce divisibility of the remaining block by the pivot.
+        p = abs(mat[top][top])
+        adjusted = False
+        for i in range(top + 1, m):
+            for j in range(top + 1, n):
+                if mat[i][j] % p:
+                    for jj in range(top, n):
+                        mat[top][jj] += mat[i][jj]
+                    adjusted = True
+                    break
+            if adjusted:
+                break
+        if adjusted:
+            continue
+        factors.append(p)
+        top += 1
+    return factors
+
+
+def lattice_index(rows):
+    """Index in Z^n of the lattice spanned by n integer row vectors.
+
+    For the square full-rank case this is |det|; the Smith normal form
+    covers anything else (0 means the rows do not span a finite-index
+    sublattice).
+    """
+    n = len(rows[0]) if rows else 0
+    if len(rows) == n:
+        d = det_int(rows)
+        if d:
+            return abs(d)
+    factors = smith_invariant_factors(rows)
+    if len(factors) < n:
+        return 0
+    prod = 1
+    for f in factors:
+        prod *= f
+    return prod
+
+
+def flag_generators(n, flag):
+    """The incidence vectors spanning the flag's cone."""
+    return [incidence_vector(n, mask) for mask in flag]
+
+
+def unimodularity_factors(n, flag):
+    """Smith invariant factors of the flag's generator matrix; all ones
+    means the generators extend to a basis of the ambient lattice."""
+    if not flag:
+        return []
+    return smith_invariant_factors(flag_generators(n, flag))
+
+
+def displacement_reference(n, sigma, tau, v):
+    """Classify sigma meeting (tau + v) by the generic Bareiss solve.
+
+    Returns None for an empty intersection, "degenerate span" for a
+    singular consistent system, "boundary tie" for a zero coefficient,
+    and otherwise (point, index) with index |det| of the combined
+    generators [gens_sigma | -gens_tau].
+    """
+    gens_s = flag_generators(n, sigma)
+    gens_t = flag_generators(n, tau)
+    combined = [[g[i] for g in gens_s] + [-g[i] for g in gens_t] for i in range(n)]
+    scale = 1
+    for x in v:
+        scale = lcm(scale, Fraction(x).denominator)
+    aug = [row + [int(v[i] * scale)] for i, row in enumerate(combined)]
+    status, _, num, den = linalg.solve_square_int(aug)
+    if status == linalg.SINGULAR_INCONSISTENT:
+        return None
+    if status == linalg.SINGULAR_CONSISTENT:
+        return "degenerate span"
+    if 0 in num:
+        return "boundary tie"
+    if any(c * den < 0 for c in num):
+        return None
+    coeffs = [Fraction(c, den) for c in num[:len(sigma)]]
+    point = tuple(
+        sum((c * g[i] for c, g in zip(coeffs, gens_s)), Fraction(0)) / scale
+        for i in range(n)
+    )
+    return point, abs(det_int(combined))
+
+
+# -- divisors on the complete fan ----------------------------------------
+
+def evaluate_in_cone(d, flag, coefficients):
+    """Value of the linear extension of d at sum coefficients[i] * ray_i."""
+    if len(flag) != len(coefficients):
+        raise ValueError("one coefficient per flag entry")
+    return sum((Fraction(c) * d.value(mask) for c, mask in zip(coefficients, flag)),
+               Fraction(0))
+
+
+def nef_values(d):
+    return divisor_cup(d, fundamental_weight(d.n))
+
+
+def nef_check(d):
+    """True when cupping against the fundamental weight is nonnegative
+    on every one-smaller cone."""
+    if d.n == 0:
+        return True
+    return all(v >= 0 for v in nef_values(d).weights.values())
 
 
 # -- tiny fixed structures used across the test-suite ------------------

@@ -13,16 +13,16 @@ from matfan.fan import (
     check_balancing,
     cremona_flag,
     cremona_pullback_weight,
-    flag_generators,
     flag_span_coefficients,
     fundamental_weight,
     incidence_vector,
     permutohedral_weight,
-    unimodularity_factors,
     validate_flag,
 )
 from matfan.masks import full_mask
 from matfan.matroid import FreeMatroid, GraphicMatroid, RankTableMatroid
+
+from oracles import flag_generators, unimodularity_factors
 
 
 # -- lattice points of subsets ----------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matfan import corpus
+from matfan import corpus, linalg
 from matfan.charpoly import mu_vector_mobius
 from matfan.fan import (
     MinkowskiWeight,
@@ -28,9 +28,6 @@ from matfan.intersect import (
     degree_pairing,
     displacement_weights,
     divisor_cup,
-    evaluate_in_cone,
-    nef_check,
-    nef_values,
     pairing_terms,
     perturbed_displacement,
 )
@@ -40,10 +37,18 @@ from matfan.validation import (
     cup_chain,
     mu_vector_displacement,
     mu_vector_divisors,
+    run_check,
     terms_degree,
 )
 
-from oracles import min_formula
+from oracles import (
+    displacement_reference,
+    evaluate_in_cone,
+    flag_generators,
+    min_formula,
+    nef_check,
+    nef_values,
+)
 
 
 # -- piecewise-linear divisors ------------------------------------------------
@@ -97,7 +102,6 @@ def test_alpha_evaluates_to_the_minimum_formula(data):
     flag = data.draw(st.sampled_from(support))
     coeffs = [Fraction(data.draw(st.integers(0, 5)), data.draw(st.integers(1, 3)))
               for _ in flag]
-    from matfan.fan import flag_generators
     gens = flag_generators(n, flag)
     point = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(n)]
     assert evaluate_in_cone(alpha_divisor(n), flag, coeffs) == min_formula(point)
@@ -244,6 +248,64 @@ def test_intersect_trivial_dimension():
 def test_intersect_validates_dimensions():
     with pytest.raises(ValueError):
         cone_displacement_intersect(2, (0b010,), (), frac(1, 2))
+
+
+@st.composite
+def flag_pairs(draw):
+    """(n, sigma, tau) with len(sigma) + len(tau) == n, n <= 7."""
+    n = draw(st.integers(0, 7))
+
+    def flag(length):
+        if length == 0:
+            return ()
+        order = draw(st.permutations(range(n + 1)))
+        cuts = sorted(draw(st.sets(st.integers(1, n), min_size=length, max_size=length)))
+        return tuple(sum(1 << x for x in order[:cut]) for cut in cuts)
+
+    a = draw(st.integers(0, n))
+    return n, flag(a), flag(n - a)
+
+
+def displacements(n):
+    return st.one_of(
+        st.just(default_displacement(n).coords),
+        st.tuples(*[st.integers(-2, 3).map(Fraction)] * n),
+        st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * n),
+    )
+
+
+def tree_classification(n, sigma, tau, v):
+    """cone_displacement_intersect's answer in the reference's terms."""
+    try:
+        return cone_displacement_intersect(n, sigma, tau, v)
+    except DegenerateDisplacementError as exc:
+        return "degenerate span" if "degenerate span" in str(exc) else "boundary tie"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_tree_solve_matches_bareiss_reference(data):
+    n, sigma, tau = data.draw(flag_pairs())
+    v = data.draw(displacements(n))
+    assert tree_classification(n, sigma, tau, v) == displacement_reference(n, sigma, tau, v)
+
+
+def test_production_never_calls_the_generic_solvers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generic solver called from production")
+
+    monkeypatch.setattr(linalg, "solve_square_int", refuse)
+    monkeypatch.setattr(linalg, "solve_in_span", refuse)
+    for name, mu in (("k4", [1, 5, 6]), ("fano", [1, 6, 8])):
+        matroid = corpus.build(name)
+        traced = []
+        result = run_check(matroid, trace=lambda k, term: traced.append(term))
+        assert result.internal_error is None and result.ok
+        assert result.report["mu"] == {method: mu for method in
+                                       ("mobius", "flags", "divisor", "displacement")}
+        assert len(traced) == sum(mu)
+        assert all(term.index == 1 and len(term.point) == matroid.size - 1
+                   for term in traced)
 
 
 # -- full pairings ---------------------------------------------------------------
