@@ -13,7 +13,7 @@ programming over the covering relation.
 Two deliberately different recursions produce Moebius values: the
 defining recursion (sum over all smaller flats) and a Weisner-style
 recursion that only touches covered flats missing a fixed atom.  They
-must agree; validation compares them.
+must agree; only the defining one is used, and the tests compare them.
 """
 
 from __future__ import annotations

@@ -13,6 +13,9 @@ index exactly the cones of the fan and keep everything hashable and
 exact.  A Minkowski weight of codimension k assigns an integer to every
 (n-k)-dimensional cone, zero almost everywhere, subject to the balancing
 condition around each one-smaller cone.
+
+There are no caches: flags are checked and summed as bitmasks, and every
+weight is built afresh for the caller that asked for it.
 """
 
 from __future__ import annotations
@@ -21,33 +24,27 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .charpoly import FlatLattice
-from .masks import complement, full_mask
+from .masks import complement, full_mask, iter_elements
 from .matroid import Matroid
 
 Flag = tuple[int, ...]
 
-_incidence_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-
 
 def incidence_vector(n: int, mask: int) -> tuple[int, ...]:
     """Image of a proper nonempty subset of {0..n} in Z^n coordinates."""
-    got = _incidence_cache.get((n, mask))
-    if got is not None:
-        return got
     if n < 0 or mask <= 0 or mask >= full_mask(n + 1):
         raise ValueError(f"mask {bin(mask)} is not a proper nonempty subset of a {n + 1}-set")
     if mask & 1:
-        vec = tuple(0 if mask >> j & 1 else -1 for j in range(1, n + 1))
-    else:
-        vec = tuple(1 if mask >> j & 1 else 0 for j in range(1, n + 1))
-    _incidence_cache[(n, mask)] = vec
-    return vec
+        return tuple(0 if mask >> j & 1 else -1 for j in range(1, n + 1))
+    return tuple(1 if mask >> j & 1 else 0 for j in range(1, n + 1))
 
 
 def validate_flag(n: int, flag: Flag) -> None:
+    top = full_mask(max(n + 1, 0))  # 0 when n < 0: no mask is proper then
     prev = 0
     for mask in flag:
-        incidence_vector(n, mask)
+        if not 0 < mask < top:
+            raise ValueError(f"mask {bin(mask)} is not a proper nonempty subset of a {n + 1}-set")
         if prev and not (prev & ~mask == 0 and prev != mask):
             raise ValueError(f"flag {flag} is not strictly increasing")
         prev = mask
@@ -138,6 +135,7 @@ def bergman_weight(matroid: Matroid) -> MinkowskiWeight:
     return MinkowskiWeight(n, n - r, weights)
 
 
+# Never filled: perfbench/layertrace.py reads it to count cache hits.
 _perm_cache: dict[tuple[int, int], MinkowskiWeight] = {}
 
 
@@ -149,9 +147,6 @@ def permutohedral_weight(n: int, k: int) -> MinkowskiWeight:
     """
     if not 0 <= k <= n:
         raise ValueError(f"codimension {k} outside 0..{n}")
-    got = _perm_cache.get((n, k))
-    if got is not None:
-        return got
     dim = n - k
     weights: dict[Flag, int] = {}
 
@@ -169,9 +164,7 @@ def permutohedral_weight(n: int, k: int) -> MinkowskiWeight:
     else:
         for x in range(n + 1):
             extend(((1 << x),), 1 << x, 1)
-    weight = MinkowskiWeight(n, k, weights)
-    _perm_cache[(n, k)] = weight
-    return weight
+    return MinkowskiWeight(n, k, weights)
 
 
 def fundamental_weight(n: int) -> MinkowskiWeight:
@@ -242,12 +235,13 @@ def facet_ray_sums(
             facet_map.setdefault(tau, []).append((removed, value))
     for tau in sorted(facet_map):
         above = facet_map[tau]
-        total = [0] * n
+        # Coordinate j of a subset's incidence vector is [j in S] - [0 in S],
+        # so sum the values per element over {0..n} and subtract element 0's.
+        lifted = [0] * (n + 1)
         for removed, value in above:
-            for j, x in enumerate(incidence_vector(n, removed)):
-                if x:
-                    total[j] += value * x
-        yield tau, above, total
+            for e in iter_elements(removed):
+                lifted[e] += value
+        yield tau, above, [x - lifted[0] for x in lifted[1:]]
 
 
 @dataclass(frozen=True)

@@ -26,12 +26,12 @@ solve; there are no tolerances anywhere.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import linalg
 from .fan import (
     Flag,
     MinkowskiWeight,
@@ -210,7 +210,7 @@ def cone_displacement_intersect(
     """
     if len(sigma) + len(tau) != n:
         raise ValueError("cone dimensions must sum to the ambient dimension")
-    scale = linalg.lcm_all([x.denominator for x in v])
+    scale = math.lcm(*(x.denominator for x in v))
     lifted = (0, *(x.numerator * (scale // x.denominator) for x in v))
     a = len(sigma)
     # Nodes 0..a are sigma's blocks and a+1..n+1 tau's, each in flag order.

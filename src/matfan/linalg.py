@@ -1,8 +1,8 @@
 """Exact linear algebra over the integers, the rationals, and GF(p).
 
 Everything is fraction-free or Fraction-based; no floats.  Production
-uses the ranks (Gaussian elimination over Fraction or GF(p)), is_prime
-and lcm_all.  Two generic solvers are kept as references that the
+uses the ranks (Gaussian elimination over Fraction or GF(p)) and
+is_prime.  Two generic solvers are kept as references that the
 flag-cone code is tested against: solve_square_int (Bareiss square
 solves, with a rational consistency test for singular systems) for the
 displacement pairing's spanning-tree solve, and solve_in_span for the
@@ -14,7 +14,6 @@ than among the test oracles.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 # Statuses returned by solve_square_int.
@@ -206,10 +205,3 @@ def is_prime(p: int) -> bool:
             return False
         d += 2
     return True
-
-
-def lcm_all(values: Sequence[int]) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out

@@ -77,9 +77,6 @@ class Matroid:
                 out |= b
         return out
 
-    def closure_flat(self, mask: int) -> Flat:
-        return Flat(self.closure(mask), self.rank(mask))
-
     def is_flat(self, mask: int) -> bool:
         return self.closure(mask) == mask
 

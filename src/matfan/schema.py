@@ -39,13 +39,17 @@ class InputError(Exception):
     """Malformed or invalid input document."""
 
 
+def _is_int(value: Any) -> bool:
+    # bool is an int subclass; a true/false rank would be nonsense
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(data: dict, key: str, kind) -> Any:
     if key not in data:
         raise InputError(f"missing required field {key!r}")
     value = data[key]
     if kind is int:
-        # bool is an int subclass; a true/false rank would be nonsense
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(value):
             raise InputError(f"field {key!r} must be an integer")
     elif not isinstance(value, kind):
         raise InputError(f"field {key!r} must be {kind.__name__}")
@@ -56,7 +60,7 @@ def _int_list(data: dict, key: str) -> list[int]:
     raw = _require(data, key, list)
     out = []
     for x in raw:
-        if not isinstance(x, int) or isinstance(x, bool):
+        if not _is_int(x):
             raise InputError(f"field {key!r} must contain only integers")
         out.append(x)
     return out
@@ -100,6 +104,8 @@ def load_matroid(data: Any) -> Matroid:
             for e in raw_edges:
                 if not isinstance(e, list) or len(e) != 2:
                     raise InputError(f"edge {e!r} is not a pair")
+                if not all(_is_int(x) for x in e):
+                    raise InputError(f"edge {e!r} must have integer endpoints")
                 edges.append((e[0], e[1]))
             return GraphicMatroid(vertices, edges, name)
         if kind == "linear":

@@ -58,10 +58,15 @@ class CheckResult:
     internal_error: Optional[str] = None
 
 
-def _relabeling_note(matroid: Matroid, mapping: list[Optional[int]]) -> Optional[dict]:
+def _subject(matroid: Matroid) -> tuple[Matroid, Optional[dict]]:
+    """The simplification a report is about and its relabeling note, or
+    None for a simple input.  Rank zero (only loops) is refused as input."""
+    if matroid.full_rank == 0:
+        raise InputError(f"{matroid.name} has rank 0: every element is a loop")
+    simple, mapping = matroid.simplify()
     if mapping == list(range(matroid.size)):
-        return None
-    return {
+        return simple, None
+    return simple, {
         "relabeling": mapping,
         "dropped_loops": [x for x, m in enumerate(mapping) if m is None],
     }
@@ -69,7 +74,7 @@ def _relabeling_note(matroid: Matroid, mapping: list[Optional[int]]) -> Optional
 
 def charpoly_report(matroid: Matroid) -> dict:
     """Report document for the polynomial surface of one matroid."""
-    simple, mapping = matroid.simplify()
+    simple, note = _subject(matroid)
     poly = char_poly(simple)
     reduced, mu = reduced_char_poly(simple)
     r = simple.full_rank - 1
@@ -80,7 +85,6 @@ def charpoly_report(matroid: Matroid) -> dict:
         "mu": list(mu),
         "flag_counts": [count_descending_flags(simple, k) for k in range(r + 1)],
     }
-    note = _relabeling_note(matroid, mapping)
     if note:
         report["simplification"] = note
     return report
@@ -141,16 +145,36 @@ def mu_vector_divisors(matroid: Matroid) -> tuple[int, ...]:
     return tuple(cup_chain(bergman_weight(matroid))[1])
 
 
+def displacement_levels(
+    matroid: Matroid, rng: random.Random, trace: TraceFn = None
+) -> tuple[list[int], list[dict]]:
+    """(degrees, detail): every coefficient by the displacement pairing and
+    one report row per level; trace, if given, sees each term and level."""
+    degrees = []
+    detail = []
+    for k in range(matroid.full_rank):
+        w1, w2 = displacement_weights(matroid, k)
+        terms, vector, used_default = certified_terms(w1, w2, rng)
+        degrees.append(terms_degree(w1, w2, terms))
+        detail.append(
+            {
+                "k": k,
+                "pairs": len(terms),
+                "max_index": max((t.index for t in terms), default=0),
+                "default_vector": used_default,
+                "vector": [fraction_str(c) for c in vector.coords],
+            }
+        )
+        if trace is not None:
+            for term in terms:
+                trace(k, term)
+    return degrees, detail
+
+
 def mu_vector_displacement(matroid: Matroid, seed: int = 0) -> tuple[int, ...]:
     """Coefficients by the displacement pairing, retrying with seeded
     perturbations on degeneracy."""
-    rng = random.Random(seed)
-    degrees = []
-    for k in range(matroid.full_rank):
-        w1, w2 = displacement_weights(matroid, k)
-        terms, _, _ = certified_terms(w1, w2, rng)
-        degrees.append(terms_degree(w1, w2, terms))
-    return tuple(degrees)
+    return tuple(displacement_levels(matroid, random.Random(seed))[0])
 
 
 def run_check(
@@ -165,7 +189,7 @@ def run_check(
     The report is JSON-ready and, for a fixed input and seed, identical
     between runs unless ``timings`` is set.
     """
-    simple, mapping = matroid.simplify()
+    simple, note = _subject(matroid)
     n = simple.size - 1
     r = simple.full_rank - 1
     geometry_ok = n <= GEOMETRY_LIMIT
@@ -177,7 +201,6 @@ def run_check(
         "rank": simple.full_rank,
         "seed": seed,
     }
-    note = _relabeling_note(matroid, mapping)
     if note:
         report["simplification"] = note
 
@@ -232,25 +255,9 @@ def run_check(
         displacement_detail = []
         if geometry_ok and not skip_displacement:
             t0 = clock()
-            rng = random.Random(seed)
-            mu_disp = []
-            for k in range(r + 1):
-                w1, w2 = displacement_weights(simple, k)
-                terms, vector, used_default = certified_terms(w1, w2, rng)
-                mu_disp.append(terms_degree(w1, w2, terms))
-                displacement_detail.append(
-                    {
-                        "k": k,
-                        "pairs": len(terms),
-                        "max_index": max((t.index for t in terms), default=0),
-                        "default_vector": used_default,
-                        "vector": [fraction_str(c) for c in vector.coords],
-                    }
-                )
-                if trace is not None:
-                    for term in terms:
-                        trace(k, term)
-            methods["displacement"] = mu_disp
+            methods["displacement"], displacement_detail = displacement_levels(
+                simple, random.Random(seed), trace
+            )
             spent["displacement"] = clock() - t0
         else:
             skipped.append("displacement")
@@ -313,7 +320,7 @@ def run_check(
 
 def mu_report(matroid: Matroid, method: str, seed: int = 0) -> dict:
     """Coefficient vector(s) by the requested method(s)."""
-    simple, mapping = matroid.simplify()
+    simple, note = _subject(matroid)
     n = simple.size - 1
     r = simple.full_rank - 1
     geometry_ok = n <= GEOMETRY_LIMIT
@@ -343,7 +350,6 @@ def mu_report(matroid: Matroid, method: str, seed: int = 0) -> dict:
     report = {"name": matroid.name, "method": method, "mu": values}
     if skipped:
         report["skipped"] = skipped
-    note = _relabeling_note(matroid, mapping)
     if note:
         report["simplification"] = note
     return report

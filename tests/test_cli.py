@@ -318,6 +318,32 @@ def test_bad_input_exit_code(tmp_path, capsys):
         assert "unit increase" in err
 
 
+@pytest.mark.parametrize("doc", [
+    {"type": "uniform", "rank": 0, "size": 3},
+    {"type": "graphic", "vertices": 2, "edges": [[0, 0], [1, 1], [1, 1]]},
+])
+def test_rank_zero_input_exit_code(tmp_path, capsys, doc):
+    path = write_doc(tmp_path, "loops.json", doc)
+    for command in ("charpoly", "mu", "check"):
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 2
+        assert out == ""
+        assert "has rank 0" in err
+
+
+@pytest.mark.parametrize("edge", [["a", 1], [0.5, 1], [True, 2], [1, None]])
+def test_graphic_endpoints_must_be_integers(tmp_path, capsys, edge):
+    doc = {"type": "graphic", "vertices": 3, "edges": [[0, 1], edge]}
+    with pytest.raises(InputError, match="must have integer endpoints"):
+        load_matroid(doc)
+    path = write_doc(tmp_path, "bad.json", doc)
+    for command in ("charpoly", "mu", "fan", "check"):
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 2
+        assert out == ""
+        assert "integer endpoints" in err
+
+
 def test_check_exit_codes_for_failures(monkeypatch, tmp_path, capsys):
     # Honest failing inputs do not exist in the corpus, so exercise the
     # exit-code mapping directly.

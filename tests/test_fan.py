@@ -13,6 +13,7 @@ from matfan.fan import (
     check_balancing,
     cremona_flag,
     cremona_pullback_weight,
+    facet_ray_sums,
     flag_span_coefficients,
     fundamental_weight,
     incidence_vector,
@@ -57,12 +58,16 @@ def test_incidence_rejects_improper_subsets():
 def test_validate_flag():
     validate_flag(3, (0b0001, 0b0011, 0b0111))
     validate_flag(3, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not strictly increasing"):
         validate_flag(3, (0b0011, 0b0001))  # decreasing
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not strictly increasing"):
         validate_flag(3, (0b0001, 0b0110))  # not nested
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a proper nonempty subset of a 4-set"):
         validate_flag(3, (0b1111,))  # improper
+    with pytest.raises(ValueError, match="not a proper nonempty subset of a 4-set"):
+        validate_flag(3, (0b0001, 0))  # empty
+    with pytest.raises(ValueError, match="not a proper nonempty subset of a -1-set"):
+        validate_flag(-2, (0b1,))  # no ground set
 
 
 # -- the weight container -----------------------------------------------------
@@ -175,6 +180,17 @@ def test_permutohedral_bounds():
         permutohedral_weight(2, 3)
 
 
+def test_permutohedral_weight_is_fresh_on_every_call():
+    first = permutohedral_weight(3, 1)
+    second = permutohedral_weight(3, 1)
+    assert first == second
+    assert first is not second and first.weights is not second.weights
+    # The dataclass is frozen but its dict is not; no later caller sees this.
+    first.weights.clear()
+    assert permutohedral_weight(3, 1) == second
+    assert len(second.weights) == 12
+
+
 # -- flag spans ------------------------------------------------------------------
 
 
@@ -249,6 +265,47 @@ def test_wrong_multiplicity_breaks_balancing():
 
 def test_top_codimension_is_vacuously_balanced():
     assert check_balancing(MinkowskiWeight(2, 2, {(): 7})) == []
+
+
+@st.composite
+def weights(draw):
+    """A weight on {0..n}, n <= 5: a multiple of the balanced permutohedral
+    weight (possibly zero) plus up to three random cones, which mostly
+    break balancing."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n))
+    scale = draw(st.integers(-2, 2))
+    values = {flag: scale for flag in permutohedral_weight(n, k).weights}
+    for _ in range(draw(st.integers(0, 3))):
+        order = draw(st.permutations(range(n + 1)))
+        sizes = sorted(draw(st.sets(st.integers(1, n), min_size=n - k, max_size=n - k)))
+        flag = tuple(sum(1 << x for x in order[:size]) for size in sizes)
+        values[flag] = values.get(flag, 0) + draw(st.integers(-3, 3))
+    return MinkowskiWeight(n, k, values)
+
+
+def incidence_ray_sums(weight):
+    """(facet, sum of value * incidence_vector(removed subset)), sorted."""
+    n = weight.n
+    sums = {}
+    for flag, value in weight.items():
+        for i, removed in enumerate(flag):
+            total = sums.setdefault(flag[:i] + flag[i + 1:], [0] * n)
+            for j, x in enumerate(incidence_vector(n, removed)):
+                total[j] += value * x
+    return sorted(sums.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights())
+def test_ray_sums_and_excesses_are_incidence_vector_sums(weight):
+    expected = incidence_ray_sums(weight)
+    assert [(tau, total) for tau, _, total in facet_ray_sums(weight)] == expected
+    assert check_balancing(weight) == [
+        BalancingViolation(tau, tuple(total))
+        for tau, total in expected
+        if linalg.solve_in_span(flag_generators(weight.n, tau), total) is None
+    ]
 
 
 # -- the negation involution ----------------------------------------------------

@@ -152,12 +152,6 @@ def test_is_prime():
     assert not linalg.is_prime(2**32 + 1)
 
 
-def test_lcm_all():
-    assert linalg.lcm_all([]) == 1
-    assert linalg.lcm_all([4, 6]) == 12
-    assert linalg.lcm_all([1, 1, 1]) == 1
-
-
 def test_solve_square_random_cross_check():
     # Denser matrices than hypothesis generates cheaply, fixed seed.
     rng = random.Random(5)

@@ -1,0 +1,27 @@
+"""The benchmark's layer tracer (perfbench/layertrace.py) wraps matfan's
+functions by name; a renamed or removed binding must fail here, not only
+in a traced benchmark run."""
+
+from pathlib import Path
+
+from matfan import corpus, validation
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tracer_installs_counts_and_uninstalls(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layertrace
+
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install()
+        # k4 is inside the geometry limit, k5 above it.
+        for name in ("k4", "k5"):
+            assert validation.run_check(corpus.build(name)).ok
+    finally:
+        tracer.uninstall()
+    assert layertrace.installed() == []
+    for name in ("fan.permutohedral_weight", "intersect.pairing_terms",
+                 "intersect.cone_displacement_intersect", "fan.check_balancing"):
+        assert tracer.calls[name] > 0, name
