@@ -11,14 +11,15 @@ count initial descending flag chains of flats, computed here by dynamic
 programming over the covering relation.
 
 Two deliberately different recursions produce Moebius values: the
-defining recursion (sum over all smaller flats) and a Weisner-style
-recursion that only touches covered flats missing a fixed atom.  They
-must agree; only the defining one is used, and the tests compare them.
+defining recursion (one sum per flat over the smaller flats, in a single
+pass by rank) and a Weisner-style recursion that only touches covered
+flats missing a fixed atom.  They must agree; only the defining one is
+used, and the tests compare them.
 """
 
 from __future__ import annotations
 
-from .masks import is_subset, min_element
+from .masks import min_element
 from .matroid import Matroid
 
 
@@ -152,15 +153,11 @@ class FlatLattice:
 
     def mobius(self) -> dict[int, int]:
         """mu(bottom, F) by the defining recursion: each value is minus the
-        sum over all strictly smaller flats."""
+        sum over the flats already visited (by rank) that F contains."""
         mu: dict[int, int] = {self.bottom: 1}
         for level in self.strata[1:]:
             for f in level:
-                acc = 0
-                for g, value in mu.items():
-                    if g != f and is_subset(g, f):
-                        acc += value
-                mu[f] = -acc
+                mu[f] = -sum(value for g, value in mu.items() if g & ~f == 0)
         return mu
 
     def mobius_weisner(self) -> dict[int, int]:

@@ -192,16 +192,33 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     return rank
 
 
+# Miller-Rabin with the prime bases up to 41 is proven deterministic
+# below this bound (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError at or above PRIME_TEST_LIMIT."""
+    if p >= PRIME_TEST_LIMIT:
+        raise ValueError(f"cannot decide whether {p} is prime: "
+                         f"moduli must be below {PRIME_TEST_LIMIT}")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True

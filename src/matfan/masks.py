@@ -41,10 +41,6 @@ def min_element(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def is_subset(a: int, b: int) -> bool:
-    return a & ~b == 0
-
-
 def complement(mask: int, size: int) -> int:
     return full_mask(size) & ~mask
 

@@ -82,8 +82,9 @@ def _parse_entry(value, field: int | None):
 def load_matroid(data: Any) -> Matroid:
     """Build a matroid from a parsed JSON document.
 
-    Rank-table inputs are checked against the rank axioms before use and
-    rejected with the witnessing subset(s) on failure.
+    Rank-table and bases inputs are checked exactly against the rank
+    axioms before use, up to 21 elements, and rejected with the
+    witnessing subset(s) on failure.
     """
     if not isinstance(data, dict):
         raise InputError("matroid document must be a JSON object")
@@ -125,8 +126,13 @@ def load_matroid(data: Any) -> Matroid:
             parsed = [[_parse_entry(x, field) for x in row] for row in matrix]
             return LinearMatroid(parsed, field, name)
         if kind == "bases":
-            return BasesMatroid(_require(data, "n", int),
-                                _int_list(data, "bases"), name)
+            matroid = BasesMatroid(_require(data, "n", int),
+                                   _int_list(data, "bases"), name)
+            witness = validate_rank_table(matroid.size, matroid.rank_table())
+            if witness is not None:
+                raise InputError(f"bases fail basis exchange; their rank function "
+                                 f"violates the rank axioms: {witness}")
+            return matroid
         if kind == "rank_table":
             size = _require(data, "n", int)
             ranks = _int_list(data, "ranks")

@@ -131,6 +131,27 @@ def all_flats_oracle(size, rank_fn):
     return flats
 
 
+def rank_axioms_oracle(size, ranks):
+    """None if an explicit rank table satisfies the rank axioms, else the
+    failing axiom's witness.  Unit increase is tested on every (S, x) and
+    submodularity on every pair of subsets, in that order."""
+    if len(ranks) != 1 << size:
+        return f"table has {len(ranks)} entries, expected {1 << size}"
+    if ranks[0] != 0:
+        return f"rank of the empty set is {ranks[0]}, expected 0"
+    for s in range(1 << size):
+        if ranks[s] < 0:
+            return f"rank of {s:#b} is negative"
+        for x in range(size):
+            if not s >> x & 1 and ranks[s | 1 << x] - ranks[s] not in (0, 1):
+                return f"unit increase fails at S={s:#b}, x={x}"
+    for s in range(1 << size):
+        for t in range(1 << size):
+            if ranks[s | t] + ranks[s & t] > ranks[s] + ranks[t]:
+                return f"submodularity fails at S={s:#b}, T={t:#b}"
+    return None
+
+
 def strata_oracle(size, rank_fn):
     flats = all_flats_oracle(size, rank_fn)
     by_rank = {}

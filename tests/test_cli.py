@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,6 +35,16 @@ K5_DOC = {
     "vertices": 5,
     "edges": [[u, v] for u in range(5) for v in range(u + 1, 5)],
     "name": "k5",
+}
+# Thirteen of the fifteen nonzero vectors of GF(2)^4, fewest ones first.
+GF2_13_DOC = {
+    "name": "gf2-r4-13",
+    "type": "linear",
+    "field": "GF(2)",
+    "matrix": [[0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 0, 1, 1],
+               [0, 0, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 1],
+               [0, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0],
+               [1, 0, 0, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1]],
 }
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -263,6 +274,9 @@ def test_check_command_is_byte_stable(tmp_path, capsys):
     # Above the geometry limit: only the base weight's balancing runs.
     (K5_DOC, ["check", "--seed", "3"], "k5_check_seed3.json", None),
     (K4_DOC, ["mu", "--method", "all"], "k4_mu_all.json", None),
+    # 13 points of PG(3,2), above the geometry limit: the Welsh-Mason
+    # identity (the free coextension's lattice) is most of the work.
+    (GF2_13_DOC, ["check", "--seed", "0"], "gf2_r4_13_check_seed0.json", None),
 ])
 def test_reports_match_golden_files(tmp_path, capsys, doc, argv, report, trace):
     path = write_doc(tmp_path, "doc.json", doc)
@@ -316,6 +330,76 @@ def test_bad_input_exit_code(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert "unit increase" in err
+
+
+def _twelve_element_non_matroid():
+    # u(2,12) except r({0,1}) = r({1,2}) = 1 while r({0,2}) = 2: unit
+    # increase holds, and only pairs of sets of rank <= 1 break
+    # submodularity, so a random sample of pairs rarely finds one.
+    ranks = [min(mask.bit_count(), 2) for mask in range(1 << 12)]
+    ranks[0b011] = ranks[0b110] = 1
+    return {"type": "rank_table", "n": 12, "ranks": ranks}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_twelve_element_non_matroid(), "rank table violates the rank axioms"),
+    # {0,1} and {2,3}: basis exchange fails.
+    ({"type": "bases", "n": 4, "bases": [3, 12]}, "bases fail basis exchange"),
+])
+def test_non_matroid_documents_exit_code(tmp_path, capsys, doc, message):
+    with pytest.raises(InputError, match=message):
+        load_matroid(doc)
+    path = write_doc(tmp_path, "bad.json", doc)
+    for command in ("charpoly", "mu", "fan", "check"):
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 2
+        assert out == ""
+        assert "submodularity fails" in err
+
+
+def test_oversized_bases_document_exit_code(tmp_path, capsys):
+    path = write_doc(tmp_path, "big.json", {"type": "bases", "n": 22, "bases": [3]})
+    code, out, err = run_cli(capsys, "check", path)
+    assert (code, out) == (2, "")
+    assert "refusing exhaustive scan" in err
+
+
+@pytest.mark.parametrize("rank, size, mu", [
+    (2, 22, [1, 21]),
+    (3, 31, [1, 30, 435]),
+])
+def test_check_skips_welsh_mason_above_scan_limit(tmp_path, capsys, rank, size, mu):
+    # Closed form: the reduced coefficients of u(r, n) are C(n-1, k).
+    path = write_doc(tmp_path, "big.json", {"type": "uniform", "rank": rank, "size": size})
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "check", path)
+    assert time.perf_counter() - start < 30
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"] is True
+    assert report["mu"] == {"mobius": mu, "flags": mu}
+    assert report["skipped"] == ["divisor", "displacement", "welsh_mason"]
+    assert report["f_vector"] is None
+    assert report["mu_coextension"] is None
+    assert report["welsh_mason"] is None
+    assert list(report["log_concave_detail"]) == ["reduced", "unreduced"]
+
+
+def test_large_prime_modulus(tmp_path, capsys):
+    path = write_doc(tmp_path, "p.json", {"type": "linear",
+                                          "field": "GF(99999999999999999989)",
+                                          "matrix": [[1]]})
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "check", path)
+    assert time.perf_counter() - start < 30
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+    path = write_doc(tmp_path, "huge.json", {"type": "linear",
+                                             "field": f"GF({10**30 + 57})",
+                                             "matrix": [[1]]})
+    code, out, err = run_cli(capsys, "check", path)
+    assert (code, out) == (2, "")
+    assert "cannot decide whether" in err
 
 
 @pytest.mark.parametrize("doc", [

@@ -152,6 +152,26 @@ def test_is_prime():
     assert not linalg.is_prime(2**32 + 1)
 
 
+def test_is_prime_matches_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert all(linalg.is_prime(n) == by_trial_division(n) for n in range(10**5))
+
+
+def test_is_prime_large_moduli():
+    # Strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base
+    # up to 37; the remaining bases must catch them.
+    assert not linalg.is_prime(3215031751)
+    assert not linalg.is_prime(318665857834031151167461)
+    assert linalg.is_prime(99999999999999999989)
+    assert linalg.is_prime(2**61 - 1)
+    assert not linalg.is_prime((2**61 - 1) * (2**13 - 1))
+    assert not linalg.is_prime(linalg.PRIME_TEST_LIMIT - 1)
+    with pytest.raises(ValueError, match="cannot decide"):
+        linalg.is_prime(linalg.PRIME_TEST_LIMIT)
+
+
 def test_solve_square_random_cross_check():
     # Denser matrices than hypothesis generates cheaply, fixed seed.
     rng = random.Random(5)

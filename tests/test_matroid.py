@@ -1,5 +1,7 @@
 """Rank oracles, flats, and the standard constructions."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +25,8 @@ from oracles import (
     graphic_rank,
     independent_counts_oracle,
     matrix_rank_oracle,
+    rank_axioms_oracle,
+    strata_oracle,
     uniform_rank,
 )
 
@@ -221,6 +225,37 @@ def test_flat_strata_k4():
             assert f & g == f
 
 
+@st.composite
+def small_matroids(draw):
+    kind = draw(st.sampled_from(("uniform", "graphic", "gf2", "table")))
+    if kind == "uniform":
+        size = draw(st.integers(1, 7))
+        return UniformMatroid(draw(st.integers(0, size)), size)
+    if kind == "gf2":
+        width = draw(st.integers(1, 7))
+        row = st.lists(st.integers(0, 1), min_size=width, max_size=width)
+        return LinearMatroid(draw(st.lists(row, min_size=1, max_size=4)), 2)
+    edges = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                          min_size=1, max_size=8))
+    graph = GraphicMatroid(5, edges)
+    if kind == "graphic":
+        return graph
+    # Cographic, so the table backend sees loops and coloops too.
+    return RankTableMatroid(graph.size, graph.dual().rank_table())
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_matroids())
+def test_flat_strata_matches_oracle(m):
+    strata, covered_by = m.flat_strata()
+    assert strata == strata_oracle(m.size, m.rank)
+    assert sorted(covered_by) == sorted(g for level in strata for g in level)
+    for k, level in enumerate(strata):
+        for g in level:
+            below = [f for f in strata[k - 1] if f & ~g == 0] if k else []
+            assert covered_by[g] == below
+
+
 def test_flats_of_rank():
     m = UniformMatroid(2, 4)
     hyperplanes = m.flats_of_rank(1)
@@ -385,3 +420,63 @@ def test_validate_rejects_submodularity():
 def test_validate_large_table_sampled_path():
     m = UniformMatroid(3, 10)
     assert validate_rank_table(10, m.rank_table()) is None
+
+
+def _family_ranks(size, family):
+    return [max((b & mask).bit_count() for b in family) for mask in range(1 << size)]
+
+
+@st.composite
+def rank_tables(draw):
+    """(size, table): unit-increase walks, ranks of a random family of
+    k-subsets, or such a table with one entry moved by one."""
+    size = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("walk", "family", "perturbed")))
+    if kind == "walk":
+        # r(S) = r(S - min S) + a drawn step: unit increase holds along
+        # one path to each subset, and maybe not along the others.
+        steps = draw(st.lists(st.integers(0, 1), min_size=1 << size, max_size=1 << size))
+        ranks = [0] * (1 << size)
+        for mask in range(1, 1 << size):
+            ranks[mask] = ranks[mask & (mask - 1)] + steps[mask]
+        return size, ranks
+    k = draw(st.integers(0, size))
+    subsets = [sum(1 << x for x in c) for c in combinations(range(size), k)]
+    family = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=6))
+    ranks = _family_ranks(size, family)
+    if kind == "perturbed":
+        ranks[draw(st.integers(1, (1 << size) - 1))] += draw(st.sampled_from((-1, 1)))
+    return size, ranks
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_tables())
+def test_validate_matches_all_pairs_oracle(table):
+    size, ranks = table
+    witness = validate_rank_table(size, ranks)
+    expected = rank_axioms_oracle(size, ranks)
+    assert (witness is None) == (expected is None)
+    if expected is not None and "submodularity" in expected:
+        assert "submodularity" in witness
+    if witness is not None and "unit increase" in witness:
+        assert "unit increase" in expected
+
+
+def _basis_exchange(family):
+    return all(
+        any(b1 ^ x | 1 << y in family for y in elements_of(b2 & ~b1))
+        for b1 in family for b2 in family for x in (1 << e for e in elements_of(b1 & ~b2))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda size: st.tuples(
+    st.just(size),
+    st.integers(0, size).flatmap(lambda k: st.sets(
+        st.sampled_from([sum(1 << x for x in c) for c in combinations(range(size), k)]),
+        min_size=1, max_size=8)))))
+def test_family_rank_passes_exactly_under_basis_exchange(case):
+    size, family = case
+    ranks = BasesMatroid(size, list(family)).rank_table()
+    assert ranks == _family_ranks(size, family)
+    assert (validate_rank_table(size, ranks) is None) == _basis_exchange(family)
