@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import corpus
 from .fan import bergman_weight
@@ -29,6 +28,13 @@ from .schema import (
 from .validation import charpoly_report, mu_report, run_check
 
 PASS, FAIL, BAD_INPUT, INTERNAL = 0, 1, 2, 3
+
+
+def _open_output(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def cmd_charpoly(args) -> int:
@@ -57,7 +63,7 @@ def cmd_fan(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_output(args.out) as fh:
             fh.write(text)
     return PASS
 
@@ -67,7 +73,7 @@ def cmd_check(args) -> int:
     trace_fh = None
     trace = None
     if args.trace:
-        trace_fh = open(args.trace, "w", encoding="utf-8")
+        trace_fh = _open_output(args.trace)
 
         def trace(k: int, term) -> None:
             row = {"k": k}
@@ -140,7 +146,11 @@ def cmd_corpus(args) -> int:
         for name in corpus.CORPUS_NAMES
     ]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # Imported here: concurrent.futures costs about 25 ms of every
+        # start-up.  Under fork, every worker starts at the first submit,
+        # so start no more workers than there are entries.
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             results = list(pool.map(_corpus_entry, tasks))
     else:
         results = [_corpus_entry(t) for t in tasks]

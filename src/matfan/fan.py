@@ -14,8 +14,10 @@ exact.  A Minkowski weight of codimension k assigns an integer to every
 (n-k)-dimensional cone, zero almost everywhere, subject to the balancing
 condition around each one-smaller cone.
 
-There are no caches: flags are checked and summed as bitmasks, and every
-weight is built afresh for the caller that asked for it.
+Every weight is built by bergman_weight from Matroid.flat_strata; the
+permutohedral weight is the fan of a truncated free matroid.  There are
+no caches: flags are checked and summed as bitmasks, and every weight is
+built afresh for the caller that asked for it.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .charpoly import FlatLattice
 from .masks import complement, full_mask, iter_elements
-from .matroid import Matroid
+from .matroid import FreeMatroid, Matroid
 
 Flag = tuple[int, ...]
 
@@ -110,10 +111,11 @@ def bergman_weight(matroid: Matroid) -> MinkowskiWeight:
     if matroid.loops():
         raise ValueError(f"{matroid.name} has loops; simplify before building the fan")
     n = matroid.size - 1
-    lattice = FlatLattice(matroid)
-    r = lattice.height - 1
-    covers_up: dict[int, list[int]] = {f: [] for level in lattice.strata for f in level}
-    for g, parents in lattice.covered_by.items():
+    strata, covered_by = matroid.flat_strata()
+    r = len(strata) - 2
+    top = strata[-1][0]
+    covers_up: dict[int, list[int]] = {f: [] for level in strata for f in level}
+    for g, parents in covered_by.items():
         for f in parents:
             covers_up[f].append(g)
 
@@ -124,14 +126,10 @@ def bergman_weight(matroid: Matroid) -> MinkowskiWeight:
             weights[chain] = 1
             return
         for g in covers_up[f]:
-            if g != lattice.top:
+            if g != top:
                 extend(chain + (g,), g, depth + 1)
 
-    if r == 0:
-        weights[()] = 1
-    else:
-        for f in lattice.strata[1]:
-            extend((f,), f, 1)
+    extend((), strata[0][0], 0)
     return MinkowskiWeight(n, n - r, weights)
 
 
@@ -147,24 +145,7 @@ def permutohedral_weight(n: int, k: int) -> MinkowskiWeight:
     """
     if not 0 <= k <= n:
         raise ValueError(f"codimension {k} outside 0..{n}")
-    dim = n - k
-    weights: dict[Flag, int] = {}
-
-    def extend(chain: tuple[int, ...], mask: int, depth: int) -> None:
-        if depth == dim:
-            weights[chain] = 1
-            return
-        for x in range(n + 1):
-            b = 1 << x
-            if not mask & b:
-                extend(chain + (mask | b,), mask | b, depth + 1)
-
-    if dim == 0:
-        weights[()] = 1
-    else:
-        for x in range(n + 1):
-            extend(((1 << x),), 1 << x, 1)
-    return MinkowskiWeight(n, k, weights)
+    return bergman_weight(FreeMatroid(n + 1).truncate(n - k))
 
 
 def fundamental_weight(n: int) -> MinkowskiWeight:

@@ -53,9 +53,10 @@ class Matroid:
     # -- rank oracle -------------------------------------------------
 
     def rank(self, mask: int) -> int:
-        check_mask(mask, self.size)
         r = self._rank_cache.get(mask)
         if r is None:
+            # Memoized masks were checked when they were stored.
+            check_mask(mask, self.size)
             r = self._rank_impl(mask)
             self._rank_cache[mask] = r
         return r
@@ -181,10 +182,11 @@ class Matroid:
 
     def independent_set_counts(self) -> tuple[int, ...]:
         """Number of independent sets of each cardinality 0..full_rank."""
-        counts = [0] * (self.full_rank + 1)
+        full_rank = self.full_rank
+        counts = [0] * (full_rank + 1)
         for mask in iter_subsets(self.size):
             c = mask.bit_count()
-            if c <= self.full_rank and self.rank(mask) == c:
+            if c <= full_rank and self.rank(mask) == c:
                 counts[c] += 1
         return tuple(counts)
 

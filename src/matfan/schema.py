@@ -151,7 +151,8 @@ def load_matroid_file(path: str) -> Matroid:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the interpreter's recursion limit.
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     return load_matroid(data)
 

@@ -3,8 +3,9 @@
 Everything here recomputes invariants from first principles: ranks by
 exhaustive search, flats by scanning all subsets, Moebius values by
 counting chains with alternating signs (Philip Hall), characteristic
-polynomials by the subset expansion over the rank function, and flag
-counts by filtering all chains of flats.  Tests freeze the numbers these
+polynomials by the subset expansion over the rank function, flag
+counts by filtering all chains of flats, and the permutohedral weight's
+flags by ordering elements.  Tests freeze the numbers these
 oracles produce and also re-run the oracles against library output.
 
 The generic integer linear algebra lives here too: Bareiss determinants,
@@ -17,7 +18,7 @@ The nef helpers evaluate divisors for tests only.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, permutations
 from math import lcm
 
 from matfan import linalg
@@ -72,7 +73,6 @@ def matrix_rank_oracle(columns, prime=None):
         if n == 0:
             return 1
         total = 0
-        from itertools import permutations
         for perm in permutations(range(n)):
             sign = _perm_sign(perm)
             prod = 1
@@ -386,6 +386,12 @@ def lattice_index(rows):
     for f in factors:
         prod *= f
     return prod
+
+
+def permutohedral_oracle(n, k):
+    """The flags of subsets of sizes 1..n-k of {0..n}, as the prefix unions
+    of every ordered (n-k)-tuple of distinct elements; no lattice of flats."""
+    return {tuple(accumulate(1 << x for x in p)) for p in permutations(range(n + 1), n - k)}
 
 
 def flag_generators(n, flag):

@@ -332,6 +332,34 @@ def test_bad_input_exit_code(tmp_path, capsys):
         assert "unit increase" in err
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe" + json.dumps({"type": "free", "size": 3}).encode("utf-16-le"),
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["utf16-bom", "deep-nesting"])
+def test_undecodable_input_files_exit_code(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    for command in ("charpoly", "mu", "fan", "check"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "matfan", command, str(path)],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), (command, proc.stderr)
+        assert proc.stderr.startswith("error:") and "not valid JSON" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_unwritable_output_paths_exit_code(tmp_path, capsys):
+    path = write_doc(tmp_path, "k4.json", K4_DOC)
+    missing = tmp_path / "missing"
+    for argv in (("check", path, "--trace", str(missing / "t.ndjson")),
+                 ("fan", path, "--out", str(missing / "f.json"))):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: cannot write")
+    assert not missing.exists()
+
+
 def _twelve_element_non_matroid():
     # u(2,12) except r({0,1}) = r({1,2}) = 1 while r({0,2}) = 2: unit
     # increase holds, and only pairs of sets of rank <= 1 break
@@ -474,6 +502,36 @@ def test_corpus_command_json_subset(monkeypatch, capsys):
     doc = json.loads(out)
     assert doc["pass"] is True
     assert [e["name"] for e in doc["entries"]] == ["u-2-3"]
+
+
+def test_corpus_jobs_start_at_most_one_worker_per_entry(monkeypatch, capsys):
+    import concurrent.futures
+
+    started = []
+
+    class InProcessPool:
+        """Records its size and maps in this process; no worker is forked."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    # Also where a module-level import in cli would have bound the name, so
+    # that this test never starts a real pool of a thousand workers.
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool, raising=False)
+    pooled = run_cli(capsys, "corpus", "--jobs", "1000")
+    assert started == [len(cli.corpus.CORPUS_NAMES)] == [35]
+    assert pooled == run_cli(capsys, "corpus", "--jobs", "1")
+    assert started == [35]
 
 
 def test_module_entry_point(tmp_path):

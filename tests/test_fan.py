@@ -1,10 +1,13 @@
 """Weighted fans: incidence vectors, flag cones, balancing, Cremona."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matfan
 from matfan import corpus, linalg
 from matfan.fan import (
     BalancingViolation,
@@ -23,7 +26,7 @@ from matfan.fan import (
 from matfan.masks import full_mask
 from matfan.matroid import FreeMatroid, GraphicMatroid, RankTableMatroid
 
-from oracles import flag_generators, unimodularity_factors
+from oracles import flag_generators, permutohedral_oracle, unimodularity_factors
 
 
 # -- lattice points of subsets ----------------------------------------------
@@ -134,6 +137,11 @@ def test_bergman_free_is_permutohedral():
     w = bergman_weight(FreeMatroid(3))
     assert len(w.weights) == 6
     assert w == permutohedral_weight(2, 0)
+    # Checked against flags built by ordering elements, not from flats.
+    for n in range(6):
+        w = bergman_weight(FreeMatroid(n + 1))
+        assert set(w.weights) == permutohedral_oracle(n, 0)
+        assert set(w.weights.values()) == {1}
 
 
 def test_bergman_rejects_loops():
@@ -162,6 +170,29 @@ def test_permutohedral_is_truncated_free_fan():
     for k in range(4):
         expected = bergman_weight(FreeMatroid(4).truncate(3 - k))
         assert permutohedral_weight(3, k) == expected
+    # permutohedral_weight is built as that fan, so also check it against
+    # flags built by ordering elements.
+    for n in range(6):
+        for k in range(n + 1):
+            w = permutohedral_weight(n, k)
+            assert (w.n, w.codim) == (n, k)
+            assert set(w.weights) == permutohedral_oracle(n, k)
+            assert set(w.weights.values()) == {1}
+
+
+def test_geometric_modules_do_not_import_the_lattice_routes():
+    # The Moebius and descending-flag routes live in charpoly; the fan and
+    # the intersection routes cross-check them, so they must not import it.
+    src = Path(matfan.__file__).parent
+    for module in ("fan.py", "intersect.py"):
+        imported = set()
+        for node in ast.walk(ast.parse((src / module).read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+        assert not any("charpoly" in name.split(".") for name in imported), (module, imported)
 
 
 def test_permutohedral_top_codim():

@@ -13,6 +13,7 @@ from matfan.matroid import (
     LinearMatroid,
     Matroid,
     RankTableMatroid,
+    RelabeledMatroid,
     UniformMatroid,
     validate_rank_table,
 )
@@ -190,6 +191,24 @@ def test_derived_constructions_satisfy_axioms():
     rank_axioms(base.truncate(1))
     rank_axioms(base.free_extension())
     rank_axioms(base.free_coextension())
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("build", [
+    lambda: GraphicMatroid(4, K4_EDGES),
+    lambda: GraphicMatroid(4, K4_EDGES).truncate(1),
+    lambda: RelabeledMatroid(GraphicMatroid(4, K4_EDGES), [5, 0, 3]),
+], ids=["backend", "truncation", "relabeling"])
+def test_rank_rejects_masks_outside_the_ground_set(build, warm):
+    m = build()
+    if warm:
+        # Fill the memo with every valid mask first.
+        m.rank_table()
+    top = full_mask(m.size)
+    for bad in (1 << m.size, top + 1, top | 1 << 30, -1, -(1 << m.size), ~top):
+        with pytest.raises(ValueError, match="outside"):
+            m.rank(bad)
+    assert m.rank(top) == m.full_rank
 
 
 # -- closure and flats -----------------------------------------------------
