@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from . import corpus
 from .fan import bergman_weight
@@ -59,12 +60,11 @@ def cmd_fan(args) -> int:
         raise InputError(
             f"{matroid.name} has loops and no fan; simplify the input first"
         )
-    text = dump_json(fan_to_json(bergman_weight(matroid)))
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with _open_output(args.out) as fh:
-            fh.write(text)
+    # Open the output first, so that an unwritable path is refused before
+    # the build.
+    out = nullcontext(sys.stdout) if args.out == "-" else _open_output(args.out)
+    with out as fh:
+        fh.write(dump_json(fan_to_json(bergman_weight(matroid))))
     return PASS
 
 

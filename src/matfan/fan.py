@@ -14,19 +14,25 @@ exact.  A Minkowski weight of codimension k assigns an integer to every
 (n-k)-dimensional cone, zero almost everywhere, subject to the balancing
 condition around each one-smaller cone.
 
-Every weight is built by bergman_weight from Matroid.flat_strata; the
-permutohedral weight is the fan of a truncated free matroid.  There are
-no caches: flags are checked and summed as bitmasks, and every weight is
-built afresh for the caller that asked for it.
+Every Bergman weight is built by bergman_weight from
+Matroid.flat_strata.  The permutohedral weight (the fan of a truncated
+free matroid) is given by rule instead: SizeGradedFlags tests membership
+from the flag's shape and stores nothing, so its (n+1)!/(k+1)! cones
+exist only when a caller iterates them.  There are no caches: flags are
+checked and summed as bitmasks, and every weight is built afresh for the
+caller that asked for it.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from itertools import accumulate, permutations
+from typing import Iterator, Optional, Sequence
 
 from .masks import complement, full_mask, iter_elements
-from .matroid import FreeMatroid, Matroid
+from .matroid import Matroid
 
 Flag = tuple[int, ...]
 
@@ -57,9 +63,50 @@ def flag_facets(flag: Flag) -> Iterator[tuple[Flag, int]]:
         yield flag[:i] + flag[i + 1:], flag[i]
 
 
+@dataclass(frozen=True, eq=False)
+class SizeGradedFlags(Mapping):
+    """Read-only weight table with value 1 on every flag of subsets of
+    sizes 1, 2, ..., n-k of {0..n}, and on nothing else.
+
+    Membership is tested from the flag's shape; iteration is lazy and in
+    sorted order, because the prefix unions of ordered tuples of distinct
+    elements come out sorted when the tuples do.
+    """
+
+    n: int
+    k: int
+
+    def __getitem__(self, flag) -> int:
+        if isinstance(flag, tuple) and len(flag) == self.n - self.k:
+            top = full_mask(self.n + 1)
+            prev = 0
+            for mask in flag:
+                # Each subset must add exactly one element of {0..n}.
+                new = mask ^ prev if isinstance(mask, int) else 0
+                if not (0 < new < top and new & (new - 1) == 0 and mask & prev == prev):
+                    break
+                prev = mask
+            else:
+                return 1
+        raise KeyError(flag)
+
+    def __len__(self) -> int:
+        return math.factorial(self.n + 1) // math.factorial(self.k + 1)
+
+    def __iter__(self) -> Iterator[Flag]:
+        return (
+            tuple(accumulate(1 << x for x in order))
+            for order in permutations(range(self.n + 1), self.n - self.k)
+        )
+
+
 @dataclass(frozen=True, eq=True)
 class MinkowskiWeight:
-    """Integer weight on the codimension-k cones; zero values are dropped."""
+    """Integer weight on the codimension-k cones; zero values are dropped.
+
+    A SizeGradedFlags table is kept as it is: it holds valid flags by
+    construction and no zeros.
+    """
 
     n: int
     codim: int
@@ -68,6 +115,10 @@ class MinkowskiWeight:
     def __post_init__(self):
         if not 0 <= self.codim <= self.n:
             raise ValueError(f"codimension {self.codim} outside 0..{self.n}")
+        if isinstance(self.weights, SizeGradedFlags):
+            if (self.weights.n, self.weights.k) != (self.n, self.codim):
+                raise ValueError(f"{self.weights} does not fit n={self.n}, codim={self.codim}")
+            return
         dim = self.n - self.codim
         cleaned = {}
         for flag in sorted(self.weights):
@@ -138,14 +189,14 @@ _perm_cache: dict[tuple[int, int], MinkowskiWeight] = {}
 
 
 def permutohedral_weight(n: int, k: int) -> MinkowskiWeight:
-    """Weight 1 on every flag of subsets of sizes 1, 2, ..., n-k.
+    """Weight 1 on every flag of subsets of sizes 1, 2, ..., n-k, by rule.
 
     This is the fan of the (n-k)-truncated free matroid on {0..n}; for
     k = 0 it is the fundamental weight of the complete fan.
     """
     if not 0 <= k <= n:
         raise ValueError(f"codimension {k} outside 0..{n}")
-    return bergman_weight(FreeMatroid(n + 1).truncate(n - k))
+    return MinkowskiWeight(n, k, SizeGradedFlags(n, k))
 
 
 def fundamental_weight(n: int) -> MinkowskiWeight:

@@ -14,14 +14,18 @@ the facet's generators and the cup is integer-only.
 
 The degree pairing displaces one weight by a generic vector v and counts
 transversal intersections of complementary-dimension cones with lattice
-index multiplicities.  Each pair is solved by one traversal of a graph
-on the two flags' blocks (see cone_displacement_intersect): a pair meets
-transversally exactly when that graph is a spanning tree, so every
-index is 1.  Genericity is certified, never assumed: any exact tie (a
-zero cone coefficient, or a singular-but-consistent system) aborts the
-sweep and the caller retries with a perturbed v.  Displacement vectors
-and intersection points are Fractions, scaled to integers for the
-solve; there are no tolerances anywhere.
+index multiplicities.  The first weight is size-graded (the permutohedral
+weight, given by rule) and is never enumerated: for each cone tau of the
+second weight, every way to meet tau's blocks once fixes a point, which
+names the one sigma that can meet tau + v (see pairing_terms).  Each such
+pair is confirmed by one traversal of a graph on the two flags' blocks
+(see cone_displacement_intersect): a pair meets transversally exactly
+when that graph is a spanning tree, so every index is 1.  Genericity is
+certified, never assumed: any exact tie that a sweep over every pair
+would meet (a zero cone coefficient, or a singular-but-consistent
+system) aborts the pairing and the caller retries with a perturbed v.
+Displacement vectors and intersection points are Fractions, scaled to
+integers for the solve; there are no tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -30,11 +34,13 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, product
 from typing import Optional, Sequence
 
 from .fan import (
     Flag,
     MinkowskiWeight,
+    SizeGradedFlags,
     bergman_weight,
     cremona_pullback_weight,
     facet_ray_sums,
@@ -252,59 +258,92 @@ def cone_displacement_intersect(
     return point, 1
 
 
-def _ray_sign_masks(n: int, flag: Flag) -> tuple[int, int]:
-    """Bitmasks (over elements 1..n) of coordinates where some generator
-    of the flag cone is positive, respectively negative.
-
-    e_F is the 0/1 indicator of F when 0 is outside F, and 0/-1 on the
-    complement of F when 0 is inside, so both masks come straight from
-    the subset masks.
-    """
-    top = full_mask(n + 1)
-    pos = 0
-    neg = 0
-    for mask in flag:
-        if mask & 1:
-            neg |= top ^ mask
-        else:
-            pos |= mask
-    return pos, neg
-
-
 def pairing_terms(
     w1: MinkowskiWeight, w2: MinkowskiWeight, v: DisplacementVector
 ) -> list[PairingTerm]:
-    """The transversally intersecting support pairs under displacement v.
+    """The transversally intersecting support pairs under displacement v,
+    ordered by sigma and then by tau's position in w2.
+
+    w1 must be supported on flags of subsets of sizes 1..n-k, as every
+    permutohedral_weight is.  Such a sigma is n-k singleton blocks above
+    a (k+1)-element bottom block R, so its graph against tau (see
+    cone_displacement_intersect) is a tree exactly when R meets each of
+    tau's blocks T_0..T_k once, say in r_j.  The point is then fixed:
+    with v lifted by v_0 = 0, and u_x = v_x - v_(r_j) for the other
+    elements x of T_j, sigma must order those singletons by decreasing u.
+    So each (tau, R) names at most one sigma, and w1 is never enumerated.
 
     Completing the sweep without a DegenerateDisplacementError certifies
-    v for this pair of supports.
+    v for this pair of supports.  The verdict is that of a sweep over
+    every pair of a size-graded sigma and a tau of w2, skipping unsolved
+    the pairs that cannot meet under a positive v: those where some
+    coordinate has neither a positive sigma ray nor a negative tau ray.
+    So a tie at a sigma outside w1's support raises too.
     """
     if w1.n != w2.n:
         raise ValueError("weights live on different fans")
     n = w1.n
-    if w1.codim + w2.codim != n:
+    k = w1.codim
+    if k + w2.codim != n:
         raise ValueError("codimensions must sum to the ambient dimension")
     if len(v.coords) != n:
         raise ValueError(f"displacement vector needs {n} coordinates")
-    # With a strictly positive displacement, a pair can only meet when
-    # every coordinate has a positive direction available: some sigma ray
-    # positive there, or some tau ray negative (its negation enters the
-    # system).  Pairs failing that are empty outright, never degenerate,
-    # so skipping them is exact.
-    prefilter = all(c > 0 for c in v.coords)
-    needed = full_mask(n + 1) ^ 1
-    left = [(sigma, _ray_sign_masks(n, sigma)[0]) for sigma in w1.weights]
-    right = [(tau, _ray_sign_masks(n, tau)[1]) for tau in w2.weights]
-    terms: list[PairingTerm] = []
-    for sigma, pos in left:
-        for tau, neg in right:
-            if prefilter and pos | neg != needed:
+    if not isinstance(w1.weights, SizeGradedFlags):
+        graded = SizeGradedFlags(n, k)
+        if any(flag not in graded for flag in w1.weights):
+            raise ValueError("w1 must be supported on flags of subsets of sizes 1..n-k")
+    scale = math.lcm(*(x.denominator for x in v.coords))
+    lifted = (0, *(x.numerator * (scale // x.denominator) for x in v.coords))
+    positive = all(c > 0 for c in v.coords)
+    found: list[tuple[Flag, int, PairingTerm]] = []
+    for position, tau in enumerate(w2.weights):
+        block_of = _flag_blocks(n, tau)
+        # Under a positive v the sign test keeps a pair only when R minus 0
+        # lies in tau's negative rays: the blocks after the one holding 0.
+        # So R is drawn from those and 0 alone.
+        low = block_of[0] if positive else -1
+        blocks: list[list[int]] = [[] for _ in range(k + 1)]
+        for e in range(n + 1):
+            if e == 0 or block_of[e] > low:
+                blocks[block_of[e]].append(e)
+
+        # R not a transversal: the graph is disconnected, and the system
+        # is consistent (a degenerate span) when v is constant on each
+        # R & T_j.  Such an R exists when some T_j offers two elements
+        # with equal v and the largest such classes hold k+1 in all.
+        # (Putting 0 last among the singletons passes the sign test.)
+        largest = []
+        for block in blocks:
+            values = [lifted[e] for e in block]
+            largest.append(max(map(values.count, values), default=0))
+        if max(largest) >= 2 and sum(largest) >= k + 1:
+            raise DegenerateDisplacementError(f"displacement lies in a degenerate span of {tau}")
+
+        for bottom in product(*blocks):
+            # The tree's coefficients are v(r_(j+1)) - v(r_j) on tau, and on
+            # sigma the steps between the u's in sigma's order and from the
+            # last u down to R's 0.  Under a positive v every transversal R
+            # holds 0 (the blocks before 0's are empty), so the sign test
+            # keeps every order: two equal u's are a zero coefficient of a
+            # swept pair.  (A u of 0 is a tie v_x = v_(r_j) inside T_j,
+            # already raised as a degenerate span above.)
+            ends = [lifted[r] for r in bottom]
+            u = {x: lifted[x] - ends[block_of[x]] for x in range(n + 1) if x not in bottom}
+            if any(a == b for a, b in zip(ends, ends[1:])) or len(set(u.values())) < len(u):
+                raise DegenerateDisplacementError(f"boundary tie on {tau}")
+            # A hit needs v increasing along R and every u positive.
+            if min(u.values(), default=1) < 0 or any(a > b for a, b in zip(ends, ends[1:])):
+                continue
+            order = sorted(u, key=u.__getitem__, reverse=True)
+            sigma = tuple(accumulate(1 << x for x in order))
+            if not w1.value(sigma):
                 continue
             hit = cone_displacement_intersect(n, sigma, tau, v.coords)
             if hit is not None:
-                terms.append(PairingTerm(sigma, tau, *hit))
+                found.append((sigma, position, PairingTerm(sigma, tau, *hit)))
     v.certified = True
-    return terms
+    found.sort(key=lambda entry: entry[:2])
+    return [term for _, _, term in found]
 
 
 def terms_degree(w1: MinkowskiWeight, w2: MinkowskiWeight, terms: list[PairingTerm]) -> int:

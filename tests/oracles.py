@@ -10,8 +10,10 @@ oracles produce and also re-run the oracles against library output.
 
 The generic integer linear algebra lives here too: Bareiss determinants,
 the Smith form and lattice indices, and a displacement-pair classifier
-built on linalg.solve_square_int.  Production uses the structure of flag
-cones instead (constant on blocks, spanning trees), and these check it.
+built on linalg.solve_square_int, and the displacement pairing as a sweep
+over every pair of cones.  Production uses the structure of flag cones
+instead (constant on blocks, spanning trees, located pairs), and these
+check it.
 The nef helpers evaluate divisors for tests only.
 """
 
@@ -23,7 +25,8 @@ from math import lcm
 
 from matfan import linalg
 from matfan.fan import fundamental_weight, incidence_vector
-from matfan.intersect import divisor_cup
+from matfan.intersect import PairingTerm, cone_displacement_intersect, divisor_cup
+from matfan.masks import full_mask
 
 
 # -- rank oracles ------------------------------------------------------
@@ -437,6 +440,58 @@ def displacement_reference(n, sigma, tau, v):
         for i in range(n)
     )
     return point, abs(det_int(combined))
+
+
+def _ray_sign_masks(n, flag):
+    """Bitmasks (over elements 1..n) of coordinates where some generator
+    of the flag cone is positive, respectively negative.
+
+    e_F is the 0/1 indicator of F when 0 is outside F, and 0/-1 on the
+    complement of F when 0 is inside, so both masks come straight from
+    the subset masks.
+    """
+    top = full_mask(n + 1)
+    pos = 0
+    neg = 0
+    for mask in flag:
+        if mask & 1:
+            neg |= top ^ mask
+        else:
+            pos |= mask
+    return pos, neg
+
+
+def pairing_sweep_oracle(w1, w2, v):
+    """The displacement pairing as a sweep over every (sigma, tau) pair of
+    the two supports, with the sign prefilter; intersect.pairing_terms
+    locates its pairs instead and must agree with this, terms, order and
+    degeneracy verdict alike."""
+    if w1.n != w2.n:
+        raise ValueError("weights live on different fans")
+    n = w1.n
+    if w1.codim + w2.codim != n:
+        raise ValueError("codimensions must sum to the ambient dimension")
+    if len(v.coords) != n:
+        raise ValueError(f"displacement vector needs {n} coordinates")
+    # With a strictly positive displacement, a pair can only meet when
+    # every coordinate has a positive direction available: some sigma ray
+    # positive there, or some tau ray negative (its negation enters the
+    # system).  Pairs failing that are empty outright, never degenerate,
+    # so skipping them is exact.
+    prefilter = all(c > 0 for c in v.coords)
+    needed = full_mask(n + 1) ^ 1
+    left = [(sigma, _ray_sign_masks(n, sigma)[0]) for sigma in w1.weights]
+    right = [(tau, _ray_sign_masks(n, tau)[1]) for tau in w2.weights]
+    terms = []
+    for sigma, pos in left:
+        for tau, neg in right:
+            if prefilter and pos | neg != needed:
+                continue
+            hit = cone_displacement_intersect(n, sigma, tau, v.coords)
+            if hit is not None:
+                terms.append(PairingTerm(sigma, tau, *hit))
+    v.certified = True
+    return terms
 
 
 # -- divisors on the complete fan ----------------------------------------

@@ -349,9 +349,14 @@ def test_undecodable_input_files_exit_code(tmp_path, content):
         assert "Traceback" not in proc.stderr
 
 
-def test_unwritable_output_paths_exit_code(tmp_path, capsys):
+def test_unwritable_output_paths_exit_code(tmp_path, capsys, monkeypatch):
     path = write_doc(tmp_path, "k4.json", K4_DOC)
     missing = tmp_path / "missing"
+
+    def refuse(matroid):
+        raise AssertionError("the fan was built before its output was opened")
+
+    monkeypatch.setattr(cli, "bergman_weight", refuse)
     for argv in (("check", path, "--trace", str(missing / "t.ndjson")),
                  ("fan", path, "--out", str(missing / "f.json"))):
         code, out, err = run_cli(capsys, *argv)

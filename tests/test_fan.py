@@ -12,6 +12,7 @@ from matfan import corpus, linalg
 from matfan.fan import (
     BalancingViolation,
     MinkowskiWeight,
+    SizeGradedFlags,
     bergman_weight,
     check_balancing,
     cremona_flag,
@@ -167,17 +168,40 @@ def test_permutohedral_counts():
 
 
 def test_permutohedral_is_truncated_free_fan():
-    for k in range(4):
-        expected = bergman_weight(FreeMatroid(4).truncate(3 - k))
-        assert permutohedral_weight(3, k) == expected
-    # permutohedral_weight is built as that fan, so also check it against
-    # flags built by ordering elements.
+    # permutohedral_weight is given by rule; the truncated free matroid's
+    # Bergman fan and the element-ordering oracle are built independently.
     for n in range(6):
         for k in range(n + 1):
             w = permutohedral_weight(n, k)
             assert (w.n, w.codim) == (n, k)
+            expected = bergman_weight(FreeMatroid(n + 1).truncate(n - k))
+            assert w == expected
+            assert list(w.weights) == list(expected.weights)  # sorted order
+            assert len(w.weights) == len(expected.weights)
             assert set(w.weights) == permutohedral_oracle(n, k)
             assert set(w.weights.values()) == {1}
+
+
+@pytest.mark.parametrize("flag", [
+    (0b0011,),                 # first subset has two elements
+    (0b0001, 0b0010),          # not nested
+    (0b0001, 0b0011, 0b0111),  # too long for codimension 1
+    (0b0001,),                 # too short
+    (0b0001, 0b10001),         # element outside {0..3}
+    (0b0010, 0b0010),          # not strictly increasing
+    (-1, 0b0011),
+    (1.0, 0b0011),
+    [0b0001, 0b0011],          # not a tuple
+])
+def test_permutohedral_rejects_other_flags(flag):
+    w = permutohedral_weight(3, 1)
+    assert w.weights.get(flag) is None
+    assert flag not in w.weights
+
+
+def test_size_graded_table_must_fit_its_weight():
+    with pytest.raises(ValueError, match="does not fit"):
+        MinkowskiWeight(3, 2, SizeGradedFlags(3, 1))
 
 
 def test_geometric_modules_do_not_import_the_lattice_routes():
@@ -216,10 +240,27 @@ def test_permutohedral_weight_is_fresh_on_every_call():
     second = permutohedral_weight(3, 1)
     assert first == second
     assert first is not second and first.weights is not second.weights
-    # The dataclass is frozen but its dict is not; no later caller sees this.
-    first.weights.clear()
+    # The weight is given by rule: its table cannot be changed at all.
+    with pytest.raises(AttributeError):
+        first.weights.clear()
+    with pytest.raises(TypeError):
+        first.weights[(0b0001,)] = 2
+    with pytest.raises(AttributeError):
+        first.weights.k = 0
     assert permutohedral_weight(3, 1) == second
     assert len(second.weights) == 12
+
+
+def test_permutohedral_weight_is_never_built():
+    # Counted and tested by rule, far beyond any size that could be listed.
+    assert len(permutohedral_weight(19, 0).weights) == math.factorial(20)
+    # 31! exceeds what len() can return (sys.maxsize), so ask __len__.
+    w = permutohedral_weight(30, 0)
+    assert w.weights.__len__() == math.factorial(31)
+    chain = tuple(full_mask(i) for i in range(1, 31))
+    assert w.value(chain) == 1
+    assert w.value(chain[:-1] + (full_mask(31) ^ 1,)) == 0
+    assert w.value(chain[1:]) == 0
 
 
 # -- flag spans ------------------------------------------------------------------

@@ -10,6 +10,7 @@ from matfan import corpus, linalg
 from matfan.charpoly import mu_vector_mobius
 from matfan.fan import (
     MinkowskiWeight,
+    SizeGradedFlags,
     bergman_weight,
     check_balancing,
     cremona_pullback_weight,
@@ -48,6 +49,7 @@ from oracles import (
     min_formula,
     nef_check,
     nef_values,
+    pairing_sweep_oracle,
 )
 
 
@@ -251,19 +253,21 @@ def test_intersect_validates_dimensions():
 
 
 @st.composite
+def flag_of_length(draw, n, length):
+    """A random flag of `length` proper nonempty subsets of {0..n}."""
+    if length == 0:
+        return ()
+    order = draw(st.permutations(range(n + 1)))
+    cuts = sorted(draw(st.sets(st.integers(1, n), min_size=length, max_size=length)))
+    return tuple(sum(1 << x for x in order[:cut]) for cut in cuts)
+
+
+@st.composite
 def flag_pairs(draw):
     """(n, sigma, tau) with len(sigma) + len(tau) == n, n <= 7."""
     n = draw(st.integers(0, 7))
-
-    def flag(length):
-        if length == 0:
-            return ()
-        order = draw(st.permutations(range(n + 1)))
-        cuts = sorted(draw(st.sets(st.integers(1, n), min_size=length, max_size=length)))
-        return tuple(sum(1 << x for x in order[:cut]) for cut in cuts)
-
     a = draw(st.integers(0, n))
-    return n, flag(a), flag(n - a)
+    return n, draw(flag_of_length(n, a)), draw(flag_of_length(n, n - a))
 
 
 def displacements(n):
@@ -288,6 +292,72 @@ def test_tree_solve_matches_bareiss_reference(data):
     n, sigma, tau = data.draw(flag_pairs())
     v = data.draw(displacements(n))
     assert tree_classification(n, sigma, tau, v) == displacement_reference(n, sigma, tau, v)
+
+
+def tied_displacements(n):
+    """Vectors of at most three distinct values, so that ties are common;
+    most of them are positive, so the sign test applies."""
+    values = st.sampled_from((-1, 0, 1, 2, 3, Fraction(1, 2), Fraction(5, 2))).map(Fraction)
+    return st.lists(values, min_size=1, max_size=3).flatmap(
+        lambda pool: st.tuples(*[st.sampled_from(pool)] * n))
+
+
+def _sweep_outcome(sweep, w1, w2, v):
+    try:
+        return sweep(w1, w2, DisplacementVector(v))
+    except DegenerateDisplacementError:
+        return "degenerate"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_located_pairs_match_the_full_sweep(data):
+    # Random supports of codimension n-k against the permutohedral weight:
+    # the located terms, their order and the degeneracy verdict must be
+    # those of the sweep over every pair with the sign prefilter.
+    n = data.draw(st.integers(0, 5))
+    k = data.draw(st.integers(0, n))
+    flags = data.draw(st.lists(flag_of_length(n, k), min_size=1, max_size=4))
+    w2 = MinkowskiWeight(n, n - k, {flag: data.draw(st.sampled_from((1, -1, 2)))
+                                    for flag in flags})
+    w1 = permutohedral_weight(n, k)
+    v = data.draw(st.one_of(displacements(n), tied_displacements(n)))
+    assert _sweep_outcome(pairing_terms, w1, w2, v) == _sweep_outcome(
+        pairing_sweep_oracle, w1, w2, v)
+
+
+@pytest.mark.parametrize("n, k, support, v, outcome", [
+    # R = {0, 1} = T_1 misses T_0 = {2}, and v_0 = v_1: a degenerate span.
+    (2, 1, [(0b100,)], (0, 1), "degenerate"),
+    # The same under a positive v: R holds T_1 = {1, 3}, and v_1 = v_3.
+    (3, 2, [(0b0001, 0b1011)], (Fraction(5, 2), Fraction(1, 2), Fraction(5, 2)), "degenerate"),
+    # Positive v and v_3 = v_4 in T_3 = {3, 4}, but with 0 in T_2 only
+    # {0, 3, 4} are negative rays or 0: too few for R, so no pair survives
+    # the sign test.
+    (4, 3, [(0b00010, 0b00110, 0b00111)], (1, 2, 3, 3), []),
+    # The transversal R = {2, 0} has v_2 = v_0: a zero coefficient on tau.
+    (2, 1, [(0b110,)], (-1, 0), "degenerate"),
+    # Positive v; on the transversal R = {0, 3, 1}, u = 1 on 2, 4 and 5.
+    # Those are not negative rays of tau, so no degenerate span covers them.
+    (5, 2, [(0b110101, 0b111101)], (1, 1, 2, 1, 1), "degenerate"),
+])
+def test_located_pairs_on_each_kind_of_tie(n, k, support, v, outcome):
+    w1 = permutohedral_weight(n, k)
+    w2 = MinkowskiWeight(n, n - k, {flag: 1 for flag in support})
+    v = tuple(map(Fraction, v))
+    assert _sweep_outcome(pairing_sweep_oracle, w1, w2, v) == outcome
+    assert _sweep_outcome(pairing_terms, w1, w2, v) == outcome
+
+
+@pytest.mark.parametrize("matroid", [UniformMatroid(3, 9), UniformMatroid(4, 9)])
+def test_displacement_never_enumerates_the_permutohedral_weight(monkeypatch, matroid):
+    def refuse(self):
+        raise AssertionError("permutohedral weight enumerated")
+
+    monkeypatch.setattr(SizeGradedFlags, "__iter__", refuse)
+    report = run_check(matroid).report
+    assert report["pass"]
+    assert [row["pairs"] for row in report["displacement_detail"]] == report["mu"]["flags"]
 
 
 def test_production_never_calls_the_generic_solvers(monkeypatch):
@@ -319,6 +389,10 @@ def test_degree_pairing_shape_checks():
         degree_pairing(w1, permutohedral_weight(2, 0), default_displacement(2))
     with pytest.raises(ValueError):
         degree_pairing(w1, permutohedral_weight(2, 1), default_displacement(3))
+    # Pairs are located only on flags of subsets of sizes 1..n-k.
+    with pytest.raises(ValueError, match="sizes"):
+        degree_pairing(MinkowskiWeight(2, 1, {(0b011,): 1}), permutohedral_weight(2, 1),
+                       default_displacement(2))
 
 
 def test_pairing_line_by_hand():
@@ -396,6 +470,17 @@ GEOMETRY_SAMPLE = ["u-1-2", "u-2-3", "u-2-5", "u-3-6", "free-4", "k4",
 def test_displacement_route_matches_mobius(name):
     matroid = corpus.build(name)
     assert mu_vector_displacement(matroid) == mu_vector_mobius(matroid)
+
+
+@pytest.mark.parametrize("name", GEOMETRY_SAMPLE)
+def test_located_pairs_match_the_full_sweep_on_the_corpus(name):
+    # Real supports, where many cones of w2 meet: same terms, same order.
+    matroid = corpus.build(name)
+    for k in range(matroid.full_rank):
+        w1, w2 = displacement_weights(matroid, k)
+        for v in (default_displacement(w1.n), perturbed_displacement(w1.n, random.Random(k))):
+            assert _sweep_outcome(pairing_terms, w1, w2, v.coords) == _sweep_outcome(
+                pairing_sweep_oracle, w1, w2, v.coords)
 
 
 @pytest.mark.parametrize("name", GEOMETRY_SAMPLE)
