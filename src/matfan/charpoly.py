@@ -232,16 +232,16 @@ def count_descending_flags(matroid: Matroid, k: int) -> int:
         raise ValueError(f"{matroid.name} has loops; flags need a loopless matroid")
     if k == 0:
         return 1
-    lattice = FlatLattice(matroid)
-    counts = {f: 1 for f in lattice.strata[1] if not f & 1}
+    strata, covered_by = matroid.flat_strata()
+    counts = {f: 1 for f in strata[1] if not f & 1}
     for level in range(2, k + 1):
         nxt: dict[int, int] = {}
-        for g in lattice.strata[level]:
+        for g in strata[level]:
             if g & 1:
                 continue
             mg = min_element(g)
             acc = 0
-            for f in lattice.covered_by[g]:
+            for f in covered_by[g]:
                 got = counts.get(f)
                 if got and min_element(f) > mg:
                     acc += got

@@ -4,13 +4,19 @@ A matroid is its rank function.  Concrete backends cover the standard
 constructions: uniform and free matroids, multigraphs, column matroids of
 exact matrices over GF(p) or the rationals, explicit basis lists, and
 explicit rank tables.  Derived wrappers implement truncation, duality,
-free extension and relabelling lazily, without materializing tables.
+free extension, free coextension and relabelling lazily, without
+materializing tables.
 The backends trust their input; validate_rank_table checks an explicit
 table (or a basis list's rank function) against the rank axioms exactly.
 
-Rank values are memoized per instance.  Instances are immutable after
-construction and the memo dict is only written under CPython's GIL, so
-concurrent readers are safe.  All arithmetic is exact.
+Only the backends whose rank computation does real work memoize rank
+values, one dict per instance: graphic, linear, bases, rank table and
+relabelled.  Uniform and free matroids keep no memo, and neither do the
+wrappers that adjust one call to their base's rank (truncation, dual,
+free extension, free coextension), so a chain of wrappers reads the memo
+of the backend underneath.  Instances are immutable after construction
+and a memo dict is only written under CPython's GIL, so concurrent
+readers are safe.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -37,14 +43,20 @@ class Flat(NamedTuple):
 
 
 class Matroid:
-    """Abstract base: subclasses implement ``_rank_impl`` on valid masks."""
+    """Abstract base: subclasses implement ``_rank_impl`` on valid masks.
+
+    Subclasses whose ``_rank_impl`` is constant work or one call to another
+    matroid's rank set ``_memoize_rank`` to False.
+    """
+
+    _memoize_rank = True
 
     def __init__(self, size: int, name: str | None = None):
         if not 1 <= size <= MAX_GROUND_SIZE:
             raise ValueError(f"ground-set size {size} out of range 1..{MAX_GROUND_SIZE}")
         self.size = size
         self.name = name if name is not None else type(self).__name__
-        self._rank_cache: dict[int, int] = {}
+        self._rank_cache: Optional[dict[int, int]] = {} if self._memoize_rank else None
         self._strata_cache: Optional[tuple[list[list[int]], dict[int, list[int]]]] = None
 
     def _rank_impl(self, mask: int) -> int:
@@ -53,12 +65,19 @@ class Matroid:
     # -- rank oracle -------------------------------------------------
 
     def rank(self, mask: int) -> int:
-        r = self._rank_cache.get(mask)
-        if r is None:
-            # Memoized masks were checked when they were stored.
+        memo = self._rank_cache
+        if memo is not None:
+            r = memo.get(mask)
+            if r is not None:
+                # Memoized masks were checked when they were stored.
+                return r
+        # mask >> size is nonzero exactly for the masks check_mask rejects:
+        # negative ones and those with bits outside the ground set.
+        if mask >> self.size:
             check_mask(mask, self.size)
-            r = self._rank_impl(mask)
-            self._rank_cache[mask] = r
+        r = self._rank_impl(mask)
+        if memo is not None:
+            memo[mask] = r
         return r
 
     @property
@@ -97,22 +116,35 @@ class Matroid:
 
         Returns (strata, covered_by): strata[k] lists the rank-k flats in
         ascending mask order, and covered_by[G] lists the flats covered by
-        G.  Built by closure search, assuming a matroid rank function: a
-        cover G of a flat F is the closure of F + x for every x in G - F,
-        so each cover is closed once, from the lowest such x.
+        G.  Built cover by cover, assuming a matroid rank function: the
+        covers of a rank-k flat F partition the elements outside F, and the
+        cover through x holds the y with rank(F + x + y) = k + 1.  Each
+        cover is grown once, from its lowest element x, and tests only the
+        elements no earlier cover of F took, so each pair {x, y} outside F
+        is tested at most once.
         """
         if self._strata_cache is None:
+            rank = self.rank
             bottom = self.closure(0)
             strata = [[bottom]]
             covered_by: dict[int, list[int]] = {bottom: []}
             current = [bottom]
             top = self.ground_mask
             while current != [top]:
+                cover_rank = len(strata)
                 nxt: dict[int, set[int]] = {}
                 for f in current:
                     rest = top & ~f
                     while rest:
-                        g = self.closure(f | rest & -rest)
+                        x = rest & -rest
+                        rest ^= x
+                        g = fx = f | x
+                        others = rest
+                        while others:
+                            y = others & -others
+                            others ^= y
+                            if rank(fx | y) == cover_rank:
+                                g |= y
                         nxt.setdefault(g, set()).add(f)
                         rest &= ~g
                 current = sorted(nxt)
@@ -176,7 +208,7 @@ class Matroid:
 
     def free_coextension(self) -> "Matroid":
         """Dual of the free extension of the dual; rank and size grow by one."""
-        return self.dual().free_extension().dual()
+        return FreeCoextensionMatroid(self)
 
     # -- whole-matroid queries -----------------------------------------
 
@@ -204,6 +236,8 @@ class Matroid:
 
 class UniformMatroid(Matroid):
     """Every k-subset is a basis: rank(S) = min(|S|, k)."""
+
+    _memoize_rank = False
 
     def __init__(self, rank: int, size: int, name: str | None = None):
         if not 0 <= rank <= size:
@@ -364,6 +398,8 @@ class RankTableMatroid(Matroid):
 
 
 class TruncatedMatroid(Matroid):
+    _memoize_rank = False
+
     def __init__(self, base: Matroid, level: int):
         super().__init__(base.size, f"tr{level}({base.name})")
         self.base = base
@@ -380,6 +416,8 @@ class TruncatedMatroid(Matroid):
 
 
 class DualMatroid(Matroid):
+    _memoize_rank = False
+
     def __init__(self, base: Matroid):
         super().__init__(base.size, f"dual({base.name})")
         self.base = base
@@ -407,6 +445,8 @@ class RelabeledMatroid(Matroid):
 class FreeExtensionMatroid(Matroid):
     """Adds element `base.size` in general position."""
 
+    _memoize_rank = False
+
     def __init__(self, base: Matroid):
         super().__init__(base.size + 1, f"ext({base.name})")
         self.base = base
@@ -416,6 +456,24 @@ class FreeExtensionMatroid(Matroid):
         if mask & b:
             return min(self.base.rank(mask ^ b) + 1, self.base.full_rank)
         return self.base.rank(mask)
+
+
+class FreeCoextensionMatroid(Matroid):
+    """Adds element e = `base.size` as the dual of the free extension of the
+    dual, in closed form: rank(S) = r(S - e) + 1 when e is in S, and
+    min(r(S) + 1, |S|) otherwise."""
+
+    _memoize_rank = False
+
+    def __init__(self, base: Matroid):
+        super().__init__(base.size + 1, f"coext({base.name})")
+        self.base = base
+
+    def _rank_impl(self, mask: int) -> int:
+        b = 1 << self.base.size
+        if mask & b:
+            return self.base.rank(mask ^ b) + 1
+        return min(self.base.rank(mask) + 1, mask.bit_count())
 
 
 def validate_rank_table(size: int, ranks: Sequence[int]) -> Optional[str]:

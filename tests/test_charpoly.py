@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from matfan import corpus
+from matfan.validation import GEOMETRY_LIMIT, run_check
 from matfan.charpoly import (
     FlatLattice,
     IntPolynomial,
@@ -248,6 +249,22 @@ def test_flag_bounds():
         count_descending_flags(m, 2)
     with pytest.raises(ValueError):
         count_descending_flags(RankTableMatroid(2, [0, 0, 1, 1]), 0)
+
+
+# -- Welsh-Mason: independent sets against the free coextension --------------
+
+
+def test_welsh_mason_above_the_geometry_limit():
+    # K6: 15 edges, above the geometry limit and within the subset scan.
+    # Forests of K6 by size; the last entry is Cayley's 6^4 spanning trees.
+    k6 = GraphicMatroid(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+    assert k6.size - 1 > GEOMETRY_LIMIT
+    report = run_check(k6).report
+    assert report["f_vector"] == [1, 15, 105, 435, 1080, 1296]
+    assert report["mu_coextension"] == report["f_vector"]
+    assert report["welsh_mason"] is True
+    assert "welsh_mason" not in report["skipped"]
+    assert report["pass"] is True
 
 
 # -- log-concavity ------------------------------------------------------------

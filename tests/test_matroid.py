@@ -198,17 +198,43 @@ def test_derived_constructions_satisfy_axioms():
     lambda: GraphicMatroid(4, K4_EDGES),
     lambda: GraphicMatroid(4, K4_EDGES).truncate(1),
     lambda: RelabeledMatroid(GraphicMatroid(4, K4_EDGES), [5, 0, 3]),
-], ids=["backend", "truncation", "relabeling"])
+    lambda: UniformMatroid(2, 5),
+    lambda: GraphicMatroid(4, K4_EDGES).dual(),
+    lambda: GraphicMatroid(4, K4_EDGES).free_extension(),
+    lambda: GraphicMatroid(4, K4_EDGES).free_coextension(),
+    lambda: UniformMatroid(2, 5).free_coextension(),
+], ids=["backend", "truncation", "relabeling", "uniform", "dual", "extension",
+        "coextension", "uniform-coextension"])
 def test_rank_rejects_masks_outside_the_ground_set(build, warm):
     m = build()
     if warm:
-        # Fill the memo with every valid mask first.
+        # Fill whatever memo the matroid or its base keeps with every valid
+        # mask first.
         m.rank_table()
     top = full_mask(m.size)
     for bad in (1 << m.size, top + 1, top | 1 << 30, -1, -(1 << m.size), ~top):
         with pytest.raises(ValueError, match="outside"):
             m.rank(bad)
     assert m.rank(top) == m.full_rank
+
+
+def test_rank_memos_live_only_in_backends_that_compute():
+    u = UniformMatroid(4, 14)
+    u.flat_strata()
+    assert u._rank_cache is None
+    g = GraphicMatroid(4, K4_EDGES)
+    c = g.free_coextension()
+    c.flat_strata()
+    assert c.base is g
+    assert c._rank_cache is None
+    assert g._rank_cache
+    # Every rank of the coextension comes through the graphic memo.
+    c.rank_table()
+    assert set(g._rank_cache) == set(iter_subsets(g.size))
+    for w in (g.truncate(1), g.dual(), g.free_extension()):
+        w.flat_strata()
+        assert w.base is g
+        assert w._rank_cache is None
 
 
 # -- closure and flats -----------------------------------------------------
@@ -370,6 +396,44 @@ def test_free_coextension():
     assert c.loops() == 0
     # Coextension of a free matroid is free.
     assert FreeMatroid(3).free_coextension().same_rank_function(FreeMatroid(4))
+
+
+@st.composite
+def matroids_with_loops_and_parallels(draw):
+    """Graphic, GF(2), GF(3), bases and uniform matroids on at most 8
+    elements.  Graphs and matrices may get a loop (a self-loop or a zero
+    column) and an element parallel to element 0 (a repeated edge or
+    column), on top of those the random draw makes."""
+    kind = draw(st.sampled_from(("uniform", "graphic", "gf2", "gf3", "bases")))
+    if kind == "uniform":
+        size = draw(st.integers(1, 8))
+        return UniformMatroid(draw(st.integers(0, size)), size)
+    add_loop, add_parallel = draw(st.booleans()), draw(st.booleans())
+    if kind in ("graphic", "bases"):
+        edges = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                              min_size=1, max_size=6))
+        edges += [(2, 2)] * add_loop + edges[:1] * add_parallel
+        m = GraphicMatroid(5, edges)
+        if kind == "graphic":
+            return m
+        bases = [mask for mask in iter_subsets(m.size)
+                 if mask.bit_count() == m.full_rank == m.rank(mask)]
+        return BasesMatroid(m.size, bases)
+    p = 2 if kind == "gf2" else 3
+    height = draw(st.integers(1, 4))
+    column = st.lists(st.integers(0, p - 1), min_size=height, max_size=height)
+    columns = draw(st.lists(column, min_size=1, max_size=6))
+    columns += [[0] * height] * add_loop + columns[:1] * add_parallel
+    return LinearMatroid([list(row) for row in zip(*columns)], p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matroids_with_loops_and_parallels())
+def test_free_coextension_is_dual_of_free_extension_of_dual(m):
+    c = m.free_coextension()
+    assert c.size == m.size + 1
+    assert c.full_rank == m.full_rank + 1
+    assert c.same_rank_function(m.dual().free_extension().dual())
 
 
 def test_free_coextension_never_has_loops():
