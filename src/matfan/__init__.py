@@ -8,13 +8,11 @@ arithmetic is exact (int and Fraction); nothing here floats.
 """
 
 from .charpoly import (
-    FlatLattice,
     IntPolynomial,
     NonDivisibleError,
     char_poly,
     count_descending_flags,
     is_log_concave,
-    mu_vector_flags,
     mu_vector_mobius,
     reduced_char_poly,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "DegenerateDisplacementError",
     "DisplacementVector",
     "Flat",
-    "FlatLattice",
     "FreeMatroid",
     "GraphicMatroid",
     "InputError",
@@ -99,7 +96,6 @@ __all__ = [
     "load_matroid_file",
     "mu_vector_displacement",
     "mu_vector_divisors",
-    "mu_vector_flags",
     "mu_vector_mobius",
     "pairing_terms",
     "permutohedral_weight",

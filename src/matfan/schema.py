@@ -33,6 +33,9 @@ from .matroid import (
 MATROID_TYPES = ("uniform", "free", "graphic", "linear", "bases", "rank_table")
 
 _GF_RE = re.compile(r"^GF\((\d+)\)$")
+# "a/b" or an integer.  Fraction alone would also take decimals and
+# exponents, and build a billion-digit integer from "1e999999999".
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class InputError(Exception):
@@ -72,6 +75,8 @@ def _parse_entry(value, field: int | None):
     if isinstance(value, int):
         return value
     if isinstance(value, str) and field is None:
+        if not _RATIONAL_RE.fullmatch(value):
+            raise InputError(f"bad rational entry {value!r}: use \"a/b\" or an integer")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -151,8 +156,10 @@ def load_matroid_file(path: str) -> Matroid:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        # RecursionError: nesting deeper than the interpreter's recursion limit.
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and integer
+        # literals longer than the interpreter's digit limit; RecursionError,
+        # nesting deeper than its recursion limit.
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     return load_matroid(data)
 

@@ -7,8 +7,8 @@ The subject of every report is the simplification of the input matroid
 coefficient sequence is unchanged by that, and the fan constructions
 require looplessness anyway.
 
-The two geometric routes are exhaustive over cone supports and are only
-run for ground sets of at most 9 elements (n <= 8 in fan coordinates);
+The two geometric routes build Bergman fans cone by cone, so they are
+only run for ground sets of at most 9 elements (n <= 8 in fan coordinates);
 beyond that the lattice-based routes still run and the report marks the
 geometric ones as skipped.  The Welsh-Mason identity (independent-set
 counts against the free coextension) scans every subset, so above 21
@@ -48,6 +48,7 @@ from .schema import InputError, fraction_str
 
 GEOMETRY_LIMIT = 8
 MAX_RETRIES = 32
+MU_METHODS = ("mobius", "flags", "displacement", "divisor")
 
 TraceFn = Optional[Callable[[int, PairingTerm], None]]
 
@@ -79,14 +80,13 @@ def charpoly_report(matroid: Matroid) -> dict:
     """Report document for the polynomial surface of one matroid."""
     simple, note = _subject(matroid)
     poly = char_poly(simple)
-    reduced, mu = reduced_char_poly(simple)
-    r = simple.full_rank - 1
+    reduced, mu = reduced_char_poly(poly)
     report = {
         "name": matroid.name,
         "char_poly": poly.to_decimal_strings(),
         "reduced": reduced.to_decimal_strings(),
         "mu": list(mu),
-        "flag_counts": [count_descending_flags(simple, k) for k in range(r + 1)],
+        "flag_counts": list(count_descending_flags(simple)),
     }
     if note:
         report["simplification"] = note
@@ -214,11 +214,11 @@ def run_check(
     try:
         t0 = clock()
         poly = char_poly(simple)
-        reduced, mu_mobius = reduced_char_poly(simple)
+        reduced, mu_mobius = reduced_char_poly(poly)
         spent["charpoly"] = clock() - t0
 
         t0 = clock()
-        mu_flags = tuple(count_descending_flags(simple, k) for k in range(r + 1))
+        mu_flags = count_descending_flags(simple)
         spent["flags"] = clock() - t0
 
         report["char_poly"] = poly.to_decimal_strings()
@@ -274,7 +274,7 @@ def run_check(
         if simple.size <= EXHAUSTIVE_SCAN_LIMIT:
             t0 = clock()
             f_vector = list(simple.independent_set_counts())
-            mu_coext = list(reduced_char_poly(simple.free_coextension())[1])
+            mu_coext = list(reduced_char_poly(char_poly(simple.free_coextension()))[1])
             welsh_mason = f_vector == mu_coext
             spent["welsh_mason"] = clock() - t0
             log_concave["f_vector"] = is_log_concave(f_vector)
@@ -325,11 +325,11 @@ def run_check(
 
 def mu_report(matroid: Matroid, method: str, seed: int = 0) -> dict:
     """Coefficient vector(s) by the requested method(s)."""
+    if method != "all" and method not in MU_METHODS:
+        raise ValueError(f"unknown method {method!r}; expected 'all' or one of {MU_METHODS}")
     simple, note = _subject(matroid)
-    n = simple.size - 1
-    r = simple.full_rank - 1
-    geometry_ok = n <= GEOMETRY_LIMIT
-    wanted = ("mobius", "flags", "displacement", "divisor") if method == "all" else (method,)
+    geometry_ok = simple.size - 1 <= GEOMETRY_LIMIT
+    wanted = MU_METHODS if method == "all" else (method,)
 
     values: dict[str, Optional[list[int]]] = {}
     skipped = []
@@ -344,9 +344,9 @@ def mu_report(matroid: Matroid, method: str, seed: int = 0) -> dict:
                 f"after simplification; {matroid.name} has {simple.size}"
             )
         if name == "mobius":
-            values[name] = list(reduced_char_poly(simple)[1])
+            values[name] = list(reduced_char_poly(char_poly(simple))[1])
         elif name == "flags":
-            values[name] = [count_descending_flags(simple, k) for k in range(r + 1)]
+            values[name] = list(count_descending_flags(simple))
         elif name == "displacement":
             values[name] = list(mu_vector_displacement(simple, seed=seed))
         else:

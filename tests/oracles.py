@@ -2,7 +2,8 @@
 
 Everything here recomputes invariants from first principles: ranks by
 exhaustive search, flats by scanning all subsets, Moebius values by
-counting chains with alternating signs (Philip Hall), characteristic
+counting chains with alternating signs (Philip Hall) and by Weisner's
+recursion over the library's covering relation, characteristic
 polynomials by the subset expansion over the rank function, flag
 counts by filtering all chains of flats, and the permutohedral weight's
 flags by ordering elements.  Tests freeze the numbers these
@@ -186,6 +187,29 @@ def mobius_oracle(size, rank_fn):
         return total
 
     return {f: count_chains(f) for f in flats if bottom & ~f == 0}
+
+
+def mobius_weisner(matroid):
+    """mu(bottom, F) for every flat, by recursing over the flats F covers
+    that miss min(F) (Weisner's theorem with the atom of min(F)).
+
+    Independent of the defining recursion in ``charpoly.mobius``; only
+    valid for a loopless matroid, whose bottom flat is empty.
+    """
+    strata, covered_by = matroid.flat_strata()
+    if strata[0][0] != 0:
+        raise ValueError("Weisner recursion requires a loopless matroid")
+    memo = {0: 1}
+
+    def value(f):
+        got = memo.get(f)
+        if got is not None:
+            return got
+        a = f & -f
+        memo[f] = -sum(value(g) for g in covered_by[f] if not g & a)
+        return memo[f]
+
+    return {f: value(f) for level in strata for f in level}
 
 
 def char_poly_oracle(size, rank_fn):

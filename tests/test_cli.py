@@ -70,6 +70,20 @@ def test_load_rational_matrix_with_fraction_strings():
     m = load_matroid({"type": "linear", "field": "Q",
                       "matrix": [["1/2", 1], [0, "2/3"]]})
     assert m.full_rank == 2
+    m = load_matroid({"type": "linear", "field": "Q",
+                      "matrix": [["1/2", "-2/3"], ["1", "-4/3"]]})
+    assert m.full_rank == 1
+
+
+@pytest.mark.parametrize("entry", ["1e999999999", "0.5", " 3"])
+def test_rational_entries_outside_a_over_b_exit_2_quickly(tmp_path, capsys, entry):
+    path = write_doc(tmp_path, "q.json", {"type": "linear", "field": "Q",
+                                          "matrix": [[entry, 1], [0, 1]]})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "check", path)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "bad rational entry" in err
 
 
 def test_load_rejects_malformed_documents():
@@ -193,6 +207,13 @@ def test_mu_command_single_method(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "mu", path, "--method", "flags")
     assert code == 0
     assert json.loads(out)["mu"] == {"flags": [1, 2]}
+
+
+def test_mu_report_refuses_an_unknown_method():
+    # k5 has 10 elements: a misspelled geometric method must not slip
+    # past the geometry limit.
+    with pytest.raises(ValueError, match="unknown method"):
+        validation.mu_report(load_matroid(K5_DOC), "mobuis")
 
 
 def test_mu_geometric_methods_respect_size_limit(tmp_path, capsys):
@@ -335,7 +356,8 @@ def test_bad_input_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("content", [
     b"\xff\xfe" + json.dumps({"type": "free", "size": 3}).encode("utf-16-le"),
     b"[" * 100_000 + b"]" * 100_000,
-], ids=["utf16-bom", "deep-nesting"])
+    b'{"type": "uniform", "rank": ' + b"1" * 5000 + b', "size": 3}',
+], ids=["utf16-bom", "deep-nesting", "int-beyond-digit-limit"])
 def test_undecodable_input_files_exit_code(tmp_path, content):
     path = tmp_path / "bad.json"
     path.write_bytes(content)

@@ -23,5 +23,7 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch):
         tracer.uninstall()
     assert layertrace.installed() == []
     for name in ("fan.permutohedral_weight", "intersect.pairing_terms",
-                 "intersect.cone_displacement_intersect", "fan.check_balancing"):
+                 "intersect.cone_displacement_intersect", "fan.check_balancing",
+                 "charpoly.char_poly", "charpoly.reduced_char_poly",
+                 "charpoly.count_descending_flags"):
         assert tracer.calls[name] > 0, name
