@@ -11,14 +11,14 @@ count initial descending flag chains of flats, computed here by dynamic
 programming over the covering relation.
 
 Both routes read ``Matroid.flat_strata()``.  The Moebius values come from
-the defining recursion (one sum per flat over the smaller flats, in a
+the defining recursion (one sum per flat over the flats it contains, in a
 single pass by rank); the tests check them against an independent
 Weisner-style recursion kept in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from .masks import min_element
+from .masks import iter_elements, min_element
 from .matroid import Matroid
 
 
@@ -72,13 +72,18 @@ class IntPolynomial:
 
 def mobius(strata: list[list[int]]) -> dict[int, int]:
     """mu(bottom, F) for every flat of ``flat_strata()``'s strata, by the
-    defining recursion: each value is minus the sum over the flats already
-    visited (by rank) that F contains."""
-    mu: dict[int, int] = {strata[0][0]: 1}
-    for level in strata[1:]:
-        for f in level:
-            mu[f] = -sum(value for g, value in mu.items() if g & ~f == 0)
-    return mu
+    defining recursion: minus the sum over the flats before F (by rank)
+    that no element outside F holds, read from one bitset per element."""
+    flats = [f for level in strata for f in level]
+    holding = [sum(1 << i for i, f in enumerate(flats) if f >> e & 1)
+               for e in range(flats[-1].bit_length())]
+    values = [1]
+    for i, f in enumerate(flats[1:], 1):
+        outside = 0
+        for e in iter_elements(flats[-1] & ~f):
+            outside |= holding[e]
+        values.append(-sum(values[j] for j in iter_elements((1 << i) - 1 & ~outside)))
+    return dict(zip(flats, values))
 
 
 def char_poly(matroid: Matroid) -> IntPolynomial:

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import accumulate, permutations
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .masks import complement, full_mask, iter_elements
 from .matroid import Matroid
@@ -63,18 +62,40 @@ def flag_facets(flag: Flag) -> Iterator[tuple[Flag, int]]:
         yield flag[:i] + flag[i + 1:], flag[i]
 
 
-@dataclass(frozen=True, eq=False)
-class SizeGradedFlags(Mapping):
+class Frozen:
+    """Base of immutable slotted records; equality and repr read the slots."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, s) for s in self.__slots__]
+                == [getattr(other, s) for s in self.__slots__])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{s}={getattr(self, s)!r}" for s in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class SizeGradedFlags(Mapping, Frozen):
     """Read-only weight table with value 1 on every flag of subsets of
     sizes 1, 2, ..., n-k of {0..n}, and on nothing else.
 
     Membership is tested from the flag's shape; iteration is lazy and in
     sorted order, because the prefix unions of ordered tuples of distinct
-    elements come out sorted when the tuples do.
+    elements come out sorted when the tuples do.  Equality is Mapping's.
     """
 
-    n: int
-    k: int
+    __slots__ = ("n", "k")
+
+    def __init__(self, n: int, k: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
 
     def __getitem__(self, flag) -> int:
         if isinstance(flag, tuple) and len(flag) == self.n - self.k:
@@ -100,36 +121,36 @@ class SizeGradedFlags(Mapping):
         )
 
 
-@dataclass(frozen=True, eq=True)
-class MinkowskiWeight:
+class MinkowskiWeight(Frozen):
     """Integer weight on the codimension-k cones; zero values are dropped.
 
     A SizeGradedFlags table is kept as it is: it holds valid flags by
     construction and no zeros.
     """
 
-    n: int
-    codim: int
-    weights: Mapping[Flag, int]
+    __slots__ = ("n", "codim", "weights")
 
-    def __post_init__(self):
-        if not 0 <= self.codim <= self.n:
-            raise ValueError(f"codimension {self.codim} outside 0..{self.n}")
-        if isinstance(self.weights, SizeGradedFlags):
-            if (self.weights.n, self.weights.k) != (self.n, self.codim):
-                raise ValueError(f"{self.weights} does not fit n={self.n}, codim={self.codim}")
-            return
-        dim = self.n - self.codim
-        cleaned = {}
-        for flag in sorted(self.weights):
-            value = self.weights[flag]
-            if value == 0:
-                continue
-            if len(flag) != dim:
-                raise ValueError(f"flag {flag} has length {len(flag)}, expected {dim}")
-            validate_flag(self.n, flag)
-            cleaned[flag] = value
-        object.__setattr__(self, "weights", cleaned)
+    def __init__(self, n: int, codim: int, weights: Mapping[Flag, int]):
+        if not 0 <= codim <= n:
+            raise ValueError(f"codimension {codim} outside 0..{n}")
+        if isinstance(weights, SizeGradedFlags):
+            if (weights.n, weights.k) != (n, codim):
+                raise ValueError(f"{weights} does not fit n={n}, codim={codim}")
+        else:
+            dim = n - codim
+            cleaned = {}
+            for flag in sorted(weights):
+                value = weights[flag]
+                if value == 0:
+                    continue
+                if len(flag) != dim:
+                    raise ValueError(f"flag {flag} has length {len(flag)}, expected {dim}")
+                validate_flag(n, flag)
+                cleaned[flag] = value
+            weights = cleaned
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "codim", codim)
+        object.__setattr__(self, "weights", weights)
 
     def value(self, flag: Flag) -> int:
         return self.weights.get(tuple(flag), 0)
@@ -276,8 +297,7 @@ def facet_ray_sums(
         yield tau, above, [x - lifted[0] for x in lifted[1:]]
 
 
-@dataclass(frozen=True)
-class BalancingViolation:
+class BalancingViolation(NamedTuple):
     tau: Flag
     excess: tuple[int, ...]
 

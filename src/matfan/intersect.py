@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, product
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .fan import (
     Flag,
+    Frozen,
     MinkowskiWeight,
     SizeGradedFlags,
     bergman_weight,
@@ -63,22 +63,22 @@ class DegenerateDisplacementError(Exception):
     """The displacement vector ties with a cone boundary; retry with a new one."""
 
 
-@dataclass(frozen=True)
-class PLDivisor:
+class PLDivisor(Frozen):
     """Piecewise-linear divisor: an integer value on every ray.
 
     Rays are proper nonempty subsets of the ground set; missing entries
     read as zero, so sparse dicts define total functions.
     """
 
-    n: int
-    ray_values: dict[int, int]
+    __slots__ = ("n", "ray_values")
 
-    def __post_init__(self):
-        top = full_mask(self.n + 1)
-        for mask in self.ray_values:
+    def __init__(self, n: int, ray_values: dict[int, int]):
+        top = full_mask(n + 1)
+        for mask in ray_values:
             if mask <= 0 or mask >= top:
                 raise ValueError(f"ray {bin(mask)} is not a proper nonempty subset")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ray_values", ray_values)
 
     def value(self, mask: int) -> int:
         return self.ray_values.get(mask, 0)
@@ -147,13 +147,20 @@ def divisor_cup(d: PLDivisor, weight: MinkowskiWeight) -> MinkowskiWeight:
 # -- displacement-rule pairing ------------------------------------------
 
 
-@dataclass
 class DisplacementVector:
     """An exact rational displacement; certified is set after a full
-    pairing sweep finishes with no degeneracy."""
+    pairing sweep finishes with no degeneracy.  Equality reads coords only."""
 
-    coords: tuple[Fraction, ...]
-    certified: bool = field(default=False, compare=False)
+    __slots__ = ("coords", "certified")
+
+    def __init__(self, coords: tuple[Fraction, ...], certified: bool = False):
+        self.coords, self.certified = coords, certified
+
+    def __eq__(self, other) -> bool:
+        return self.coords == other.coords if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"DisplacementVector(coords={self.coords!r}, certified={self.certified!r})"
 
 
 def default_displacement(n: int) -> DisplacementVector:
@@ -172,8 +179,7 @@ def perturbed_displacement(n: int, rng: random.Random) -> DisplacementVector:
     return DisplacementVector(coords)
 
 
-@dataclass(frozen=True)
-class PairingTerm:
+class PairingTerm(NamedTuple):
     sigma: Flag
     tau: Flag
     point: tuple[Fraction, ...]

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .charpoly import (
     char_poly,
@@ -53,8 +52,7 @@ MU_METHODS = ("mobius", "flags", "displacement", "divisor")
 TraceFn = Optional[Callable[[int, PairingTerm], None]]
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     report: dict
     ok: bool
     # set when a pipeline could not even finish (broken invariant),

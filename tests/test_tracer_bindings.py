@@ -27,3 +27,8 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch):
                  "charpoly.char_poly", "charpoly.reduced_char_poly",
                  "charpoly.count_descending_flags"):
         assert tracer.calls[name] > 0, name
+    # The tracer reads the fan and intersect records by attribute name
+    # (.weights, .codim, .n, .certified), so a renamed field fails here.
+    for name in ("fan.bergman_weight.cones", "fan.check_balancing.facets",
+                 "intersect.pairing_terms.certified"):
+        assert tracer.counts[name] > 0, name
