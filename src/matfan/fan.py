@@ -21,6 +21,10 @@ from the flag's shape and stores nothing, so its (n+1)!/(k+1)! cones
 exist only when a caller iterates them.  There are no caches: flags are
 checked and summed as bitmasks, and every weight is built afresh for the
 caller that asked for it.
+
+One facet sweep, facet_groups, serves the balancing test here and the
+divisor cup in intersect: it reads one block per gap of each facet's
+flag and solves nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from itertools import accumulate, permutations
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
 from .masks import complement, full_mask, iter_elements
 from .matroid import Matroid
@@ -54,12 +58,6 @@ def validate_flag(n: int, flag: Flag) -> None:
         if prev and not (prev & ~mask == 0 and prev != mask):
             raise ValueError(f"flag {flag} is not strictly increasing")
         prev = mask
-
-
-def flag_facets(flag: Flag) -> Iterator[tuple[Flag, int]]:
-    """All (facet, removed subset) pairs; faces of a flag cone are subflags."""
-    for i in range(len(flag)):
-        yield flag[:i] + flag[i + 1:], flag[i]
 
 
 class Frozen:
@@ -244,57 +242,30 @@ def cremona_pullback_weight(weight: MinkowskiWeight) -> MinkowskiWeight:
     )
 
 
-def flag_span_coefficients(n: int, flag: Flag, target: Sequence[int]) -> Optional[list[int]]:
-    """Integer coefficients of target in the span of the flag's incidence
-    vectors, or None when target lies outside that span.
-
-    Lifted to {0..n} with coordinate 0 set to 0, the span is exactly the
-    vectors constant on each block F1, F2 minus F1, ..., complement of
-    Fk; the coefficient of F_i is the value on block i minus the value on
-    block i+1.  Flag cones are unimodular, so no division is needed.
-    """
-    lifted = (0, *target)
-    levels = []
-    inside = 0
-    for mask in (*flag, full_mask(n + 1)):
-        block = mask & ~inside
-        inside = mask
-        low = block & -block
-        level = lifted[low.bit_length() - 1]
-        block ^= low
-        while block:
-            low = block & -block
-            if lifted[low.bit_length() - 1] != level:
-                return None
-            block ^= low
-        levels.append(level)
-    return [a - b for a, b in zip(levels, levels[1:])]
-
-
-def facet_ray_sums(
+def facet_groups(
     weight: MinkowskiWeight,
-) -> Iterator[tuple[Flag, list[tuple[int, int]], list[int]]]:
-    """Yield (tau, above, ray_sum) for every facet tau of a supported cone,
-    in sorted order.
+) -> Iterator[tuple[Flag, int, int, list[tuple[int, int]], Optional[int]]]:
+    """Yield (tau, low, high, above, level) per facet tau of a supported
+    cone and per gap of tau that such cones fill.
 
-    above lists (inserted subset, weight value) for the supported cones
-    containing tau; ray_sum is the weighted sum of the inserted subsets'
-    incidence vectors.
+    The gap lies between low = tau[i-1] (0 when i = 0) and high = tau[i]
+    (the full mask at the end); above lists (S, value) for the cones that
+    insert S there.  Lifted to {0..n}, their incidence vectors add their
+    total value on low, the sum of value * [e in S] on the block high
+    minus low, and 0 beyond: a constant on every block of tau but this
+    one.  level is that sum when it is constant on the block, else None,
+    so tau's ray-sum lies in its span exactly when each gap has a level.
     """
-    n = weight.n
-    facet_map: dict[Flag, list[tuple[int, int]]] = {}
-    for flag, value in weight.items():
-        for tau, removed in flag_facets(flag):
-            facet_map.setdefault(tau, []).append((removed, value))
-    for tau in sorted(facet_map):
-        above = facet_map[tau]
-        # Coordinate j of a subset's incidence vector is [j in S] - [0 in S],
-        # so sum the values per element over {0..n} and subtract element 0's.
-        lifted = [0] * (n + 1)
-        for removed, value in above:
-            for e in iter_elements(removed):
-                lifted[e] += value
-        yield tau, above, [x - lifted[0] for x in lifted[1:]]
+    top = full_mask(weight.n + 1)
+    for i in range(weight.n - weight.codim):
+        groups: dict[Flag, list[tuple[int, int]]] = {}
+        for flag, value in weight.items():
+            groups.setdefault(flag[:i] + flag[i + 1:], []).append((flag[i], value))
+        for tau, above in groups.items():
+            low = tau[i - 1] if i else 0
+            high = tau[i] if i < len(tau) else top
+            sums = {sum(v for s, v in above if s >> e & 1) for e in iter_elements(high & ~low)}
+            yield tau, low, high, above, sums.pop() if len(sums) == 1 else None
 
 
 class BalancingViolation(NamedTuple):
@@ -307,12 +278,23 @@ def check_balancing(weight: MinkowskiWeight) -> list[BalancingViolation]:
 
     For each facet tau of a supported cone, the weighted sum of the
     inserted subsets' incidence vectors must land in the span of tau's
-    generators (the lattice normal to tau must see zero).  Returns the
-    list of violations; balanced weights return [].
+    generators: by facet_groups, each gap of tau must have a level.
+    Returns the violations in sorted order, with that sum as the excess;
+    balanced weights return [].
     """
+    bad = {tau for tau, _, _, _, level in facet_groups(weight) if level is None}
+    if not bad:
+        return []
+    # Only the unbalanced facets get their ray-sums, in a second pass.
+    lifted = {tau: [0] * (weight.n + 1) for tau in bad}
+    for flag, value in weight.items():
+        for i in range(len(flag)):
+            total = lifted.get(flag[:i] + flag[i + 1:])
+            if total is not None:
+                for e in iter_elements(flag[i]):
+                    total[e] += value
+    # Coordinate j of a subset's incidence vector is [j in S] - [0 in S].
     return [
-        BalancingViolation(tau, tuple(total))
-        for tau, _, total in facet_ray_sums(weight)
-        if flag_span_coefficients(weight.n, tau, total) is None
+        BalancingViolation(tau, tuple(x - lifted[tau][0] for x in lifted[tau][1:]))
+        for tau in sorted(bad)
     ]
-

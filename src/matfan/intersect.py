@@ -6,11 +6,13 @@ arithmetic on flag cones.
 
 A divisor is stored by its value on each ray.  Cupping a divisor against
 a codimension-k weight produces a codimension-(k+1) weight supported on
-facets of the original support: on each facet the contribution is minus
-the weighted divisor values of the inserted rays, corrected by the
-divisor's value on the balanced ray-sum inside the facet's own span.
-Flag cones are unimodular, so that ray-sum has integer coordinates in
-the facet's generators and the cup is integer-only.
+facets of the original support.  As Allermann and Rau define it, the
+value on a facet comes from its star: minus the weighted divisor values
+of the inserted rays, corrected by the divisor's value on their balanced
+ray-sum inside the facet's own span.  On a flag cone the star splits
+over the gaps of the facet's flag (see fan.facet_groups), and so does
+the correction, read off the divisor's values at each gap's two ends:
+the cup is integer-only and solves nothing.
 
 The degree pairing displaces one weight by a generic vector v and counts
 transversal intersections of complementary-dimension cones with lattice
@@ -43,8 +45,7 @@ from .fan import (
     SizeGradedFlags,
     bergman_weight,
     cremona_pullback_weight,
-    facet_ray_sums,
-    flag_span_coefficients,
+    facet_groups,
     permutohedral_weight,
 )
 from .masks import full_mask
@@ -121,11 +122,13 @@ def cremona_pullback_divisor(d: PLDivisor) -> PLDivisor:
 def divisor_cup(d: PLDivisor, weight: MinkowskiWeight) -> MinkowskiWeight:
     """Cup product: push a codim-k weight to codim k+1.
 
-    The value on a facet tau is minus the weighted divisor values of the
-    rays inserted by the supported cones above tau, plus the divisor's
-    tau-linear value on the weighted ray-sum.  The ray-sum must lie in
-    tau's span (that is the balancing condition); otherwise
-    NotBalancedError identifies the offending facet.
+    The value on a facet tau adds one term per gap of tau that the
+    supported cones above it fill (see facet_groups): with W the gap's
+    total weight and c its level on the block between low and high,
+    (W - c) d(low) + c d(high) minus the weighted values of the inserted
+    rays, where d reads 0 on the empty set and on the whole ground set.
+    A gap with no level is a balancing failure: after the sweep,
+    NotBalancedError names the least such facet.
     """
     n = weight.n
     if d.n != n:
@@ -133,14 +136,17 @@ def divisor_cup(d: PLDivisor, weight: MinkowskiWeight) -> MinkowskiWeight:
     if weight.codim >= n:
         raise ValueError("weight already has top codimension")
     out: dict[Flag, int] = {}
-    for tau, above, total in facet_ray_sums(weight):
-        coeffs = flag_span_coefficients(n, tau, total)
-        if coeffs is None:
-            raise NotBalancedError(tau)
-        inserted = sum(d.value(removed) * w for removed, w in above)
-        value = sum(c * d.value(mask) for c, mask in zip(coeffs, tau)) - inserted
-        if value:
-            out[tau] = value
+    bad = []
+    for tau, low, high, above, level in facet_groups(weight):
+        if level is None:
+            bad.append(tau)
+            continue
+        total = sum(w for _, w in above)
+        inserted = sum(d.value(s) * w for s, w in above)
+        value = (total - level) * d.value(low) + level * d.value(high) - inserted
+        out[tau] = out.get(tau, 0) + value
+    if bad:
+        raise NotBalancedError(min(bad))
     return MinkowskiWeight(n, weight.codim + 1, out)
 
 

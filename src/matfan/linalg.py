@@ -6,9 +6,10 @@ is_prime.  Two generic solvers are kept as references that the
 flag-cone code is tested against: solve_square_int (Bareiss square
 solves, with a rational consistency test for singular systems) for the
 displacement pairing's spanning-tree solve, and solve_in_span for the
-flag-cone span test in fan.  The benchmark's layer tracer
-(perfbench/layertrace.py) wraps both by name, so they stay here rather
-than among the test oracles.
+flag-cone span test of the test oracles' flag_span_coefficients (fan's
+balancing test reads one block per gap and solves nothing).  The
+benchmark's layer tracer (perfbench/layertrace.py) wraps both by name,
+so they stay here rather than among the test oracles.
 """
 
 from __future__ import annotations

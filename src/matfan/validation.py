@@ -10,9 +10,11 @@ require looplessness anyway.
 The two geometric routes build Bergman fans cone by cone, so they are
 only run for ground sets of at most 9 elements (n <= 8 in fan coordinates);
 beyond that the lattice-based routes still run and the report marks the
-geometric ones as skipped.  The Welsh-Mason identity (independent-set
-counts against the free coextension) scans every subset, so above 21
-elements it is skipped too.
+geometric ones as skipped.  Above the limit run_check still builds the
+Bergman weight of the subject, at any size, and runs check_balancing on
+it to fill balancing_violations; free-10 takes that path.  The
+Welsh-Mason identity (independent-set counts against the free
+coextension) scans every subset, so above 21 elements it is skipped too.
 """
 
 from __future__ import annotations

@@ -12,9 +12,11 @@ oracles produce and also re-run the oracles against library output.
 The generic integer linear algebra lives here too: Bareiss determinants,
 the Smith form and lattice indices, and a displacement-pair classifier
 built on linalg.solve_square_int, and the displacement pairing as a sweep
-over every pair of cones.  Production uses the structure of flag cones
-instead (constant on blocks, spanning trees, located pairs), and these
-check it.
+over every pair of cones.  The global facet sweep lives here as well:
+one facet map over every gap at once, the flag-cone span test, and the
+divisor cup read off each facet's whole ray-sum.  Production uses
+the structure of flag cones instead (one block per gap, spanning trees,
+located pairs), and these check it.
 The nef helpers evaluate divisors for tests only.
 """
 
@@ -25,9 +27,14 @@ from itertools import accumulate, combinations, permutations
 from math import lcm
 
 from matfan import linalg
-from matfan.fan import fundamental_weight, incidence_vector
-from matfan.intersect import PairingTerm, cone_displacement_intersect, divisor_cup
-from matfan.masks import full_mask
+from matfan.fan import MinkowskiWeight, fundamental_weight, incidence_vector
+from matfan.intersect import (
+    NotBalancedError,
+    PairingTerm,
+    cone_displacement_intersect,
+    divisor_cup,
+)
+from matfan.masks import full_mask, iter_elements
 
 
 # -- rank oracles ------------------------------------------------------
@@ -516,6 +523,88 @@ def pairing_sweep_oracle(w1, w2, v):
                 terms.append(PairingTerm(sigma, tau, *hit))
     v.certified = True
     return terms
+
+
+# -- the global facet sweep ----------------------------------------------
+
+def flag_facets(flag):
+    """All (facet, removed subset) pairs; faces of a flag cone are subflags."""
+    for i in range(len(flag)):
+        yield flag[:i] + flag[i + 1:], flag[i]
+
+
+def flag_span_coefficients(n, flag, target):
+    """Integer coefficients of target in the span of the flag's incidence
+    vectors, or None when target lies outside that span.
+
+    Lifted to {0..n} with coordinate 0 set to 0, the span is exactly the
+    vectors constant on each block F1, F2 minus F1, ..., complement of
+    Fk; the coefficient of F_i is the value on block i minus the value on
+    block i+1.  Flag cones are unimodular, so no division is needed.
+    Checked against linalg.solve_in_span.
+    """
+    lifted = (0, *target)
+    levels = []
+    inside = 0
+    for mask in (*flag, full_mask(n + 1)):
+        block = mask & ~inside
+        inside = mask
+        low = block & -block
+        level = lifted[low.bit_length() - 1]
+        block ^= low
+        while block:
+            low = block & -block
+            if lifted[low.bit_length() - 1] != level:
+                return None
+            block ^= low
+        levels.append(level)
+    return [a - b for a, b in zip(levels, levels[1:])]
+
+
+def facet_ray_sums(weight):
+    """Yield (tau, above, ray_sum) for every facet tau of a supported cone,
+    in sorted order.
+
+    above lists (inserted subset, weight value) for the supported cones
+    containing tau; ray_sum is the weighted sum of the inserted subsets'
+    incidence vectors.  One global facet map over every gap at once.
+    """
+    n = weight.n
+    facet_map = {}
+    for flag, value in weight.items():
+        for tau, removed in flag_facets(flag):
+            facet_map.setdefault(tau, []).append((removed, value))
+    for tau in sorted(facet_map):
+        above = facet_map[tau]
+        # Coordinate j of a subset's incidence vector is [j in S] - [0 in S],
+        # so sum the values per element over {0..n} and subtract element 0's.
+        lifted = [0] * (n + 1)
+        for removed, value in above:
+            for e in iter_elements(removed):
+                lifted[e] += value
+        yield tau, above, [x - lifted[0] for x in lifted[1:]]
+
+
+def oracle_divisor_cup(d, weight):
+    """The cup product by the global sweep: minus the weighted divisor
+    values of the inserted rays plus the divisor's tau-linear value on the
+    whole ray-sum, written in tau's generators.  Raises NotBalancedError
+    at the first facet, in sorted order, whose ray-sum leaves its span."""
+    n = weight.n
+    if d.n != n:
+        raise ValueError("divisor and weight live on different fans")
+    if weight.codim >= n:
+        raise ValueError("weight already has top codimension")
+    out = {}
+    for tau, above, total in facet_ray_sums(weight):
+        coeffs = flag_span_coefficients(n, tau, total)
+        if coeffs is None:
+            raise NotBalancedError(tau)
+        inserted = sum(d.value(removed) * w for removed, w in above)
+        value = sum(c * d.value(mask) for c, mask in zip(coeffs, tau)) - inserted
+        if value:
+            out[tau] = value
+    return MinkowskiWeight(n, weight.codim + 1, out)
 
 
 # -- divisors on the complete fan ----------------------------------------

@@ -17,17 +17,23 @@ from matfan.fan import (
     check_balancing,
     cremona_flag,
     cremona_pullback_weight,
-    facet_ray_sums,
-    flag_span_coefficients,
     fundamental_weight,
     incidence_vector,
     permutohedral_weight,
     validate_flag,
 )
+from matfan.intersect import NotBalancedError, PLDivisor, divisor_cup
 from matfan.masks import full_mask
 from matfan.matroid import FreeMatroid, GraphicMatroid, RankTableMatroid
 
-from oracles import flag_generators, permutohedral_oracle, unimodularity_factors
+from oracles import (
+    facet_ray_sums,
+    flag_generators,
+    flag_span_coefficients,
+    oracle_divisor_cup,
+    permutohedral_oracle,
+    unimodularity_factors,
+)
 
 
 # -- lattice points of subsets ----------------------------------------------
@@ -378,6 +384,31 @@ def test_ray_sums_and_excesses_are_incidence_vector_sums(weight):
         for tau, total in expected
         if linalg.solve_in_span(flag_generators(weight.n, tau), total) is None
     ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights(), st.data())
+def test_cup_matches_the_global_sweep(weight, data):
+    n = weight.n
+    d = PLDivisor(n, {mask: data.draw(st.integers(-4, 4))
+                      for mask in range(1, full_mask(n + 1))})
+    violations = check_balancing(weight)
+    if weight.codim == n:
+        for cup in (divisor_cup, oracle_divisor_cup):
+            with pytest.raises(ValueError):
+                cup(d, weight)
+    elif not violations:
+        assert divisor_cup(d, weight) == oracle_divisor_cup(d, weight)
+    else:
+        for cup in (divisor_cup, oracle_divisor_cup):
+            with pytest.raises(NotBalancedError) as exc:
+                cup(d, weight)
+            assert exc.value.tau == violations[0].tau
+
+
+def test_fan_keeps_no_global_sweep():
+    for name in ("facet_ray_sums", "flag_span_coefficients", "flag_facets"):
+        assert not hasattr(matfan.fan, name)
 
 
 # -- the negation involution ----------------------------------------------------

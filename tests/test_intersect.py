@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matfan import corpus, linalg
+from matfan import corpus, linalg, validation
 from matfan.charpoly import mu_vector_mobius
 from matfan.fan import (
     MinkowskiWeight,
@@ -49,6 +49,7 @@ from oracles import (
     min_formula,
     nef_check,
     nef_values,
+    oracle_divisor_cup,
     pairing_sweep_oracle,
 )
 
@@ -171,6 +172,26 @@ def test_cup_of_top_codimension_raises():
         divisor_cup(alpha_divisor(2), MinkowskiWeight(2, 2, {(): 1}))
     with pytest.raises(ValueError):
         divisor_cup(alpha_divisor(3), fundamental_weight(2))
+
+
+@pytest.mark.parametrize("name", ["k4", "fano", "free-6", "k5"])
+def test_cup_chain_matches_the_global_sweep_cup_by_cup(monkeypatch, name):
+    # k5 is above the geometry limit, so cup_chain is called directly.
+    cups = []
+
+    def checked(d, weight):
+        got = divisor_cup(d, weight)
+        assert got == oracle_divisor_cup(d, weight)
+        cups.append(got)
+        return got
+
+    monkeypatch.setattr(validation, "divisor_cup", checked)
+    matroid = corpus.build(name)
+    r = matroid.full_rank - 1
+    _, degrees = cup_chain(bergman_weight(matroid))
+    assert degrees == list(mu_vector_mobius(matroid))
+    # r alpha-cups, then k beta-cups for each degree k.
+    assert len(cups) == r * (r + 3) // 2
 
 
 def test_cup_detects_unbalanced_weight():
