@@ -183,23 +183,18 @@ def bergman_weight(matroid: Matroid) -> MinkowskiWeight:
     n = matroid.size - 1
     strata, covered_by = matroid.flat_strata()
     r = len(strata) - 2
-    top = strata[-1][0]
-    covers_up: dict[int, list[int]] = {f: [] for level in strata for f in level}
-    for g, parents in covered_by.items():
-        for f in parents:
-            covers_up[f].append(g)
-
     weights: dict[Flag, int] = {}
 
-    def extend(chain: tuple[int, ...], f: int, depth: int) -> None:
-        if depth == r:
+    # Down from the top, a chain of r proper flats ends at rank 1: the
+    # bottom is only ever below its last flat, never in it.
+    def extend(chain: Flag, g: int) -> None:
+        if len(chain) == r:
             weights[chain] = 1
             return
-        for g in covers_up[f]:
-            if g != top:
-                extend(chain + (g,), g, depth + 1)
+        for f in covered_by[g]:
+            extend((f,) + chain, f)
 
-    extend((), strata[0][0], 0)
+    extend((), strata[-1][0])
     return MinkowskiWeight(n, n - r, weights)
 
 

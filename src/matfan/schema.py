@@ -19,6 +19,7 @@ from typing import Any
 from . import linalg
 from .fan import MinkowskiWeight
 from .intersect import PairingTerm
+from .masks import EXHAUSTIVE_SCAN_LIMIT
 from .matroid import (
     BasesMatroid,
     FreeMatroid,
@@ -88,8 +89,8 @@ def load_matroid(data: Any) -> Matroid:
     """Build a matroid from a parsed JSON document.
 
     Rank-table and bases inputs are checked exactly against the rank
-    axioms before use, up to 21 elements, and rejected with the
-    witnessing subset(s) on failure.
+    axioms before use, so they may have at most 21 elements, and are
+    rejected with the witnessing subset(s) on failure.
     """
     if not isinstance(data, dict):
         raise InputError("matroid document must be a JSON object")
@@ -140,6 +141,10 @@ def load_matroid(data: Any) -> Matroid:
             return matroid
         if kind == "rank_table":
             size = _require(data, "n", int)
+            if not 1 <= size <= EXHAUSTIVE_SCAN_LIMIT:
+                raise InputError(f"rank table n={size} is outside 1..{EXHAUSTIVE_SCAN_LIMIT}: "
+                                 f"tables are checked over every subset, which caps "
+                                 f"them at {EXHAUSTIVE_SCAN_LIMIT} elements")
             ranks = _int_list(data, "ranks")
             witness = validate_rank_table(size, ranks)
             if witness is not None:

@@ -7,14 +7,13 @@ The subject of every report is the simplification of the input matroid
 coefficient sequence is unchanged by that, and the fan constructions
 require looplessness anyway.
 
-The two geometric routes build Bergman fans cone by cone, so they are
-only run for ground sets of at most 9 elements (n <= 8 in fan coordinates);
-beyond that the lattice-based routes still run and the report marks the
-geometric ones as skipped.  Above the limit run_check still builds the
-Bergman weight of the subject, at any size, and runs check_balancing on
-it to fill balancing_violations; free-10 takes that path.  The
-Welsh-Mason identity (independent-set counts against the free
-coextension) scans every subset, so above 21 elements it is skipped too.
+out_of_reach is the one size gate of run_check and mu_report.  The
+geometric routes (divisor, displacement) build Bergman fans cone by
+cone, so they need at most 9 elements (n <= 8 in fan coordinates); the
+Welsh-Mason identity scans every subset, so it needs at most 21.  The
+report lists each step it skips.  Without the divisor route, run_check
+still builds the Bergman weight at any size and runs check_balancing
+on it to fill balancing_violations; free-10 takes that path.
 """
 
 from __future__ import annotations
@@ -180,6 +179,16 @@ def mu_vector_displacement(matroid: Matroid, seed: int = 0) -> tuple[int, ...]:
     return tuple(displacement_levels(matroid, random.Random(seed))[0])
 
 
+def out_of_reach(simple: Matroid) -> list[str]:
+    """The report steps a simple matroid is too large for, in report order."""
+    blocked = []
+    if simple.size - 1 > GEOMETRY_LIMIT:
+        blocked += ["divisor", "displacement"]
+    if simple.size > EXHAUSTIVE_SCAN_LIMIT:
+        blocked.append("welsh_mason")
+    return blocked
+
+
 def run_check(
     matroid: Matroid,
     seed: int = 0,
@@ -193,9 +202,9 @@ def run_check(
     between runs unless ``timings`` is set.
     """
     simple, note = _subject(matroid)
-    n = simple.size - 1
     r = simple.full_rank - 1
-    geometry_ok = n <= GEOMETRY_LIMIT
+    blocked = out_of_reach(simple) + (["displacement"] if skip_displacement else [])
+    skipped = [step for step in ("divisor", "displacement", "welsh_mason") if step in blocked]
 
     report: dict = {
         "name": matroid.name,
@@ -223,47 +232,37 @@ def run_check(
 
         report["char_poly"] = poly.to_decimal_strings()
         report["reduced"] = reduced.to_decimal_strings()
-        methods: dict[str, Optional[list[int]]] = {
-            "mobius": list(mu_mobius),
-            "flags": list(mu_flags),
-        }
-        skipped: list[str] = []
+        mu = {"mobius": list(mu_mobius), "flags": list(mu_flags)}
 
         t0 = clock()
         base_weight = bergman_weight(simple)
-        # Within the geometry limit every weight is cupped next (or has
-        # top codimension), and the cup runs the balancing test on each
-        # facet itself, raising NotBalancedError.
-        balancing_failures = [] if geometry_ok else [
+        # The divisor route cups every weight next (or it has top codimension),
+        # and the cup tests balancing on each facet, raising NotBalancedError.
+        balancing_failures = [
             {"cone": list(v.tau), "excess": list(v.excess)}
             for v in check_balancing(base_weight)
-        ]
+        ] if "divisor" in skipped else []
         spent["balancing"] = clock() - t0
 
-        truncation_identity = True
-        if geometry_ok:
+        truncation_identity = None
+        if "divisor" not in skipped:
             # j alpha-cups into the chain equal the fan of the
             # (r-j)-truncation.
             t0 = clock()
-            chain, mu_divisor = cup_chain(base_weight)
+            chain, mu["divisor"] = cup_chain(base_weight)
             truncation_identity = all(
                 chain[j] == bergman_weight(simple.truncate(r - j))
                 for j in range(1, r + 1)
             )
-            methods["divisor"] = mu_divisor
             spent["divisor"] = clock() - t0
-        else:
-            skipped.append("divisor")
 
         displacement_detail = []
-        if geometry_ok and not skip_displacement:
+        if "displacement" not in skipped:
             t0 = clock()
-            methods["displacement"], displacement_detail = displacement_levels(
+            mu["displacement"], displacement_detail = displacement_levels(
                 simple, random.Random(seed), trace
             )
             spent["displacement"] = clock() - t0
-        else:
-            skipped.append("displacement")
 
         unreduced = tuple(abs(c) for c in poly.coeffs)
         log_concave = {
@@ -271,43 +270,35 @@ def run_check(
             "unreduced": is_log_concave(unreduced),
         }
         f_vector = mu_coext = welsh_mason = None
-        if simple.size <= EXHAUSTIVE_SCAN_LIMIT:
+        if "welsh_mason" not in skipped:
             t0 = clock()
             f_vector = list(simple.independent_set_counts())
             mu_coext = list(reduced_char_poly(char_poly(simple.free_coextension()))[1])
             welsh_mason = f_vector == mu_coext
             spent["welsh_mason"] = clock() - t0
             log_concave["f_vector"] = is_log_concave(f_vector)
-        else:
-            skipped.append("welsh_mason")
 
-        computed = [tuple(v) for v in methods.values() if v is not None]
-        agreement = all(v == computed[0] for v in computed)
-
-        report["mu"] = {
-            name: methods[name] for name in ("mobius", "flags", "divisor", "displacement")
-            if name in methods
-        }
+        report["mu"] = mu
         if skipped:
             report["skipped"] = skipped
-        report["agreement"] = agreement
+        report["agreement"] = len({tuple(v) for v in mu.values()}) == 1
         report["log_concave"] = all(log_concave.values())
         report["log_concave_detail"] = log_concave
         report["balancing_violations"] = balancing_failures
-        report["truncation_identity"] = truncation_identity if geometry_ok else None
+        report["truncation_identity"] = truncation_identity
         report["f_vector"] = f_vector
         report["mu_coextension"] = mu_coext
         report["welsh_mason"] = welsh_mason
         if displacement_detail:
             report["displacement_detail"] = displacement_detail
 
-        if not agreement:
+        if not report["agreement"]:
             failures.append("method disagreement")
         if not all(log_concave.values()):
             failures.append("log-concavity failure")
         if balancing_failures:
             failures.append("balancing violation")
-        if geometry_ok and not truncation_identity:
+        if truncation_identity is False:
             failures.append("truncation identity failure")
         if welsh_mason is False:
             failures.append("independent-set count mismatch")
@@ -323,36 +314,30 @@ def run_check(
     return CheckResult(report, ok=not failures)
 
 
+# Names resolve at call time, so wrappers installed on this module see them.
+_ROUTES = {
+    "mobius": lambda simple, seed: reduced_char_poly(char_poly(simple))[1],
+    "flags": lambda simple, seed: count_descending_flags(simple),
+    "displacement": lambda simple, seed: mu_vector_displacement(simple, seed=seed),
+    "divisor": lambda simple, seed: mu_vector_divisors(simple),
+}
+
+
 def mu_report(matroid: Matroid, method: str, seed: int = 0) -> dict:
     """Coefficient vector(s) by the requested method(s)."""
     if method != "all" and method not in MU_METHODS:
         raise ValueError(f"unknown method {method!r}; expected 'all' or one of {MU_METHODS}")
     simple, note = _subject(matroid)
-    geometry_ok = simple.size - 1 <= GEOMETRY_LIMIT
+    blocked = out_of_reach(simple)
+    if method in blocked:
+        raise InputError(f"{method} needs a ground set of at most {GEOMETRY_LIMIT + 1} "
+                         f"elements after simplification; {matroid.name} has {simple.size}")
     wanted = MU_METHODS if method == "all" else (method,)
+    skipped = [name for name in wanted if name in blocked]
+    mu = {name: None if name in skipped else list(_ROUTES[name](simple, seed))
+          for name in wanted}
 
-    values: dict[str, Optional[list[int]]] = {}
-    skipped = []
-    for name in wanted:
-        if name in ("displacement", "divisor") and not geometry_ok:
-            if method == "all":
-                values[name] = None
-                skipped.append(name)
-                continue
-            raise InputError(
-                f"{name} needs a ground set of at most {GEOMETRY_LIMIT + 1} elements "
-                f"after simplification; {matroid.name} has {simple.size}"
-            )
-        if name == "mobius":
-            values[name] = list(reduced_char_poly(char_poly(simple))[1])
-        elif name == "flags":
-            values[name] = list(count_descending_flags(simple))
-        elif name == "displacement":
-            values[name] = list(mu_vector_displacement(simple, seed=seed))
-        else:
-            values[name] = list(mu_vector_divisors(simple))
-
-    report = {"name": matroid.name, "method": method, "mu": values}
+    report = {"name": matroid.name, "method": method, "mu": mu}
     if skipped:
         report["skipped"] = skipped
     if note:

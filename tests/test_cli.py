@@ -344,6 +344,40 @@ def test_check_command_large_input_skips_geometry(tmp_path, capsys):
     assert report["mu"]["mobius"] == [1, 9, 26, 24]
 
 
+def test_one_gate_decides_for_check_and_mu(monkeypatch):
+    # k4 is inside every limit; blocking its geometric routes through the
+    # gate alone must reach both reports.
+    monkeypatch.setattr(validation, "out_of_reach", lambda simple: ["divisor", "displacement"])
+    k4 = load_matroid(K4_DOC)
+    report = validation.run_check(k4).report
+    assert report["skipped"] == ["divisor", "displacement"]
+    assert list(report["mu"]) == ["mobius", "flags"]
+    assert report["truncation_identity"] is None
+    assert report["welsh_mason"] is True
+    mu = validation.mu_report(k4, "all")
+    assert mu["skipped"] == ["displacement", "divisor"]
+    assert mu["mu"] == {"mobius": [1, 5, 6], "flags": [1, 5, 6],
+                        "displacement": None, "divisor": None}
+    with pytest.raises(InputError, match="divisor needs a ground set"):
+        validation.mu_report(k4, "divisor")
+
+
+@pytest.mark.parametrize("rank, size, blocked", [
+    (3, 9, []),
+    (3, 10, ["divisor", "displacement"]),
+    (2, 21, ["divisor", "displacement"]),
+    (2, 22, ["divisor", "displacement", "welsh_mason"]),
+])
+def test_gate_boundaries(rank, size, blocked):
+    assert validation.out_of_reach(UniformMatroid(rank, size)) == blocked
+
+
+def test_skip_displacement_above_the_limit_lists_it_once():
+    report = validation.run_check(load_matroid(K5_DOC), skip_displacement=True).report
+    assert report["skipped"] == ["divisor", "displacement"]
+    assert report["pass"] is True
+
+
 def test_bad_input_exit_code(tmp_path, capsys):
     path = write_doc(tmp_path, "bad.json",
                      {"type": "rank_table", "n": 3,
@@ -419,6 +453,19 @@ def test_oversized_bases_document_exit_code(tmp_path, capsys):
     code, out, err = run_cli(capsys, "check", path)
     assert (code, out) == (2, "")
     assert "refusing exhaustive scan" in err
+
+
+@pytest.mark.parametrize("n", [10**12, 10**8, -1, 22])
+def test_rank_table_size_is_checked_before_the_table(tmp_path, capsys, n):
+    # The table check shifts by n: unchecked, these ended in a
+    # MemoryError, a digit-limit error, a negative shift count and a
+    # 4,194,304-entry count.
+    path = write_doc(tmp_path, "big.json", {"type": "rank_table", "n": n, "ranks": [0]})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "check", path)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "caps them at 21 elements" in err
 
 
 @pytest.mark.parametrize("rank, size, mu", [
