@@ -10,13 +10,14 @@ The backends trust their input; validate_rank_table checks an explicit
 table (or a basis list's rank function) against the rank axioms exactly.
 
 Only the backends whose rank computation does real work memoize rank
-values, one dict per instance: graphic, linear, bases, rank table and
-relabelled.  Uniform and free matroids keep no memo, and neither do the
-wrappers that adjust one call to their base's rank (truncation, dual,
-free extension, free coextension), so a chain of wrappers reads the memo
-of the backend underneath.  Instances are immutable after construction
-and a memo dict is only written under CPython's GIL, so concurrent
-readers are safe.  All arithmetic is exact.
+values, one dict per instance: graphic, linear, bases and relabelled.
+A rank table keeps no memo, since its rank is one list index and a memo
+would only copy the table.  Uniform and free matroids keep no memo, and
+neither do the wrappers that adjust one call to their base's rank
+(truncation, dual, free extension, free coextension), so a chain of
+wrappers reads the memo of the backend underneath.  Instances are
+immutable after construction and a memo dict is only written under
+CPython's GIL, so concurrent readers are safe.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -121,7 +122,10 @@ class Matroid:
         cover through x holds the y with rank(F + x + y) = k + 1.  Each
         cover is grown once, from its lowest element x, and tests only the
         elements no earlier cover of F took, so each pair {x, y} outside F
-        is tested at most once.
+        is tested at most once.  Each parent is appended to the list of each
+        of its covers, with no set and no sort: the flats of a level are
+        scanned in ascending order and each cover of F is found once, so
+        every covered_by list comes out ascending and without repeats.
         """
         if self._strata_cache is None:
             rank = self.rank
@@ -132,7 +136,7 @@ class Matroid:
             top = self.ground_mask
             while current != [top]:
                 cover_rank = len(strata)
-                nxt: dict[int, set[int]] = {}
+                nxt: dict[int, list[int]] = {}
                 for f in current:
                     rest = top & ~f
                     while rest:
@@ -145,12 +149,11 @@ class Matroid:
                             others ^= y
                             if rank(fx | y) == cover_rank:
                                 g |= y
-                        nxt.setdefault(g, set()).add(f)
+                        nxt.setdefault(g, []).append(f)
                         rest &= ~g
                 current = sorted(nxt)
                 strata.append(current)
-                for g, parents in nxt.items():
-                    covered_by[g] = sorted(parents)
+                covered_by.update(nxt)
             self._strata_cache = (strata, covered_by)
         return self._strata_cache
 
@@ -384,6 +387,8 @@ class RankTableMatroid(Matroid):
     The constructor checks only shape; run validate_rank_table on
     untrusted tables to confirm the rank axioms.
     """
+
+    _memoize_rank = False
 
     def __init__(self, size: int, ranks: Sequence[int], name: str | None = None):
         super().__init__(size, name or f"table({size})")

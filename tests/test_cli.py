@@ -114,6 +114,22 @@ def test_load_rejects_bad_rank_table_with_witness():
     assert "unit increase" in str(exc.value)
 
 
+def test_k6_checks_alike_as_a_graph_and_as_a_rank_table():
+    # 15 elements: above the geometry limit, so a rank table with no memo
+    # goes through balancing and the Welsh-Mason coextension.
+    k6_doc = {"type": "graphic", "vertices": 6,
+              "edges": [[u, v] for u in range(6) for v in range(u + 1, 6)]}
+    graph = load_matroid(k6_doc)
+    table = load_matroid({"type": "rank_table", "n": graph.size,
+                          "ranks": graph.rank_table()})
+    reports = [validation.run_check(m).report for m in (graph, table)]
+    for report in reports:
+        assert report.pop("name")
+    assert reports[0] == reports[1]
+    assert reports[0]["welsh_mason"] is True
+    assert reports[0]["pass"] is True
+
+
 def test_load_matroid_file_errors(tmp_path):
     with pytest.raises(InputError):
         load_matroid_file(str(tmp_path / "missing.json"))

@@ -1,5 +1,6 @@
 """Rank oracles, flats, and the standard constructions."""
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -235,6 +236,12 @@ def test_rank_memos_live_only_in_backends_that_compute():
         w.flat_strata()
         assert w.base is g
         assert w._rank_cache is None
+    # A rank table's rank is one list index; a memo would copy the table.
+    t = RankTableMatroid(g.size, g.rank_table())
+    t.flat_strata()
+    assert t._rank_cache is None
+    t.rank_table()
+    assert t._rank_cache is None
 
 
 # -- closure and flats -----------------------------------------------------
@@ -268,6 +275,23 @@ def test_flat_strata_k4():
         for f in parents:
             assert rank_of[g] == rank_of[f] + 1
             assert f & g == f
+
+
+def test_flat_strata_peak_stays_near_what_it_keeps():
+    # K6's free coextension has 3,135 flats.  With the graphic memo warm,
+    # building its lattice should allocate little beyond the strata and
+    # cover lists it returns.
+    k6 = GraphicMatroid(6, list(combinations(range(6), 2)))
+    k6.rank_table()
+    c = k6.free_coextension()
+    tracemalloc.start()
+    try:
+        strata, _ = c.flat_strata()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, strata)) == 3135
+    assert peak <= 1.5 * held, (peak, held)
 
 
 @st.composite
