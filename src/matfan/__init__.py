@@ -32,10 +32,9 @@ from .intersect import (
     DisplacementVector,
     NotBalancedError,
     PairingTerm,
-    PLDivisor,
-    alpha_divisor,
+    alpha,
+    beta,
     cone_displacement_intersect,
-    cremona_pullback_divisor,
     default_displacement,
     degree_pairing,
     divisor_cup,
@@ -73,18 +72,17 @@ __all__ = [
     "MinkowskiWeight",
     "NonDivisibleError",
     "NotBalancedError",
-    "PLDivisor",
     "PairingTerm",
     "RankTableMatroid",
     "UniformMatroid",
-    "alpha_divisor",
+    "alpha",
     "bergman_weight",
+    "beta",
     "char_poly",
     "check_balancing",
     "cone_displacement_intersect",
     "count_descending_flags",
     "cremona_flag",
-    "cremona_pullback_divisor",
     "cremona_pullback_weight",
     "default_displacement",
     "degree_pairing",

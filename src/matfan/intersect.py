@@ -4,7 +4,8 @@ degree pairing.  Both give independent geometric routes to the reduced
 characteristic-polynomial coefficients, and both use only integer
 arithmetic on flag cones.
 
-A divisor is stored by its value on each ray.  Cupping a divisor against
+A divisor is a rule: its value on the ray of each proper nonempty
+subset, read from the subset's mask.  Cupping a divisor against
 a codimension-k weight produces a codimension-(k+1) weight supported on
 facets of the original support.  As Allermann and Rau define it, the
 value on a facet comes from its star: minus the weighted divisor values
@@ -36,11 +37,10 @@ import math
 import random
 from fractions import Fraction
 from itertools import accumulate, product
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .fan import (
     Flag,
-    Frozen,
     MinkowskiWeight,
     SizeGradedFlags,
     bergman_weight,
@@ -64,86 +64,46 @@ class DegenerateDisplacementError(Exception):
     """The displacement vector ties with a cone boundary; retry with a new one."""
 
 
-class PLDivisor(Frozen):
-    """Piecewise-linear divisor: an integer value on every ray.
-
-    Rays are proper nonempty subsets of the ground set; missing entries
-    read as zero, so sparse dicts define total functions.
-    """
-
-    __slots__ = ("n", "ray_values")
-
-    def __init__(self, n: int, ray_values: dict[int, int]):
-        top = full_mask(n + 1)
-        for mask in ray_values:
-            if mask <= 0 or mask >= top:
-                raise ValueError(f"ray {bin(mask)} is not a proper nonempty subset")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ray_values", ray_values)
-
-    def value(self, mask: int) -> int:
-        return self.ray_values.get(mask, 0)
-
-    def __add__(self, other: "PLDivisor") -> "PLDivisor":
-        if self.n != other.n:
-            raise ValueError("divisors live on different fans")
-        merged = dict(self.ray_values)
-        for mask, value in other.ray_values.items():
-            merged[mask] = merged.get(mask, 0) + value
-        return PLDivisor(self.n, {m: v for m, v in merged.items() if v})
-
-    def __neg__(self) -> "PLDivisor":
-        return PLDivisor(self.n, {m: -v for m, v in self.ray_values.items()})
-
-    def __sub__(self, other: "PLDivisor") -> "PLDivisor":
-        return self + (-other)
-
-    def to_json(self) -> dict:
-        return {"rays": {str(mask): value for mask, value in sorted(self.ray_values.items())}}
+def alpha(mask: int) -> int:
+    """The divisor of min(0, x_1, ..., x_n) on the ray of a proper
+    nonempty subset: -1 when the subset contains element 0, else 0."""
+    return -(mask & 1)
 
 
-def alpha_divisor(n: int) -> PLDivisor:
-    """The divisor of min(0, x_1, ..., x_n): -1 on rays through 0, else 0.
-
-    A ray's incidence vector has a -1 coordinate exactly when the subset
-    contains element 0, and the minimum formula is linear on every flag
-    cone with these ray values.
-    """
-    return PLDivisor(n, {mask: -1 for mask in range(1, full_mask(n + 1)) if mask & 1})
+def beta(mask: int) -> int:
+    """alpha pulled back along negation, x -> -x: alpha's value on the
+    complementary ray, so -1 when the subset misses element 0, else 0."""
+    return (mask & 1) - 1
 
 
-def cremona_pullback_divisor(d: PLDivisor) -> PLDivisor:
-    """Precompose with negation: the value on a ray is the old value on
-    the complementary ray."""
-    top = full_mask(d.n + 1)
-    return PLDivisor(d.n, {top ^ mask: v for mask, v in d.ray_values.items() if v})
-
-
-def divisor_cup(d: PLDivisor, weight: MinkowskiWeight) -> MinkowskiWeight:
-    """Cup product: push a codim-k weight to codim k+1.
+def divisor_cup(d: Callable[[int], int], weight: MinkowskiWeight) -> MinkowskiWeight:
+    """Cup product of the divisor with ray values d(mask), for proper
+    nonempty masks, against a codim-k weight: a codim-(k+1) weight.
 
     The value on a facet tau adds one term per gap of tau that the
     supported cones above it fill (see facet_groups): with W the gap's
     total weight and c its level on the block between low and high,
     (W - c) d(low) + c d(high) minus the weighted values of the inserted
-    rays, where d reads 0 on the empty set and on the whole ground set.
+    rays.  A gap end that is the empty set or the whole ground set is no
+    ray, so its term is 0 and d is never called on it.
     A gap with no level is a balancing failure: after the sweep,
     NotBalancedError names the least such facet.
     """
     n = weight.n
-    if d.n != n:
-        raise ValueError("divisor and weight live on different fans")
     if weight.codim >= n:
         raise ValueError("weight already has top codimension")
+    top = full_mask(n + 1)
     out: dict[Flag, int] = {}
     bad = []
     for tau, low, high, above, level in facet_groups(weight):
         if level is None:
             bad.append(tau)
             continue
-        total = sum(w for _, w in above)
-        inserted = sum(d.value(s) * w for s, w in above)
-        value = (total - level) * d.value(low) + level * d.value(high) - inserted
+        value = -sum(d(s) * w for s, w in above)
+        if low:
+            value += (sum(w for _, w in above) - level) * d(low)
+        if high != top:
+            value += level * d(high)
         out[tau] = out.get(tau, 0) + value
     if bad:
         raise NotBalancedError(min(bad))

@@ -15,7 +15,10 @@ A rank table keeps no memo, since its rank is one list index and a memo
 would only copy the table.  Uniform and free matroids keep no memo, and
 neither do the wrappers that adjust one call to their base's rank
 (truncation, dual, free extension, free coextension), so a chain of
-wrappers reads the memo of the backend underneath.  Instances are
+wrappers reads the memo of the backend underneath.  A relabelling
+(simplify's result) keeps its own memo and computes its misses through
+its input's rank computation, not its input's memo: each of its masks
+names one input mask, so that memo would hold a second copy.  Instances are
 immutable after construction and a memo dict is only written under
 CPython's GIL, so concurrent readers are safe.  All arithmetic is exact.
 """
@@ -444,7 +447,9 @@ class RelabeledMatroid(Matroid):
         self.kept = list(kept)
 
     def _rank_impl(self, mask: int) -> int:
-        return self.base.rank(mask_of(self.kept[e] for e in elements_of(mask)))
+        # Past the base's memo: this memo already answers repeated masks,
+        # and the relabelling is injective, so the base's would only copy it.
+        return self.base._rank_impl(mask_of(self.kept[e] for e in elements_of(mask)))
 
 
 class FreeExtensionMatroid(Matroid):

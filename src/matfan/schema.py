@@ -33,7 +33,7 @@ from .matroid import (
 
 MATROID_TYPES = ("uniform", "free", "graphic", "linear", "bases", "rank_table")
 
-_GF_RE = re.compile(r"^GF\((\d+)\)$")
+_GF_RE = re.compile(r"GF\(([0-9]+)\)")
 # "a/b" or an integer.  Fraction alone would also take decimals and
 # exponents, and build a billion-digit integer from "1e999999999".
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -120,7 +120,7 @@ def load_matroid(data: Any) -> Matroid:
             if label == "Q":
                 field = None
             else:
-                m = _GF_RE.match(label)
+                m = _GF_RE.fullmatch(label)
                 if not m:
                     raise InputError(f"unknown field {label!r}; use \"Q\" or \"GF(p)\"")
                 field = int(m.group(1))

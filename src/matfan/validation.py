@@ -33,8 +33,8 @@ from .intersect import (
     DegenerateDisplacementError,
     DisplacementVector,
     PairingTerm,
-    alpha_divisor,
-    cremona_pullback_divisor,
+    alpha,
+    beta,
     default_displacement,
     displacement_weights,
     divisor_cup,
@@ -126,10 +126,7 @@ def cup_chain(base: MinkowskiWeight) -> tuple[list[MinkowskiWeight], list[int]]:
     at r-k with k beta-cups.  Every cup tests balancing on each facet it
     visits and raises NotBalancedError on the first failure.
     """
-    n = base.n
-    r = n - base.codim
-    alpha = alpha_divisor(n)
-    beta = cremona_pullback_divisor(alpha)
+    r = base.n - base.codim
     chain = [base]
     for _ in range(r):
         chain.append(divisor_cup(alpha, chain[-1]))

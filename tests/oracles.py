@@ -17,7 +17,9 @@ one facet map over every gap at once, the flag-cone span test, and the
 divisor cup read off each facet's whole ray-sum.  Production uses
 the structure of flag cones instead (one block per gap, spanning trees,
 located pairs), and these check it.
-The nef helpers evaluate divisors for tests only.
+Divisors as ray tables (PLDivisor, alpha_divisor, the Cremona pullback)
+live here too: the reference for the library's divisor rules, with the
+nef helpers that evaluate them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from itertools import accumulate, combinations, permutations
 from math import lcm
 
 from matfan import linalg
-from matfan.fan import MinkowskiWeight, fundamental_weight, incidence_vector
+from matfan.fan import Frozen, MinkowskiWeight, fundamental_weight, incidence_vector
 from matfan.intersect import (
     NotBalancedError,
     PairingTerm,
@@ -587,12 +589,11 @@ def facet_ray_sums(weight):
 
 def oracle_divisor_cup(d, weight):
     """The cup product by the global sweep: minus the weighted divisor
-    values of the inserted rays plus the divisor's tau-linear value on the
-    whole ray-sum, written in tau's generators.  Raises NotBalancedError
-    at the first facet, in sorted order, whose ray-sum leaves its span."""
+    values d(mask) of the inserted rays plus the divisor's tau-linear
+    value on the whole ray-sum, written in tau's generators.  Raises
+    NotBalancedError at the first facet, in sorted order, whose ray-sum
+    leaves its span."""
     n = weight.n
-    if d.n != n:
-        raise ValueError("divisor and weight live on different fans")
     if weight.codim >= n:
         raise ValueError("weight already has top codimension")
     out = {}
@@ -600,8 +601,8 @@ def oracle_divisor_cup(d, weight):
         coeffs = flag_span_coefficients(n, tau, total)
         if coeffs is None:
             raise NotBalancedError(tau)
-        inserted = sum(d.value(removed) * w for removed, w in above)
-        value = sum(c * d.value(mask) for c, mask in zip(coeffs, tau)) - inserted
+        inserted = sum(d(removed) * w for removed, w in above)
+        value = sum(c * d(mask) for c, mask in zip(coeffs, tau)) - inserted
         if value:
             out[tau] = value
     return MinkowskiWeight(n, weight.codim + 1, out)
@@ -609,16 +610,73 @@ def oracle_divisor_cup(d, weight):
 
 # -- divisors on the complete fan ----------------------------------------
 
+class PLDivisor(Frozen):
+    """Piecewise-linear divisor as a table: an integer value on every ray.
+
+    Rays are proper nonempty subsets of the ground set; missing entries
+    read as zero, so sparse dicts define total functions.  The library
+    takes divisors as rules (intersect.alpha, intersect.beta); these
+    tables are the reference the rules are checked against.
+    """
+
+    __slots__ = ("n", "ray_values")
+
+    def __init__(self, n, ray_values):
+        top = full_mask(n + 1)
+        for mask in ray_values:
+            if mask <= 0 or mask >= top:
+                raise ValueError(f"ray {bin(mask)} is not a proper nonempty subset")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ray_values", ray_values)
+
+    def value(self, mask):
+        return self.ray_values.get(mask, 0)
+
+    def __add__(self, other):
+        if self.n != other.n:
+            raise ValueError("divisors live on different fans")
+        merged = dict(self.ray_values)
+        for mask, value in other.ray_values.items():
+            merged[mask] = merged.get(mask, 0) + value
+        return PLDivisor(self.n, {m: v for m, v in merged.items() if v})
+
+    def __neg__(self):
+        return PLDivisor(self.n, {m: -v for m, v in self.ray_values.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def to_json(self):
+        return {"rays": {str(mask): value for mask, value in sorted(self.ray_values.items())}}
+
+
+def alpha_divisor(n):
+    """The divisor of min(0, x_1, ..., x_n): -1 on rays through 0, else 0.
+
+    A ray's incidence vector has a -1 coordinate exactly when the subset
+    contains element 0, and the minimum formula is linear on every flag
+    cone with these ray values.
+    """
+    return PLDivisor(n, {mask: -1 for mask in range(1, full_mask(n + 1)) if mask & 1})
+
+
+def cremona_pullback_divisor(d):
+    """Precompose with negation: the value on a ray is the old value on
+    the complementary ray."""
+    top = full_mask(d.n + 1)
+    return PLDivisor(d.n, {top ^ mask: v for mask, v in d.ray_values.items() if v})
+
+
 def evaluate_in_cone(d, flag, coefficients):
-    """Value of the linear extension of d at sum coefficients[i] * ray_i."""
+    """Value of the linear extension of the ray values d(mask) at
+    sum coefficients[i] * ray_i."""
     if len(flag) != len(coefficients):
         raise ValueError("one coefficient per flag entry")
-    return sum((Fraction(c) * d.value(mask) for c, mask in zip(coefficients, flag)),
-               Fraction(0))
+    return sum((Fraction(c) * d(mask) for c, mask in zip(coefficients, flag)), Fraction(0))
 
 
 def nef_values(d):
-    return divisor_cup(d, fundamental_weight(d.n))
+    return divisor_cup(d.value, fundamental_weight(d.n))
 
 
 def nef_check(d):

@@ -103,6 +103,11 @@ def test_load_rejects_malformed_documents():
         load_matroid({"type": "linear", "field": "GF(4)", "matrix": [[1]]})
     with pytest.raises(InputError):
         load_matroid({"type": "linear", "field": "R", "matrix": [[1]]})
+    # The whole label must match, in ASCII digits: no trailing newline,
+    # no Arabic-Indic three.
+    for label in ("GF(2)\n", "GF(\u0663)"):
+        with pytest.raises(InputError, match="unknown field"):
+            load_matroid({"type": "linear", "field": label, "matrix": [[1]]})
     with pytest.raises(InputError):
         load_matroid({"type": "linear", "field": "GF(2)", "matrix": [["1/2"]]})
 

@@ -1,6 +1,7 @@
 """Divisors, cup products, and the displacement-rule pairing."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,10 +22,9 @@ from matfan.intersect import (
     DegenerateDisplacementError,
     DisplacementVector,
     NotBalancedError,
-    PLDivisor,
-    alpha_divisor,
+    alpha,
+    beta,
     cone_displacement_intersect,
-    cremona_pullback_divisor,
     default_displacement,
     degree_pairing,
     displacement_weights,
@@ -32,6 +32,7 @@ from matfan.intersect import (
     pairing_terms,
     perturbed_displacement,
 )
+from matfan.masks import full_mask
 from matfan.matroid import FreeMatroid, UniformMatroid
 from matfan.validation import (
     certified_terms,
@@ -43,6 +44,9 @@ from matfan.validation import (
 )
 
 from oracles import (
+    PLDivisor,
+    alpha_divisor,
+    cremona_pullback_divisor,
     displacement_reference,
     evaluate_in_cone,
     flag_generators,
@@ -57,11 +61,13 @@ from oracles import (
 # -- piecewise-linear divisors ------------------------------------------------
 
 
+def nonzero_rays(rule, n):
+    return {mask: rule(mask) for mask in range(1, full_mask(n + 1)) if rule(mask)}
+
+
 def test_alpha_divisor_ray_values():
-    a = alpha_divisor(2)
-    assert a.ray_values == {0b001: -1, 0b011: -1, 0b101: -1}
-    assert a.value(0b010) == 0
-    assert a.value(0b001) == -1
+    assert nonzero_rays(alpha, 2) == {0b001: -1, 0b011: -1, 0b101: -1}
+    assert alpha(0b010) == 0
 
 
 def test_divisor_rejects_improper_rays():
@@ -88,11 +94,19 @@ def test_divisor_json():
 
 
 def test_cremona_pullback_divisor():
-    beta = cremona_pullback_divisor(alpha_divisor(2))
     # Value on a ray is alpha on the complement: -1 exactly off 0.
-    assert beta.ray_values == {0b110: -1, 0b100: -1, 0b010: -1}
-    again = cremona_pullback_divisor(beta)
-    assert again.ray_values == alpha_divisor(2).ray_values
+    assert nonzero_rays(beta, 2) == {0b110: -1, 0b100: -1, 0b010: -1}
+    assert all(beta(mask) == alpha(0b111 ^ mask) for mask in range(1, 0b111))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rules_match_the_ray_tables(n):
+    table = alpha_divisor(n)
+    pulled = cremona_pullback_divisor(table)
+    assert cremona_pullback_divisor(pulled) == table
+    masks = range(1, full_mask(n + 1))
+    assert [alpha(mask) for mask in masks] == [table.value(mask) for mask in masks]
+    assert [beta(mask) for mask in masks] == [pulled.value(mask) for mask in masks]
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,12 +121,12 @@ def test_alpha_evaluates_to_the_minimum_formula(data):
               for _ in flag]
     gens = flag_generators(n, flag)
     point = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(n)]
-    assert evaluate_in_cone(alpha_divisor(n), flag, coeffs) == min_formula(point)
+    assert evaluate_in_cone(alpha, flag, coeffs) == min_formula(point)
 
 
 def test_evaluate_in_cone_shape_check():
     with pytest.raises(ValueError):
-        evaluate_in_cone(alpha_divisor(2), (0b001,), (1, 2))
+        evaluate_in_cone(alpha, (0b001,), (1, 2))
 
 
 # -- cup products ---------------------------------------------------------------
@@ -138,15 +152,13 @@ def test_cup_is_linear_in_the_divisor():
     w = bergman_weight(corpus.build("k4"))
     a = alpha_divisor(w.n)
     b = cremona_pullback_divisor(a)
-    both = divisor_cup(a + b, w)
-    assert both == divisor_cup(a, w) + divisor_cup(b, w)
+    both = divisor_cup((a + b).value, w)
+    assert both == divisor_cup(a.value, w) + divisor_cup(b.value, w)
 
 
 def test_cups_commute():
     w = bergman_weight(corpus.build("u-3-5"))
-    a = alpha_divisor(w.n)
-    b = cremona_pullback_divisor(a)
-    assert divisor_cup(a, divisor_cup(b, w)) == divisor_cup(b, divisor_cup(a, w))
+    assert divisor_cup(alpha, divisor_cup(beta, w)) == divisor_cup(beta, divisor_cup(alpha, w))
 
 
 def test_cup_truncation_identity():
@@ -154,24 +166,21 @@ def test_cup_truncation_identity():
         matroid = corpus.build(name)
         r = matroid.full_rank - 1
         w = bergman_weight(matroid)
-        cupped = divisor_cup(alpha_divisor(w.n), w)
+        cupped = divisor_cup(alpha, w)
         assert cupped == bergman_weight(matroid.truncate(r - 1))
 
 
 def test_alpha_chain_ends_at_the_point():
     n = 2
     w = fundamental_weight(n)
-    a = alpha_divisor(n)
     for _ in range(n):
-        w = divisor_cup(a, w)
+        w = divisor_cup(alpha, w)
     assert w.weights == {(): 1}
 
 
 def test_cup_of_top_codimension_raises():
     with pytest.raises(ValueError):
-        divisor_cup(alpha_divisor(2), MinkowskiWeight(2, 2, {(): 1}))
-    with pytest.raises(ValueError):
-        divisor_cup(alpha_divisor(3), fundamental_weight(2))
+        divisor_cup(alpha, MinkowskiWeight(2, 2, {(): 1}))
 
 
 @pytest.mark.parametrize("name", ["k4", "fano", "free-6", "k5"])
@@ -197,7 +206,7 @@ def test_cup_chain_matches_the_global_sweep_cup_by_cup(monkeypatch, name):
 def test_cup_detects_unbalanced_weight():
     lone = MinkowskiWeight(2, 0, {(0b010, 0b110): 1})
     with pytest.raises(NotBalancedError) as exc:
-        divisor_cup(alpha_divisor(2), lone)
+        divisor_cup(alpha, lone)
     assert len(exc.value.tau) == 1
 
 
@@ -510,6 +519,26 @@ def test_divisor_route_matches_mobius(name):
     assert mu_vector_divisors(matroid) == mu_vector_mobius(matroid)
 
 
+def test_cup_chain_reads_no_ray_tables():
+    # alpha and beta are rules, so the chain holds only the weights it
+    # builds: tables of all 2^17 rays would take megabytes.
+    base = bergman_weight(UniformMatroid(2, 17))
+    tracemalloc.start()
+    try:
+        _, degrees = cup_chain(base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert degrees == [1, 16]
+    assert peak < 1 << 20
+
+
+def test_divisor_route_at_thirty_one_elements():
+    # 2^30 rays: no ray table of this fan fits in memory.
+    matroid = UniformMatroid(3, 31)
+    assert mu_vector_divisors(matroid) == mu_vector_mobius(matroid) == (1, 30, 435)
+
+
 def test_both_routes_on_the_rational_configuration():
     m = corpus.build("non-fano")
     assert mu_vector_divisors(m) == (1, 6, 9)
@@ -522,7 +551,7 @@ def test_mu_level_bounds():
     chain, degrees = cup_chain(bergman_weight(m))
     assert len(degrees) == m.full_rank
     with pytest.raises(ValueError):
-        divisor_cup(alpha_divisor(chain[-1].n), chain[-1])
+        divisor_cup(alpha, chain[-1])
     with pytest.raises(ValueError):
         displacement_weights(m, 2)
     with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from matfan.matroid import (
     UniformMatroid,
     validate_rank_table,
 )
+from matfan.validation import run_check
 
 from oracles import (
     FANO_MATRIX,
@@ -355,6 +356,17 @@ def test_simplify_drops_loops_and_parallels():
     assert mapping == [None, 0, 0, 1]
     assert simple.is_simple()
     assert simple.full_rank == m.full_rank
+
+
+def test_simplified_input_keeps_no_second_rank_memo():
+    # Twelve simple edges on six vertices, three parallel copies and a loop.
+    edges = list(combinations(range(6), 2))[:12] + [(0, 1), (2, 3), (1, 4), (3, 3)]
+    g = GraphicMatroid(6, edges)
+    result = run_check(g)
+    assert result.ok and result.report["subject_size"] == 12
+    # The relabelled subject memoizes its own ranks; the input's memo keeps
+    # only what simplification asked, not a second copy of the subject's.
+    assert len(g._rank_cache) <= g.size ** 2
 
 
 def test_simplify_rank_zero_raises():

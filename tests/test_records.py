@@ -1,6 +1,7 @@
-"""The record classes of fan, intersect and validation keep their
-constructor forms, equality, immutability and repr, and importing the
-package loads no introspection machinery to declare them."""
+"""The record classes of fan, intersect and validation, and the divisor
+table of the test oracles, keep their constructor forms, equality,
+immutability and repr, and importing the package loads no introspection
+machinery to declare them."""
 
 import os
 import subprocess
@@ -12,8 +13,10 @@ import pytest
 
 import matfan
 from matfan.fan import BalancingViolation, MinkowskiWeight, SizeGradedFlags, permutohedral_weight
-from matfan.intersect import DisplacementVector, PairingTerm, PLDivisor
+from matfan.intersect import DisplacementVector, PairingTerm
 from matfan.validation import CheckResult
+
+from oracles import PLDivisor
 
 
 def test_import_loads_no_introspection_modules():

@@ -24,11 +24,14 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch):
     assert layertrace.installed() == []
     for name in ("fan.permutohedral_weight", "intersect.pairing_terms",
                  "intersect.cone_displacement_intersect", "fan.check_balancing",
+                 "intersect.divisor_cup",
                  "charpoly.char_poly", "charpoly.reduced_char_poly",
                  "charpoly.count_descending_flags"):
         assert tracer.calls[name] > 0, name
     # The tracer reads the fan and intersect records by attribute name
-    # (.weights, .codim, .n, .certified), so a renamed field fails here.
+    # (.weights, .codim, .n, .certified), and its cup hook reads
+    # divisor_cup's (d, weight) arguments, so a renamed field or a changed
+    # parameter list fails here.
     for name in ("fan.bergman_weight.cones", "fan.check_balancing.facets",
-                 "intersect.pairing_terms.certified"):
+                 "intersect.divisor_cup.facets", "intersect.pairing_terms.certified"):
         assert tracer.counts[name] > 0, name
