@@ -321,6 +321,10 @@ def test_check_command_is_byte_stable(tmp_path, capsys):
     (GF2_13_DOC, ["check", "--seed", "0"], "gf2_r4_13_check_seed0.json", None),
     # Above the geometry limit, mu skips in MU_METHODS order, not check's.
     (K5_DOC, ["mu", "--method", "all"], "k5_mu_all.json", None),
+    (K4_DOC, ["charpoly"], "k4_charpoly.json", None),
+    # Element 0 is a loop, so the report names the simplification.
+    ({"type": "rank_table", "n": 2, "ranks": [0, 0, 1, 1]}, ["charpoly"],
+     "loopy_table_charpoly.json", None),
 ])
 def test_reports_match_golden_files(tmp_path, capsys, doc, argv, report, trace):
     path = write_doc(tmp_path, "doc.json", doc)
