@@ -8,7 +8,6 @@ arithmetic is exact (int and Fraction); nothing here floats.
 """
 
 from .charpoly import (
-    IntPolynomial,
     NonDivisibleError,
     char_poly,
     count_descending_flags,
@@ -29,7 +28,6 @@ from .fan import (
 )
 from .intersect import (
     DegenerateDisplacementError,
-    DisplacementVector,
     NotBalancedError,
     PairingTerm,
     alpha,
@@ -61,12 +59,10 @@ __all__ = [
     "BasesMatroid",
     "CheckResult",
     "DegenerateDisplacementError",
-    "DisplacementVector",
     "Flat",
     "FreeMatroid",
     "GraphicMatroid",
     "InputError",
-    "IntPolynomial",
     "LinearMatroid",
     "Matroid",
     "MinkowskiWeight",

@@ -6,9 +6,10 @@ The characteristic polynomial of a loopless matroid of full rank R is
 
 which always vanishes at q = 1.  Dividing by (q - 1) gives the reduced
 polynomial; its coefficients, with signs stripped, are the invariants the
-rest of the library recomputes geometrically.  The same coefficients also
-count initial descending flag chains of flats, computed here by dynamic
-programming over the covering relation.
+rest of the library recomputes geometrically.  A polynomial is the plain
+tuple of its int coefficients, highest degree first.  The same
+coefficients also count initial descending flag chains of flats,
+computed here by dynamic programming over the covering relation.
 
 Both routes read ``Matroid.flat_strata()``.  The Moebius values come from
 the defining recursion (one sum per flat over the flats it contains, in a
@@ -18,56 +19,14 @@ Weisner-style recursion kept in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .masks import iter_elements, min_element
 from .matroid import Matroid
 
 
 class NonDivisibleError(Exception):
     """The alleged characteristic polynomial has a nonzero value at 1."""
-
-
-class IntPolynomial:
-    """Dense univariate polynomial with exact int coefficients.
-
-    Coefficients are stored degree-descending with no leading zeros; the
-    zero polynomial is the empty tuple.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs_desc=()):
-        coeffs = list(coeffs_desc)
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-        if any(not isinstance(c, int) for c in coeffs):
-            raise TypeError("coefficients must be ints")
-        self.coeffs = tuple(coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def divmod_linear(self, root: int) -> tuple["IntPolynomial", int]:
-        """Synthetic division by (q - root); returns (quotient, remainder)."""
-        if self.is_zero():
-            return IntPolynomial(), 0
-        quotient = []
-        acc = 0
-        for c in self.coeffs[:-1]:
-            acc = acc * root + c
-            quotient.append(acc)
-        remainder = acc * root + self.coeffs[-1]
-        return IntPolynomial(quotient), remainder
-
-    def to_decimal_strings(self) -> list[str]:
-        if self.is_zero():
-            return ["0"]
-        return [str(c) for c in self.coeffs]
-
-    def __repr__(self) -> str:
-        return f"IntPolynomial({self.coeffs})"
 
 
 def mobius(strata: list[list[int]]) -> dict[int, int]:
@@ -86,30 +45,33 @@ def mobius(strata: list[list[int]]) -> dict[int, int]:
     return dict(zip(flats, values))
 
 
-def char_poly(matroid: Matroid) -> IntPolynomial:
-    """Characteristic polynomial; the zero polynomial if there are loops."""
+def char_poly(matroid: Matroid) -> tuple[int, ...]:
+    """Characteristic polynomial as its degree-descending coefficients;
+    the empty tuple if there are loops."""
     if matroid.loops():
-        return IntPolynomial()
+        return ()
     strata, _ = matroid.flat_strata()
     mu = mobius(strata)
-    return IntPolynomial([sum(mu[f] for f in level) for level in strata])
+    return tuple(sum(mu[f] for f in level) for level in strata)
 
 
-def reduced_char_poly(poly: IntPolynomial) -> tuple[IntPolynomial, tuple[int, ...]]:
+def reduced_char_poly(poly: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Divide a characteristic polynomial, as ``char_poly`` returns it, by (q - 1).
 
-    Returns (reduced polynomial, coefficient vector): entry k of the
-    vector is (-1)^k times the coefficient of q^(r - k), where r is the
-    reduced degree.  The zero polynomial of a matroid with loops is
+    Returns (reduced polynomial, coefficient vector), both degree-descending:
+    entry k of the vector is (-1)^k times the coefficient of q^(r - k),
+    where r is the reduced degree.  Synthetic division at 1 makes the
+    quotient's coefficients the prefix sums of poly's and the remainder,
+    p(1), their total.  The empty tuple of a matroid with loops is
     refused with ValueError.
     """
-    if poly.is_zero():
+    if not poly:
         raise ValueError("a matroid with loops has no reduced polynomial; simplify first")
-    quotient, remainder = poly.divmod_linear(1)
+    *quotient, remainder = accumulate(poly)
     if remainder != 0:
         raise NonDivisibleError(f"characteristic polynomial has value {remainder} at 1")
-    mu = tuple(c if k % 2 == 0 else -c for k, c in enumerate(quotient.coeffs))
-    return quotient, mu
+    mu = tuple(c if k % 2 == 0 else -c for k, c in enumerate(quotient))
+    return tuple(quotient), mu
 
 
 def mu_vector_mobius(matroid: Matroid) -> tuple[int, ...]:

@@ -167,6 +167,13 @@ def cmd_corpus(args) -> int:
     return PASS if all(r.ok for r in results) else FAIL
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matfan",
@@ -208,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--skip", choices=("displacement",))
     p.add_argument("--timings", action="store_true")
-    p.add_argument("--jobs", type=int, default=max(1, os.cpu_count() or 1),
+    p.add_argument("--jobs", type=positive_int, default=max(1, os.cpu_count() or 1),
                    help="parallel corpus workers (default: CPU count)")
     p.set_defaults(func=cmd_corpus)
 

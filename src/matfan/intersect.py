@@ -27,8 +27,10 @@ when that graph is a spanning tree, so every index is 1.  Genericity is
 certified, never assumed: any exact tie that a sweep over every pair
 would meet (a zero cone coefficient, or a singular-but-consistent
 system) aborts the pairing and the caller retries with a perturbed v.
-Displacement vectors and intersection points are Fractions, scaled to
-integers for the solve; there are no tolerances anywhere.
+So v is certified for two weights exactly when pairing_terms returns.
+A displacement vector is a plain tuple of Fractions, as is an
+intersection point; both are scaled to integers for the solve, and
+there are no tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -113,36 +115,19 @@ def divisor_cup(d: Callable[[int], int], weight: MinkowskiWeight) -> MinkowskiWe
 # -- displacement-rule pairing ------------------------------------------
 
 
-class DisplacementVector:
-    """An exact rational displacement; certified is set after a full
-    pairing sweep finishes with no degeneracy.  Equality reads coords only."""
-
-    __slots__ = ("coords", "certified")
-
-    def __init__(self, coords: tuple[Fraction, ...], certified: bool = False):
-        self.coords, self.certified = coords, certified
-
-    def __eq__(self, other) -> bool:
-        return self.coords == other.coords if other.__class__ is self.__class__ else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"DisplacementVector(coords={self.coords!r}, certified={self.certified!r})"
-
-
-def default_displacement(n: int) -> DisplacementVector:
-    return DisplacementVector(tuple(Fraction(i) for i in range(1, n + 1)))
+def default_displacement(n: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(i) for i in range(1, n + 1))
 
 
 _PERTURB_DEN = 9973
 
 
-def perturbed_displacement(n: int, rng: random.Random) -> DisplacementVector:
+def perturbed_displacement(n: int, rng: random.Random) -> tuple[Fraction, ...]:
     """Strictly increasing positive vector i + t/9973 with random t."""
-    coords = tuple(
+    return tuple(
         Fraction(i * _PERTURB_DEN + rng.randrange(1, _PERTURB_DEN), _PERTURB_DEN)
         for i in range(1, n + 1)
     )
-    return DisplacementVector(coords)
 
 
 class PairingTerm(NamedTuple):
@@ -231,7 +216,7 @@ def cone_displacement_intersect(
 
 
 def pairing_terms(
-    w1: MinkowskiWeight, w2: MinkowskiWeight, v: DisplacementVector
+    w1: MinkowskiWeight, w2: MinkowskiWeight, v: Sequence[Fraction]
 ) -> list[PairingTerm]:
     """The transversally intersecting support pairs under displacement v,
     ordered by sigma and then by tau's position in w2.
@@ -245,12 +230,12 @@ def pairing_terms(
     elements x of T_j, sigma must order those singletons by decreasing u.
     So each (tau, R) names at most one sigma, and w1 is never enumerated.
 
-    Completing the sweep without a DegenerateDisplacementError certifies
-    v for this pair of supports.  The verdict is that of a sweep over
-    every pair of a size-graded sigma and a tau of w2, skipping unsolved
-    the pairs that cannot meet under a positive v: those where some
-    coordinate has neither a positive sigma ray nor a negative tau ray.
-    So a tie at a sigma outside w1's support raises too.
+    Returning, rather than raising DegenerateDisplacementError, certifies
+    v for this pair of supports; no argument is modified.  The verdict is
+    that of a sweep over every pair of a size-graded sigma and a tau of
+    w2, skipping unsolved the pairs that cannot meet under a positive v:
+    those where some coordinate has neither a positive sigma ray nor a
+    negative tau ray.  So a tie at a sigma outside w1's support raises too.
     """
     if w1.n != w2.n:
         raise ValueError("weights live on different fans")
@@ -258,15 +243,15 @@ def pairing_terms(
     k = w1.codim
     if k + w2.codim != n:
         raise ValueError("codimensions must sum to the ambient dimension")
-    if len(v.coords) != n:
+    if len(v) != n:
         raise ValueError(f"displacement vector needs {n} coordinates")
     if not isinstance(w1.weights, SizeGradedFlags):
         graded = SizeGradedFlags(n, k)
         if any(flag not in graded for flag in w1.weights):
             raise ValueError("w1 must be supported on flags of subsets of sizes 1..n-k")
-    scale = math.lcm(*(x.denominator for x in v.coords))
-    lifted = (0, *(x.numerator * (scale // x.denominator) for x in v.coords))
-    positive = all(c > 0 for c in v.coords)
+    scale = math.lcm(*(x.denominator for x in v))
+    lifted = (0, *(x.numerator * (scale // x.denominator) for x in v))
+    positive = all(c > 0 for c in v)
     found: list[tuple[Flag, int, PairingTerm]] = []
     for position, tau in enumerate(w2.weights):
         block_of = _flag_blocks(n, tau)
@@ -310,10 +295,9 @@ def pairing_terms(
             sigma = tuple(accumulate(1 << x for x in order))
             if not w1.value(sigma):
                 continue
-            hit = cone_displacement_intersect(n, sigma, tau, v.coords)
+            hit = cone_displacement_intersect(n, sigma, tau, v)
             if hit is not None:
                 found.append((sigma, position, PairingTerm(sigma, tau, *hit)))
-    v.certified = True
     found.sort(key=lambda entry: entry[:2])
     return [term for _, _, term in found]
 
@@ -324,7 +308,7 @@ def terms_degree(w1: MinkowskiWeight, w2: MinkowskiWeight, terms: list[PairingTe
 
 
 def degree_pairing(
-    w1: MinkowskiWeight, w2: MinkowskiWeight, v: DisplacementVector
+    w1: MinkowskiWeight, w2: MinkowskiWeight, v: Sequence[Fraction]
 ) -> int:
     """Displacement-rule product degree of two complementary weights."""
     return terms_degree(w1, w2, pairing_terms(w1, w2, v))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 import time
+from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .charpoly import (
@@ -31,7 +32,6 @@ from .charpoly import (
 from .fan import MinkowskiWeight, bergman_weight, check_balancing
 from .intersect import (
     DegenerateDisplacementError,
-    DisplacementVector,
     PairingTerm,
     alpha,
     beta,
@@ -82,8 +82,8 @@ def charpoly_report(matroid: Matroid) -> dict:
     reduced, mu = reduced_char_poly(poly)
     report = {
         "name": matroid.name,
-        "char_poly": poly.to_decimal_strings(),
-        "reduced": reduced.to_decimal_strings(),
+        "char_poly": [str(c) for c in poly],
+        "reduced": [str(c) for c in reduced],
         "mu": list(mu),
         "flag_counts": list(count_descending_flags(simple)),
     }
@@ -96,13 +96,14 @@ def certified_terms(
     w1: MinkowskiWeight,
     w2: MinkowskiWeight,
     rng: random.Random,
-    v: DisplacementVector | None = None,
-) -> tuple[list[PairingTerm], DisplacementVector, bool]:
-    """Pairing terms under the first displacement vector that certifies.
+    v: tuple[Fraction, ...] | None = None,
+) -> tuple[list[PairingTerm], tuple[Fraction, ...], bool]:
+    """Pairing terms under the first displacement vector that certifies,
+    that is, under which pairing_terms returns instead of raising.
 
-    v (default (1, ..., n)) is tried first; degenerate vectors are then
-    replaced by perturbations drawn from rng, so results are
-    reproducible.  Returns (terms, vector, first_vector_certified).
+    v (a tuple of Fractions, default (1, ..., n)) is tried first; degenerate
+    vectors are then replaced by perturbations drawn from rng, so results
+    are reproducible.  Returns (terms, vector, first_vector_certified).
     """
     candidate = v if v is not None else default_displacement(w1.n)
     first = True
@@ -161,7 +162,7 @@ def displacement_levels(
                 "pairs": len(terms),
                 "max_index": max((t.index for t in terms), default=0),
                 "default_vector": used_default,
-                "vector": [fraction_str(c) for c in vector.coords],
+                "vector": [fraction_str(c) for c in vector],
             }
         )
         if trace is not None:
@@ -227,8 +228,8 @@ def run_check(
         mu_flags = count_descending_flags(simple)
         spent["flags"] = clock() - t0
 
-        report["char_poly"] = poly.to_decimal_strings()
-        report["reduced"] = reduced.to_decimal_strings()
+        report["char_poly"] = [str(c) for c in poly]
+        report["reduced"] = [str(c) for c in reduced]
         mu = {"mobius": list(mu_mobius), "flags": list(mu_flags)}
 
         t0 = clock()
@@ -261,7 +262,7 @@ def run_check(
             )
             spent["displacement"] = clock() - t0
 
-        unreduced = tuple(abs(c) for c in poly.coeffs)
+        unreduced = tuple(abs(c) for c in poly)
         log_concave = {
             "reduced": is_log_concave(mu_mobius),
             "unreduced": is_log_concave(unreduced),

@@ -504,14 +504,14 @@ def pairing_sweep_oracle(w1, w2, v):
     n = w1.n
     if w1.codim + w2.codim != n:
         raise ValueError("codimensions must sum to the ambient dimension")
-    if len(v.coords) != n:
+    if len(v) != n:
         raise ValueError(f"displacement vector needs {n} coordinates")
     # With a strictly positive displacement, a pair can only meet when
     # every coordinate has a positive direction available: some sigma ray
     # positive there, or some tau ray negative (its negation enters the
     # system).  Pairs failing that are empty outright, never degenerate,
     # so skipping them is exact.
-    prefilter = all(c > 0 for c in v.coords)
+    prefilter = all(c > 0 for c in v)
     needed = full_mask(n + 1) ^ 1
     left = [(sigma, _ray_sign_masks(n, sigma)[0]) for sigma in w1.weights]
     right = [(tau, _ray_sign_masks(n, tau)[1]) for tau in w2.weights]
@@ -520,10 +520,9 @@ def pairing_sweep_oracle(w1, w2, v):
         for tau, neg in right:
             if prefilter and pos | neg != needed:
                 continue
-            hit = cone_displacement_intersect(n, sigma, tau, v.coords)
+            hit = cone_displacement_intersect(n, sigma, tau, v)
             if hit is not None:
                 terms.append(PairingTerm(sigma, tau, *hit))
-    v.certified = True
     return terms
 
 

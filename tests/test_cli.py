@@ -635,6 +635,16 @@ def test_corpus_jobs_start_at_most_one_worker_per_entry(monkeypatch, capsys):
     assert started == [35]
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_corpus_refuses_jobs_below_one(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["corpus", "--jobs", jobs])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --jobs" in captured.err
+
+
 def test_module_entry_point(tmp_path):
     path = write_doc(tmp_path, "line.json", {"type": "uniform", "rank": 2, "size": 3})
     proc = subprocess.run(

@@ -13,7 +13,7 @@ import pytest
 
 import matfan
 from matfan.fan import BalancingViolation, MinkowskiWeight, SizeGradedFlags, permutohedral_weight
-from matfan.intersect import DisplacementVector, PairingTerm
+from matfan.intersect import PairingTerm
 from matfan.validation import CheckResult
 
 from oracles import PLDivisor
@@ -34,10 +34,6 @@ def test_constructor_forms():
     assert MinkowskiWeight(2, 1, flags) == MinkowskiWeight(n=2, codim=1, weights=flags)
     assert SizeGradedFlags(3, 1) == SizeGradedFlags(n=3, k=1)
     assert PLDivisor(2, {0b010: 3}) == PLDivisor(n=2, ray_values={0b010: 3})
-    coords = (Fraction(1), Fraction(5, 2))
-    assert DisplacementVector(coords).certified is False
-    assert DisplacementVector(coords, certified=True).certified is True
-    assert DisplacementVector(coords=coords).coords == coords
     hit = ((Fraction(1), Fraction(5, 3)), 1)
     term = PairingTerm((2,), (3,), *hit)
     assert (term.sigma, term.tau, term.point, term.index) == ((2,), (3,), *hit)
@@ -64,15 +60,6 @@ def test_minkowski_weight_equality():
     assert PLDivisor(2, {1: 1}) != PLDivisor(3, {1: 1})
 
 
-def test_displacement_vector_equality_ignores_certified():
-    coords = (Fraction(1), Fraction(2))
-    assert DisplacementVector(coords) == DisplacementVector(coords, certified=True)
-    assert DisplacementVector(coords) != DisplacementVector((Fraction(2), Fraction(1)))
-    v = DisplacementVector(coords)
-    v.certified = True
-    assert v.certified and v == DisplacementVector(coords)
-
-
 @pytest.mark.parametrize("record, field", [
     (permutohedral_weight(3, 1), "weights"),
     (MinkowskiWeight(2, 1, {(1,): 1}), "n"),
@@ -93,7 +80,6 @@ def test_frozen_records_refuse_assignment(record, field):
 
 @pytest.mark.parametrize("record", [
     MinkowskiWeight(2, 1, {(1,): 1}), SizeGradedFlags(3, 1), PLDivisor(2, {}),
-    DisplacementVector((Fraction(1),)),
 ])
 def test_mutable_valued_records_are_unhashable(record):
     with pytest.raises(TypeError):
@@ -115,8 +101,6 @@ def test_reprs_are_unchanged():
         MinkowskiWeight(3, 2, SizeGradedFlags(3, 1))
     assert repr(permutohedral_weight(3, 1)) == "MinkowskiWeight(n=3, codim=1, cones=12)"
     assert repr(PLDivisor(2, {1: -1})) == "PLDivisor(n=2, ray_values={1: -1})"
-    assert (repr(DisplacementVector((Fraction(1),)))
-            == "DisplacementVector(coords=(Fraction(1, 1),), certified=False)")
     assert (repr(PairingTerm((2,), (3,), (Fraction(1),), 1))
             == "PairingTerm(sigma=(2,), tau=(3,), point=(Fraction(1, 1),), index=1)")
     assert repr(BalancingViolation((1,), (0, 2))) == "BalancingViolation(tau=(1,), excess=(0, 2))"

@@ -28,10 +28,11 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch):
                  "charpoly.char_poly", "charpoly.reduced_char_poly",
                  "charpoly.count_descending_flags"):
         assert tracer.calls[name] > 0, name
-    # The tracer reads the fan and intersect records by attribute name
-    # (.weights, .codim, .n, .certified), and its cup hook reads
-    # divisor_cup's (d, weight) arguments, so a renamed field or a changed
-    # parameter list fails here.
+    # The tracer reads the fan records by attribute name (.weights, .codim,
+    # .n), its cup hook reads divisor_cup's (d, weight) arguments, and it
+    # counts a pairing_terms sweep as certified when the sweep returns
+    # without raising.  So a renamed field or a changed parameter list
+    # fails here.
     for name in ("fan.bergman_weight.cones", "fan.check_balancing.facets",
                  "intersect.divisor_cup.facets", "intersect.pairing_terms.certified"):
         assert tracer.counts[name] > 0, name
