@@ -22,8 +22,6 @@ from .fan import (
     check_balancing,
     cremona_flag,
     cremona_pullback_weight,
-    fundamental_weight,
-    incidence_vector,
     permutohedral_weight,
 )
 from .intersect import (
@@ -40,7 +38,6 @@ from .intersect import (
 )
 from .matroid import (
     BasesMatroid,
-    Flat,
     FreeMatroid,
     GraphicMatroid,
     LinearMatroid,
@@ -59,7 +56,6 @@ __all__ = [
     "BasesMatroid",
     "CheckResult",
     "DegenerateDisplacementError",
-    "Flat",
     "FreeMatroid",
     "GraphicMatroid",
     "InputError",
@@ -83,8 +79,6 @@ __all__ = [
     "default_displacement",
     "degree_pairing",
     "divisor_cup",
-    "fundamental_weight",
-    "incidence_vector",
     "is_log_concave",
     "load_matroid",
     "load_matroid_file",

@@ -40,15 +40,6 @@ from .matroid import Matroid
 Flag = tuple[int, ...]
 
 
-def incidence_vector(n: int, mask: int) -> tuple[int, ...]:
-    """Image of a proper nonempty subset of {0..n} in Z^n coordinates."""
-    if n < 0 or mask <= 0 or mask >= full_mask(n + 1):
-        raise ValueError(f"mask {bin(mask)} is not a proper nonempty subset of a {n + 1}-set")
-    if mask & 1:
-        return tuple(0 if mask >> j & 1 else -1 for j in range(1, n + 1))
-    return tuple(1 if mask >> j & 1 else 0 for j in range(1, n + 1))
-
-
 def validate_flag(n: int, flag: Flag) -> None:
     top = full_mask(max(n + 1, 0))  # 0 when n < 0: no mask is proper then
     prev = 0
@@ -153,19 +144,8 @@ class MinkowskiWeight(Frozen):
     def value(self, flag: Flag) -> int:
         return self.weights.get(tuple(flag), 0)
 
-    def support(self) -> list[Flag]:
-        return list(self.weights)
-
     def items(self):
         return self.weights.items()
-
-    def __add__(self, other: "MinkowskiWeight") -> "MinkowskiWeight":
-        if (self.n, self.codim) != (other.n, other.codim):
-            raise ValueError("weights live on different cone sets")
-        merged = dict(self.weights)
-        for flag, value in other.weights.items():
-            merged[flag] = merged.get(flag, 0) + value
-        return MinkowskiWeight(self.n, self.codim, merged)
 
     def __repr__(self) -> str:
         return f"MinkowskiWeight(n={self.n}, codim={self.codim}, cones={len(self.weights)})"
@@ -211,10 +191,6 @@ def permutohedral_weight(n: int, k: int) -> MinkowskiWeight:
     if not 0 <= k <= n:
         raise ValueError(f"codimension {k} outside 0..{n}")
     return MinkowskiWeight(n, k, SizeGradedFlags(n, k))
-
-
-def fundamental_weight(n: int) -> MinkowskiWeight:
-    return permutohedral_weight(n, 0)
 
 
 def cremona_flag(n: int, flag: Flag) -> Flag:

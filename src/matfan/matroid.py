@@ -3,9 +3,8 @@
 A matroid is its rank function.  Concrete backends cover the standard
 constructions: uniform and free matroids, multigraphs, column matroids of
 exact matrices over GF(p) or the rationals, explicit basis lists, and
-explicit rank tables.  Derived wrappers implement truncation, duality,
-free extension, free coextension and relabelling lazily, without
-materializing tables.
+explicit rank tables.  Derived wrappers implement truncation, free
+coextension and relabelling lazily, without materializing tables.
 The backends trust their input; validate_rank_table checks an explicit
 table (or a basis list's rank function) against the rank axioms exactly.
 
@@ -14,8 +13,8 @@ values, one dict per instance: graphic, linear, bases and relabelled.
 A rank table keeps no memo, since its rank is one list index and a memo
 would only copy the table.  Uniform and free matroids keep no memo, and
 neither do the wrappers that adjust one call to their base's rank
-(truncation, dual, free extension, free coextension), so a chain of
-wrappers reads the memo of the backend underneath.  A relabelling
+(truncation and free coextension), so a chain of wrappers reads the
+memo of the backend underneath.  A relabelling
 (simplify's result) keeps its own memo and computes its misses through
 its input's rank computation, not its input's memo: each of its masks
 names one input mask, so that memo would hold a second copy.  Instances are
@@ -27,23 +26,17 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import linalg
 from .masks import (
     MAX_GROUND_SIZE,
     check_mask,
-    complement,
     elements_of,
     full_mask,
     iter_subsets,
     mask_of,
 )
-
-
-class Flat(NamedTuple):
-    mask: int
-    rank: int
 
 
 class Matroid:
@@ -104,16 +97,8 @@ class Matroid:
                 out |= b
         return out
 
-    def is_flat(self, mask: int) -> bool:
-        return self.closure(mask) == mask
-
     def loops(self) -> int:
         return self.closure(0)
-
-    def is_simple(self) -> bool:
-        if self.closure(0):
-            return False
-        return all(self.closure(1 << x) == 1 << x for x in range(self.size))
 
     def flat_strata(self) -> tuple[list[list[int]], dict[int, list[int]]]:
         """All flats, stratified by rank, plus the covering relation.
@@ -160,12 +145,6 @@ class Matroid:
             self._strata_cache = (strata, covered_by)
         return self._strata_cache
 
-    def flats_of_rank(self, k: int) -> list[Flat]:
-        strata, _ = self.flat_strata()
-        if not 0 <= k < len(strata):
-            raise ValueError(f"no flats of rank {k}; valid ranks are 0..{len(strata) - 1}")
-        return [Flat(m, k) for m in strata[k]]
-
     # -- standard constructions ---------------------------------------
 
     def simplify(self) -> tuple["Matroid", list[Optional[int]]]:
@@ -205,13 +184,6 @@ class Matroid:
             raise ValueError(f"truncation level {k} outside 0..{self.full_rank - 1}")
         return TruncatedMatroid(self, k)
 
-    def dual(self) -> "Matroid":
-        return DualMatroid(self)
-
-    def free_extension(self) -> "Matroid":
-        """One new element in general position; the rank stays the same."""
-        return FreeExtensionMatroid(self)
-
     def free_coextension(self) -> "Matroid":
         """Dual of the free extension of the dual; rank and size grow by one."""
         return FreeCoextensionMatroid(self)
@@ -230,11 +202,6 @@ class Matroid:
 
     def rank_table(self) -> list[int]:
         return [self.rank(mask) for mask in iter_subsets(self.size)]
-
-    def same_rank_function(self, other: "Matroid") -> bool:
-        if self.size != other.size:
-            return False
-        return all(self.rank(m) == other.rank(m) for m in iter_subsets(self.size))
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r} size={self.size}>"
@@ -416,27 +383,6 @@ class TruncatedMatroid(Matroid):
     def _rank_impl(self, mask: int) -> int:
         return min(self.base.rank(mask), self.level + 1)
 
-    def truncate(self, k: int) -> Matroid:
-        # Truncating a truncation only lowers the cap.
-        if not 0 <= k <= self.full_rank - 1:
-            raise ValueError(f"truncation level {k} outside 0..{self.full_rank - 1}")
-        return TruncatedMatroid(self.base, k)
-
-
-class DualMatroid(Matroid):
-    _memoize_rank = False
-
-    def __init__(self, base: Matroid):
-        super().__init__(base.size, f"dual({base.name})")
-        self.base = base
-
-    def _rank_impl(self, mask: int) -> int:
-        co = complement(mask, self.size)
-        return mask.bit_count() + self.base.rank(co) - self.base.full_rank
-
-    def dual(self) -> Matroid:
-        return self.base
-
 
 class RelabeledMatroid(Matroid):
     """Restriction to a subset of elements, relabelled to 0..k-1."""
@@ -450,22 +396,6 @@ class RelabeledMatroid(Matroid):
         # Past the base's memo: this memo already answers repeated masks,
         # and the relabelling is injective, so the base's would only copy it.
         return self.base._rank_impl(mask_of(self.kept[e] for e in elements_of(mask)))
-
-
-class FreeExtensionMatroid(Matroid):
-    """Adds element `base.size` in general position."""
-
-    _memoize_rank = False
-
-    def __init__(self, base: Matroid):
-        super().__init__(base.size + 1, f"ext({base.name})")
-        self.base = base
-
-    def _rank_impl(self, mask: int) -> int:
-        b = 1 << self.base.size
-        if mask & b:
-            return min(self.base.rank(mask ^ b) + 1, self.base.full_rank)
-        return self.base.rank(mask)
 
 
 class FreeCoextensionMatroid(Matroid):

@@ -173,13 +173,13 @@ def load_matroid_file(path: str) -> Matroid:
 
 
 def fan_to_json(weight: MinkowskiWeight) -> dict:
-    """Weight as a stable JSON document; cones sorted by flag."""
+    """Weight as a stable JSON document; cones in the weight's sorted order."""
     return {
         "n": weight.n,
         "codim": weight.codim,
         "cones": [
             {"flag": list(flag), "weight": value}
-            for flag, value in sorted(weight.items())
+            for flag, value in weight.items()
         ],
     }
 

@@ -20,6 +20,10 @@ located pairs), and these check it.
 Divisors as ray tables (PLDivisor, alpha_divisor, the Cremona pullback)
 live here too: the reference for the library's divisor rules, with the
 nef helpers that evaluate them.
+The dual and the free extension (DualMatroid and FreeExtensionMatroid,
+built by dual and free_extension) are the chain that the library's
+closed-form free coextension is checked against, and incidence_vector,
+the image of a subset in Z^n, is the reference for the facet ray sums.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from itertools import accumulate, combinations, permutations
 from math import lcm
 
 from matfan import linalg
-from matfan.fan import Frozen, MinkowskiWeight, fundamental_weight, incidence_vector
+from matfan.fan import Frozen, MinkowskiWeight, permutohedral_weight
 from matfan.intersect import (
     NotBalancedError,
     PairingTerm,
@@ -37,6 +41,7 @@ from matfan.intersect import (
     divisor_cup,
 )
 from matfan.masks import full_mask, iter_elements
+from matfan.matroid import Matroid
 
 
 # -- rank oracles ------------------------------------------------------
@@ -122,6 +127,46 @@ def _perm_sign(perm):
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+# -- duality and free extension ------------------------------------------
+
+class DualMatroid(Matroid):
+    """rank*(S) = |S| + r(E - S) - r(E), read through the base's rank."""
+
+    _memoize_rank = False
+
+    def __init__(self, base):
+        super().__init__(base.size, f"dual({base.name})")
+        self.base = base
+
+    def _rank_impl(self, mask):
+        co = full_mask(self.size) ^ mask
+        return mask.bit_count() + self.base.rank(co) - self.base.full_rank
+
+
+class FreeExtensionMatroid(Matroid):
+    """Adds element `base.size` in general position; the rank stays the same."""
+
+    _memoize_rank = False
+
+    def __init__(self, base):
+        super().__init__(base.size + 1, f"ext({base.name})")
+        self.base = base
+
+    def _rank_impl(self, mask):
+        b = 1 << self.base.size
+        if mask & b:
+            return min(self.base.rank(mask ^ b) + 1, self.base.full_rank)
+        return self.base.rank(mask)
+
+
+def dual(matroid):
+    return DualMatroid(matroid)
+
+
+def free_extension(matroid):
+    return FreeExtensionMatroid(matroid)
 
 
 # -- flats, Moebius, characteristic polynomial -------------------------
@@ -430,6 +475,16 @@ def permutohedral_oracle(n, k):
     return {tuple(accumulate(1 << x for x in p)) for p in permutations(range(n + 1), n - k)}
 
 
+def incidence_vector(n, mask):
+    """Image of a proper nonempty subset of {0..n} in Z^n coordinates:
+    element 0 maps to (-1, ..., -1) and element j >= 1 to e_j."""
+    if n < 0 or mask <= 0 or mask >= full_mask(n + 1):
+        raise ValueError(f"mask {bin(mask)} is not a proper nonempty subset of a {n + 1}-set")
+    if mask & 1:
+        return tuple(0 if mask >> j & 1 else -1 for j in range(1, n + 1))
+    return tuple(1 if mask >> j & 1 else 0 for j in range(1, n + 1))
+
+
 def flag_generators(n, flag):
     """The incidence vectors spanning the flag's cone."""
     return [incidence_vector(n, mask) for mask in flag]
@@ -675,7 +730,7 @@ def evaluate_in_cone(d, flag, coefficients):
 
 
 def nef_values(d):
-    return divisor_cup(d.value, fundamental_weight(d.n))
+    return divisor_cup(d.value, permutohedral_weight(d.n, 0))
 
 
 def nef_check(d):

@@ -61,7 +61,7 @@ def test_load_each_type():
                         "matrix": [[1, 0, 1], [0, 1, 1]]})
     assert lin.full_rank == 2
     bases = load_matroid({"type": "bases", "n": 3, "bases": [3, 5, 6]})
-    assert bases.same_rank_function(UniformMatroid(2, 3))
+    assert bases.rank_table() == UniformMatroid(2, 3).rank_table()
     table = load_matroid({"type": "rank_table", "n": 2, "ranks": [0, 1, 1, 2]})
     assert table.full_rank == 2
 

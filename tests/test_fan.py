@@ -17,12 +17,10 @@ from matfan.fan import (
     check_balancing,
     cremona_flag,
     cremona_pullback_weight,
-    fundamental_weight,
-    incidence_vector,
     permutohedral_weight,
     validate_flag,
 )
-from matfan.intersect import NotBalancedError, divisor_cup
+from matfan.intersect import NotBalancedError, alpha, divisor_cup
 from matfan.masks import full_mask
 from matfan.matroid import FreeMatroid, GraphicMatroid, RankTableMatroid
 
@@ -31,6 +29,7 @@ from oracles import (
     facet_ray_sums,
     flag_generators,
     flag_span_coefficients,
+    incidence_vector,
     oracle_divisor_cup,
     permutohedral_oracle,
     unimodularity_factors,
@@ -38,6 +37,8 @@ from oracles import (
 
 
 # -- lattice points of subsets ----------------------------------------------
+# incidence_vector is the test oracle behind flag_generators and the facet
+# ray sums below; the library itself works on bitmasks.
 
 
 def test_incidence_examples():
@@ -86,7 +87,7 @@ def test_validate_flag():
 
 def test_weight_drops_zeros_and_sorts():
     w = MinkowskiWeight(2, 1, {(4,): 0, (2,): 3, (1,): 1})
-    assert w.support() == [(1,), (2,)]
+    assert list(w.weights) == [(1,), (2,)]
     assert w.value((4,)) == 0
     assert w.value((2,)) == 3
 
@@ -96,15 +97,6 @@ def test_weight_validates_cone_dimensions():
         MinkowskiWeight(2, 1, {(1, 3): 1})  # wrong flag length
     with pytest.raises(ValueError):
         MinkowskiWeight(2, 3, {})  # codim out of range
-
-
-def test_weight_addition_cancels():
-    a = MinkowskiWeight(2, 1, {(1,): 2, (2,): 1})
-    b = MinkowskiWeight(2, 1, {(1,): -2, (4,): 5})
-    total = a + b
-    assert total.weights == {(2,): 1, (4,): 5}
-    with pytest.raises(ValueError):
-        a + MinkowskiWeight(2, 2, {(): 1})
 
 
 def test_weight_equality_is_structural():
@@ -129,8 +121,8 @@ def test_bergman_k4():
     assert all(v == 1 for v in w.weights.values())
     # Every cone is a (rank-1 flat, rank-2 flat) chain.
     m = GraphicMatroid(4, corpus.K4_EDGES)
-    for f1, f2 in w.support():
-        assert m.is_flat(f1) and m.is_flat(f2)
+    for f1, f2 in w.weights:
+        assert m.closure(f1) == f1 and m.closure(f2) == f2
         assert m.rank(f1) == 1 and m.rank(f2) == 2
         assert f1 & f2 == f1
 
@@ -226,13 +218,31 @@ def test_geometric_modules_do_not_import_the_lattice_routes():
         assert not any("charpoly" in name.split(".") for name in imported), (module, imported)
 
 
+def test_every_weight_iterates_its_flags_in_ascending_order():
+    # fan_to_json writes cones in this order without sorting them again,
+    # and the terms of a check trace follow it.
+    k4 = bergman_weight(corpus.build("k4"))
+    built = [
+        k4,
+        divisor_cup(alpha, k4),
+        cremona_pullback_weight(k4),
+        permutohedral_weight(4, 1),
+        MinkowskiWeight(2, 1, {(4,): 1, (1,): 2, (6,): 0, (2,): -1}),
+    ]
+    for w in built:
+        flags = list(w.weights)
+        assert flags == sorted(flags) and len(flags) == len(set(flags)) > 1, w
+
+
 def test_permutohedral_top_codim():
     w = permutohedral_weight(3, 3)
     assert w.weights == {(): 1}
 
 
 def test_fundamental_weight():
-    w = fundamental_weight(2)
+    # The fundamental weight of the complete fan is its codimension-0
+    # permutohedral weight.
+    w = permutohedral_weight(2, 0)
     assert w.codim == 0
     assert all(v == 1 for v in w.weights.values())
 
@@ -433,7 +443,7 @@ def test_cremona_fixes_the_complete_fan_only():
     pulled = cremona_pullback_weight(w1)
     assert pulled != w1
     # Rays {0},{1},{2} map to the three 2-element complements.
-    assert sorted(pulled.support()) == [(0b011,), (0b101,), (0b110,)]
+    assert list(pulled.weights) == [(0b011,), (0b101,), (0b110,)]
 
 
 def test_cremona_preserves_balancing():
@@ -452,13 +462,13 @@ def test_cremona_line_example():
 def test_flag_cones_are_unimodular():
     for name in ("k4", "fano"):
         w = bergman_weight(corpus.build(name))
-        for flag in w.support():
+        for flag in w.weights:
             factors = unimodularity_factors(w.n, flag)
             assert factors == [1] * len(flag)
 
 
 def test_complete_flags_are_unimodular():
     w = permutohedral_weight(3, 0)
-    for flag in w.support():
+    for flag in w.weights:
         assert unimodularity_factors(3, flag) == [1, 1, 1]
     assert unimodularity_factors(3, ()) == []

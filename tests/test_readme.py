@@ -1,0 +1,43 @@
+"""README's "Library use" section runs as written and names only what the
+package has."""
+
+import re
+from pathlib import Path
+
+import matfan
+from matfan.matroid import Matroid
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def library_use():
+    """The section's one Python block and the paragraph after it."""
+    section = README.read_text(encoding="utf-8").split("## Library use\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    block, rest = section.split("```python\n", 1)[1].split("```\n", 1)
+    return block, rest.strip().split("\n\n", 1)[0]
+
+
+def test_library_use_block_prints_what_its_comments_say():
+    block, _ = library_use()
+    namespace = {}
+    checked = 0
+    for statement in re.split(r"\n(?=\S)", block.strip()):
+        if "  # " not in statement:
+            exec(statement, namespace)
+            continue
+        expr, comment = (part.strip() for part in statement.split("  # ", 1))
+        assert comment.startswith(repr(eval(expr, namespace))), statement
+        checked += 1
+    assert checked >= 5
+
+
+def test_library_use_names_exist():
+    _, paragraph = library_use()
+    methods, _, rest = paragraph.partition(";")
+    assert methods.startswith("Matroids expose")
+    method_names = re.findall(r"`(\w+)`", methods)
+    function_names = re.findall(r"`(\w+)`", rest)
+    assert "rank" in method_names and "degree_pairing" in function_names
+    assert [m for m in method_names if not hasattr(Matroid, m)] == []
+    assert [f for f in function_names if f not in matfan.__all__] == []
