@@ -3,7 +3,9 @@
 Subcommands: ``charpoly`` and ``mu`` for the polynomial invariants of a
 single matroid, ``fan`` to export its weighted fan, ``check`` to run the
 full cross-validation harness on one input, and ``corpus`` to run it
-over every built-in matroid.
+over every built-in matroid.  Files and built-ins alike load through
+schema.load_matroid; the fan export and the trace rows are shaped here,
+at their one call site.
 
 Exit codes: 0 all passed, 1 a check or cross-method comparison failed,
 2 bad input, 3 an internal invariant broke mid-pipeline.
@@ -19,13 +21,7 @@ from contextlib import nullcontext
 
 from . import corpus
 from .fan import bergman_weight
-from .schema import (
-    InputError,
-    dump_json,
-    fan_to_json,
-    load_matroid_file,
-    pairing_term_to_json,
-)
+from .schema import InputError, dump_json, load_matroid_file
 from .validation import charpoly_report, mu_report, run_check
 
 PASS, FAIL, BAD_INPUT, INTERNAL = 0, 1, 2, 3
@@ -64,7 +60,12 @@ def cmd_fan(args) -> int:
     # the build.
     out = nullcontext(sys.stdout) if args.out == "-" else _open_output(args.out)
     with out as fh:
-        fh.write(dump_json(fan_to_json(bergman_weight(matroid))))
+        weight = bergman_weight(matroid)
+        fh.write(dump_json({
+            "n": weight.n,
+            "codim": weight.codim,
+            "cones": [{"flag": list(flag), "weight": value} for flag, value in weight.items()],
+        }))
     return PASS
 
 
@@ -76,8 +77,13 @@ def cmd_check(args) -> int:
         trace_fh = _open_output(args.trace)
 
         def trace(k: int, term) -> None:
-            row = {"k": k}
-            row.update(pairing_term_to_json(term))
+            row = {
+                "k": k,
+                "sigma": list(term.sigma),
+                "tau": list(term.tau),
+                "point": [str(c) for c in term.point],
+                "index": term.index,
+            }
             trace_fh.write(json.dumps(row) + "\n")
 
     try:

@@ -6,23 +6,21 @@ smallest complete graphs with interesting rank, the two classical
 7-point rank-3 configurations (one binary, one rational), and three
 explicit rank tables chosen to exercise simplification, a relaxation,
 and a single nontrivial line.
+
+Each entry is an input document, loaded by schema.load_matroid like any
+user document, so the built-in rank tables are checked against the rank
+axioms on every build.  Documents are made only when built.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .matroid import (
-    FreeMatroid,
-    GraphicMatroid,
-    LinearMatroid,
-    Matroid,
-    RankTableMatroid,
-    UniformMatroid,
-)
+from .matroid import Matroid
+from .schema import load_matroid
 
-K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-K5_EDGES = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+K4_EDGES = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+K5_EDGES = [[u, v] for u in range(5) for v in range(u + 1, 5)]
 
 # Column e is the binary expansion of e + 1: the seven nonzero vectors
 # of a 3-dimensional binary space.  Read mod 2 this is the smallest
@@ -30,11 +28,13 @@ K5_EDGES = [(u, v) for u in range(5) for v in range(u + 1, 5)]
 # one fewer collinear triple.
 POINT_MATRIX = [[(e + 1) >> i & 1 for e in range(7)] for i in range(3)]
 
+K4_DOC = {"type": "graphic", "vertices": 4, "edges": K4_EDGES}
+
 
 def _whirl_table() -> list[int]:
     # K4 with one triangle declared independent (a relaxation); the
     # result is no longer graphic.
-    base = GraphicMatroid(4, K4_EDGES)
+    base = load_matroid(K4_DOC)
     relaxed = 0b111000  # edges (1,2), (1,3), (2,3)
     return [3 if mask == relaxed else base.rank(mask) for mask in range(1 << 6)]
 
@@ -58,30 +58,31 @@ def _parallel_sum_table() -> list[int]:
     ]
 
 
-def _builders() -> dict[str, Callable[[], Matroid]]:
-    out: dict[str, Callable[[], Matroid]] = {}
+def _documents() -> dict[str, Callable[[], dict]]:
+    out: dict[str, Callable[[], dict]] = {}
     for size in range(1, 8):
-        out[f"free-{size}"] = lambda size=size: FreeMatroid(size, f"free-{size}")
+        out[f"free-{size}"] = lambda size=size: {"type": "free", "size": size}
     for m in range(2, 8):
         for k in range(1, m):
-            out[f"u-{k}-{m}"] = lambda k=k, m=m: UniformMatroid(k, m, f"u-{k}-{m}")
-    out["k4"] = lambda: GraphicMatroid(4, K4_EDGES, "k4")
-    out["k5"] = lambda: GraphicMatroid(5, K5_EDGES, "k5")
-    out["fano"] = lambda: LinearMatroid(POINT_MATRIX, 2, "fano")
-    out["non-fano"] = lambda: LinearMatroid(POINT_MATRIX, None, "non-fano")
-    out["rt-parallel"] = lambda: RankTableMatroid(5, _parallel_sum_table(), "rt-parallel")
-    out["rt-whirl"] = lambda: RankTableMatroid(6, _whirl_table(), "rt-whirl")
-    out["rt-one-line"] = lambda: RankTableMatroid(6, _one_line_table(), "rt-one-line")
+            out[f"u-{k}-{m}"] = lambda k=k, m=m: {"type": "uniform", "rank": k, "size": m}
+    out["k4"] = lambda: K4_DOC
+    out["k5"] = lambda: {"type": "graphic", "vertices": 5, "edges": K5_EDGES}
+    out["fano"] = lambda: {"type": "linear", "field": "GF(2)", "matrix": POINT_MATRIX}
+    out["non-fano"] = lambda: {"type": "linear", "field": "Q", "matrix": POINT_MATRIX}
+    out["rt-parallel"] = lambda: {"type": "rank_table", "n": 5, "ranks": _parallel_sum_table()}
+    out["rt-whirl"] = lambda: {"type": "rank_table", "n": 6, "ranks": _whirl_table()}
+    out["rt-one-line"] = lambda: {"type": "rank_table", "n": 6, "ranks": _one_line_table()}
     return out
 
 
-_BUILDERS = _builders()
+_DOCUMENTS = _documents()
 
-CORPUS_NAMES: tuple[str, ...] = tuple(_BUILDERS)
+CORPUS_NAMES: tuple[str, ...] = tuple(_DOCUMENTS)
 
 
 def build(name: str) -> Matroid:
     try:
-        return _BUILDERS[name]()
+        document = _DOCUMENTS[name]
     except KeyError:
         raise ValueError(f"unknown corpus entry {name!r}") from None
+    return load_matroid(dict(document(), name=name))

@@ -215,7 +215,7 @@ class UniformMatroid(Matroid):
     def __init__(self, rank: int, size: int, name: str | None = None):
         if not 0 <= rank <= size:
             raise ValueError(f"uniform rank {rank} outside 0..{size}")
-        super().__init__(size, name or f"uniform({rank},{size})")
+        super().__init__(size, f"uniform({rank},{size})" if name is None else name)
         self.uniform_rank = rank
 
     def _rank_impl(self, mask: int) -> int:
@@ -226,7 +226,7 @@ class FreeMatroid(UniformMatroid):
     """Every subset independent; the lattice of flats is Boolean."""
 
     def __init__(self, size: int, name: str | None = None):
-        super().__init__(size, size, name or f"free({size})")
+        super().__init__(size, size, f"free({size})" if name is None else name)
 
 
 class GraphicMatroid(Matroid):
@@ -243,7 +243,8 @@ class GraphicMatroid(Matroid):
         for u, v in edges:
             if not (0 <= u < vertices and 0 <= v < vertices):
                 raise ValueError(f"edge ({u},{v}) has endpoints outside 0..{vertices - 1}")
-        super().__init__(len(edges), name or f"graphic(V={vertices},E={len(edges)})")
+        super().__init__(len(edges), f"graphic(V={vertices},E={len(edges)})"
+                         if name is None else name)
         self.vertices = vertices
         self.edges = [(min(u, v), max(u, v)) for u, v in edges]
 
@@ -288,7 +289,7 @@ class LinearMatroid(Matroid):
         if field is not None and not linalg.is_prime(field):
             raise ValueError(f"{field} is not prime")
         tag = "Q" if field is None else f"GF({field})"
-        super().__init__(width, name or f"linear({tag},{len(matrix)}x{width})")
+        super().__init__(width, f"linear({tag},{len(matrix)}x{width})" if name is None else name)
         self.field = field
         if field is None:
             self.columns = [tuple(Fraction(matrix[i][j]) for i in range(len(matrix)))
@@ -315,7 +316,7 @@ class BasesMatroid(Matroid):
     """
 
     def __init__(self, size: int, bases: Sequence[int], name: str | None = None):
-        super().__init__(size, name or f"bases({size})")
+        super().__init__(size, f"bases({size})" if name is None else name)
         if not bases:
             raise ValueError("at least one basis is required")
         card = bases[0].bit_count()
@@ -361,7 +362,7 @@ class RankTableMatroid(Matroid):
     _memoize_rank = False
 
     def __init__(self, size: int, ranks: Sequence[int], name: str | None = None):
-        super().__init__(size, name or f"table({size})")
+        super().__init__(size, f"table({size})" if name is None else name)
         if len(ranks) != 1 << size:
             raise ValueError(f"rank table needs {1 << size} entries, got {len(ranks)}")
         if ranks[0] != 0:
@@ -388,7 +389,7 @@ class RelabeledMatroid(Matroid):
     """Restriction to a subset of elements, relabelled to 0..k-1."""
 
     def __init__(self, base: Matroid, kept: Sequence[int], name: str | None = None):
-        super().__init__(len(kept), name or f"re({base.name})")
+        super().__init__(len(kept), f"re({base.name})" if name is None else name)
         self.base = base
         self.kept = list(kept)
 

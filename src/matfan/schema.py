@@ -1,12 +1,14 @@
-"""JSON input parsing and serialization helpers.
+"""JSON input documents: the one way a matroid enters the pipeline.
 
 Matroid input documents look like
 
     {"name": "k4", "type": "graphic", "vertices": 4, "edges": [[0,1], ...]}
 
-with one payload shape per type; see ``load_matroid``.  All malformed
-input is reported as InputError so the command line can exit with the
-dedicated input-error status instead of a traceback.
+with one payload shape per type; see ``load_matroid``.  User files and
+the built-in corpus both load through it.  All malformed input is
+reported as InputError so the command line can exit with the dedicated
+input-error status instead of a traceback.  This module knows nothing
+of fans or intersections; ``dump_json`` is its one output helper.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from fractions import Fraction
 from typing import Any
 
 from . import linalg
-from .fan import MinkowskiWeight
-from .intersect import PairingTerm
 from .masks import EXHAUSTIVE_SCAN_LIMIT
 from .matroid import (
     BasesMatroid,
@@ -167,34 +167,6 @@ def load_matroid_file(path: str) -> Matroid:
         # nesting deeper than its recursion limit.
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     return load_matroid(data)
-
-
-# -- serialization --------------------------------------------------------
-
-
-def fan_to_json(weight: MinkowskiWeight) -> dict:
-    """Weight as a stable JSON document; cones in the weight's sorted order."""
-    return {
-        "n": weight.n,
-        "codim": weight.codim,
-        "cones": [
-            {"flag": list(flag), "weight": value}
-            for flag, value in weight.items()
-        ],
-    }
-
-
-def fraction_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def pairing_term_to_json(term: PairingTerm) -> dict:
-    return {
-        "sigma": list(term.sigma),
-        "tau": list(term.tau),
-        "point": [fraction_str(c) for c in term.point],
-        "index": term.index,
-    }
 
 
 def dump_json(data: Any) -> str:

@@ -44,7 +44,7 @@ from .intersect import (
 )
 from .masks import EXHAUSTIVE_SCAN_LIMIT
 from .matroid import Matroid
-from .schema import InputError, fraction_str
+from .schema import InputError
 
 GEOMETRY_LIMIT = 8
 MAX_RETRIES = 32
@@ -162,7 +162,7 @@ def displacement_levels(
                 "pairs": len(terms),
                 "max_index": max((t.index for t in terms), default=0),
                 "default_vector": used_default,
-                "vector": [fraction_str(c) for c in vector],
+                "vector": [str(c) for c in vector],
             }
         )
         if trace is not None:

@@ -4,24 +4,14 @@ import json
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from matfan import cli, validation
-from matfan.fan import MinkowskiWeight, bergman_weight
-from matfan.intersect import PairingTerm
-from matfan.matroid import GraphicMatroid, UniformMatroid
-from matfan.schema import (
-    InputError,
-    dump_json,
-    fan_to_json,
-    fraction_str,
-    load_matroid,
-    load_matroid_file,
-    pairing_term_to_json,
-)
+from matfan.fan import MinkowskiWeight
+from matfan.matroid import UniformMatroid
+from matfan.schema import InputError, dump_json, load_matroid, load_matroid_file
 from matfan.validation import CheckResult
 
 K4_DOC = {
@@ -147,9 +137,11 @@ def test_load_matroid_file_errors(tmp_path):
 # -- output documents -----------------------------------------------------------
 
 
-def test_fan_to_json_golden():
-    weight = bergman_weight(UniformMatroid(2, 3))
-    assert fan_to_json(weight) == {
+def test_fan_to_json_golden(tmp_path, capsys):
+    path = write_doc(tmp_path, "line.json", {"type": "uniform", "rank": 2, "size": 3})
+    code, out, _ = run_cli(capsys, "fan", path)
+    assert code == 0
+    assert json.loads(out) == {
         "n": 2,
         "codim": 1,
         "cones": [
@@ -157,18 +149,6 @@ def test_fan_to_json_golden():
             {"flag": [2], "weight": 1},
             {"flag": [4], "weight": 1},
         ],
-    }
-
-
-def test_fraction_str():
-    assert fraction_str(Fraction(3)) == "3"
-    assert fraction_str(Fraction(-7, 2)) == "-7/2"
-
-
-def test_pairing_term_to_json():
-    term = PairingTerm((2,), (3,), (Fraction(1), Fraction(5, 3)), 1)
-    assert pairing_term_to_json(term) == {
-        "sigma": [2], "tau": [3], "point": ["1", "5/3"], "index": 1,
     }
 
 
@@ -308,6 +288,22 @@ def test_check_command_is_byte_stable(tmp_path, capsys):
         traces.append(trace_path.read_bytes())
     assert outputs[0] == outputs[1]
     assert traces[0] == traces[1]
+
+
+@pytest.mark.parametrize("doc", [
+    {"type": "uniform", "rank": 2, "size": 3},
+    {"type": "free", "size": 3},
+    {"type": "graphic", "vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]},
+    {"type": "linear", "field": "GF(2)", "matrix": [[1, 0, 1], [0, 1, 1]]},
+    {"type": "bases", "n": 3, "bases": [0b011, 0b101, 0b110]},
+    {"type": "rank_table", "n": 2, "ranks": [0, 1, 1, 2]},
+], ids=lambda doc: doc["type"])
+def test_an_empty_name_is_kept(tmp_path, capsys, doc):
+    doc = dict(doc, name="")
+    assert load_matroid(doc).name == ""
+    code, out, _ = run_cli(capsys, "check", write_doc(tmp_path, "doc.json", doc))
+    assert code == 0
+    assert json.loads(out)["name"] == ""
 
 
 @pytest.mark.parametrize("doc, argv, report, trace", [

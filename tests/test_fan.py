@@ -203,23 +203,42 @@ def test_size_graded_table_must_fit_its_weight():
         MinkowskiWeight(3, 2, SizeGradedFlags(3, 1))
 
 
+def imported_names(module: str) -> set[str]:
+    """Every module a matfan source file imports and every name it imports
+    from one, dotted; names imported within the package start with a dot."""
+    imported = set()
+    for node in ast.walk(ast.parse((Path(matfan.__file__).parent / module).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            sep = "." if node.module else ""
+            imported.add(base)
+            imported.update(f"{base}{sep}{alias.name}" for alias in node.names)
+    return imported
+
+
 def test_geometric_modules_do_not_import_the_lattice_routes():
     # The Moebius and descending-flag routes live in charpoly; the fan and
     # the intersection routes cross-check them, so they must not import it.
-    src = Path(matfan.__file__).parent
     for module in ("fan.py", "intersect.py"):
-        imported = set()
-        for node in ast.walk(ast.parse((src / module).read_text())):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                imported.add(node.module or "")
-                imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+        imported = imported_names(module)
         assert not any("charpoly" in name.split(".") for name in imported), (module, imported)
 
 
+def test_the_input_layer_stays_below_the_geometry():
+    # schema turns documents into matroids and knows nothing above them;
+    # corpus is documents, loaded the way every user document is.
+    above = {"fan", "intersect", "charpoly", "validation", "corpus", "cli"}
+    imported = imported_names("schema.py")
+    assert not any(above & set(name.split(".")) for name in imported), imported
+    package = {name for name in imported_names("corpus.py")
+               if name.startswith((".", "matfan"))}
+    assert package == {".matroid", ".matroid.Matroid", ".schema", ".schema.load_matroid"}
+
+
 def test_every_weight_iterates_its_flags_in_ascending_order():
-    # fan_to_json writes cones in this order without sorting them again,
+    # `matfan fan` writes cones in this order without sorting them again,
     # and the terms of a check trace follow it.
     k4 = bergman_weight(corpus.build("k4"))
     built = [
