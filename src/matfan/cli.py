@@ -22,7 +22,7 @@ from contextlib import nullcontext
 from . import corpus
 from .fan import bergman_weight
 from .schema import InputError, dump_json, load_matroid_file
-from .validation import charpoly_report, mu_report, run_check
+from .validation import MU_METHODS, charpoly_report, mu_report, refuse_rank_zero, run_check
 
 PASS, FAIL, BAD_INPUT, INTERNAL = 0, 1, 2, 3
 
@@ -71,6 +71,9 @@ def cmd_fan(args) -> int:
 
 def cmd_check(args) -> int:
     matroid = load_matroid_file(args.file)
+    # Refuse the input before opening the trace, so that a refusal leaves
+    # an existing trace file as it was.
+    refuse_rank_zero(matroid)
     trace_fh = None
     trace = None
     if args.trace:
@@ -87,13 +90,7 @@ def cmd_check(args) -> int:
             trace_fh.write(json.dumps(row) + "\n")
 
     try:
-        result = run_check(
-            matroid,
-            seed=args.seed,
-            skip_displacement=args.skip == "displacement",
-            timings=args.timings,
-            trace=trace,
-        )
+        result = run_check(matroid, seed=args.seed, timings=args.timings, trace=trace)
     finally:
         if trace_fh:
             trace_fh.close()
@@ -103,15 +100,9 @@ def cmd_check(args) -> int:
     return PASS if result.ok else FAIL
 
 
-def _corpus_entry(task: tuple[str, int, bool, bool]):
-    name, seed, skip, timings = task
-    result = run_check(
-        corpus.build(name),
-        seed=seed,
-        skip_displacement=skip,
-        timings=timings,
-    )
-    return result
+def _corpus_entry(task: tuple[str, int, bool]):
+    name, seed, timings = task
+    return run_check(corpus.build(name), seed=seed, timings=timings)
 
 
 def _format_table(results) -> str:
@@ -147,10 +138,7 @@ def _format_table(results) -> str:
 
 
 def cmd_corpus(args) -> int:
-    tasks = [
-        (name, args.seed, args.skip == "displacement", args.timings)
-        for name in corpus.CORPUS_NAMES
-    ]
+    tasks = [(name, args.seed, args.timings) for name in corpus.CORPUS_NAMES]
     if args.jobs > 1:
         # Imported here: concurrent.futures costs about 25 ms of every
         # start-up.  Under fork, every worker starts at the first submit,
@@ -195,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mu", help="reduced-coefficient vector by chosen method")
     p.add_argument("file", help="matroid JSON file")
     p.add_argument("--method", default="all",
-                   choices=("mobius", "flags", "displacement", "divisor", "all"))
+                   choices=MU_METHODS + ("all",))
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_mu)
 
@@ -207,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="full cross-validation of one matroid")
     p.add_argument("file", help="matroid JSON file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--skip", choices=("displacement",),
-                   help="skip the named method")
     p.add_argument("--timings", action="store_true",
                    help="include per-phase timings (breaks byte-for-byte "
                         "report stability)")
@@ -219,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="run the harness over every built-in matroid")
     p.add_argument("--json", action="store_true", help="full JSON instead of a table")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--skip", choices=("displacement",))
     p.add_argument("--timings", action="store_true")
     p.add_argument("--jobs", type=positive_int, default=max(1, os.cpu_count() or 1),
                    help="parallel corpus workers (default: CPU count)")

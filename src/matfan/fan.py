@@ -188,8 +188,6 @@ def permutohedral_weight(n: int, k: int) -> MinkowskiWeight:
     This is the fan of the (n-k)-truncated free matroid on {0..n}; for
     k = 0 it is the fundamental weight of the complete fan.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"codimension {k} outside 0..{n}")
     return MinkowskiWeight(n, k, SizeGradedFlags(n, k))
 
 

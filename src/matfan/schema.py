@@ -61,13 +61,11 @@ def _require(data: dict, key: str, kind) -> Any:
 
 
 def _int_list(data: dict, key: str) -> list[int]:
+    """The document's own list, checked in place; the matroid copies it."""
     raw = _require(data, key, list)
-    out = []
-    for x in raw:
-        if not _is_int(x):
-            raise InputError(f"field {key!r} must contain only integers")
-        out.append(x)
-    return out
+    if not all(_is_int(x) for x in raw):
+        raise InputError(f"field {key!r} must contain only integers")
+    return raw
 
 
 def _parse_entry(value, field: int | None):

@@ -61,11 +61,16 @@ class CheckResult(NamedTuple):
     internal_error: Optional[str] = None
 
 
-def _subject(matroid: Matroid) -> tuple[Matroid, Optional[dict]]:
-    """The simplification a report is about and its relabeling note, or
-    None for a simple input.  Rank zero (only loops) is refused as input."""
+def refuse_rank_zero(matroid: Matroid) -> None:
+    """Refuse rank zero (only loops) as input: it has no simplification."""
     if matroid.full_rank == 0:
         raise InputError(f"{matroid.name} has rank 0: every element is a loop")
+
+
+def _subject(matroid: Matroid) -> tuple[Matroid, Optional[dict]]:
+    """The simplification a report is about and its relabeling note, or
+    None for a simple input."""
+    refuse_rank_zero(matroid)
     simple, mapping = matroid.simplify()
     if mapping == list(range(matroid.size)):
         return simple, None
@@ -190,7 +195,6 @@ def out_of_reach(simple: Matroid) -> list[str]:
 def run_check(
     matroid: Matroid,
     seed: int = 0,
-    skip_displacement: bool = False,
     timings: bool = False,
     trace: TraceFn = None,
 ) -> CheckResult:
@@ -201,8 +205,7 @@ def run_check(
     """
     simple, note = _subject(matroid)
     r = simple.full_rank - 1
-    blocked = out_of_reach(simple) + (["displacement"] if skip_displacement else [])
-    skipped = [step for step in ("divisor", "displacement", "welsh_mason") if step in blocked]
+    skipped = out_of_reach(simple)
 
     report: dict = {
         "name": matroid.name,

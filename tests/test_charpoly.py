@@ -106,7 +106,7 @@ def test_one_mobius_pass_per_matroid(monkeypatch):
     passes = []
     monkeypatch.setattr(charpoly, "mobius", lambda strata: passes.append(1) or mobius(strata))
     # k4: 6 elements, so the Welsh-Mason step reduces the coextension too.
-    assert run_check(corpus.build("k4"), skip_displacement=True).ok
+    assert run_check(corpus.build("k4")).ok
     assert len(passes) == 2
     # u(2,22): above the 21-element subset scan, so only the subject.
     passes.clear()

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from matfan import cli, validation
+from matfan import cli, schema, validation
 from matfan.fan import MinkowskiWeight
 from matfan.matroid import UniformMatroid
 from matfan.schema import InputError, dump_json, load_matroid, load_matroid_file
@@ -107,6 +107,14 @@ def test_load_rejects_bad_rank_table_with_witness():
     with pytest.raises(InputError) as exc:
         load_matroid(doc)
     assert "unit increase" in str(exc.value)
+
+
+def test_a_rank_table_is_checked_in_place_and_copied_once():
+    doc = {"type": "rank_table", "n": 2, "ranks": [0, 1, 1, 2]}
+    assert schema._int_list(doc, "ranks") is doc["ranks"]
+    table = load_matroid(doc)
+    doc["ranks"][3] = 1
+    assert table.ranks == [0, 1, 1, 2]
 
 
 def test_k6_checks_alike_as_a_graph_and_as_a_rank_table():
@@ -275,6 +283,19 @@ def test_check_command_passes_and_traces(tmp_path, capsys):
     assert sorted({row["k"] for row in rows}) == [0, 1, 2]
 
 
+@pytest.mark.parametrize("doc", [
+    {"type": "uniform", "rank": 0, "size": 3},
+    {"type": "rank_table", "n": 3, "ranks": [0, 1, 1, 2, 1, 2, 2, 1]},
+], ids=["rank-zero", "not-a-matroid"])
+def test_refused_input_leaves_the_trace_file_as_it_was(tmp_path, capsys, doc):
+    path = write_doc(tmp_path, "doc.json", doc)
+    trace_path = tmp_path / "trace.ndjson"
+    trace_path.write_text("an earlier trace\n")
+    code, out, _ = run_cli(capsys, "check", path, "--trace", str(trace_path))
+    assert (code, out) == (2, "")
+    assert trace_path.read_text() == "an earlier trace\n"
+
+
 def test_check_command_is_byte_stable(tmp_path, capsys):
     path = write_doc(tmp_path, "k4.json", K4_DOC)
     trace_path = tmp_path / "trace.ndjson"
@@ -333,16 +354,6 @@ def test_reports_match_golden_files(tmp_path, capsys, doc, argv, report, trace):
         assert trace_path.read_bytes() == (GOLDEN / trace).read_bytes()
 
 
-def test_check_command_skip_displacement(tmp_path, capsys):
-    path = write_doc(tmp_path, "line.json", {"type": "uniform", "rank": 2, "size": 3})
-    code, out, _ = run_cli(capsys, "check", path, "--skip", "displacement")
-    assert code == 0
-    report = json.loads(out)
-    assert report["skipped"] == ["displacement"]
-    assert "displacement" not in report["mu"]
-    assert report["agreement"] is True
-
-
 def test_check_command_timings_flag(tmp_path, capsys):
     path = write_doc(tmp_path, "line.json", {"type": "uniform", "rank": 2, "size": 3})
     code, out, _ = run_cli(capsys, "check", path, "--timings")
@@ -391,12 +402,6 @@ def test_one_gate_decides_for_check_and_mu(monkeypatch):
 ])
 def test_gate_boundaries(rank, size, blocked):
     assert validation.out_of_reach(UniformMatroid(rank, size)) == blocked
-
-
-def test_skip_displacement_above_the_limit_lists_it_once():
-    report = validation.run_check(load_matroid(K5_DOC), skip_displacement=True).report
-    assert report["skipped"] == ["divisor", "displacement"]
-    assert report["pass"] is True
 
 
 def test_bad_input_exit_code(tmp_path, capsys):
@@ -639,6 +644,17 @@ def test_corpus_refuses_jobs_below_one(capsys, jobs):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --jobs" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["check", "doc.json"], ["corpus"]], ids=["check", "corpus"])
+def test_skip_is_refused(capsys, argv):
+    # What check skips is decided by validation.out_of_reach alone.
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--skip", "displacement"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --skip" in captured.err
 
 
 def test_module_entry_point(tmp_path):

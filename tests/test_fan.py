@@ -267,8 +267,9 @@ def test_fundamental_weight():
 
 
 def test_permutohedral_bounds():
-    with pytest.raises(ValueError):
-        permutohedral_weight(2, 3)
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match=rf"codimension {k} outside 0\.\.2"):
+            permutohedral_weight(2, k)
 
 
 def test_permutohedral_weight_is_fresh_on_every_call():
