@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import nullcontext
 
@@ -42,7 +41,7 @@ def cmd_charpoly(args) -> int:
 
 def cmd_mu(args) -> int:
     matroid = load_matroid_file(args.file)
-    report = mu_report(matroid, args.method, seed=args.seed)
+    report = mu_report(matroid, args.method)
     sys.stdout.write(dump_json(report))
     computed = [tuple(v) for v in report["mu"].values() if v is not None]
     if any(v != computed[0] for v in computed):
@@ -100,11 +99,6 @@ def cmd_check(args) -> int:
     return PASS if result.ok else FAIL
 
 
-def _corpus_entry(task: tuple[str, int, bool]):
-    name, seed, timings = task
-    return run_check(corpus.build(name), seed=seed, timings=timings)
-
-
 def _format_table(results) -> str:
     rows = [("name", "size", "rank", "mu", "agree", "logc", "bal", "trunc", "wm", "result")]
     for res in results:
@@ -138,16 +132,7 @@ def _format_table(results) -> str:
 
 
 def cmd_corpus(args) -> int:
-    tasks = [(name, args.seed, args.timings) for name in corpus.CORPUS_NAMES]
-    if args.jobs > 1:
-        # Imported here: concurrent.futures costs about 25 ms of every
-        # start-up.  Under fork, every worker starts at the first submit,
-        # so start no more workers than there are entries.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
-            results = list(pool.map(_corpus_entry, tasks))
-    else:
-        results = [_corpus_entry(t) for t in tasks]
+    results = [run_check(corpus.build(name), seed=args.seed) for name in corpus.CORPUS_NAMES]
     if args.json:
         doc = {
             "entries": [r.report for r in results],
@@ -159,13 +144,6 @@ def cmd_corpus(args) -> int:
     if any(r.internal_error for r in results):
         return INTERNAL
     return PASS if all(r.ok for r in results) else FAIL
-
-
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="matroid JSON file")
     p.add_argument("--method", default="all",
                    choices=MU_METHODS + ("all",))
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_mu)
 
     p = sub.add_parser("fan", help="export the weighted fan as JSON")
@@ -205,9 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="run the harness over every built-in matroid")
     p.add_argument("--json", action="store_true", help="full JSON instead of a table")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timings", action="store_true")
-    p.add_argument("--jobs", type=positive_int, default=max(1, os.cpu_count() or 1),
-                   help="parallel corpus workers (default: CPU count)")
     p.set_defaults(func=cmd_corpus)
 
     return parser

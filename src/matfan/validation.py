@@ -12,12 +12,15 @@ geometric routes (divisor, displacement) build Bergman fans cone by
 cone, so they need at most 9 elements (n <= 8 in fan coordinates); the
 Welsh-Mason identity scans every subset, so it needs at most 21.  The
 report lists each step it skips.  Without the divisor route, run_check
-still builds the Bergman weight at any size and runs check_balancing
-on it to fill balancing_violations; free-10 takes that path.
+builds the Bergman weight and runs check_balancing on it to fill
+balancing_violations, unless the weight has more cones, complete flags
+of proper flats, than any input within the geometry limit: 9!.  So
+free-10, with 10! cones, skips balancing too.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -176,17 +179,32 @@ def displacement_levels(
     return degrees, detail
 
 
-def mu_vector_displacement(matroid: Matroid, seed: int = 0) -> tuple[int, ...]:
-    """Coefficients by the displacement pairing, retrying with seeded
-    perturbations on degeneracy."""
-    return tuple(displacement_levels(matroid, random.Random(seed))[0])
+def mu_vector_displacement(matroid: Matroid) -> tuple[int, ...]:
+    """Coefficients by the displacement pairing, retrying with perturbations
+    from a fixed seed on degeneracy: every certified vector gives them."""
+    return tuple(displacement_levels(matroid, random.Random(0))[0])
+
+
+def count_complete_flags(simple: Matroid) -> int:
+    """The number of complete flags of proper flats, which are the cones
+    of the Bergman weight: the chains from the bottom flat up to each flat
+    G add up over the flats G covers."""
+    strata, covered_by = simple.flat_strata()
+    chains = {strata[0][0]: 1}
+    for level in strata[1:]:
+        for g in level:
+            chains[g] = sum(chains[f] for f in covered_by[g])
+    return chains[strata[-1][0]]
 
 
 def out_of_reach(simple: Matroid) -> list[str]:
-    """The report steps a simple matroid is too large for, in report order."""
+    """The report steps a simple matroid is too large for, in report order;
+    above the geometry limit, deciding on balancing reads the flat lattice."""
     blocked = []
     if simple.size - 1 > GEOMETRY_LIMIT:
         blocked += ["divisor", "displacement"]
+        if count_complete_flags(simple) > math.factorial(GEOMETRY_LIMIT + 1):
+            blocked.append("balancing")
     if simple.size > EXHAUSTIVE_SCAN_LIMIT:
         blocked.append("welsh_mason")
     return blocked
@@ -205,7 +223,6 @@ def run_check(
     """
     simple, note = _subject(matroid)
     r = simple.full_rank - 1
-    skipped = out_of_reach(simple)
 
     report: dict = {
         "name": matroid.name,
@@ -222,6 +239,8 @@ def run_check(
     failures: list[str] = []
 
     try:
+        skipped = out_of_reach(simple)
+
         t0 = clock()
         poly = char_poly(simple)
         reduced, mu_mobius = reduced_char_poly(poly)
@@ -235,15 +254,18 @@ def run_check(
         report["reduced"] = [str(c) for c in reduced]
         mu = {"mobius": list(mu_mobius), "flags": list(mu_flags)}
 
-        t0 = clock()
-        base_weight = bergman_weight(simple)
-        # The divisor route cups every weight next (or it has top codimension),
-        # and the cup tests balancing on each facet, raising NotBalancedError.
-        balancing_failures = [
-            {"cone": list(v.tau), "excess": list(v.excess)}
-            for v in check_balancing(base_weight)
-        ] if "divisor" in skipped else []
-        spent["balancing"] = clock() - t0
+        balancing_failures = None
+        if "balancing" not in skipped:
+            t0 = clock()
+            base_weight = bergman_weight(simple)
+            # The divisor route cups every weight next (or it has top
+            # codimension), and the cup tests balancing on each facet,
+            # raising NotBalancedError.
+            balancing_failures = [
+                {"cone": list(v.tau), "excess": list(v.excess)}
+                for v in check_balancing(base_weight)
+            ] if "divisor" in skipped else []
+            spent["balancing"] = clock() - t0
 
         truncation_identity = None
         if "divisor" not in skipped:
@@ -317,14 +339,14 @@ def run_check(
 
 # Names resolve at call time, so wrappers installed on this module see them.
 _ROUTES = {
-    "mobius": lambda simple, seed: reduced_char_poly(char_poly(simple))[1],
-    "flags": lambda simple, seed: count_descending_flags(simple),
-    "displacement": lambda simple, seed: mu_vector_displacement(simple, seed=seed),
-    "divisor": lambda simple, seed: mu_vector_divisors(simple),
+    "mobius": lambda simple: reduced_char_poly(char_poly(simple))[1],
+    "flags": lambda simple: count_descending_flags(simple),
+    "displacement": lambda simple: mu_vector_displacement(simple),
+    "divisor": lambda simple: mu_vector_divisors(simple),
 }
 
 
-def mu_report(matroid: Matroid, method: str, seed: int = 0) -> dict:
+def mu_report(matroid: Matroid, method: str) -> dict:
     """Coefficient vector(s) by the requested method(s)."""
     if method != "all" and method not in MU_METHODS:
         raise ValueError(f"unknown method {method!r}; expected 'all' or one of {MU_METHODS}")
@@ -335,7 +357,7 @@ def mu_report(matroid: Matroid, method: str, seed: int = 0) -> dict:
                          f"elements after simplification; {matroid.name} has {simple.size}")
     wanted = MU_METHODS if method == "all" else (method,)
     skipped = [name for name in wanted if name in blocked]
-    mu = {name: None if name in skipped else list(_ROUTES[name](simple, seed))
+    mu = {name: None if name in skipped else list(_ROUTES[name](simple))
           for name in wanted}
 
     report = {"name": matroid.name, "method": method, "mu": mu}

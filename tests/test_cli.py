@@ -1,16 +1,18 @@
 """JSON schemas and the command-line surface."""
 
 import json
+import math
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from matfan import cli, schema, validation
-from matfan.fan import MinkowskiWeight
-from matfan.matroid import UniformMatroid
+from matfan import cli, corpus, schema, validation
+from matfan.fan import MinkowskiWeight, bergman_weight
+from matfan.matroid import FreeMatroid, GraphicMatroid, LinearMatroid, UniformMatroid
 from matfan.schema import InputError, dump_json, load_matroid, load_matroid_file
 from matfan.validation import CheckResult
 
@@ -399,9 +401,42 @@ def test_one_gate_decides_for_check_and_mu(monkeypatch):
     (3, 10, ["divisor", "displacement"]),
     (2, 21, ["divisor", "displacement"]),
     (2, 22, ["divisor", "displacement", "welsh_mason"]),
+    (7, 10, ["divisor", "displacement"]),
+    (8, 10, ["divisor", "displacement", "balancing"]),
 ])
 def test_gate_boundaries(rank, size, blocked):
+    # Balancing needs at most 9! complete flags of proper flats, as many
+    # as free-9 has: u(7,10) has 10!/4! = 151,200 and u(8,10) 10!/3!.
     assert validation.out_of_reach(UniformMatroid(rank, size)) == blocked
+
+
+@pytest.mark.parametrize("size", [10, 11])
+def test_check_builds_no_fan_above_the_flag_limit(monkeypatch, size):
+    def no_fan(matroid):
+        raise AssertionError("the Bergman weight was built")
+
+    monkeypatch.setattr(validation, "bergman_weight", no_fan)
+    report = validation.run_check(FreeMatroid(size)).report
+    assert report["pass"] is True, report.get("error")
+    assert report["skipped"] == ["divisor", "displacement", "balancing"]
+    assert report["balancing_violations"] is None
+    assert report["mu"]["mobius"] == [math.comb(size - 1, k) for k in range(size)]
+
+
+def test_flag_count_matches_the_corpus_fans():
+    for name in corpus.CORPUS_NAMES:
+        simple = corpus.build(name).simplify()[0]
+        assert validation.count_complete_flags(simple) == len(bergman_weight(simple).weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=9),
+       st.lists(st.lists(st.integers(0, 2), min_size=7, max_size=7), min_size=1, max_size=4))
+def test_flag_count_matches_random_fans(edges, rows):
+    for matroid in (GraphicMatroid(5, edges), LinearMatroid(rows, 3)):
+        if matroid.full_rank:
+            simple = matroid.simplify()[0]
+            assert validation.count_complete_flags(simple) == len(bergman_weight(simple).weights)
 
 
 def test_bad_input_exit_code(tmp_path, capsys):
@@ -589,7 +624,7 @@ def test_unbalanced_fan_is_an_internal_error(monkeypatch, tmp_path, capsys):
 
 def test_corpus_command_on_a_subset(monkeypatch, capsys):
     monkeypatch.setattr(cli.corpus, "CORPUS_NAMES", ("u-2-3", "k4"))
-    code, out, _ = run_cli(capsys, "corpus", "--jobs", "1")
+    code, out, _ = run_cli(capsys, "corpus")
     assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith("name")
@@ -599,51 +634,26 @@ def test_corpus_command_on_a_subset(monkeypatch, capsys):
 
 def test_corpus_command_json_subset(monkeypatch, capsys):
     monkeypatch.setattr(cli.corpus, "CORPUS_NAMES", ("u-2-3",))
-    code, out, _ = run_cli(capsys, "corpus", "--jobs", "1", "--json")
+    code, out, _ = run_cli(capsys, "corpus", "--json")
     assert code == 0
     doc = json.loads(out)
     assert doc["pass"] is True
     assert [e["name"] for e in doc["entries"]] == ["u-2-3"]
 
 
-def test_corpus_jobs_start_at_most_one_worker_per_entry(monkeypatch, capsys):
+def test_corpus_runs_in_one_process(monkeypatch, capsys):
     import concurrent.futures
+    import os
 
-    started = []
+    def no_pool(*args, **kwargs):
+        raise AssertionError("corpus started a process pool")
 
-    class InProcessPool:
-        """Records its size and maps in this process; no worker is forked."""
-
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    # Also where a module-level import in cli would have bound the name, so
-    # that this test never starts a real pool of a thousand workers.
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool, raising=False)
-    pooled = run_cli(capsys, "corpus", "--jobs", "1000")
-    assert started == [len(cli.corpus.CORPUS_NAMES)] == [35]
-    assert pooled == run_cli(capsys, "corpus", "--jobs", "1")
-    assert started == [35]
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
-def test_corpus_refuses_jobs_below_one(capsys, jobs):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["corpus", "--jobs", jobs])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "argument --jobs" in captured.err
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli.corpus, "CORPUS_NAMES", ("u-2-3", "k4"))
+    code, out, _ = run_cli(capsys, "corpus")
+    assert code == 0
+    assert out.splitlines()[-1] == "2/2 corpus entries passed"
 
 
 @pytest.mark.parametrize("argv", [["check", "doc.json"], ["corpus"]], ids=["check", "corpus"])
@@ -655,6 +665,23 @@ def test_skip_is_refused(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --skip" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mu", "doc.json", "--seed", "3"],
+    ["corpus", "--jobs", "2"],
+    ["corpus", "--timings"],
+], ids=["mu-seed", "corpus-jobs", "corpus-timings"])
+def test_idle_options_are_refused(capsys, argv):
+    # None of them changed a report: mu's degrees are the same under every
+    # certified displacement, and the corpus runs in this one process.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    option = next(arg for arg in argv if arg.startswith("--"))
+    assert f"unrecognized arguments: {option}" in captured.err
 
 
 def test_module_entry_point(tmp_path):

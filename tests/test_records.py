@@ -1,8 +1,8 @@
 """The record classes of fan, intersect and validation, and the divisor
 table of the test oracles, keep their constructor forms, equality,
 immutability and repr, and importing the package loads no introspection
-machinery to declare them, nor the process pool that only `corpus --jobs`
-above 1 uses."""
+machinery to declare them, nor `concurrent.futures`: the package starts
+no process."""
 
 import os
 import subprocess
