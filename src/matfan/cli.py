@@ -21,7 +21,8 @@ from contextlib import nullcontext
 from . import corpus
 from .fan import bergman_weight
 from .schema import InputError, dump_json, load_matroid_file
-from .validation import MU_METHODS, charpoly_report, mu_report, refuse_rank_zero, run_check
+from .validation import (FLAG_LIMIT, MU_METHODS, charpoly_report, count_complete_flags,
+                         mu_report, refuse_rank_zero, run_check)
 
 PASS, FAIL, BAD_INPUT, INTERNAL = 0, 1, 2, 3
 
@@ -55,8 +56,12 @@ def cmd_fan(args) -> int:
         raise InputError(
             f"{matroid.name} has loops and no fan; simplify the input first"
         )
-    # Open the output first, so that an unwritable path is refused before
-    # the build.
+    cones = count_complete_flags(matroid)
+    if cones > FLAG_LIMIT:
+        raise InputError(f"{matroid.name} has {cones} complete flags of flats; "
+                         f"the fan export builds at most {FLAG_LIMIT} cones")
+    # Open the output after every refusal, which leaves an existing file as
+    # it was, and before the build, so that an unwritable path fails first.
     out = nullcontext(sys.stdout) if args.out == "-" else _open_output(args.out)
     with out as fh:
         weight = bergman_weight(matroid)

@@ -14,13 +14,13 @@ exact.  A Minkowski weight of codimension k assigns an integer to every
 (n-k)-dimensional cone, zero almost everywhere, subject to the balancing
 condition around each one-smaller cone.
 
-Every Bergman weight is built by bergman_weight from
-Matroid.flat_strata.  The permutohedral weight (the fan of a truncated
-free matroid) is given by rule instead: SizeGradedFlags tests membership
-from the flag's shape and stores nothing, so its (n+1)!/(k+1)! cones
-exist only when a caller iterates them.  There are no caches: flags are
-checked and summed as bitmasks, and every weight is built afresh for the
-caller that asked for it.
+Every Bergman weight, a truncation's included, is read by bergman_weight
+off the matroid's own Matroid.flat_strata.  The permutohedral weight (the
+fan of a truncated free matroid) is given by rule instead: SizeGradedFlags
+tests membership from the flag's shape and stores nothing, so its
+(n+1)!/(k+1)! cones exist only when a caller iterates them.  There are
+no caches: flags are checked and summed as bitmasks, and every weight is
+built afresh for the caller that asked for it.
 
 One facet sweep, facet_groups, serves the balancing test here and the
 divisor cup in intersect: it reads one block per gap of each facet's
@@ -151,31 +151,36 @@ class MinkowskiWeight(Frozen):
         return f"MinkowskiWeight(n={self.n}, codim={self.codim}, cones={len(self.weights)})"
 
 
-def bergman_weight(matroid: Matroid) -> MinkowskiWeight:
-    """Weight 1 on the cones of complete flags of proper flats.
+def bergman_weight(matroid: Matroid, k: Optional[int] = None) -> MinkowskiWeight:
+    """Weight 1 on the flags of proper flats of ranks 1..k: the fan of the
+    k-truncation, whose flats below the top are the matroid's own.  k
+    defaults to full rank - 1, the complete flags; the codimension is n - k.
 
     The matroid must be loopless; for the geometry to mean anything it
     should be simple (simplify first), though any loopless input yields a
-    balanced weight.  The codimension is n minus (full rank - 1).
+    balanced weight.
     """
     if matroid.loops():
         raise ValueError(f"{matroid.name} has loops; simplify before building the fan")
     n = matroid.size - 1
     strata, covered_by = matroid.flat_strata()
     r = len(strata) - 2
+    k = r if k is None else k
+    if not 0 <= k <= r:
+        raise ValueError(f"truncation level {k} outside 0..{r}")
     weights: dict[Flag, int] = {}
 
-    # Down from the top, a chain of r proper flats ends at rank 1: the
+    # Down from each rank-k flat, a chain of k flats ends at rank 1: the
     # bottom is only ever below its last flat, never in it.
-    def extend(chain: Flag, g: int) -> None:
-        if len(chain) == r:
+    def extend(chain: Flag, below: list[int]) -> None:
+        if len(chain) == k:
             weights[chain] = 1
             return
-        for f in covered_by[g]:
-            extend((f,) + chain, f)
+        for f in below:
+            extend((f,) + chain, covered_by[f])
 
-    extend((), strata[-1][0])
-    return MinkowskiWeight(n, n - r, weights)
+    extend((), strata[k])
+    return MinkowskiWeight(n, n - k, weights)
 
 
 # Never filled: perfbench/layertrace.py reads it to count cache hits.

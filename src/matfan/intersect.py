@@ -317,12 +317,6 @@ def degree_pairing(
 def displacement_weights(matroid: Matroid, k: int) -> tuple[MinkowskiWeight, MinkowskiWeight]:
     """The two complementary weights whose pairing computes coefficient k:
     the (n-k)-step size-graded weight against the pulled-back fan of the
-    k-truncation."""
-    n = matroid.size - 1
-    r = matroid.full_rank - 1
-    if not 0 <= k <= r:
-        raise ValueError(f"coefficient index {k} outside 0..{r}")
-    w1 = permutohedral_weight(n, k)
-    truncated = matroid.truncate(k) if k < r else matroid
-    w2 = cremona_pullback_weight(bergman_weight(truncated))
-    return w1, w2
+    k-truncation.  bergman_weight refuses a k outside 0..full rank - 1."""
+    w2 = cremona_pullback_weight(bergman_weight(matroid, k))
+    return permutohedral_weight(matroid.size - 1, k), w2

@@ -3,8 +3,10 @@
 A matroid is its rank function.  Concrete backends cover the standard
 constructions: uniform and free matroids, multigraphs, column matroids of
 exact matrices over GF(p) or the rationals, explicit basis lists, and
-explicit rank tables.  Derived wrappers implement truncation, free
-coextension and relabelling lazily, without materializing tables.
+explicit rank tables.  Derived wrappers implement free coextension and
+relabelling lazily, without materializing tables; a truncation needs no
+wrapper, since fan.bergman_weight reads its fan off the matroid's own
+flats.
 The backends trust their input; validate_rank_table checks an explicit
 table (or a basis list's rank function) against the rank axioms exactly.
 
@@ -12,9 +14,8 @@ Only the backends whose rank computation does real work memoize rank
 values, one dict per instance: graphic, linear, bases and relabelled.
 A rank table keeps no memo, since its rank is one list index and a memo
 would only copy the table.  Uniform and free matroids keep no memo, and
-neither do the wrappers that adjust one call to their base's rank
-(truncation and free coextension), so a chain of wrappers reads the
-memo of the backend underneath.  A relabelling
+neither does the free coextension, which adjusts one call to its base's
+rank, so it reads the memo of the backend underneath.  A relabelling
 (simplify's result) keeps its own memo and computes its misses through
 its input's rank computation, not its input's memo: each of its masks
 names one input mask, so that memo would hold a second copy.  Instances are
@@ -177,12 +178,6 @@ class Matroid:
         ]
         geometry = RelabeledMatroid(self, reps, name=f"si({self.name})")
         return geometry, mapping
-
-    def truncate(self, k: int) -> "Matroid":
-        """Rank capped at k + 1; requires 0 <= k <= full_rank - 1."""
-        if not 0 <= k <= self.full_rank - 1:
-            raise ValueError(f"truncation level {k} outside 0..{self.full_rank - 1}")
-        return TruncatedMatroid(self, k)
 
     def free_coextension(self) -> "Matroid":
         """Dual of the free extension of the dual; rank and size grow by one."""
@@ -371,18 +366,6 @@ class RankTableMatroid(Matroid):
 
     def _rank_impl(self, mask: int) -> int:
         return self.ranks[mask]
-
-
-class TruncatedMatroid(Matroid):
-    _memoize_rank = False
-
-    def __init__(self, base: Matroid, level: int):
-        super().__init__(base.size, f"tr{level}({base.name})")
-        self.base = base
-        self.level = level
-
-    def _rank_impl(self, mask: int) -> int:
-        return min(self.base.rank(mask), self.level + 1)
 
 
 class RelabeledMatroid(Matroid):

@@ -14,8 +14,9 @@ Welsh-Mason identity scans every subset, so it needs at most 21.  The
 report lists each step it skips.  Without the divisor route, run_check
 builds the Bergman weight and runs check_balancing on it to fill
 balancing_violations, unless the weight has more cones, complete flags
-of proper flats, than any input within the geometry limit: 9!.  So
-free-10, with 10! cones, skips balancing too.
+of proper flats, than any input within the geometry limit: FLAG_LIMIT,
+9!.  So free-10, with 10! cones, skips balancing too.  mu_report never
+balances, so its gate never reads the flat lattice.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ from .matroid import Matroid
 from .schema import InputError
 
 GEOMETRY_LIMIT = 8
+# The most cones of a Bergman weight that an input within the limit has.
+FLAG_LIMIT = math.factorial(GEOMETRY_LIMIT + 1)
 MAX_RETRIES = 32
 MU_METHODS = ("mobius", "flags", "displacement", "divisor")
 
@@ -185,11 +188,11 @@ def mu_vector_displacement(matroid: Matroid) -> tuple[int, ...]:
     return tuple(displacement_levels(matroid, random.Random(0))[0])
 
 
-def count_complete_flags(simple: Matroid) -> int:
+def count_complete_flags(matroid: Matroid) -> int:
     """The number of complete flags of proper flats, which are the cones
     of the Bergman weight: the chains from the bottom flat up to each flat
     G add up over the flats G covers."""
-    strata, covered_by = simple.flat_strata()
+    strata, covered_by = matroid.flat_strata()
     chains = {strata[0][0]: 1}
     for level in strata[1:]:
         for g in level:
@@ -197,13 +200,13 @@ def count_complete_flags(simple: Matroid) -> int:
     return chains[strata[-1][0]]
 
 
-def out_of_reach(simple: Matroid) -> list[str]:
+def out_of_reach(simple: Matroid, balancing: bool = True) -> list[str]:
     """The report steps a simple matroid is too large for, in report order;
-    above the geometry limit, deciding on balancing reads the flat lattice."""
+    above the geometry limit, only deciding on balancing reads the flats."""
     blocked = []
     if simple.size - 1 > GEOMETRY_LIMIT:
         blocked += ["divisor", "displacement"]
-        if count_complete_flags(simple) > math.factorial(GEOMETRY_LIMIT + 1):
+        if balancing and count_complete_flags(simple) > FLAG_LIMIT:
             blocked.append("balancing")
     if simple.size > EXHAUSTIVE_SCAN_LIMIT:
         blocked.append("welsh_mason")
@@ -274,7 +277,7 @@ def run_check(
             t0 = clock()
             chain, mu["divisor"] = cup_chain(base_weight)
             truncation_identity = all(
-                chain[j] == bergman_weight(simple.truncate(r - j))
+                chain[j] == bergman_weight(simple, r - j)
                 for j in range(1, r + 1)
             )
             spent["divisor"] = clock() - t0
@@ -351,7 +354,7 @@ def mu_report(matroid: Matroid, method: str) -> dict:
     if method != "all" and method not in MU_METHODS:
         raise ValueError(f"unknown method {method!r}; expected 'all' or one of {MU_METHODS}")
     simple, note = _subject(matroid)
-    blocked = out_of_reach(simple)
+    blocked = out_of_reach(simple, balancing=False)
     if method in blocked:
         raise InputError(f"{method} needs a ground set of at most {GEOMETRY_LIMIT + 1} "
                          f"elements after simplification; {matroid.name} has {simple.size}")

@@ -22,7 +22,9 @@ live here too: the reference for the library's divisor rules, with the
 nef helpers that evaluate them.
 The dual and the free extension (DualMatroid and FreeExtensionMatroid,
 built by dual and free_extension) are the chain that the library's
-closed-form free coextension is checked against, and incidence_vector,
+closed-form free coextension is checked against; truncation, a rank
+table capped at k + 1, is the reference for the truncated fans that
+bergman_weight reads off the matroid's own flats; and incidence_vector,
 the image of a subset in Z^n, is the reference for the facet ray sums.
 """
 
@@ -41,7 +43,7 @@ from matfan.intersect import (
     divisor_cup,
 )
 from matfan.masks import full_mask, iter_elements
-from matfan.matroid import Matroid
+from matfan.matroid import Matroid, RankTableMatroid
 
 
 # -- rank oracles ------------------------------------------------------
@@ -129,7 +131,7 @@ def _perm_sign(perm):
     return sign
 
 
-# -- duality and free extension ------------------------------------------
+# -- duality, free extension and truncation -----------------------------
 
 class DualMatroid(Matroid):
     """rank*(S) = |S| + r(E - S) - r(E), read through the base's rank."""
@@ -167,6 +169,12 @@ def dual(matroid):
 
 def free_extension(matroid):
     return FreeExtensionMatroid(matroid)
+
+
+def truncation(matroid, k):
+    """The k-truncation as an explicit rank table: min(r(S), k + 1)."""
+    return RankTableMatroid(matroid.size, [min(r, k + 1) for r in matroid.rank_table()],
+                            name=f"tr{k}({matroid.name})")
 
 
 # -- flats, Moebius, characteristic polynomial -------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import resource
 import subprocess
 import sys
 import time
@@ -183,6 +184,23 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+CHILD_ADDRESS_SPACE = 1_500_000_000
+CHILD_SECONDS = 10
+
+
+def run_child(*argv):
+    """Run `python -m matfan argv` in a child whose address space alone is
+    capped at CHILD_ADDRESS_SPACE bytes, within CHILD_SECONDS of wall time.
+    Every outcome is an exit code, never a traceback."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+    proc = subprocess.run([sys.executable, "-m", "matfan", *argv], capture_output=True,
+                          text=True, timeout=CHILD_SECONDS, preexec_fn=cap)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc
+
+
 def test_charpoly_command(tmp_path, capsys):
     path = write_doc(tmp_path, "k4.json", K4_DOC)
     code, out, _ = run_cli(capsys, "charpoly", path)
@@ -240,6 +258,15 @@ def test_mu_geometric_methods_respect_size_limit(tmp_path, capsys):
     assert report["mu"]["mobius"] == [1, 11, 55]
 
 
+@pytest.mark.parametrize("method", ["divisor", "displacement"])
+def test_mu_refuses_a_geometric_method_by_size_alone(tmp_path, method):
+    # free-20 has 2^20 flats; the refusal must not read them.
+    path = write_doc(tmp_path, "free20.json", {"type": "free", "size": 20})
+    proc = run_child("mu", path, "--method", method)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert f"{method} needs a ground set of at most 9 elements" in proc.stderr
+
+
 def test_fan_command(tmp_path, capsys):
     path = write_doc(tmp_path, "k4.json", K4_DOC)
     code, out, _ = run_cli(capsys, "fan", path)
@@ -257,6 +284,20 @@ def test_fan_command_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(out_path.read_text())["codim"] == 1
+
+
+def test_fan_refuses_more_cones_than_the_flag_limit(tmp_path):
+    # free-10 has 10! complete flags of flats, ten times the limit; the
+    # export would not fit in the child's memory.
+    path = write_doc(tmp_path, "free10.json", {"type": "free", "size": 10})
+    out_path = tmp_path / "fan.json"
+    out_path.write_text("old")
+    proc = run_child("fan", path, "--out", str(out_path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "3628800 complete flags" in proc.stderr
+    assert out_path.read_text() == "old"
+    # free-9 sits at the limit and still exports.
+    assert validation.count_complete_flags(FreeMatroid(9)) == validation.FLAG_LIMIT
 
 
 def test_fan_command_rejects_loops(tmp_path, capsys):
@@ -381,7 +422,8 @@ def test_check_command_large_input_skips_geometry(tmp_path, capsys):
 def test_one_gate_decides_for_check_and_mu(monkeypatch):
     # k4 is inside every limit; blocking its geometric routes through the
     # gate alone must reach both reports.
-    monkeypatch.setattr(validation, "out_of_reach", lambda simple: ["divisor", "displacement"])
+    monkeypatch.setattr(validation, "out_of_reach",
+                        lambda simple, balancing=True: ["divisor", "displacement"])
     k4 = load_matroid(K4_DOC)
     report = validation.run_check(k4).report
     assert report["skipped"] == ["divisor", "displacement"]
@@ -459,13 +501,9 @@ def test_undecodable_input_files_exit_code(tmp_path, content):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
     for command in ("charpoly", "mu", "fan", "check"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "matfan", command, str(path)],
-            capture_output=True, text=True,
-        )
+        proc = run_child(command, str(path))
         assert (proc.returncode, proc.stdout) == (2, ""), (command, proc.stderr)
         assert proc.stderr.startswith("error:") and "not valid JSON" in proc.stderr
-        assert "Traceback" not in proc.stderr
 
 
 def test_unwritable_output_paths_exit_code(tmp_path, capsys, monkeypatch):
@@ -680,9 +718,6 @@ def test_idle_options_are_refused(capsys, argv):
 
 def test_module_entry_point(tmp_path):
     path = write_doc(tmp_path, "line.json", {"type": "uniform", "rank": 2, "size": 3})
-    proc = subprocess.run(
-        [sys.executable, "-m", "matfan", "charpoly", path],
-        capture_output=True, text=True,
-    )
+    proc = run_child("charpoly", path)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["mu"] == [1, 2]

@@ -22,7 +22,14 @@ from matfan.fan import (
 )
 from matfan.intersect import NotBalancedError, alpha, divisor_cup
 from matfan.masks import full_mask
-from matfan.matroid import FreeMatroid, GraphicMatroid, RankTableMatroid
+from matfan.matroid import (
+    FreeMatroid,
+    GraphicMatroid,
+    LinearMatroid,
+    RankTableMatroid,
+    UniformMatroid,
+)
+from matfan.schema import load_matroid
 
 from oracles import (
     PLDivisor,
@@ -32,8 +39,10 @@ from oracles import (
     incidence_vector,
     oracle_divisor_cup,
     permutohedral_oracle,
+    truncation,
     unimodularity_factors,
 )
+from test_nonrealizable import sparse_paving_documents
 
 
 # -- lattice points of subsets ----------------------------------------------
@@ -167,18 +176,46 @@ def test_permutohedral_counts():
 
 
 def test_permutohedral_is_truncated_free_fan():
-    # permutohedral_weight is given by rule; the truncated free matroid's
-    # Bergman fan and the element-ordering oracle are built independently.
+    # permutohedral_weight is given by rule; the Bergman fan of u(n-k+1, n+1),
+    # the (n-k)-truncated free matroid, and the element-ordering oracle are
+    # built independently.
     for n in range(6):
         for k in range(n + 1):
             w = permutohedral_weight(n, k)
             assert (w.n, w.codim) == (n, k)
-            expected = bergman_weight(FreeMatroid(n + 1).truncate(n - k))
+            expected = bergman_weight(UniformMatroid(n - k + 1, n + 1))
             assert w == expected
             assert list(w.weights) == list(expected.weights)  # sorted order
             assert len(w.weights) == len(expected.weights)
             assert set(w.weights) == permutohedral_oracle(n, k)
             assert set(w.weights.values()) == {1}
+
+
+GRAPHS = st.builds(GraphicMatroid, st.just(5), st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=9))
+GF3_MATRICES = st.builds(LinearMatroid, st.lists(
+    st.lists(st.integers(0, 2), min_size=7, max_size=7), min_size=1, max_size=4), st.just(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(GRAPHS, GF3_MATRICES, sparse_paving_documents().map(load_matroid)))
+def test_truncated_fans_match_independent_truncations(matroid):
+    # bergman_weight(m, k) walks m's own flats; the reference is the full
+    # fan of the truncation built as a rank table of min(r(S), k + 1).
+    if not matroid.full_rank:
+        return
+    simple = matroid.simplify()[0]
+    r = simple.full_rank - 1
+    for k in range(r + 1):
+        w = bergman_weight(simple, k)
+        expected = bergman_weight(truncation(simple, k))
+        assert (w.n, w.codim) == (simple.size - 1, simple.size - 1 - k)
+        assert w == expected
+        assert list(w.weights) == list(expected.weights)
+    assert bergman_weight(simple, r) == bergman_weight(simple)
+    for k in (-1, r + 1):
+        with pytest.raises(ValueError, match=rf"truncation level {k} outside 0\.\.{r}"):
+            bergman_weight(simple, k)
 
 
 @pytest.mark.parametrize("flag", [

@@ -53,6 +53,7 @@ from oracles import (
     nef_values,
     oracle_divisor_cup,
     pairing_sweep_oracle,
+    truncation,
 )
 
 
@@ -168,7 +169,7 @@ def test_cup_truncation_identity():
         r = matroid.full_rank - 1
         w = bergman_weight(matroid)
         cupped = divisor_cup(alpha, w)
-        assert cupped == bergman_weight(matroid.truncate(r - 1))
+        assert cupped == bergman_weight(truncation(matroid, r - 1))
 
 
 def test_alpha_chain_ends_at_the_point():

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matfan.fan import bergman_weight
 from matfan.masks import elements_of, full_mask, iter_subsets
 from matfan.matroid import (
     BasesMatroid,
@@ -197,7 +198,6 @@ def test_linear_axioms(matrix):
 def test_derived_constructions_satisfy_axioms():
     base = GraphicMatroid(4, K4_EDGES)
     rank_axioms(dual(base))
-    rank_axioms(base.truncate(1))
     rank_axioms(free_extension(base))
     rank_axioms(base.free_coextension())
 
@@ -205,14 +205,13 @@ def test_derived_constructions_satisfy_axioms():
 @pytest.mark.parametrize("warm", [False, True])
 @pytest.mark.parametrize("build", [
     lambda: GraphicMatroid(4, K4_EDGES),
-    lambda: GraphicMatroid(4, K4_EDGES).truncate(1),
     lambda: RelabeledMatroid(GraphicMatroid(4, K4_EDGES), [5, 0, 3]),
     lambda: UniformMatroid(2, 5),
     lambda: dual(GraphicMatroid(4, K4_EDGES)),
     lambda: free_extension(GraphicMatroid(4, K4_EDGES)),
     lambda: GraphicMatroid(4, K4_EDGES).free_coextension(),
     lambda: UniformMatroid(2, 5).free_coextension(),
-], ids=["backend", "truncation", "relabeling", "uniform", "dual", "extension",
+], ids=["backend", "relabeling", "uniform", "dual", "extension",
         "coextension", "uniform-coextension"])
 def test_rank_rejects_masks_outside_the_ground_set(build, warm):
     m = build()
@@ -240,7 +239,7 @@ def test_rank_memos_live_only_in_backends_that_compute():
     # Every rank of the coextension comes through the graphic memo.
     c.rank_table()
     assert set(g._rank_cache) == set(iter_subsets(g.size))
-    for w in (g.truncate(1), dual(g), free_extension(g)):
+    for w in (dual(g), free_extension(g)):
         w.flat_strata()
         assert w.base is g
         assert w._rank_cache is None
@@ -383,28 +382,10 @@ def test_simplify_rank_zero_raises():
 # -- truncation, duality, extensions ---------------------------------------
 
 
-def test_truncate_rank_function():
-    m = GraphicMatroid(4, K4_EDGES)
-    t = m.truncate(1)
-    for mask in iter_subsets(6):
-        assert t.rank(mask) == min(m.rank(mask), 2)
-    assert t.full_rank == 2
-    # Truncating the truncation composes.
-    assert t.truncate(0).rank_table() == m.truncate(0).rank_table()
-    with pytest.raises(ValueError):
-        m.truncate(3)
-    with pytest.raises(ValueError):
-        m.truncate(-1)
-
-
-def test_truncate_free_gives_uniform():
-    # Ground set of size 4, rank capped at 2.
-    assert FreeMatroid(4).truncate(1).rank_table() == UniformMatroid(2, 4).rank_table()
-
-
 def test_top_truncation_is_identity_rank():
+    # Truncating at the top level leaves the matroid, so its fan, as it is.
     m = UniformMatroid(3, 5)
-    assert m.truncate(2).rank_table() == m.rank_table()
+    assert bergman_weight(m, 2) == bergman_weight(m)
 
 
 def test_dual():
