@@ -17,17 +17,18 @@ the cup is integer-only and solves nothing.
 
 The degree pairing displaces one weight by a generic vector v and counts
 transversal intersections of complementary-dimension cones with lattice
-index multiplicities.  The first weight is size-graded (the permutohedral
-weight, given by rule) and is never enumerated: for each cone tau of the
-second weight, every way to meet tau's blocks once fixes a point, which
-names the one sigma that can meet tau + v (see pairing_terms).  Each such
+index multiplicities.  The first weight is the permutohedral weight,
+given by rule, and is never enumerated; v has positive, pairwise
+distinct coordinates; pairing_terms refuses anything else.  For each
+cone tau of the second weight, every way to meet tau's blocks once fixes
+a point, which names the one sigma that can meet tau + v.  Each such
 pair is confirmed by one traversal of a graph on the two flags' blocks
 (see cone_displacement_intersect): a pair meets transversally exactly
 when that graph is a spanning tree, so every index is 1.  Genericity is
 certified, never assumed: any exact tie that a sweep over every pair
-would meet (a zero cone coefficient, or a singular-but-consistent
-system) aborts the pairing and the caller retries with a perturbed v.
-So v is certified for two weights exactly when pairing_terms returns.
+would meet (a zero cone coefficient) aborts the pairing and the caller
+retries with a perturbed v.  So v is certified for two weights exactly
+when pairing_terms returns.
 A displacement vector is a plain tuple of Fractions, as is an
 intersection point; both are scaled to integers for the solve, and
 there are no tolerances anywhere.
@@ -221,21 +222,24 @@ def pairing_terms(
     """The transversally intersecting support pairs under displacement v,
     ordered by sigma and then by tau's position in w2.
 
-    w1 must be supported on flags of subsets of sizes 1..n-k, as every
-    permutohedral_weight is.  Such a sigma is n-k singleton blocks above
-    a (k+1)-element bottom block R, so its graph against tau (see
-    cone_displacement_intersect) is a tree exactly when R meets each of
-    tau's blocks T_0..T_k once, say in r_j.  The point is then fixed:
-    with v lifted by v_0 = 0, and u_x = v_x - v_(r_j) for the other
-    elements x of T_j, sigma must order those singletons by decreasing u.
-    So each (tau, R) names at most one sigma, and w1 is never enumerated.
+    w1 must be a permutohedral_weight and v must have positive, pairwise
+    distinct coordinates, as default_displacement and
+    perturbed_displacement do; anything else raises ValueError.  A sigma
+    of w1 is n-k singleton blocks above a (k+1)-element bottom block R,
+    so its graph against tau (see cone_displacement_intersect) is a tree
+    exactly when R meets each of tau's blocks T_0..T_k once, say in r_j.
+    The point is then fixed: with v lifted by v_0 = 0, and u_x = v_x -
+    v_(r_j) for the other elements x of T_j, sigma must order those
+    singletons by decreasing u.  So each (tau, R) names at most one
+    sigma, and w1 is never enumerated.
 
     Returning, rather than raising DegenerateDisplacementError, certifies
     v for this pair of supports; no argument is modified.  The verdict is
-    that of a sweep over every pair of a size-graded sigma and a tau of
-    w2, skipping unsolved the pairs that cannot meet under a positive v:
+    that of a sweep over every pair of sigma in w1 and tau in w2,
+    skipping unsolved the pairs that cannot meet under a positive v:
     those where some coordinate has neither a positive sigma ray nor a
-    negative tau ray.  So a tie at a sigma outside w1's support raises too.
+    negative tau ray.  With the lifted values all distinct, the one tie
+    such a sweep meets is two equal u's, a zero coefficient.
     """
     if w1.n != w2.n:
         raise ValueError("weights live on different fans")
@@ -246,55 +250,36 @@ def pairing_terms(
     if len(v) != n:
         raise ValueError(f"displacement vector needs {n} coordinates")
     if not isinstance(w1.weights, SizeGradedFlags):
-        graded = SizeGradedFlags(n, k)
-        if any(flag not in graded for flag in w1.weights):
-            raise ValueError("w1 must be supported on flags of subsets of sizes 1..n-k")
+        raise ValueError("w1 must be a permutohedral_weight")
+    if min(v, default=1) <= 0 or len(set(v)) < n:
+        raise ValueError("displacement vector needs positive, pairwise distinct coordinates")
     scale = math.lcm(*(x.denominator for x in v))
     lifted = (0, *(x.numerator * (scale // x.denominator) for x in v))
-    positive = all(c > 0 for c in v)
     found: list[tuple[Flag, int, PairingTerm]] = []
     for position, tau in enumerate(w2.weights):
         block_of = _flag_blocks(n, tau)
-        # Under a positive v the sign test keeps a pair only when R minus 0
-        # lies in tau's negative rays: the blocks after the one holding 0.
-        # So R is drawn from those and 0 alone.
-        low = block_of[0] if positive else -1
+        # The sign test keeps a pair only when R minus 0 lies in tau's
+        # negative rays: the blocks after the one holding 0.  So R is
+        # drawn from those and 0 alone, and holds 0 whenever it is a
+        # transversal.
         blocks: list[list[int]] = [[] for _ in range(k + 1)]
         for e in range(n + 1):
-            if e == 0 or block_of[e] > low:
+            if e == 0 or block_of[e] > block_of[0]:
                 blocks[block_of[e]].append(e)
-
-        # R not a transversal: the graph is disconnected, and the system
-        # is consistent (a degenerate span) when v is constant on each
-        # R & T_j.  Such an R exists when some T_j offers two elements
-        # with equal v and the largest such classes hold k+1 in all.
-        # (Putting 0 last among the singletons passes the sign test.)
-        largest = []
-        for block in blocks:
-            values = [lifted[e] for e in block]
-            largest.append(max(map(values.count, values), default=0))
-        if max(largest) >= 2 and sum(largest) >= k + 1:
-            raise DegenerateDisplacementError(f"displacement lies in a degenerate span of {tau}")
-
         for bottom in product(*blocks):
             # The tree's coefficients are v(r_(j+1)) - v(r_j) on tau, and on
             # sigma the steps between the u's in sigma's order and from the
-            # last u down to R's 0.  Under a positive v every transversal R
-            # holds 0 (the blocks before 0's are empty), so the sign test
-            # keeps every order: two equal u's are a zero coefficient of a
-            # swept pair.  (A u of 0 is a tie v_x = v_(r_j) inside T_j,
-            # already raised as a degenerate span above.)
+            # last u down to R's 0.  The sign test keeps every order, so two
+            # equal u's are a zero coefficient of a swept pair.
             ends = [lifted[r] for r in bottom]
             u = {x: lifted[x] - ends[block_of[x]] for x in range(n + 1) if x not in bottom}
-            if any(a == b for a, b in zip(ends, ends[1:])) or len(set(u.values())) < len(u):
+            if len(set(u.values())) < len(u):
                 raise DegenerateDisplacementError(f"boundary tie on {tau}")
             # A hit needs v increasing along R and every u positive.
             if min(u.values(), default=1) < 0 or any(a > b for a, b in zip(ends, ends[1:])):
                 continue
             order = sorted(u, key=u.__getitem__, reverse=True)
             sigma = tuple(accumulate(1 << x for x in order))
-            if not w1.value(sigma):
-                continue
             hit = cone_displacement_intersect(n, sigma, tau, v)
             if hit is not None:
                 found.append((sigma, position, PairingTerm(sigma, tau, *hit)))

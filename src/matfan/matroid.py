@@ -270,8 +270,8 @@ class GraphicMatroid(Matroid):
 class LinearMatroid(Matroid):
     """Column matroid of an exact matrix over GF(p) or the rationals.
 
-    field is None for the rationals or a prime p for GF(p).  Rational
-    entries may be ints or Fractions.
+    field is None for the rationals or a prime p for GF(p).  Entries over
+    GF(p) must be ints; over Q they may be ints or Fractions, not floats.
     """
 
     def __init__(self, matrix: Sequence[Sequence], field: int | None = None,
@@ -286,6 +286,11 @@ class LinearMatroid(Matroid):
         tag = "Q" if field is None else f"GF({field})"
         super().__init__(width, f"linear({tag},{len(matrix)}x{width})" if name is None else name)
         self.field = field
+        entries = [x for row in matrix for x in row]
+        if field is None and any(isinstance(x, float) for x in entries):
+            raise ValueError("matrix entries over Q must be exact, not floats")
+        if field is not None and not all(isinstance(x, int) for x in entries):
+            raise ValueError(f"matrix entries over GF({field}) must be ints")
         if field is None:
             self.columns = [tuple(Fraction(matrix[i][j]) for i in range(len(matrix)))
                             for j in range(width)]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import resource
 import subprocess
 import sys
@@ -188,6 +189,12 @@ CHILD_ADDRESS_SPACE = 1_500_000_000
 CHILD_SECONDS = 10
 
 
+# The child imports the package under test, whether or not it is installed.
+CHILD_PYTHONPATH = os.pathsep.join(
+    p for p in (str(Path(cli.__file__).resolve().parent.parent),
+                os.environ.get("PYTHONPATH")) if p)
+
+
 def run_child(*argv):
     """Run `python -m matfan argv` in a child whose address space alone is
     capped at CHILD_ADDRESS_SPACE bytes, within CHILD_SECONDS of wall time.
@@ -196,7 +203,8 @@ def run_child(*argv):
         resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
 
     proc = subprocess.run([sys.executable, "-m", "matfan", *argv], capture_output=True,
-                          text=True, timeout=CHILD_SECONDS, preexec_fn=cap)
+                          text=True, timeout=CHILD_SECONDS, preexec_fn=cap,
+                          env=dict(os.environ, PYTHONPATH=CHILD_PYTHONPATH))
     assert "Traceback" not in proc.stderr, proc.stderr
     return proc
 

@@ -227,6 +227,16 @@ def test_perturbed_displacement_window():
     assert all(a < b for a, b in zip(v, v[1:]))
 
 
+def test_production_displacements_meet_the_pairing_contract():
+    # pairing_terms refuses tied or non-positive vectors, so both vectors
+    # that certified_terms tries must be positive with distinct coordinates.
+    for n in range(31):
+        vectors = [default_displacement(n)]
+        vectors += [perturbed_displacement(n, random.Random(seed)) for seed in range(20)]
+        for v in vectors:
+            assert len(v) == n and meets_pairing_contract(v)
+
+
 def test_perturbed_displacement_is_seed_deterministic():
     a = perturbed_displacement(3, random.Random(5))
     b = perturbed_displacement(3, random.Random(5))
@@ -332,6 +342,21 @@ def tied_displacements(n):
         lambda pool: st.tuples(*[st.sampled_from(pool)] * n))
 
 
+def distinct_positive_displacements(n):
+    """Vectors that pairing_terms accepts: positive, no two coordinates
+    equal.  The default and the permutations of 1..n often tie two u's."""
+    return st.one_of(
+        st.just(default_displacement(n)),
+        st.permutations(range(1, n + 1)).map(lambda p: tuple(map(Fraction, p))),
+        st.lists(st.fractions(Fraction(1, 4), 4, max_denominator=4),
+                 min_size=n, max_size=n, unique=True).map(tuple),
+    )
+
+
+def meets_pairing_contract(v):
+    return all(c > 0 for c in v) and len(set(v)) == len(v)
+
+
 def _sweep_outcome(sweep, w1, w2, v):
     try:
         return sweep(w1, w2, v)
@@ -344,16 +369,22 @@ def _sweep_outcome(sweep, w1, w2, v):
 def test_located_pairs_match_the_full_sweep(data):
     # Random supports of codimension n-k against the permutohedral weight:
     # the located terms, their order and the degeneracy verdict must be
-    # those of the sweep over every pair with the sign prefilter.
+    # those of the sweep over every pair with the sign prefilter.  A vector
+    # with a tied, zero or negative coordinate is refused outright.
     n = data.draw(st.integers(0, 5))
     k = data.draw(st.integers(0, n))
     flags = data.draw(st.lists(flag_of_length(n, k), min_size=1, max_size=4))
     w2 = MinkowskiWeight(n, n - k, {flag: data.draw(st.sampled_from((1, -1, 2)))
                                     for flag in flags})
     w1 = permutohedral_weight(n, k)
-    v = data.draw(st.one_of(displacements(n), tied_displacements(n)))
-    assert _sweep_outcome(pairing_terms, w1, w2, v) == _sweep_outcome(
-        pairing_sweep_oracle, w1, w2, v)
+    v = data.draw(st.one_of(distinct_positive_displacements(n), displacements(n),
+                            tied_displacements(n)))
+    if meets_pairing_contract(v):
+        assert _sweep_outcome(pairing_terms, w1, w2, v) == _sweep_outcome(
+            pairing_sweep_oracle, w1, w2, v)
+    else:
+        with pytest.raises(ValueError, match="distinct"):
+            pairing_terms(w1, w2, v)
 
 
 @pytest.mark.parametrize("n, k, support, v, outcome", [
@@ -370,13 +401,22 @@ def test_located_pairs_match_the_full_sweep(data):
     # Positive v; on the transversal R = {0, 3, 1}, u = 1 on 2, 4 and 5.
     # Those are not negative rays of tau, so no degenerate span covers them.
     (5, 2, [(0b110101, 0b111101)], (1, 1, 2, 1, 1), "degenerate"),
+    # Positive, distinct v; on the transversal R = {0, 2}, u = 1 on 1 and 3.
+    (3, 1, [(0b0011,)], (1, 2, 3), "degenerate"),
 ])
 def test_located_pairs_on_each_kind_of_tie(n, k, support, v, outcome):
+    # The sweep classifies every tie; pairing_terms accepts only positive
+    # vectors with distinct coordinates, where two equal u's are the one
+    # tie left.
     w1 = permutohedral_weight(n, k)
     w2 = MinkowskiWeight(n, n - k, {flag: 1 for flag in support})
     v = tuple(map(Fraction, v))
     assert _sweep_outcome(pairing_sweep_oracle, w1, w2, v) == outcome
-    assert _sweep_outcome(pairing_terms, w1, w2, v) == outcome
+    if meets_pairing_contract(v):
+        assert _sweep_outcome(pairing_terms, w1, w2, v) == outcome
+    else:
+        with pytest.raises(ValueError, match="distinct"):
+            pairing_terms(w1, w2, v)
 
 
 @pytest.mark.parametrize("matroid", [UniformMatroid(3, 9), UniformMatroid(4, 9)])
@@ -419,9 +459,13 @@ def test_degree_pairing_shape_checks():
         degree_pairing(w1, permutohedral_weight(2, 0), default_displacement(2))
     with pytest.raises(ValueError):
         degree_pairing(w1, permutohedral_weight(2, 1), default_displacement(3))
-    # Pairs are located only on flags of subsets of sizes 1..n-k.
-    with pytest.raises(ValueError, match="sizes"):
+    # Pairs are located only against the permutohedral weight, even when
+    # a table holds the same flags.
+    with pytest.raises(ValueError, match="permutohedral_weight"):
         degree_pairing(MinkowskiWeight(2, 1, {(0b011,): 1}), permutohedral_weight(2, 1),
+                       default_displacement(2))
+    with pytest.raises(ValueError, match="permutohedral_weight"):
+        degree_pairing(MinkowskiWeight(2, 1, dict(w1.items())), permutohedral_weight(2, 1),
                        default_displacement(2))
 
 
@@ -456,16 +500,14 @@ def test_pairing_certifies_the_vector():
 
 
 def test_certified_pairing_retries_past_degeneracy():
-    # A single two-dimensional cone against the origin, displaced onto
-    # its boundary: the first sweep is degenerate, the retry resolves it
-    # robustly to an empty intersection.
-    w1 = MinkowskiWeight(2, 0, {(0b010, 0b110): 1})
-    w2 = MinkowskiWeight(2, 2, {(): 1})
-    bad = frac(1, 1)
+    # At level 2 of k4 the default vector ties two u's: the first sweep is
+    # degenerate, and a perturbed vector certifies the degree mu_2 = 6.
+    w1, w2 = displacement_weights(corpus.build("k4"), 2)
+    bad = default_displacement(w1.n)
     with pytest.raises(DegenerateDisplacementError):
         degree_pairing(w1, w2, bad)
-    terms, used, first = certified_terms(w1, w2, random.Random(0), bad)
-    assert terms_degree(w1, w2, terms) == 0
+    terms, used, first = certified_terms(w1, w2, random.Random(0))
+    assert terms_degree(w1, w2, terms) == 6
     assert pairing_terms(w1, w2, used) == terms
     assert not first
     assert used != bad
@@ -571,7 +613,7 @@ def test_explicit_displacement_vector_is_used():
 def test_pairing_respects_weight_multiplicities():
     # Doubling one side doubles the degree.
     w1, w2 = displacement_weights(corpus.build("u-2-3"), 1)
-    doubled = MinkowskiWeight(w1.n, w1.codim,
-                              {f: 2 * c for f, c in w1.items()})
+    doubled = MinkowskiWeight(w2.n, w2.codim,
+                              {f: 2 * c for f, c in w2.items()})
     v = default_displacement(2)
-    assert degree_pairing(doubled, w2, v) == 2 * degree_pairing(w1, w2, v)
+    assert degree_pairing(w1, doubled, v) == 2 * degree_pairing(w1, w2, v)

@@ -1,6 +1,7 @@
 """Rank oracles, flats, and the standard constructions."""
 
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -119,6 +120,16 @@ def test_linear_fraction_entries():
 def test_linear_rejects_fractions_over_gf():
     with pytest.raises(ValueError):
         LinearMatroid([["1/2"]], 2)
+
+
+def test_linear_rejects_inexact_entries():
+    # 1/2 is 2 mod 3, a unit: truncating it to 0 would make a loop.
+    with pytest.raises(ValueError, match="ints"):
+        LinearMatroid([[Fraction(1, 2), 1]], 3)
+    with pytest.raises(ValueError, match="ints"):
+        LinearMatroid([[1.0, 1]], 3)
+    with pytest.raises(ValueError, match="floats"):
+        LinearMatroid([[0.5, 1]], None)
 
 
 def test_bases_matroid():
