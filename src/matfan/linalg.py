@@ -1,15 +1,16 @@
 """Exact linear algebra over the integers, the rationals, and GF(p).
 
 Everything is fraction-free or Fraction-based; no floats.  Production
-uses the ranks (Gaussian elimination over Fraction or GF(p)) and
-is_prime.  Two generic solvers are kept as references that the
-flag-cone code is tested against: solve_square_int (Bareiss square
-solves, with a rational consistency test for singular systems) for the
-displacement pairing's spanning-tree solve, and solve_in_span for the
-flag-cone span test of the test oracles' flag_span_coefficients (fan's
-balancing test reads one block per gap and solves nothing).  The
-benchmark's layer tracer (perfbench/layertrace.py) wraps both by name,
-so they stay here rather than among the test oracles.
+uses rank, one fraction-free elimination over Q or GF(p) whose entries
+stay integers, and is_prime.  Two generic solvers are kept as
+references that the flag-cone code is tested against: solve_square_int
+(Bareiss square solves, with a rational consistency test for singular
+systems) for the displacement pairing's spanning-tree solve, and
+solve_in_span for the flag-cone span test of the test oracles'
+flag_span_coefficients (fan's balancing test reads one block per gap and
+solves nothing).  The benchmark's layer tracer (perfbench/layertrace.py)
+wraps both by name, so they stay here rather than among the test
+oracles.
 """
 
 from __future__ import annotations
@@ -142,51 +143,38 @@ def solve_in_span(columns: Sequence[Sequence[int]], target: Sequence[int]):
     return coeffs
 
 
-def rank_rational(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank of a matrix with exact rational entries."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    if not mat:
-        return 0
-    n, width = len(mat), len(mat[0])
+def rank(rows: Sequence[Sequence[int]], p: int | None = None) -> int:
+    """Rank of an integer matrix over Q, or over GF(p) when p is given.
+
+    One fraction-free elimination for both fields.  Below each pivot,
+    row_i becomes pivot * row_i - row_i[col] * pivot_row, reduced mod p,
+    or over Q divided exactly by the previous pivot (Bareiss 1968), so
+    every entry stays an integer minor of the input.  Modulo p a row that
+    is already zero in the pivot column is left alone; over Q it must
+    still be scaled to keep that invariant.
+    """
+    mat = [list(r) for r in rows] if p is None else [[x % p for x in r] for r in rows]
+    n = len(mat)
+    width = len(mat[0]) if n else 0
     rank = 0
+    prev = 1
     for col in range(width):
         piv = next((i for i in range(rank, n) if mat[i][col]), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
         prow = mat[rank]
+        pk = prow[col]
         for i in range(rank + 1, n):
-            if mat[i][col]:
-                ri = mat[i]
-                scale = ri[col] / prow[col]
-                for j in range(col, width):
-                    ri[j] -= scale * prow[j]
-        rank += 1
-        if rank == n:
-            break
-    return rank
-
-
-def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank of an integer matrix over GF(p)."""
-    mat = [[x % p for x in r] for r in rows]
-    if not mat:
-        return 0
-    n, width = len(mat), len(mat[0])
-    rank = 0
-    for col in range(width):
-        piv = next((i for i in range(rank, n) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        inv = pow(prow[col], p - 2, p) if p > 2 else prow[col]
-        for i in range(rank + 1, n):
-            if mat[i][col]:
-                ri = mat[i]
-                scale = (ri[col] * inv) % p
-                for j in range(col, width):
-                    ri[j] = (ri[j] - scale * prow[j]) % p
+            ri = mat[i]
+            f = ri[col]
+            if p is None:
+                for j in range(col + 1, width):
+                    ri[j] = (pk * ri[j] - f * prow[j]) // prev
+            elif f:
+                for j in range(col + 1, width):
+                    ri[j] = (pk * ri[j] - f * prow[j]) % p
+        prev = pk
         rank += 1
         if rank == n:
             break

@@ -8,12 +8,13 @@ relabelling lazily, without materializing tables; a truncation needs no
 wrapper, since fan.bergman_weight reads its fan off the matroid's own
 flats.
 The backends trust their input; validate_rank_table checks an explicit
-table (or a basis list's rank function) against the rank axioms exactly.
+table (or a basis list's table) against the rank axioms exactly.
 
 Only the backends whose rank computation does real work memoize rank
-values, one dict per instance: graphic, linear, bases and relabelled.
-A rank table keeps no memo, since its rank is one list index and a memo
-would only copy the table.  Uniform and free matroids keep no memo, and
+values, one dict per instance: graphic, linear and relabelled.  A rank
+table keeps no memo, since its rank is one list index and a memo would
+only copy the table; a basis list is a rank table, built once by its
+constructor.  Uniform and free matroids keep no memo, and
 neither does the free coextension, which adjusts one call to its base's
 rank, so it reads the memo of the backend underneath.  A relabelling
 (simplify's result) keeps its own memo and computes its misses through
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from . import linalg
@@ -291,65 +293,20 @@ class LinearMatroid(Matroid):
             raise ValueError("matrix entries over Q must be exact, not floats")
         if field is not None and not all(isinstance(x, int) for x in entries):
             raise ValueError(f"matrix entries over GF({field}) must be ints")
-        if field is None:
-            self.columns = [tuple(Fraction(matrix[i][j]) for i in range(len(matrix)))
-                            for j in range(width)]
-        else:
-            self.columns = [tuple(int(matrix[i][j]) % field for i in range(len(matrix)))
-                            for j in range(width)]
+        # Integer columns for both fields: over Q each column is scaled by
+        # the lcm of its denominators, a nonzero scalar that keeps ranks.
+        self.columns = []
+        for col in zip(*matrix):
+            if field is None:
+                col = [Fraction(x) for x in col]
+                scale = lcm(*(x.denominator for x in col))
+                self.columns.append(tuple(int(x * scale) for x in col))
+            else:
+                self.columns.append(tuple(x % field for x in col))
 
     def _rank_impl(self, mask: int) -> int:
         # Rank is transpose-invariant, so feed the columns as rows.
-        chosen = [self.columns[e] for e in elements_of(mask)]
-        if not chosen:
-            return 0
-        if self.field is None:
-            return linalg.rank_rational(chosen)
-        return linalg.rank_mod_p(chosen, self.field)
-
-
-class BasesMatroid(Matroid):
-    """Matroid given by its bases: rank(S) = max over bases of |B & S|.
-
-    The constructor does not test basis exchange; the rank table passes
-    validate_rank_table exactly when the family satisfies it.
-    """
-
-    def __init__(self, size: int, bases: Sequence[int], name: str | None = None):
-        super().__init__(size, f"bases({size})" if name is None else name)
-        if not bases:
-            raise ValueError("at least one basis is required")
-        card = bases[0].bit_count()
-        for b in bases:
-            check_mask(b, size)
-            if b.bit_count() != card:
-                raise ValueError("bases must all have the same cardinality")
-        self.bases = sorted(set(bases))
-
-    def _rank_impl(self, mask: int) -> int:
-        return max((b & mask).bit_count() for b in self.bases)
-
-    def rank_table(self) -> list[int]:
-        """All 2**size ranks in O(2**size * size) steps, bypassing the memo.
-
-        By descending mask, every subset of a basis is marked independent
-        before its own subsets; then by ascending mask, a dependent set
-        takes the largest rank among its one-smaller subsets.
-        """
-        complements = iter_subsets(self.size)
-        full = self.ground_mask
-        ranks = [-1] * (full + 1)
-        for b in self.bases:
-            ranks[b] = b.bit_count()
-        for c in complements:
-            mask = full ^ c
-            if ranks[mask] > 0:
-                for x in elements_of(mask):
-                    ranks[mask ^ 1 << x] = ranks[mask] - 1
-        for mask in range(full + 1):
-            if ranks[mask] < 0:
-                ranks[mask] = max(ranks[mask ^ 1 << x] for x in elements_of(mask))
-        return ranks
+        return linalg.rank([self.columns[e] for e in elements_of(mask)], self.field)
 
 
 class RankTableMatroid(Matroid):
@@ -371,6 +328,43 @@ class RankTableMatroid(Matroid):
 
     def _rank_impl(self, mask: int) -> int:
         return self.ranks[mask]
+
+
+class BasesMatroid(RankTableMatroid):
+    """Matroid given by its bases: rank(S) = max over bases of |B & S|.
+
+    The constructor builds the rank table once, in O(2**size * size)
+    steps: by descending mask, every subset of a basis is marked
+    independent before its own subsets; then by ascending mask, a
+    dependent set takes the largest rank among its one-smaller subsets.
+    It does not test basis exchange; the table passes validate_rank_table
+    exactly when the family satisfies it.
+    """
+
+    def __init__(self, size: int, bases: Sequence[int], name: str | None = None):
+        # Past RankTableMatroid.__init__: the table is built in place below,
+        # so there is no shape to check and no list to copy.
+        Matroid.__init__(self, size, f"bases({size})" if name is None else name)
+        if not bases:
+            raise ValueError("at least one basis is required")
+        card = bases[0].bit_count()
+        for b in bases:
+            check_mask(b, size)
+            if b.bit_count() != card:
+                raise ValueError("bases must all have the same cardinality")
+        complements = iter_subsets(size)
+        full = self.ground_mask
+        ranks = self.ranks = [-1] * (full + 1)
+        for b in bases:
+            ranks[b] = card
+        for c in complements:
+            mask = full ^ c
+            if ranks[mask] > 0:
+                for x in elements_of(mask):
+                    ranks[mask ^ 1 << x] = ranks[mask] - 1
+        for mask in range(full + 1):
+            if ranks[mask] < 0:
+                ranks[mask] = max(ranks[mask ^ 1 << x] for x in elements_of(mask))
 
 
 class RelabeledMatroid(Matroid):

@@ -132,7 +132,7 @@ def load_matroid(data: Any) -> Matroid:
         if kind == "bases":
             matroid = BasesMatroid(_require(data, "n", int),
                                    _int_list(data, "bases"), name)
-            witness = validate_rank_table(matroid.size, matroid.rank_table())
+            witness = validate_rank_table(matroid.size, matroid.ranks)
             if witness is not None:
                 raise InputError(f"bases fail basis exchange; their rank function "
                                  f"violates the rank axioms: {witness}")

@@ -1,13 +1,15 @@
 """Brute-force oracles, independent of the library's computation paths.
 
 Everything here recomputes invariants from first principles: ranks by
-exhaustive search, flats by scanning all subsets, Moebius values by
-counting chains with alternating signs (Philip Hall) and by Weisner's
-recursion over the library's covering relation, characteristic
-polynomials by the subset expansion over the rank function, flag
-counts by filtering all chains of flats, and the permutohedral weight's
-flags by ordering elements.  Tests freeze the numbers these
-oracles produce and also re-run the oracles against library output.
+exhaustive search, by elimination over Fraction or with modular
+inverses, and by maximizing over a basis family, flats by scanning all
+subsets, Moebius values by counting chains with alternating signs
+(Philip Hall) and by Weisner's recursion over the library's covering
+relation, characteristic polynomials by the subset expansion over the
+rank function, flag counts by filtering all chains of flats, and the
+permutohedral weight's flags by ordering elements.  Tests freeze the
+numbers these oracles produce and also re-run the oracles against
+library output.
 
 The generic integer linear algebra lives here too: Bareiss determinants,
 the Smith form and lattice indices, and a displacement-pair classifier
@@ -113,6 +115,58 @@ def matrix_rank_oracle(columns, prime=None):
         return 0
 
     return rank
+
+
+def fraction_rank(rows):
+    """Matrix rank by Gaussian elimination over Fraction."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    if not mat:
+        return 0
+    n, width = len(mat), len(mat[0])
+    rank = 0
+    for col in range(width):
+        piv = next((i for i in range(rank, n) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        prow = mat[rank]
+        for i in range(rank + 1, n):
+            if mat[i][col]:
+                ri = mat[i]
+                scale = ri[col] / prow[col]
+                for j in range(col, width):
+                    ri[j] -= scale * prow[j]
+        rank += 1
+    return rank
+
+
+def mod_p_rank(rows, p):
+    """Matrix rank over GF(p) by Gaussian elimination with modular inverses."""
+    mat = [[x % p for x in r] for r in rows]
+    if not mat:
+        return 0
+    n, width = len(mat), len(mat[0])
+    rank = 0
+    for col in range(width):
+        piv = next((i for i in range(rank, n) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        prow = mat[rank]
+        inv = pow(prow[col], -1, p)
+        for i in range(rank + 1, n):
+            if mat[i][col]:
+                ri = mat[i]
+                scale = ri[col] * inv % p
+                for j in range(col, width):
+                    ri[j] = (ri[j] - scale * prow[j]) % p
+        rank += 1
+    return rank
+
+
+def bases_rank_oracle(size, family):
+    """Rank table of a basis family: r(S) = max over bases B of |B & S|."""
+    return [max((b & mask).bit_count() for b in family) for mask in range(1 << size)]
 
 
 def _perm_sign(perm):

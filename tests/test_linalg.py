@@ -8,7 +8,13 @@ from hypothesis import given, strategies as st
 
 from matfan import linalg
 
-from oracles import det_int, lattice_index, smith_invariant_factors
+from oracles import (
+    det_int,
+    fraction_rank,
+    lattice_index,
+    mod_p_rank,
+    smith_invariant_factors,
+)
 
 
 def fraction_det(rows):
@@ -106,18 +112,46 @@ def test_solve_in_span_rational_coefficients():
 
 @given(small_matrix)
 def test_rank_mod_p_bounded_by_rational_rank(rows):
-    rq = linalg.rank_rational(rows)
+    rq = linalg.rank(rows)
     for p in (2, 3, 5):
-        assert linalg.rank_mod_p(rows, p) <= rq
+        assert linalg.rank(rows, p) <= rq
 
 
 def test_rank_examples():
-    assert linalg.rank_rational([[1, 2], [2, 4]]) == 1
-    assert linalg.rank_rational([[1, 0], [0, 1]]) == 2
+    assert linalg.rank([]) == linalg.rank([], 3) == 0
+    assert linalg.rank([[1, 2], [2, 4]]) == 1
+    assert linalg.rank([[1, 0], [0, 1]]) == 2
     # 2x2 binary all-ones drops rank mod 2 only after adding rows.
-    assert linalg.rank_mod_p([[1, 1], [1, 1]], 2) == 1
-    assert linalg.rank_mod_p([[1, 1], [1, -1]], 2) == 1
-    assert linalg.rank_rational([[1, 1], [1, -1]]) == 2
+    assert linalg.rank([[1, 1], [1, 1]], 2) == 1
+    assert linalg.rank([[1, 1], [1, -1]], 2) == 1
+    assert linalg.rank([[1, 1], [1, -1]]) == 2
+    # Entries are reduced mod p before elimination: this row is zero mod 2.
+    assert linalg.rank([[2, 4]], 2) == 0
+    assert linalg.rank([[2, 4]]) == 1
+    # The last row is zero in the first pivot column, yet over Q it must be
+    # scaled, or the next division is no longer exact and gives rank 2.
+    assert linalg.rank([[2, 3, 1], [-1, -3, 2], [0, -2, 3]]) == 3
+
+
+rectangular_matrix = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(-15, 15), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0],
+    )
+)
+
+
+@given(rectangular_matrix)
+def test_rank_over_q_matches_fraction_elimination_and_smith_form(rows):
+    assert linalg.rank(rows) == fraction_rank(rows) == len(smith_invariant_factors(rows))
+
+
+@given(rectangular_matrix)
+def test_rank_mod_p_matches_modular_elimination(rows):
+    # Entries run from -15 to 15, so negative ones and ones >= p occur
+    # for every p.
+    for p in (2, 3, 5, 7):
+        assert linalg.rank(rows, p) == mod_p_rank(rows, p)
 
 
 def test_smith_invariant_factors():
@@ -133,7 +167,7 @@ def test_smith_divisibility_chain(rows):
     factors = smith_invariant_factors(rows)
     assert all(f > 0 for f in factors)
     assert all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1))
-    assert len(factors) == linalg.rank_rational(rows)
+    assert len(factors) == linalg.rank(rows)
 
 
 def test_lattice_index():

@@ -3,10 +3,12 @@
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matfan import corpus, linalg
 from matfan.fan import bergman_weight
 from matfan.masks import elements_of, full_mask, iter_subsets
 from matfan.matroid import (
@@ -26,6 +28,7 @@ from oracles import (
     FANO_MATRIX,
     K4_EDGES,
     K5_EDGES,
+    bases_rank_oracle,
     forest_rank_oracle,
     graphic_rank,
     independent_counts_oracle,
@@ -130,6 +133,37 @@ def test_linear_rejects_inexact_entries():
         LinearMatroid([[1.0, 1]], 3)
     with pytest.raises(ValueError, match="floats"):
         LinearMatroid([[0.5, 1]], None)
+
+
+def test_linear_ranks_over_q_build_no_fraction(monkeypatch):
+    # Rational columns are scaled to integers once, at construction; the
+    # elimination keeps every entry an integer minor.
+    expected = corpus.build("non-fano").rank_table()
+    m = corpus.build("non-fano")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction built during rank elimination")
+
+    monkeypatch.setattr(linalg, "Fraction", refuse)
+    assert m.rank_table() == expected
+
+
+fraction_entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda height: st.lists(
+    st.tuples(st.lists(fraction_entry, min_size=height, max_size=height),
+              st.sampled_from((-2, 1, 3))),
+    min_size=1, max_size=5)))
+def test_linear_fraction_columns_rank_as_their_integer_multiples(drawn):
+    columns = [col for col, _ in drawn]
+    scaled = [[int(x * prod(y.denominator for y in col) * sign) for x in col]
+              for col, sign in drawn]
+    table = LinearMatroid([list(r) for r in zip(*columns)], None).rank_table()
+    assert table == LinearMatroid([list(r) for r in zip(*scaled)], None).rank_table()
+    oracle = matrix_rank_oracle(columns, None)
+    assert table == [oracle(mask) for mask in iter_subsets(len(columns))]
 
 
 def test_bases_matroid():
@@ -260,6 +294,10 @@ def test_rank_memos_live_only_in_backends_that_compute():
     assert t._rank_cache is None
     t.rank_table()
     assert t._rank_cache is None
+    # A basis family loads as its rank table and keeps no memo beside it.
+    b = BasesMatroid(4, [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100])
+    b.flat_strata()
+    assert b._rank_cache is None
 
 
 # -- closure and flats -----------------------------------------------------
@@ -535,10 +573,6 @@ def test_validate_large_table_sampled_path():
     assert validate_rank_table(10, m.rank_table()) is None
 
 
-def _family_ranks(size, family):
-    return [max((b & mask).bit_count() for b in family) for mask in range(1 << size)]
-
-
 @st.composite
 def rank_tables(draw):
     """(size, table): unit-increase walks, ranks of a random family of
@@ -556,7 +590,7 @@ def rank_tables(draw):
     k = draw(st.integers(0, size))
     subsets = [sum(1 << x for x in c) for c in combinations(range(size), k)]
     family = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=6))
-    ranks = _family_ranks(size, family)
+    ranks = bases_rank_oracle(size, family)
     if kind == "perturbed":
         ranks[draw(st.integers(1, (1 << size) - 1))] += draw(st.sampled_from((-1, 1)))
     return size, ranks
@@ -585,11 +619,13 @@ def _basis_exchange(family):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda size: st.tuples(
     st.just(size),
-    st.integers(0, size).flatmap(lambda k: st.sets(
+    st.integers(0, size).flatmap(lambda k: st.lists(
         st.sampled_from([sum(1 << x for x in c) for c in combinations(range(size), k)]),
         min_size=1, max_size=8)))))
 def test_family_rank_passes_exactly_under_basis_exchange(case):
+    # Any equicardinal family, repeats allowed: the table the constructor
+    # builds is max |B & S| whether or not the family is a matroid's bases.
     size, family = case
-    ranks = BasesMatroid(size, list(family)).rank_table()
-    assert ranks == _family_ranks(size, family)
+    ranks = BasesMatroid(size, family).ranks
+    assert ranks == bases_rank_oracle(size, family)
     assert (validate_rank_table(size, ranks) is None) == _basis_exchange(family)
