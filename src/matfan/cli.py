@@ -21,8 +21,8 @@ from contextlib import nullcontext
 from . import corpus
 from .fan import bergman_weight
 from .schema import InputError, dump_json, load_matroid_file
-from .validation import (FLAG_LIMIT, MU_METHODS, charpoly_report, count_complete_flags,
-                         mu_report, refuse_rank_zero, run_check)
+from .validation import (MU_METHODS, charpoly_report, mu_report, refuse_rank_zero,
+                         run_check, too_many_cones)
 
 PASS, FAIL, BAD_INPUT, INTERNAL = 0, 1, 2, 3
 
@@ -56,10 +56,9 @@ def cmd_fan(args) -> int:
         raise InputError(
             f"{matroid.name} has loops and no fan; simplify the input first"
         )
-    cones = count_complete_flags(matroid)
-    if cones > FLAG_LIMIT:
-        raise InputError(f"{matroid.name} has {cones} complete flags of flats; "
-                         f"the fan export builds at most {FLAG_LIMIT} cones")
+    refusal = too_many_cones(matroid)
+    if refusal:
+        raise InputError(refusal)
     # Open the output after every refusal, which leaves an existing file as
     # it was, and before the build, so that an unwritable path fails first.
     out = nullcontext(sys.stdout) if args.out == "-" else _open_output(args.out)
@@ -94,7 +93,7 @@ def cmd_check(args) -> int:
             trace_fh.write(json.dumps(row) + "\n")
 
     try:
-        result = run_check(matroid, seed=args.seed, timings=args.timings, trace=trace)
+        result = run_check(matroid, timings=args.timings, trace=trace)
     finally:
         if trace_fh:
             trace_fh.close()
@@ -137,7 +136,7 @@ def _format_table(results) -> str:
 
 
 def cmd_corpus(args) -> int:
-    results = [run_check(corpus.build(name), seed=args.seed) for name in corpus.CORPUS_NAMES]
+    results = [run_check(corpus.build(name)) for name in corpus.CORPUS_NAMES]
     if args.json:
         doc = {
             "entries": [r.report for r in results],
@@ -176,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="full cross-validation of one matroid")
     p.add_argument("file", help="matroid JSON file")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timings", action="store_true",
                    help="include per-phase timings (breaks byte-for-byte "
                         "report stability)")
@@ -186,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="run the harness over every built-in matroid")
     p.add_argument("--json", action="store_true", help="full JSON instead of a table")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_corpus)
 
     return parser

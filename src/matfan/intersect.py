@@ -26,9 +26,9 @@ pair is confirmed by one traversal of a graph on the two flags' blocks
 (see cone_displacement_intersect): a pair meets transversally exactly
 when that graph is a spanning tree, so every index is 1.  Genericity is
 certified, never assumed: any exact tie that a sweep over every pair
-would meet (a zero cone coefficient) aborts the pairing and the caller
-retries with a perturbed v.  So v is certified for two weights exactly
-when pairing_terms returns.
+would meet (a zero cone coefficient) aborts the pairing.  So v is
+certified for two weights exactly when pairing_terms returns, which
+default_displacement's powers of two always do.
 A displacement vector is a plain tuple of Fractions, as is an
 intersection point; both are scaled to integers for the solve, and
 there are no tolerances anywhere.
@@ -37,7 +37,6 @@ there are no tolerances anywhere.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from itertools import accumulate, product
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -64,7 +63,7 @@ class NotBalancedError(Exception):
 
 
 class DegenerateDisplacementError(Exception):
-    """The displacement vector ties with a cone boundary; retry with a new one."""
+    """The displacement vector ties with a cone boundary."""
 
 
 def alpha(mask: int) -> int:
@@ -117,18 +116,18 @@ def divisor_cup(d: Callable[[int], int], weight: MinkowskiWeight) -> MinkowskiWe
 
 
 def default_displacement(n: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(i) for i in range(1, n + 1))
+    """(1, 2, 4, ..., 2^(n-1)): generic for every pair pairing_terms
+    accepts, whatever the second weight.
 
-
-_PERTURB_DEN = 9973
-
-
-def perturbed_displacement(n: int, rng: random.Random) -> tuple[Fraction, ...]:
-    """Strictly increasing positive vector i + t/9973 with random t."""
-    return tuple(
-        Fraction(i * _PERTURB_DEN + rng.randrange(1, _PERTURB_DEN), _PERTURB_DEN)
-        for i in range(1, n + 1)
-    )
+    The one tie pairing_terms can meet is u_x = u_y, with u_x = v_x -
+    v_r for x outside the transversal R and r in it (see pairing_terms).
+    Lifted by v_0 = 0, the values 0, 1, 2, 4, ... form a Sidon set: a sum
+    of two distinct ones names its pair.  So v_x + v_s = v_y + v_r gives
+    {x, s} = {y, r}, and as x is not in R, x = y: no two u's are equal.
+    pairing_terms still tests for the tie, so genericity is certified on
+    every call.
+    """
+    return tuple(Fraction(1 << i) for i in range(n))
 
 
 class PairingTerm(NamedTuple):
@@ -223,11 +222,11 @@ def pairing_terms(
     ordered by sigma and then by tau's position in w2.
 
     w1 must be a permutohedral_weight and v must have positive, pairwise
-    distinct coordinates, as default_displacement and
-    perturbed_displacement do; anything else raises ValueError.  A sigma
-    of w1 is n-k singleton blocks above a (k+1)-element bottom block R,
-    so its graph against tau (see cone_displacement_intersect) is a tree
-    exactly when R meets each of tau's blocks T_0..T_k once, say in r_j.
+    distinct coordinates, as default_displacement does; anything else
+    raises ValueError.  A sigma of w1 is n-k singleton blocks above a
+    (k+1)-element bottom block R, so its graph against tau (see
+    cone_displacement_intersect) is a tree exactly when R meets each of
+    tau's blocks T_0..T_k once, say in r_j.
     The point is then fixed: with v lifted by v_0 = 0, and u_x = v_x -
     v_(r_j) for the other elements x of T_j, sigma must order those
     singletons by decreasing u.  So each (tau, R) names at most one

@@ -18,7 +18,6 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from . import linalg
 from .masks import EXHAUSTIVE_SCAN_LIMIT
 from .matroid import (
     BasesMatroid,
@@ -122,8 +121,6 @@ def load_matroid(data: Any) -> Matroid:
                 if not m:
                     raise InputError(f"unknown field {label!r}; use \"Q\" or \"GF(p)\"")
                 field = int(m.group(1))
-                if not linalg.is_prime(field):
-                    raise InputError(f"GF({field}) needs a prime modulus")
             matrix = _require(data, "matrix", list)
             if not all(isinstance(row, list) for row in matrix):
                 raise InputError("field 'matrix' must be a list of rows")

@@ -13,18 +13,17 @@ cone, so they need at most 9 elements (n <= 8 in fan coordinates); the
 Welsh-Mason identity scans every subset, so it needs at most 21.  The
 report lists each step it skips.  Without the divisor route, run_check
 builds the Bergman weight and runs check_balancing on it to fill
-balancing_violations, unless the weight has more cones, complete flags
-of proper flats, than any input within the geometry limit: FLAG_LIMIT,
-9!.  So free-10, with 10! cones, skips balancing too.  mu_report never
-balances, so its gate never reads the flat lattice.
+balancing_violations, unless too_many_cones finds the weight has more
+cones, complete flags of proper flats, than any input within the
+geometry limit: FLAG_LIMIT, 9!.  So free-10, with 10! cones, skips
+balancing too.  mu_report never balances, so its gate never reads the
+flat lattice.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import time
-from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .charpoly import (
@@ -35,7 +34,6 @@ from .charpoly import (
 )
 from .fan import MinkowskiWeight, bergman_weight, check_balancing
 from .intersect import (
-    DegenerateDisplacementError,
     PairingTerm,
     alpha,
     beta,
@@ -43,7 +41,6 @@ from .intersect import (
     displacement_weights,
     divisor_cup,
     pairing_terms,
-    perturbed_displacement,
     terms_degree,
 )
 from .masks import EXHAUSTIVE_SCAN_LIMIT
@@ -53,7 +50,6 @@ from .schema import InputError
 GEOMETRY_LIMIT = 8
 # The most cones of a Bergman weight that an input within the limit has.
 FLAG_LIMIT = math.factorial(GEOMETRY_LIMIT + 1)
-MAX_RETRIES = 32
 MU_METHODS = ("mobius", "flags", "displacement", "divisor")
 
 TraceFn = Optional[Callable[[int, PairingTerm], None]]
@@ -103,32 +99,6 @@ def charpoly_report(matroid: Matroid) -> dict:
     return report
 
 
-def certified_terms(
-    w1: MinkowskiWeight,
-    w2: MinkowskiWeight,
-    rng: random.Random,
-    v: tuple[Fraction, ...] | None = None,
-) -> tuple[list[PairingTerm], tuple[Fraction, ...], bool]:
-    """Pairing terms under the first displacement vector that certifies,
-    that is, under which pairing_terms returns instead of raising.
-
-    v (a tuple of Fractions, default (1, ..., n)) is tried first; degenerate
-    vectors are then replaced by perturbations drawn from rng, so results
-    are reproducible.  Returns (terms, vector, first_vector_certified).
-    """
-    candidate = v if v is not None else default_displacement(w1.n)
-    first = True
-    for _ in range(MAX_RETRIES):
-        try:
-            return pairing_terms(w1, w2, candidate), candidate, first
-        except DegenerateDisplacementError:
-            candidate = perturbed_displacement(w1.n, rng)
-            first = False
-    raise DegenerateDisplacementError(
-        f"no generic displacement found in {MAX_RETRIES} attempts"
-    )
-
-
 def cup_chain(base: MinkowskiWeight) -> tuple[list[MinkowskiWeight], list[int]]:
     """The alpha-cup chain of a weight of dimension r, and its divisor degrees.
 
@@ -157,22 +127,24 @@ def mu_vector_divisors(matroid: Matroid) -> tuple[int, ...]:
 
 
 def displacement_levels(
-    matroid: Matroid, rng: random.Random, trace: TraceFn = None
+    matroid: Matroid, trace: TraceFn = None
 ) -> tuple[list[int], list[dict]]:
-    """(degrees, detail): every coefficient by the displacement pairing and
-    one report row per level; trace, if given, sees each term and level."""
+    """(degrees, detail): every coefficient by the displacement pairing
+    under default_displacement, and one report row per level; trace, if
+    given, sees each term and level.  A tie raises
+    DegenerateDisplacementError, which the default rules out."""
+    vector = default_displacement(matroid.size - 1)
     degrees = []
     detail = []
     for k in range(matroid.full_rank):
         w1, w2 = displacement_weights(matroid, k)
-        terms, vector, used_default = certified_terms(w1, w2, rng)
+        terms = pairing_terms(w1, w2, vector)
         degrees.append(terms_degree(w1, w2, terms))
         detail.append(
             {
                 "k": k,
                 "pairs": len(terms),
                 "max_index": max((t.index for t in terms), default=0),
-                "default_vector": used_default,
                 "vector": [str(c) for c in vector],
             }
         )
@@ -183,9 +155,9 @@ def displacement_levels(
 
 
 def mu_vector_displacement(matroid: Matroid) -> tuple[int, ...]:
-    """Coefficients by the displacement pairing, retrying with perturbations
-    from a fixed seed on degeneracy: every certified vector gives them."""
-    return tuple(displacement_levels(matroid, random.Random(0))[0])
+    """Coefficients by the displacement pairing; every certified vector
+    gives them."""
+    return tuple(displacement_levels(matroid)[0])
 
 
 def count_complete_flags(matroid: Matroid) -> int:
@@ -200,13 +172,34 @@ def count_complete_flags(matroid: Matroid) -> int:
     return chains[strata[-1][0]]
 
 
+def too_many_cones(matroid: Matroid) -> Optional[str]:
+    """Why the Bergman weight of a loopless matroid is too large to
+    build, or None when it has at most FLAG_LIMIT cones.
+
+    Rank R gives at least R! complete flags: the closures of the
+    prefixes of each ordering of one basis make a different one.  So a
+    rank whose factorial passes the limit is refused before the flat
+    lattice is read.
+    """
+    least = math.factorial(matroid.full_rank)
+    if least > FLAG_LIMIT:
+        count = f"at least {least}"
+    else:
+        cones = count_complete_flags(matroid)
+        if cones <= FLAG_LIMIT:
+            return None
+        count = str(cones)
+    return (f"{matroid.name} has {count} complete flags of flats; "
+            f"a Bergman weight is built with at most {FLAG_LIMIT} cones")
+
+
 def out_of_reach(simple: Matroid, balancing: bool = True) -> list[str]:
     """The report steps a simple matroid is too large for, in report order;
     above the geometry limit, only deciding on balancing reads the flats."""
     blocked = []
     if simple.size - 1 > GEOMETRY_LIMIT:
         blocked += ["divisor", "displacement"]
-        if balancing and count_complete_flags(simple) > FLAG_LIMIT:
+        if balancing and too_many_cones(simple):
             blocked.append("balancing")
     if simple.size > EXHAUSTIVE_SCAN_LIMIT:
         blocked.append("welsh_mason")
@@ -215,14 +208,14 @@ def out_of_reach(simple: Matroid, balancing: bool = True) -> list[str]:
 
 def run_check(
     matroid: Matroid,
-    seed: int = 0,
+    seed: int = 0,  # unread; perfbench/worker.py still passes it
     timings: bool = False,
     trace: TraceFn = None,
 ) -> CheckResult:
     """Full cross-validation of one matroid; see the module docstring.
 
-    The report is JSON-ready and, for a fixed input and seed, identical
-    between runs unless ``timings`` is set.
+    The report is JSON-ready and, for a fixed input, identical between
+    runs unless ``timings`` is set.
     """
     simple, note = _subject(matroid)
     r = simple.full_rank - 1
@@ -232,7 +225,6 @@ def run_check(
         "size": matroid.size,
         "subject_size": simple.size,
         "rank": simple.full_rank,
-        "seed": seed,
     }
     if note:
         report["simplification"] = note
@@ -285,9 +277,7 @@ def run_check(
         displacement_detail = []
         if "displacement" not in skipped:
             t0 = clock()
-            mu["displacement"], displacement_detail = displacement_levels(
-                simple, random.Random(seed), trace
-            )
+            mu["displacement"], displacement_detail = displacement_levels(simple, trace)
             spent["displacement"] = clock() - t0
 
         unreduced = tuple(abs(c) for c in poly)

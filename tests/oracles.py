@@ -13,8 +13,10 @@ library output.
 
 The generic integer linear algebra lives here too: Bareiss determinants,
 the Smith form and lattice indices, and a displacement-pair classifier
-built on linalg.solve_square_int, and the displacement pairing as a sweep
-over every pair of cones.  The global facet sweep lives here as well:
+built on linalg.solve_square_int, the displacement pairing as a sweep
+over every pair of cones, and seeded rational perturbations of the
+displacement vector with a retry loop over them, which check that the
+degrees do not depend on the vector.  The global facet sweep lives here as well:
 one facet map over every gap at once, the flag-cone span test, and the
 divisor cup read off each facet's whole ray-sum.  Production uses
 the structure of flag cones instead (one block per gap, spanning trees,
@@ -39,10 +41,12 @@ from math import lcm
 from matfan import linalg
 from matfan.fan import Frozen, MinkowskiWeight, permutohedral_weight
 from matfan.intersect import (
+    DegenerateDisplacementError,
     NotBalancedError,
     PairingTerm,
     cone_displacement_intersect,
     divisor_cup,
+    pairing_terms,
 )
 from matfan.masks import full_mask, iter_elements
 from matfan.matroid import Matroid, RankTableMatroid
@@ -641,6 +645,34 @@ def pairing_sweep_oracle(w1, w2, v):
             if hit is not None:
                 terms.append(PairingTerm(sigma, tau, *hit))
     return terms
+
+
+PERTURB_DEN = 9973
+MAX_RETRIES = 32
+
+
+def perturbed_displacement(n, rng):
+    """Strictly increasing positive vector i + t/9973 with random t."""
+    return tuple(
+        Fraction(i * PERTURB_DEN + rng.randrange(1, PERTURB_DEN), PERTURB_DEN)
+        for i in range(1, n + 1)
+    )
+
+
+def certified_terms(w1, w2, rng, v):
+    """Pairing terms under the first displacement vector that certifies,
+    that is, under which pairing_terms returns instead of raising: v
+    first, then perturbations drawn from rng.  Returns (terms, vector,
+    first_vector_certified)."""
+    candidate = v
+    first = True
+    for _ in range(MAX_RETRIES):
+        try:
+            return pairing_terms(w1, w2, candidate), candidate, first
+        except DegenerateDisplacementError:
+            candidate = perturbed_displacement(w1.n, rng)
+            first = False
+    raise DegenerateDisplacementError(f"no generic displacement found in {MAX_RETRIES} attempts")
 
 
 # -- the global facet sweep ----------------------------------------------

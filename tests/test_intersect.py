@@ -1,13 +1,17 @@
 """Divisors, cup products, and the displacement-rule pairing."""
 
+import ast
+import json
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matfan import corpus, linalg, validation
+import matfan
+from matfan import cli, corpus, linalg, validation
 from matfan.charpoly import mu_vector_mobius
 from matfan.fan import (
     MinkowskiWeight,
@@ -28,12 +32,10 @@ from matfan.intersect import (
     displacement_weights,
     divisor_cup,
     pairing_terms,
-    perturbed_displacement,
 )
 from matfan.masks import full_mask
 from matfan.matroid import FreeMatroid, UniformMatroid
 from matfan.validation import (
-    certified_terms,
     cup_chain,
     mu_vector_displacement,
     mu_vector_divisors,
@@ -44,6 +46,7 @@ from matfan.validation import (
 from oracles import (
     PLDivisor,
     alpha_divisor,
+    certified_terms,
     cremona_pullback_divisor,
     displacement_reference,
     evaluate_in_cone,
@@ -53,6 +56,7 @@ from oracles import (
     nef_values,
     oracle_divisor_cup,
     pairing_sweep_oracle,
+    perturbed_displacement,
     truncation,
 )
 
@@ -216,7 +220,13 @@ def test_cup_detects_unbalanced_weight():
 
 
 def test_default_displacement():
-    assert default_displacement(3) == (Fraction(1), Fraction(2), Fraction(3))
+    assert default_displacement(4) == (Fraction(1), Fraction(2), Fraction(4), Fraction(8))
+    assert default_displacement(0) == ()
+
+
+def one_to_n(n):
+    """(1, 2, ..., n): positive and distinct, but often tied on two u's."""
+    return tuple(Fraction(i) for i in range(1, n + 1))
 
 
 def test_perturbed_displacement_window():
@@ -228,8 +238,9 @@ def test_perturbed_displacement_window():
 
 
 def test_production_displacements_meet_the_pairing_contract():
-    # pairing_terms refuses tied or non-positive vectors, so both vectors
-    # that certified_terms tries must be positive with distinct coordinates.
+    # pairing_terms refuses tied or non-positive vectors, so the default
+    # and the oracles' perturbations must be positive with distinct
+    # coordinates.
     for n in range(31):
         vectors = [default_displacement(n)]
         vectors += [perturbed_displacement(n, random.Random(seed)) for seed in range(20)]
@@ -344,9 +355,10 @@ def tied_displacements(n):
 
 def distinct_positive_displacements(n):
     """Vectors that pairing_terms accepts: positive, no two coordinates
-    equal.  The default and the permutations of 1..n often tie two u's."""
+    equal.  (1, ..., n) and its permutations often tie two u's."""
     return st.one_of(
         st.just(default_displacement(n)),
+        st.just(one_to_n(n)),
         st.permutations(range(1, n + 1)).map(lambda p: tuple(map(Fraction, p))),
         st.lists(st.fractions(Fraction(1, 4), 4, max_denominator=4),
                  min_size=n, max_size=n, unique=True).map(tuple),
@@ -385,6 +397,9 @@ def test_located_pairs_match_the_full_sweep(data):
     else:
         with pytest.raises(ValueError, match="distinct"):
             pairing_terms(w1, w2, v)
+    # The default is generic for every support: no tie, and the sweep's terms.
+    default = default_displacement(n)
+    assert pairing_terms(w1, w2, default) == pairing_sweep_oracle(w1, w2, default)
 
 
 @pytest.mark.parametrize("n, k, support, v, outcome", [
@@ -448,6 +463,21 @@ def test_production_never_calls_the_generic_solvers(monkeypatch):
                    for term in traced)
 
 
+def test_production_imports_no_random():
+    # The displacement vector is generic by construction; nothing in the
+    # package draws at random.
+    package = Path(matfan.__file__).parent
+    for module in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "random" for name in names), module.name
+
+
 # -- full pairings ---------------------------------------------------------------
 
 
@@ -500,23 +530,41 @@ def test_pairing_certifies_the_vector():
 
 
 def test_certified_pairing_retries_past_degeneracy():
-    # At level 2 of k4 the default vector ties two u's: the first sweep is
-    # degenerate, and a perturbed vector certifies the degree mu_2 = 6.
+    # At level 2 of k4, (1, ..., n) ties two u's: the sweep is degenerate,
+    # and the oracles' retry certifies mu_2 = 6 under a perturbed vector.
+    # The default certifies the same degree on its first try.
     w1, w2 = displacement_weights(corpus.build("k4"), 2)
-    bad = default_displacement(w1.n)
+    bad = one_to_n(w1.n)
     with pytest.raises(DegenerateDisplacementError):
         degree_pairing(w1, w2, bad)
-    terms, used, first = certified_terms(w1, w2, random.Random(0))
+    terms, used, first = certified_terms(w1, w2, random.Random(0), bad)
     assert terms_degree(w1, w2, terms) == 6
     assert pairing_terms(w1, w2, used) == terms
     assert not first
     assert used != bad
+    assert degree_pairing(w1, w2, default_displacement(w1.n)) == 6
+
+
+def test_a_tie_in_check_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    # A tie under the default is a broken invariant, not a retry.
+    def tied(w1, w2, v):
+        return pairing_terms(w1, w2, one_to_n(w1.n))
+
+    monkeypatch.setattr(validation, "pairing_terms", tied)
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps({"type": "graphic", "vertices": 4,
+                                "edges": [[u, v] for u in range(4) for v in range(u + 1, 4)]}))
+    assert cli.main(["check", str(path)]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"].startswith("DegenerateDisplacementError")
+    assert report["pass"] is False
 
 
 def test_certified_pairing_is_deterministic():
     w1, w2 = displacement_weights(corpus.build("fano"), 1)
-    a_terms, a_used, _ = certified_terms(w1, w2, random.Random(9))
-    b_terms, b_used, _ = certified_terms(w1, w2, random.Random(9))
+    v = one_to_n(w1.n)
+    a_terms, a_used, _ = certified_terms(w1, w2, random.Random(9), v)
+    b_terms, b_used, _ = certified_terms(w1, w2, random.Random(9), v)
     assert terms_degree(w1, w2, a_terms) == terms_degree(w1, w2, b_terms) == 6
     assert a_used == b_used
 

@@ -135,6 +135,17 @@ def test_linear_rejects_inexact_entries():
         LinearMatroid([[0.5, 1]], None)
 
 
+@pytest.mark.parametrize("matrix, field, message", [
+    ([], None, "nonempty"),
+    ([[]], 2, "nonempty"),
+    ([[1, 0], [1]], None, "unequal lengths"),
+    ([[1, 0], [0, 1]], 4, "4 is not prime"),
+], ids=["no-rows", "no-columns", "ragged", "gf4"])
+def test_linear_refuses_malformed_matrices(matrix, field, message):
+    with pytest.raises(ValueError, match=message):
+        LinearMatroid(matrix, field)
+
+
 def test_linear_ranks_over_q_build_no_fraction(monkeypatch):
     # Rational columns are scaled to integers once, at construction; the
     # elimination keeps every entry an integer minor.
