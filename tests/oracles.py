@@ -16,9 +16,9 @@ the Smith form and lattice indices, and a displacement-pair classifier
 built on linalg.solve_square_int, the displacement pairing as a sweep
 over every pair of cones, and seeded rational perturbations of the
 displacement vector with a retry loop over them, which check that the
-degrees do not depend on the vector.  The global facet sweep lives here as well:
-one facet map over every gap at once, the flag-cone span test, and the
-divisor cup read off each facet's whole ray-sum.  Production uses
+degrees do not depend on the vector.  The global facet sweep lives here
+as well: one facet map over every gap at once, the flag-cone span test,
+and the divisor cup read off each facet's whole ray-sum.  Production uses
 the structure of flag cones instead (one block per gap, spanning trees,
 located pairs), and these check it.
 Divisors as ray tables (PLDivisor, alpha_divisor, the Cremona pullback)

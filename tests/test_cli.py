@@ -704,8 +704,12 @@ def _empty_truncations(monkeypatch):
 
 def _wrong_independent_sets(monkeypatch):
     real = Matroid.independent_set_counts
-    monkeypatch.setattr(Matroid, "independent_set_counts",
-                        lambda self: (*real(self)[:-1], real(self)[-1] + 1))
+
+    def one_too_many(self):
+        *lower, top = real(self)
+        return (*lower, top + 1)
+
+    monkeypatch.setattr(Matroid, "independent_set_counts", one_too_many)
 
 
 @pytest.mark.parametrize("doc, patch, failure", [
