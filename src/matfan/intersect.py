@@ -22,23 +22,22 @@ given by rule, and is never enumerated; v has positive, pairwise
 distinct coordinates; pairing_terms refuses anything else.  For each
 cone tau of the second weight, every way to meet tau's blocks once fixes
 a point, which names the one sigma that can meet tau + v.  Each such
-pair is confirmed by one traversal of a graph on the two flags' blocks
-(see cone_displacement_intersect): a pair meets transversally exactly
-when that graph is a spanning tree, so every index is 1.  Genericity is
-certified, never assumed: any exact tie that a sweep over every pair
-would meet (a zero cone coefficient) aborts the pairing.  So v is
-certified for two weights exactly when pairing_terms returns, which
-default_displacement's powers of two always do.
-A displacement vector is a plain tuple of Fractions, as is an
-intersection point; both are scaled to integers for the solve, and
-there are no tolerances anywhere.
+pair meets transversally, and cone_displacement_intersect reads its
+point off one traversal of a graph on the two flags' blocks, a spanning
+tree, so every index is 1.  Genericity is certified, never assumed: any
+exact tie that a sweep over every pair would meet (a zero cone
+coefficient) aborts the pairing.  So v is certified for two weights
+exactly when pairing_terms returns, which default_displacement's powers
+of two always do.
+A displacement vector is a plain tuple of exact numbers, ints by
+default, and a point is computed in the vector's own numbers; there are
+no tolerances anywhere.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from itertools import accumulate, product
+from numbers import Rational
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .fan import (
@@ -115,7 +114,7 @@ def divisor_cup(d: Callable[[int], int], weight: MinkowskiWeight) -> MinkowskiWe
 # -- displacement-rule pairing ------------------------------------------
 
 
-def default_displacement(n: int) -> tuple[Fraction, ...]:
+def default_displacement(n: int) -> tuple[int, ...]:
     """(1, 2, 4, ..., 2^(n-1)): generic for every pair pairing_terms
     accepts, whatever the second weight.
 
@@ -127,13 +126,13 @@ def default_displacement(n: int) -> tuple[Fraction, ...]:
     pairing_terms still tests for the tie, so genericity is certified on
     every call.
     """
-    return tuple(Fraction(1 << i) for i in range(n))
+    return tuple(1 << i for i in range(n))
 
 
 class PairingTerm(NamedTuple):
     sigma: Flag
     tau: Flag
-    point: tuple[Fraction, ...]
+    point: tuple[Rational, ...]
     index: int
 
 
@@ -153,15 +152,11 @@ def _flag_blocks(n: int, flag: Flag) -> list[int]:
 
 
 def cone_displacement_intersect(
-    n: int, sigma: Flag, tau: Flag, v: Sequence[Fraction]
-) -> Optional[tuple[tuple[Fraction, ...], int]]:
-    """Intersect sigma with (tau + v) for cones of complementary dimension.
-
-    Returns (point, lattice index) for a transversal intersection, None
-    for an empty one, and raises DegenerateDisplacementError whenever the
-    answer would depend on a boundary tie: some cone coefficient is
-    exactly zero, or the combined generators are singular yet the system
-    is consistent.
+    n: int, sigma: Flag, tau: Flag, v: Sequence[Rational]
+) -> tuple[tuple[Rational, ...], int]:
+    """(point, lattice index) where sigma meets (tau + v), for cones of
+    complementary dimension that meet transversally, as every pair that
+    pairing_terms locates does; any other pair raises ValueError.
 
     Lifted to {0..n} with v_0 = 0, a point of a flag cone is constant on
     the flag's blocks and each coefficient is the difference of adjacent
@@ -169,57 +164,44 @@ def cone_displacement_intersect(
     = v_e per element e, on potentials p of sigma's blocks and q of tau's:
     a graph with n + 2 block nodes and n + 1 element edges.  It is
     nonsingular exactly when that graph is connected, hence a tree, whose
-    incidence matrix is totally unimodular: the index is then 1.
+    incidence matrix is totally unimodular: the index is then 1, and the
+    pair meets when every coefficient is positive.  The point is computed
+    in v's own numbers.
     """
     if len(sigma) + len(tau) != n:
         raise ValueError("cone dimensions must sum to the ambient dimension")
-    scale = math.lcm(*(x.denominator for x in v))
-    lifted = (0, *(x.numerator * (scale // x.denominator) for x in v))
+    lifted = (0, *v)
     a = len(sigma)
     # Nodes 0..a are sigma's blocks and a+1..n+1 tau's, each in flag order.
     left = _flag_blocks(n, sigma)
     right = [a + 1 + block for block in _flag_blocks(n, tau)]
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n + 2)]
+    adjacent: list[list[tuple[int, Rational]]] = [[] for _ in range(n + 2)]
     for e in range(n + 1):
         adjacent[left[e]].append((right[e], -lifted[e]))
         adjacent[right[e]].append((left[e], lifted[e]))
-    potential: list[Optional[int]] = [None] * (n + 2)
-    components = 0
-    for root in range(n + 2):
-        if potential[root] is not None:
-            continue
-        components += 1
-        potential[root] = 0
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            for other, step in adjacent[node]:
-                if potential[other] is None:
-                    potential[other] = potential[node] + step
-                    stack.append(other)
-    if components > 1:
-        if all(potential[left[e]] - potential[right[e]] == lifted[e] for e in range(n + 1)):
-            raise DegenerateDisplacementError(
-                f"displacement lies in the degenerate span of {sigma} and {tau}"
-            )
-        return None
-    coeffs = [potential[i] - potential[i + 1] for i in range(n + 1) if i != a]
-    if 0 in coeffs:
-        raise DegenerateDisplacementError(f"boundary tie between {sigma} and {tau}")
-    if any(c < 0 for c in coeffs):
-        # The affine intersection point sits outside at least one cone;
-        # emptiness is stable under small perturbations.
-        return None
+    potential: list[Optional[Rational]] = [None] * (n + 2)
+    potential[0] = 0
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        for other, step in adjacent[node]:
+            if potential[other] is None:
+                potential[other] = potential[node] + step
+                stack.append(other)
+    # Coefficient i is potential[i] - potential[i + 1], for i != a.
+    if None in potential or any(
+        potential[i] <= potential[i + 1] for i in range(n + 1) if i != a
+    ):
+        raise ValueError(f"{sigma} and {tau} + v do not meet transversally")
     origin = potential[left[0]]
-    point = tuple(Fraction(potential[left[j]] - origin, scale) for j in range(1, n + 1))
-    return point, 1
+    return tuple(potential[left[j]] - origin for j in range(1, n + 1)), 1
 
 
 def pairing_terms(
-    w1: MinkowskiWeight, w2: MinkowskiWeight, v: Sequence[Fraction]
+    w1: MinkowskiWeight, w2: MinkowskiWeight, v: Sequence[Rational]
 ) -> list[PairingTerm]:
     """The transversally intersecting support pairs under displacement v,
-    ordered by sigma and then by tau's position in w2.
+    ordered by sigma and then by tau.
 
     w1 must be a permutohedral_weight and v must have positive, pairwise
     distinct coordinates, as default_displacement does; anything else
@@ -230,7 +212,9 @@ def pairing_terms(
     The point is then fixed: with v lifted by v_0 = 0, and u_x = v_x -
     v_(r_j) for the other elements x of T_j, sigma must order those
     singletons by decreasing u.  So each (tau, R) names at most one
-    sigma, and w1 is never enumerated.
+    sigma, and w1 is never enumerated.  Every pair so named meets
+    transversally, and cone_displacement_intersect gives its point in
+    v's own numbers: ints under the default.
 
     Returning, rather than raising DegenerateDisplacementError, certifies
     v for this pair of supports; no argument is modified.  The verdict is
@@ -252,10 +236,9 @@ def pairing_terms(
         raise ValueError("w1 must be a permutohedral_weight")
     if min(v, default=1) <= 0 or len(set(v)) < n:
         raise ValueError("displacement vector needs positive, pairwise distinct coordinates")
-    scale = math.lcm(*(x.denominator for x in v))
-    lifted = (0, *(x.numerator * (scale // x.denominator) for x in v))
-    found: list[tuple[Flag, int, PairingTerm]] = []
-    for position, tau in enumerate(w2.weights):
+    lifted = (0, *v)
+    found: list[PairingTerm] = []
+    for tau in w2.weights:
         block_of = _flag_blocks(n, tau)
         # The sign test keeps a pair only when R minus 0 lies in tau's
         # negative rays: the blocks after the one holding 0.  So R is
@@ -279,11 +262,9 @@ def pairing_terms(
                 continue
             order = sorted(u, key=u.__getitem__, reverse=True)
             sigma = tuple(accumulate(1 << x for x in order))
-            hit = cone_displacement_intersect(n, sigma, tau, v)
-            if hit is not None:
-                found.append((sigma, position, PairingTerm(sigma, tau, *hit)))
-    found.sort(key=lambda entry: entry[:2])
-    return [term for _, _, term in found]
+            found.append(PairingTerm(sigma, tau, *cone_displacement_intersect(n, sigma, tau, v)))
+    found.sort(key=lambda term: (term.sigma, term.tau))
+    return found
 
 
 def terms_degree(w1: MinkowskiWeight, w2: MinkowskiWeight, terms: list[PairingTerm]) -> int:
@@ -292,7 +273,7 @@ def terms_degree(w1: MinkowskiWeight, w2: MinkowskiWeight, terms: list[PairingTe
 
 
 def degree_pairing(
-    w1: MinkowskiWeight, w2: MinkowskiWeight, v: Sequence[Fraction]
+    w1: MinkowskiWeight, w2: MinkowskiWeight, v: Sequence[Rational]
 ) -> int:
     """Displacement-rule product degree of two complementary weights."""
     return terms_degree(w1, w2, pairing_terms(w1, w2, v))

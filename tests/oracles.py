@@ -12,15 +12,18 @@ numbers these oracles produce and also re-run the oracles against
 library output.
 
 The generic integer linear algebra lives here too: Bareiss determinants,
-the Smith form and lattice indices, and a displacement-pair classifier
-built on linalg.solve_square_int, the displacement pairing as a sweep
-over every pair of cones, and seeded rational perturbations of the
-displacement vector with a retry loop over them, which check that the
-degrees do not depend on the vector.  The global facet sweep lives here
-as well: one facet map over every gap at once, the flag-cone span test,
-and the divisor cup read off each facet's whole ray-sum.  Production uses
-the structure of flag cones instead (one block per gap, spanning trees,
-located pairs), and these check it.
+the Smith form and lattice indices, and the one displacement-pair
+classifier, built on linalg.solve_square_int, which tells empty pairs,
+degenerate spans and boundary ties from transversal ones.  The
+displacement pairing as a sweep over every pair of cones classifies
+each pair with it, so it shares no solver with the located pairing it
+checks.  Seeded rational perturbations of the displacement vector, with
+a retry loop over them, check that the degrees do not depend on the
+vector.  The global facet sweep lives here as well: one facet map over
+every gap at once, the flag-cone span test, and the divisor cup read off
+each facet's whole ray-sum.  Production uses the structure of flag
+cones instead (one block per gap, spanning trees, located pairs), and
+these check it.
 Divisors as ray tables (PLDivisor, alpha_divisor, the Cremona pullback)
 live here too: the reference for the library's divisor rules, with the
 nef helpers that evaluate them.
@@ -44,7 +47,6 @@ from matfan.intersect import (
     DegenerateDisplacementError,
     NotBalancedError,
     PairingTerm,
-    cone_displacement_intersect,
     divisor_cup,
     pairing_terms,
 )
@@ -617,9 +619,11 @@ def _ray_sign_masks(n, flag):
 
 def pairing_sweep_oracle(w1, w2, v):
     """The displacement pairing as a sweep over every (sigma, tau) pair of
-    the two supports, with the sign prefilter; intersect.pairing_terms
-    locates its pairs instead and must agree with this, terms, order and
-    degeneracy verdict alike."""
+    the two supports, with the sign prefilter, each pair classified by
+    the Bareiss reference: a degenerate span or a boundary tie raises
+    DegenerateDisplacementError.  intersect.pairing_terms locates its
+    pairs instead and must agree with this, terms, order and degeneracy
+    verdict alike."""
     if w1.n != w2.n:
         raise ValueError("weights live on different fans")
     n = w1.n
@@ -641,7 +645,9 @@ def pairing_sweep_oracle(w1, w2, v):
         for tau, neg in right:
             if prefilter and pos | neg != needed:
                 continue
-            hit = cone_displacement_intersect(n, sigma, tau, v)
+            hit = displacement_reference(n, sigma, tau, v)
+            if isinstance(hit, str):
+                raise DegenerateDisplacementError(f"{hit} between {sigma} and {tau}")
             if hit is not None:
                 terms.append(PairingTerm(sigma, tau, *hit))
     return terms

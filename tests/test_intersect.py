@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import matfan
-from matfan import cli, corpus, linalg, validation
+from matfan import cli, corpus, intersect, linalg, validation
 from matfan.charpoly import mu_vector_mobius
 from matfan.fan import (
     MinkowskiWeight,
@@ -220,7 +221,8 @@ def test_cup_detects_unbalanced_weight():
 
 
 def test_default_displacement():
-    assert default_displacement(4) == (Fraction(1), Fraction(2), Fraction(4), Fraction(8))
+    assert default_displacement(4) == (1, 2, 4, 8)
+    assert all(type(c) is int for c in default_displacement(4))
     assert default_displacement(0) == ()
 
 
@@ -268,20 +270,27 @@ def test_intersect_two_dim_cone_with_point():
     # The mirror flag needs the mirrored displacement.
     hit = cone_displacement_intersect(2, (0b010, 0b110), (), frac(2, 1))
     assert hit == (frac(2, 1), 1)
-    assert cone_displacement_intersect(2, (0b010, 0b110), (), frac(1, 2)) is None
+    # Outside the mirror cone the pair is empty, which only the
+    # reference classifies; the solver refuses it.
+    assert displacement_reference(2, (0b010, 0b110), (), frac(1, 2)) is None
+    with pytest.raises(ValueError, match="transversally"):
+        cone_displacement_intersect(2, (0b010, 0b110), (), frac(1, 2))
 
 
-def test_intersect_boundary_tie_is_degenerate():
-    with pytest.raises(DegenerateDisplacementError):
+def test_intersect_boundary_tie_is_refused():
+    assert displacement_reference(2, (0b010, 0b110), (), frac(1, 1)) == "boundary tie"
+    with pytest.raises(ValueError, match="transversally"):
         cone_displacement_intersect(2, (0b010, 0b110), (), frac(1, 1))
 
 
 def test_intersect_singular_cases():
-    # Same ray on both sides: the system is singular; whether it is
-    # degenerate depends on the displacement hitting the common line.
-    with pytest.raises(DegenerateDisplacementError):
-        cone_displacement_intersect(2, (0b010,), (0b010,), frac(1, 0))
-    assert cone_displacement_intersect(2, (0b010,), (0b010,), frac(1, 1)) is None
+    # Same ray on both sides: the system is singular, and the block graph
+    # is not connected.  Whether the pair is degenerate depends on the
+    # displacement hitting the common line; the solver refuses both.
+    for v, verdict in ((frac(1, 0), "degenerate span"), (frac(1, 1), None)):
+        assert displacement_reference(2, (0b010,), (0b010,), v) == verdict
+        with pytest.raises(ValueError, match="transversally"):
+            cone_displacement_intersect(2, (0b010,), (0b010,), v)
 
 
 def test_intersect_ray_against_ray():
@@ -329,20 +338,19 @@ def displacements(n):
     )
 
 
-def tree_classification(n, sigma, tau, v):
-    """cone_displacement_intersect's answer in the reference's terms."""
-    try:
-        return cone_displacement_intersect(n, sigma, tau, v)
-    except DegenerateDisplacementError as exc:
-        return "degenerate span" if "degenerate span" in str(exc) else "boundary tie"
-
-
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_tree_solve_matches_bareiss_reference(data):
+    # Where the reference finds a transversal pair, the tree solve gives
+    # its point and index; every empty, degenerate or tied pair raises.
     n, sigma, tau = data.draw(flag_pairs())
     v = data.draw(displacements(n))
-    assert tree_classification(n, sigma, tau, v) == displacement_reference(n, sigma, tau, v)
+    expected = displacement_reference(n, sigma, tau, v)
+    if isinstance(expected, tuple):
+        assert cone_displacement_intersect(n, sigma, tau, v) == expected
+    else:
+        with pytest.raises(ValueError, match="transversally"):
+            cone_displacement_intersect(n, sigma, tau, v)
 
 
 def tied_displacements(n):
@@ -376,6 +384,17 @@ def _sweep_outcome(sweep, w1, w2, v):
         return "degenerate"
 
 
+@st.composite
+def pairing_supports(draw):
+    """(w1, w2): the permutohedral weight of codimension k against a
+    random support of codimension n-k, n <= 5."""
+    n = draw(st.integers(0, 5))
+    k = draw(st.integers(0, n))
+    flags = draw(st.lists(flag_of_length(n, k), min_size=1, max_size=4))
+    w2 = MinkowskiWeight(n, n - k, {flag: draw(st.sampled_from((1, -1, 2))) for flag in flags})
+    return permutohedral_weight(n, k), w2
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_located_pairs_match_the_full_sweep(data):
@@ -383,12 +402,8 @@ def test_located_pairs_match_the_full_sweep(data):
     # the located terms, their order and the degeneracy verdict must be
     # those of the sweep over every pair with the sign prefilter.  A vector
     # with a tied, zero or negative coordinate is refused outright.
-    n = data.draw(st.integers(0, 5))
-    k = data.draw(st.integers(0, n))
-    flags = data.draw(st.lists(flag_of_length(n, k), min_size=1, max_size=4))
-    w2 = MinkowskiWeight(n, n - k, {flag: data.draw(st.sampled_from((1, -1, 2)))
-                                    for flag in flags})
-    w1 = permutohedral_weight(n, k)
+    w1, w2 = data.draw(pairing_supports())
+    n = w1.n
     v = data.draw(st.one_of(distinct_positive_displacements(n), displacements(n),
                             tied_displacements(n)))
     if meets_pairing_contract(v):
@@ -400,6 +415,28 @@ def test_located_pairs_match_the_full_sweep(data):
     # The default is generic for every support: no tie, and the sweep's terms.
     default = default_displacement(n)
     assert pairing_terms(w1, w2, default) == pairing_sweep_oracle(w1, w2, default)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_scaling_the_vector_scales_the_points(data):
+    # Points are computed in v's own numbers: clearing v's denominators
+    # by c keeps the pairs, their order and the degree, scales each
+    # point by c and leaves it in ints.
+    w1, w2 = data.draw(pairing_supports())
+    n = w1.n
+    v = data.draw(st.lists(st.fractions(Fraction(1, 4), 4, max_denominator=4),
+                           min_size=n, max_size=n, unique=True).map(tuple))
+    c = math.lcm(*(x.denominator for x in v))
+    scaled = tuple(int(c * x) for x in v)
+    terms = _sweep_outcome(pairing_terms, w1, w2, v)
+    scaled_terms = _sweep_outcome(pairing_terms, w1, w2, scaled)
+    if terms == "degenerate":
+        assert scaled_terms == "degenerate"
+        return
+    assert scaled_terms == [t._replace(point=tuple(c * x for x in t.point)) for t in terms]
+    assert all(type(x) is int for t in scaled_terms for x in t.point)
+    assert terms_degree(w1, w2, scaled_terms) == terms_degree(w1, w2, terms)
 
 
 @pytest.mark.parametrize("n, k, support, v, outcome", [
@@ -509,6 +546,14 @@ def test_pairing_line_by_hand():
     assert degree_pairing(w1, w2, default_displacement(2)) == 2
 
 
+def test_default_pairing_points_are_ints():
+    matroid = corpus.build("k4")
+    for k in range(matroid.full_rank):
+        w1, w2 = displacement_weights(matroid, k)
+        terms = pairing_terms(w1, w2, default_displacement(w1.n))
+        assert terms and all(type(c) is int for t in terms for c in t.point)
+
+
 def test_pairing_level_zero_point_is_the_displacement():
     w1, w2 = displacement_weights(corpus.build("k4"), 0)
     v = default_displacement(5)
@@ -557,6 +602,22 @@ def test_a_tie_in_check_is_an_internal_error(monkeypatch, tmp_path, capsys):
     assert cli.main(["check", str(path)]) == 3
     report = json.loads(capsys.readouterr().out)
     assert report["error"].startswith("DegenerateDisplacementError")
+    assert report["pass"] is False
+
+
+def test_a_located_pair_that_misses_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    # Ordering sigma's singletons by increasing u names cones that miss
+    # tau + v.  The solver refuses such a pair, so check exits 3 instead
+    # of dropping it and reporting disagreeing routes.
+    monkeypatch.setattr(intersect, "sorted", lambda items, key, reverse: sorted(items, key=key),
+                        raising=False)
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps({"type": "graphic", "vertices": 4,
+                                "edges": [[u, v] for u in range(4) for v in range(u + 1, 4)]}))
+    assert cli.main(["check", str(path)]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"].startswith("ValueError")
+    assert "do not meet transversally" in report["error"]
     assert report["pass"] is False
 
 

@@ -15,6 +15,7 @@ import pytest
 import matfan
 from matfan.fan import BalancingViolation, MinkowskiWeight, SizeGradedFlags, permutohedral_weight
 from matfan.intersect import PairingTerm
+from matfan.matroid import UniformMatroid
 from matfan.validation import CheckResult
 
 from oracles import PLDivisor
@@ -108,3 +109,4 @@ def test_reprs_are_unchanged():
     assert repr(BalancingViolation((1,), (0, 2))) == "BalancingViolation(tau=(1,), excess=(0, 2))"
     assert (repr(CheckResult({}, ok=True))
             == "CheckResult(report={}, ok=True, internal_error=None)")
+    assert repr(UniformMatroid(2, 3)) == "<UniformMatroid 'uniform(2,3)' size=3>"
