@@ -259,14 +259,13 @@ def check_balancing(weight: MinkowskiWeight) -> list[BalancingViolation]:
     bad = {tau for tau, _, _, _, level in facet_groups(weight) if level is None}
     if not bad:
         return []
-    # Only the unbalanced facets get their ray-sums, in a second pass.
+    # Only the unbalanced facets get their ray-sums, in a second sweep.
     lifted = {tau: [0] * (weight.n + 1) for tau in bad}
-    for flag, value in weight.items():
-        for i in range(len(flag)):
-            total = lifted.get(flag[:i] + flag[i + 1:])
-            if total is not None:
-                for e in iter_elements(flag[i]):
-                    total[e] += value
+    for tau, _, _, above, _ in facet_groups(weight):
+        if tau in bad:
+            for s, value in above:
+                for e in iter_elements(s):
+                    lifted[tau][e] += value
     # Coordinate j of a subset's incidence vector is [j in S] - [0 in S].
     return [
         BalancingViolation(tau, tuple(x - lifted[tau][0] for x in lifted[tau][1:]))

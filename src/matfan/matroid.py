@@ -231,6 +231,9 @@ class GraphicMatroid(Matroid):
 
     rank(S) = (vertices touched by S) - (components of the subgraph on S).
     Parallel edges and self-loops are allowed; self-loops are matroid loops.
+    Equivalently, rank(S) is the GF(2) rank of S's incidence vectors: edge
+    uv is bit[u] ^ bit[v] over its endpoints numbered densely (vertex ids
+    only name them), so a self-loop is 0 and parallel edges are equal.
     """
 
     def __init__(self, vertices: int, edges: Sequence[tuple[int, int]],
@@ -242,31 +245,23 @@ class GraphicMatroid(Matroid):
                 raise ValueError(f"edge ({u},{v}) has endpoints outside 0..{vertices - 1}")
         super().__init__(len(edges), f"graphic(V={vertices},E={len(edges)})"
                          if name is None else name)
-        self.vertices = vertices
-        self.edges = [(min(u, v), max(u, v)) for u, v in edges]
+        ends = dict.fromkeys(w for edge in edges for w in edge)
+        bit = {w: 1 << i for i, w in enumerate(ends)}
+        self.edge_masks = [bit[u] ^ bit[v] for u, v in edges]
 
     def _rank_impl(self, mask: int) -> int:
-        parent: dict[int, int] = {}
-
-        def find(a: int) -> int:
-            root = a
-            while parent[root] != root:
-                root = parent[root]
-            while parent[a] != root:
-                parent[a], a = root, parent[a]
-            return root
-
-        rank = 0
+        # XOR basis keyed by leading bit: reduce each edge by the basis
+        # vectors under its leading bits; whatever is left joins the basis.
+        basis: dict[int, int] = {}
         for e in elements_of(mask):
-            u, v = self.edges[e]
-            for w in (u, v):
-                if w not in parent:
-                    parent[w] = w
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                rank += 1
-        return rank
+            x = self.edge_masks[e]
+            while x:
+                top = x.bit_length()
+                if top not in basis:
+                    basis[top] = x
+                    break
+                x ^= basis[top]
+        return len(basis)
 
 
 class LinearMatroid(Matroid):

@@ -660,6 +660,19 @@ def test_graphic_endpoints_must_be_integers(tmp_path, capsys, edge):
         assert "integer endpoints" in err
 
 
+def test_graphic_vertex_ids_only_name_endpoints(tmp_path):
+    # A triangle and a self-loop among 10^12 vertices: the rank oracle
+    # numbers the four endpoints it sees, whatever their ids.
+    big = 10**12
+    path = write_doc(tmp_path, "sparse.json", {
+        "type": "graphic", "vertices": big,
+        "edges": [[0, big - 1], [0, 5], [5, big - 1], [7, 7]],
+    })
+    proc = run_child("check", path)
+    assert proc.returncode == 0, proc.stderr
+    assert list(json.loads(proc.stdout)["mu"].values()) == [[1, 2]] * 4
+
+
 def test_check_exit_codes_for_failures(monkeypatch, tmp_path, capsys):
     # Honest failing inputs do not exist in the corpus, so exercise the
     # exit-code mapping directly.

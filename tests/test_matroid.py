@@ -95,6 +95,18 @@ def test_graphic_loops_and_parallels():
     assert_same_ranks(m, forest_rank_oracle(3, [(0, 0), (0, 1), (0, 1), (1, 2)]))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 10**12), min_size=1, max_size=5, unique=True).flatmap(
+    lambda labels: st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(labels)),
+                            min_size=1, max_size=9)),
+    st.integers(1, 10**12))
+def test_graphic_rank_matches_the_components_oracle(edges, extra):
+    # Sparse labels, self-loops and repeated edges; every vertex past the
+    # largest endpoint, and most below it, is isolated.
+    vertices = max(max(e) for e in edges) + extra
+    assert_same_ranks(GraphicMatroid(vertices, edges), graphic_rank(vertices, edges))
+
+
 def test_graphic_rejects_bad_edges():
     with pytest.raises(ValueError):
         GraphicMatroid(2, [(0, 2)])
