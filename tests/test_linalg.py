@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from matfan import linalg
 
@@ -95,6 +95,37 @@ def test_solve_square_singular_split():
     assert status == linalg.SINGULAR_INCONSISTENT
 
 
+@st.composite
+def square_systems(draw):
+    """[A | b] with A singular on purpose when asked: one row replaced by
+    an integer combination of the others.  b is A times an integer
+    vector, perturbed in one entry when asked."""
+    n = draw(st.integers(1, 5))
+    entry = st.integers(-9, 9)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, n - 1))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        rows[r] = [sum(c * row[j] for i, (c, row) in enumerate(zip(coeffs, rows)) if i != r)
+                   for j in range(n)]
+    y = draw(st.lists(entry, min_size=n, max_size=n))
+    b = [sum(a * x for a, x in zip(row, y)) for row in rows]
+    if draw(st.booleans()):
+        b[draw(st.integers(0, n - 1))] += draw(st.integers(1, 9))
+    return rows, b
+
+
+@given(square_systems())
+def test_solve_square_singular_split_matches_ranks(system):
+    rows, b = system
+    aug = [row + [bi] for row, bi in zip(rows, b)]
+    status, *_ = linalg.solve_square_int([row[:] for row in aug])
+    singular = fraction_det(rows) == 0
+    assert (status == linalg.UNIQUE) == (not singular)
+    assert (status == linalg.SINGULAR_CONSISTENT) == (
+        singular and fraction_rank(rows) == fraction_rank(aug))
+
+
 def test_solve_in_span_basics():
     cols = [(1, 0, 1), (0, 1, 1)]
     assert linalg.solve_in_span(cols, (2, 3, 5)) == [2, 3]
@@ -108,6 +139,38 @@ def test_solve_in_span_basics():
 def test_solve_in_span_rational_coefficients():
     coeffs = linalg.solve_in_span([(2, 0), (0, 3)], (1, 1))
     assert coeffs == [Fraction(1, 2), Fraction(1, 3)]
+
+
+@st.composite
+def span_problems(draw):
+    """Up to 4 integer columns of height 1-4, and a target that is an
+    integer combination of them or a free draw."""
+    height = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    columns = draw(st.lists(st.lists(entry, min_size=height, max_size=height), max_size=4))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(entry, min_size=len(columns), max_size=len(columns)))
+        target = [sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(height)]
+    else:
+        target = draw(st.lists(entry, min_size=height, max_size=height))
+    return columns, target
+
+
+@settings(deadline=None)
+@given(span_problems())
+def test_solve_in_span_matches_rational_ranks(problem):
+    columns, target = problem
+    k = len(columns)
+    if fraction_rank(columns) < k:
+        with pytest.raises(ValueError):
+            linalg.solve_in_span(columns, target)
+        return
+    coeffs = linalg.solve_in_span(columns, target)
+    assert (coeffs is None) == (fraction_rank([*columns, target]) > k)
+    if coeffs is not None:
+        assert len(coeffs) == k
+        assert [sum(c * col[i] for c, col in zip(coeffs, columns))
+                for i in range(len(target))] == target
 
 
 @given(small_matrix)
@@ -150,6 +213,27 @@ def test_rank_over_q_matches_fraction_elimination_and_smith_form(rows):
 def test_rank_mod_p_matches_modular_elimination(rows):
     # Entries run from -15 to 15, so negative ones and ones >= p occur
     # for every p.
+    for p in (2, 3, 5, 7):
+        assert linalg.rank(rows, p) == mod_p_rank(rows, p)
+
+
+@st.composite
+def low_rank_products(draw):
+    """An m x r times r x w integer product, up to 7 x 9.  The right
+    factor's entries are -1, 0 or 1, so its columns often vanish or
+    repeat, and columns without a pivot come early in the elimination."""
+    m, r, w = draw(st.integers(1, 7)), draw(st.integers(1, 4)), draw(st.integers(1, 9))
+    left = draw(st.lists(st.lists(st.integers(-4, 4), min_size=r, max_size=r),
+                         min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(st.integers(-1, 1), min_size=w, max_size=w),
+                          min_size=r, max_size=r))
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+@settings(deadline=None)
+@given(low_rank_products())
+def test_rank_of_low_rank_products(rows):
+    assert linalg.rank(rows) == fraction_rank(rows)
     for p in (2, 3, 5, 7):
         assert linalg.rank(rows, p) == mod_p_rank(rows, p)
 
