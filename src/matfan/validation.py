@@ -11,8 +11,9 @@ out_of_reach is the one size gate of run_check and mu_report.  The
 geometric routes (divisor, displacement) build Bergman fans cone by
 cone, so they need at most 9 elements (n <= 8 in fan coordinates); the
 Welsh-Mason identity scans every subset, so it needs at most 21.  The
-report lists each step it skips.  Without the divisor route, run_check
-builds the Bergman weight and runs check_balancing on it to fill
+report lists each step it skips.  The divisor route, cup_chain, builds
+the Bergman weight itself, and its cups test balancing.  Without it,
+run_check builds the weight and runs check_balancing on it to fill
 balancing_violations, unless too_many_cones finds the weight has more
 cones, complete flags of proper flats, than any input within the
 geometry limit: FLAG_LIMIT, 9!.  So free-10, with 10! cones, skips
@@ -32,7 +33,7 @@ from .charpoly import (
     is_log_concave,
     reduced_char_poly,
 )
-from .fan import MinkowskiWeight, bergman_weight, check_balancing
+from .fan import bergman_weight, check_balancing
 from .intersect import (
     PairingTerm,
     alpha,
@@ -99,31 +100,36 @@ def charpoly_report(matroid: Matroid) -> dict:
     return report
 
 
-def cup_chain(base: MinkowskiWeight) -> tuple[list[MinkowskiWeight], list[int]]:
-    """The alpha-cup chain of a weight of dimension r, and its divisor degrees.
+def cup_chain(matroid: Matroid) -> tuple[list[int], bool]:
+    """The divisor degrees of a loopless matroid's Bergman weight B of
+    dimension r, and whether its alpha-cups are the truncated fans.
 
-    Returns ([base, alpha.base, ..., alpha^r.base], [mu_0, ..., mu_r])
-    with mu_k the degree of beta^k.alpha^(r-k).base, beta the pullback
-    of alpha along negation.  Each degree finishes from the chain entry
-    at r-k with k beta-cups.  Every cup tests balancing on each facet it
-    visits and raises NotBalancedError on the first failure.
+    Returns ([mu_0, ..., mu_r], identity) with mu_k the degree of
+    beta^k.alpha^(r-k).B, beta the pullback of alpha along negation.
+    One alpha level w = alpha^j.B is alive at a time: its r-j beta-cups
+    give mu_(r-j), then one alpha-cup replaces it.  identity is whether
+    every alpha^j.B for j >= 1 equals the fan of the (r-j)-truncation,
+    tested until the first that differs.  Every cup tests balancing on
+    each facet it visits and raises NotBalancedError on the first failure.
     """
-    r = base.n - base.codim
-    chain = [base]
-    for _ in range(r):
-        chain.append(divisor_cup(alpha, chain[-1]))
-    degrees = []
-    for k in range(r + 1):
-        w = chain[r - k]
-        for _ in range(k):
-            w = divisor_cup(beta, w)
-        degrees.append(w.value(()))
-    return chain, degrees
+    r = matroid.full_rank - 1
+    degrees = [0] * (r + 1)
+    identity = True
+    w = bergman_weight(matroid)
+    for j in range(r + 1):
+        if j:
+            w = divisor_cup(alpha, w)
+            identity = identity and w == bergman_weight(matroid, r - j)
+        branch = w
+        for _ in range(r - j):
+            branch = divisor_cup(beta, branch)
+        degrees[r - j] = branch.value(())
+    return degrees, identity
 
 
 def mu_vector_divisors(matroid: Matroid) -> tuple[int, ...]:
     """Coefficients by iterated divisor cups on the fan of a loopless matroid."""
-    return tuple(cup_chain(bergman_weight(matroid))[1])
+    return tuple(cup_chain(matroid)[0])
 
 
 def displacement_levels(
@@ -218,7 +224,6 @@ def run_check(
     runs unless ``timings`` is set.
     """
     simple, note = _subject(matroid)
-    r = simple.full_rank - 1
 
     report: dict = {
         "name": matroid.name,
@@ -249,30 +254,22 @@ def run_check(
         report["reduced"] = [str(c) for c in reduced]
         mu = {"mobius": list(mu_mobius), "flags": list(mu_flags)}
 
-        balancing_failures = None
-        if "balancing" not in skipped:
+        balancing_failures = truncation_identity = None
+        if "divisor" not in skipped:
+            # The cups test balancing on every facet of every weight
+            # below top codimension, raising NotBalancedError, so
+            # balancing is a phase of its own only without this route.
             t0 = clock()
-            base_weight = bergman_weight(simple)
-            # The divisor route cups every weight next (or it has top
-            # codimension), and the cup tests balancing on each facet,
-            # raising NotBalancedError.
+            mu["divisor"], truncation_identity = cup_chain(simple)
+            balancing_failures = []
+            spent["divisor"] = clock() - t0
+        elif "balancing" not in skipped:
+            t0 = clock()
             balancing_failures = [
                 {"cone": list(v.tau), "excess": list(v.excess)}
-                for v in check_balancing(base_weight)
-            ] if "divisor" in skipped else []
+                for v in check_balancing(bergman_weight(simple))
+            ]
             spent["balancing"] = clock() - t0
-
-        truncation_identity = None
-        if "divisor" not in skipped:
-            # j alpha-cups into the chain equal the fan of the
-            # (r-j)-truncation.
-            t0 = clock()
-            chain, mu["divisor"] = cup_chain(base_weight)
-            truncation_identity = all(
-                chain[j] == bergman_weight(simple, r - j)
-                for j in range(1, r + 1)
-            )
-            spent["divisor"] = clock() - t0
 
         displacement_detail = []
         if "displacement" not in skipped:

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from matfan import charpoly, corpus
 from matfan.validation import GEOMETRY_LIMIT, run_check
@@ -22,6 +22,7 @@ from matfan.matroid import (
     RankTableMatroid,
     UniformMatroid,
 )
+from matfan.schema import load_matroid
 
 from oracles import (
     FANO_MATRIX,
@@ -34,6 +35,7 @@ from oracles import (
     mu_oracle,
     uniform_rank,
 )
+from test_nonrealizable import sparse_paving_documents
 
 
 # -- polynomial arithmetic --------------------------------------------------
@@ -86,6 +88,27 @@ def test_weisner_route_agrees():
     for matroid in (GraphicMatroid(4, K4_EDGES), UniformMatroid(3, 6),
                     corpus.build("rt-whirl"), corpus.build("rt-one-line")):
         assert mobius_weisner(matroid) == mobius(matroid.flat_strata()[0])
+
+
+def linear_matroids(p, width):
+    row = st.lists(st.integers(0, p - 1), min_size=width, max_size=width)
+    return st.builds(LinearMatroid, st.lists(row, min_size=1, max_size=5), st.just(p))
+
+
+GRAPHS = st.builds(GraphicMatroid, st.just(6), st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(GRAPHS, linear_matroids(2, 9), linear_matroids(3, 7),
+                 sparse_paving_documents().map(load_matroid)))
+def test_mobius_matches_weisner_on_random_matroids(matroid):
+    # The defining recursion against Weisner's recursion over covers,
+    # which needs a loopless matroid: so both read the simplification.
+    if not matroid.full_rank:
+        return
+    simple = matroid.simplify()[0]
+    assert mobius(simple.flat_strata()[0]) == mobius_weisner(simple)
 
 
 def test_mobius_alternates_in_sign():

@@ -435,6 +435,14 @@ def test_check_command_timings_flag(tmp_path, capsys):
     assert all(isinstance(v, int) for v in report["timings_ns"].values())
 
 
+def test_balancing_is_timed_as_a_phase_only_without_the_divisor_route():
+    # Within the limit the cups balance the fan inside the divisor phase.
+    phases = [validation.run_check(corpus.build(name), timings=True).report["timings_ns"]
+              for name in ("k4", "k5")]
+    assert "divisor" in phases[0] and "balancing" not in phases[0]
+    assert "divisor" not in phases[1] and "balancing" in phases[1]
+
+
 def test_check_command_large_input_skips_geometry(tmp_path, capsys):
     path = write_doc(tmp_path, "k5.json", {
         "type": "graphic", "vertices": 5,

@@ -1,6 +1,7 @@
 """Divisors, cup products, and the displacement-rule pairing."""
 
 import ast
+import gc
 import json
 import math
 import random
@@ -19,6 +20,7 @@ from matfan.fan import (
     SizeGradedFlags,
     bergman_weight,
     check_balancing,
+    cremona_flag,
     cremona_pullback_weight,
     permutohedral_weight,
 )
@@ -204,10 +206,31 @@ def test_cup_chain_matches_the_global_sweep_cup_by_cup(monkeypatch, name):
     monkeypatch.setattr(validation, "divisor_cup", checked)
     matroid = corpus.build(name)
     r = matroid.full_rank - 1
-    _, degrees = cup_chain(bergman_weight(matroid))
+    degrees, _ = cup_chain(matroid)
     assert degrees == list(mu_vector_mobius(matroid))
     # r alpha-cups, then k beta-cups for each degree k.
     assert len(cups) == r * (r + 3) // 2
+
+
+def test_cup_chain_keeps_one_alpha_level_alive(monkeypatch):
+    # At each cup only the alpha level and the beta-cup it feeds are
+    # alive; the weights that existed before the route are not counted.
+    gc.collect()
+    kept = [o for o in gc.get_objects() if isinstance(o, MinkowskiWeight)]
+    before = {id(o) for o in kept}
+    live = []
+
+    def counted(d, weight):
+        live.append(sum(isinstance(o, MinkowskiWeight) and id(o) not in before
+                        for o in gc.get_objects()))
+        return divisor_cup(d, weight)
+
+    monkeypatch.setattr(validation, "divisor_cup", counted)
+    matroid = FreeMatroid(6)
+    assert mu_vector_divisors(matroid) == mu_vector_mobius(matroid)
+    r = matroid.full_rank - 1
+    assert len(live) == r * (r + 3) // 2
+    assert max(live) <= 2
 
 
 def test_cup_detects_unbalanced_weight():
@@ -665,6 +688,46 @@ def test_located_pairs_match_the_full_sweep_on_the_corpus(name):
                 pairing_sweep_oracle, w1, w2, v)
 
 
+def v_descending_chains(matroid, k, v):
+    """Chains of flats of ranks 1..k, innermost first, whose v-least
+    elements strictly decrease in v (lifted by v_0 = 0), with the top
+    flat avoiding 0; the flats by brute force over every subset."""
+    lifted = (0, *v)
+    full = full_mask(matroid.size)
+    flats = [[] for _ in range(k + 1)]
+    for s in range(full + 1):
+        rank = matroid.rank(s)
+        if rank <= k and all(matroid.rank(s | 1 << x) > rank
+                             for x in range(matroid.size) if not s >> x & 1):
+            flats[rank].append(s)
+
+    def least(f):
+        return min(lifted[x] for x in range(matroid.size) if f >> x & 1)
+
+    chains = [()]
+    for rank in range(1, k + 1):
+        chains = [(*c, g) for c in chains for g in flats[rank]
+                  if not g & 1 and (not c or not c[-1] & ~g and least(g) < least(c[-1]))]
+    return sorted(chains)
+
+
+@pytest.mark.parametrize("name", ["k4", "fano", "non-fano", "free-6", "rt-whirl", "u-3-7"])
+def test_displacement_terms_are_the_v_descending_flags(name):
+    # A located pair needs each block of tau to meet R in its v-least
+    # element, so the Cremona images of the terms' taus are the flags
+    # that descend in v's order: once each, for the default and shuffles.
+    matroid = corpus.build(name)
+    n = matroid.size - 1
+    default = default_displacement(n)
+    vectors = [default] + [tuple(random.Random(seed).sample(default, n)) for seed in range(3)]
+    for k in range(matroid.full_rank):
+        w1, w2 = displacement_weights(matroid, k)
+        for v in vectors:
+            terms = pairing_terms(w1, w2, v)
+            assert sorted(cremona_flag(n, t.tau) for t in terms) == v_descending_chains(
+                matroid, k, v), (k, v)
+
+
 @pytest.mark.parametrize("name", GEOMETRY_SAMPLE)
 def test_divisor_route_matches_mobius(name):
     matroid = corpus.build(name)
@@ -673,11 +736,12 @@ def test_divisor_route_matches_mobius(name):
 
 def test_cup_chain_reads_no_ray_tables():
     # alpha and beta are rules, so the chain holds only the weights it
-    # builds: tables of all 2^17 rays would take megabytes.
-    base = bergman_weight(UniformMatroid(2, 17))
+    # builds, the base included: tables of all 2^17 rays would take
+    # megabytes.
+    matroid = UniformMatroid(2, 17)
     tracemalloc.start()
     try:
-        _, degrees = cup_chain(base)
+        degrees, _ = cup_chain(matroid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -700,10 +764,11 @@ def test_both_routes_on_the_rational_configuration():
 def test_mu_level_bounds():
     # u(2,3) has coefficients 0..1 only: neither route reaches level 2 or -1.
     m = corpus.build("u-2-3")
-    chain, degrees = cup_chain(bergman_weight(m))
+    degrees, _ = cup_chain(m)
     assert len(degrees) == m.full_rank
+    top = divisor_cup(alpha, bergman_weight(m))
     with pytest.raises(ValueError):
-        divisor_cup(alpha, chain[-1])
+        divisor_cup(alpha, top)
     with pytest.raises(ValueError):
         displacement_weights(m, 2)
     with pytest.raises(ValueError):
