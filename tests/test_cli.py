@@ -30,17 +30,6 @@ K5_DOC = {
     "edges": [[u, v] for u in range(5) for v in range(u + 1, 5)],
     "name": "k5",
 }
-# Thirteen of the fifteen nonzero vectors of GF(2)^4, fewest ones first.
-GF2_13_DOC = {
-    "name": "gf2-r4-13",
-    "type": "linear",
-    "field": "GF(2)",
-    "matrix": [[0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 0, 1, 1],
-               [0, 0, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 1],
-               [0, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0],
-               [1, 0, 0, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1]],
-}
-GOLDEN = Path(__file__).parent / "golden"
 
 
 # -- input documents -----------------------------------------------------------
@@ -158,21 +147,6 @@ def test_load_matroid_file_errors(tmp_path):
 
 
 # -- output documents -----------------------------------------------------------
-
-
-def test_fan_to_json_golden(tmp_path, capsys):
-    path = write_doc(tmp_path, "line.json", {"type": "uniform", "rank": 2, "size": 3})
-    code, out, _ = run_cli(capsys, "fan", path)
-    assert code == 0
-    assert json.loads(out) == {
-        "n": 2,
-        "codim": 1,
-        "cones": [
-            {"flag": [1], "weight": 1},
-            {"flag": [2], "weight": 1},
-            {"flag": [4], "weight": 1},
-        ],
-    }
 
 
 def test_dump_json_shape():
@@ -397,33 +371,6 @@ def test_an_empty_name_is_kept(tmp_path, capsys, doc):
     code, out, _ = run_cli(capsys, "check", write_doc(tmp_path, "doc.json", doc))
     assert code == 0
     assert json.loads(out)["name"] == ""
-
-
-@pytest.mark.parametrize("doc, argv, report, trace", [
-    # Level 2 of k4 is where (1, ..., n) ties; the default does not.
-    (K4_DOC, ["check"], "k4_check.json", "k4_check.ndjson"),
-    # Above the geometry limit: only the base weight's balancing runs.
-    (K5_DOC, ["check"], "k5_check.json", None),
-    (K4_DOC, ["mu", "--method", "all"], "k4_mu_all.json", None),
-    # 13 points of PG(3,2), above the geometry limit: the Welsh-Mason
-    # identity (the free coextension's lattice) is most of the work.
-    (GF2_13_DOC, ["check"], "gf2_r4_13_check.json", None),
-    # Above the geometry limit, mu skips in MU_METHODS order, not check's.
-    (K5_DOC, ["mu", "--method", "all"], "k5_mu_all.json", None),
-    (K4_DOC, ["charpoly"], "k4_charpoly.json", None),
-    # Element 0 is a loop, so the report names the simplification.
-    ({"type": "rank_table", "n": 2, "ranks": [0, 0, 1, 1]}, ["charpoly"],
-     "loopy_table_charpoly.json", None),
-])
-def test_reports_match_golden_files(tmp_path, capsys, doc, argv, report, trace):
-    path = write_doc(tmp_path, "doc.json", doc)
-    trace_path = tmp_path / "trace.ndjson"
-    extra = ["--trace", str(trace_path)] if trace else []
-    code, out, _ = run_cli(capsys, argv[0], path, *argv[1:], *extra)
-    assert code == 0
-    assert out == (GOLDEN / report).read_text()
-    if trace:
-        assert trace_path.read_bytes() == (GOLDEN / trace).read_bytes()
 
 
 def test_check_command_timings_flag(tmp_path, capsys):
