@@ -8,8 +8,9 @@ PG(3,2), a rank table with a loop, and u(2,3)) and, under ``seed1/``,
 the 13 ``near-limit`` and 20 ``lattice`` documents that
 perfbench/workloads.py generates under seed 1, frozen under
 ``seed1/inputs/`` so that a change to the generator does not move them,
-plus u(4,9) and u(5,9).  ``check`` also runs with ``--trace``, and a
-trace that is not empty is pinned beside its report as ``.ndjson``.
+plus u(4,9) and u(5,9); the near-limit ones and u(4,9) pin ``fan`` too.
+``check`` also runs with ``--trace``, and a trace that is not empty is
+pinned beside its report as ``.ndjson``.
 The CLI runs in process and the bytes are compared.
 
 After a change that alters these outputs on purpose, rewrite every
@@ -32,6 +33,9 @@ SEED1 = GOLDEN / "seed1"
 SEED1_NAMES = sorted(path.stem for path in (SEED1 / "inputs").glob("*.json"))
 COMMANDS = {"check": ["check"], "mu_all": ["mu", "--method", "all"],
             "charpoly": ["charpoly"], "fan": ["fan"]}
+# The near-limit documents and u(4,9); u(5,9)'s fan would take 316 KB.
+FANNED = {"u3-8", "u4-8", "u3-9", "u4-9", "gf3-r3", "q-r3",
+          *(f"{kind}-r4-{i}" for kind in ("graphic", "gf2", "gf3", "q") for i in (1, 2))}
 
 
 def document(directory: Path, name: str, *commands: str) -> dict[Path, list[str]]:
@@ -56,7 +60,7 @@ CASES = {
     **document(GOLDEN, "u2_3", "fan"),
 }
 for name in SEED1_NAMES:
-    CASES.update(document(SEED1, name, "check", "mu_all"))
+    CASES.update(document(SEED1, name, "check", "mu_all", *["fan"] * (name in FANNED)))
 
 
 def make(report: Path, argv: list[str]) -> dict[Path, bytes]:
@@ -83,7 +87,7 @@ def pinned() -> set[Path]:
 
 
 def test_every_pinned_file_has_one_case():
-    assert len(SEED1_NAMES) == 35
+    assert len(SEED1_NAMES) == 35 and FANNED <= set(SEED1_NAMES)
     traces = {report.with_suffix(".ndjson") for report, argv in CASES.items()
               if argv[0] == "check"}
     assert pinned() - traces == set(CASES)
