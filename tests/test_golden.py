@@ -2,19 +2,14 @@
 regenerated from one table.
 
 CASES maps each pinned report under tests/golden/ to the ``matfan``
-command that writes it to stdout.  Besides ``corpus --json``, the
-commands read five documents under ``inputs/`` (k4, k5, 13 points of
-PG(3,2), a rank table with a loop, and u(2,3)) and, under ``seed1/``,
-the 13 ``near-limit`` and 20 ``lattice`` documents that
-perfbench/workloads.py generates under seed 1, frozen under
-``seed1/inputs/`` so that a change to the generator does not move them,
-plus u(4,9) and u(5,9); the near-limit ones and u(4,9) pin ``fan`` too.
-``check`` also runs with ``--trace``, and a trace that is not empty is
-pinned beside its report as ``.ndjson``.
-The CLI runs in process and the bytes are compared.
-
-After a change that alters these outputs on purpose, rewrite every
-pinned file, and delete stale ones, with
+command that writes it: ``corpus --json``, and commands on the five
+documents under ``inputs/`` and the 35 under ``seed1/inputs/`` (the
+benchmark's seed-1 ``near-limit`` and ``lattice`` documents, frozen so
+that a change to perfbench/workloads.py does not move them, plus u(4,9)
+and u(5,9)).  The CLI runs in process.  ``check`` runs with ``--trace``,
+and a trace that is not empty is pinned beside its report as
+``.ndjson``.  After a change that alters these outputs on purpose,
+rewrite every pinned file, and delete stale ones, with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -26,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from matfan import cli
+from matfan import cli, fan
 
 GOLDEN = Path(__file__).parent / "golden"
 SEED1 = GOLDEN / "seed1"
@@ -86,6 +81,12 @@ def pinned() -> set[Path]:
             if file.is_file() and "inputs" not in file.relative_to(GOLDEN).parts}
 
 
+def differing(report: Path, argv: list[str]) -> list[str]:
+    """The outputs of one case whose bytes differ from the pinned files."""
+    return [str(file.relative_to(GOLDEN)) for file, content in make(report, argv).items()
+            if content != (file.read_bytes() if file.exists() else b"")]
+
+
 def test_every_pinned_file_has_one_case():
     assert len(SEED1_NAMES) == 35 and FANNED <= set(SEED1_NAMES)
     traces = {report.with_suffix(".ndjson") for report, argv in CASES.items()
@@ -95,9 +96,23 @@ def test_every_pinned_file_has_one_case():
 
 @pytest.mark.parametrize("report", CASES, ids=lambda report: str(report.relative_to(GOLDEN)))
 def test_reports_match_golden_files(report):
-    for file, content in make(report, CASES[report]).items():
-        assert content == (file.read_bytes() if file.exists() else b""), (
-            f"{file.relative_to(GOLDEN)} differs")
+    assert differing(report, CASES[report]) == []
+
+
+def test_no_report_depends_on_a_weights_iteration_order(monkeypatch):
+    # Every dict-backed weight keeps its flags in reverse order.  fan is
+    # left out: it writes them in the sorted order that test_fan pins.
+    init = fan.MinkowskiWeight.__init__
+
+    def reversed_init(self, n, codim, weights):
+        init(self, n, codim, weights)
+        if isinstance(self.weights, dict):
+            object.__setattr__(self, "weights", dict(reversed(self.weights.items())))
+
+    monkeypatch.setattr(fan.MinkowskiWeight, "__init__", reversed_init)
+    assert list(fan.MinkowskiWeight(2, 1, {(1,): 1, (2,): 1}).weights) == [(2,), (1,)]
+    assert [file for report, argv in CASES.items() if argv[0] in ("check", "mu")
+            for file in differing(report, argv)] == []
 
 
 if __name__ == "__main__":
