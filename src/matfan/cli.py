@@ -196,7 +196,3 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())
