@@ -115,8 +115,11 @@ def divisor_cup(d: Callable[[int], int], weight: MinkowskiWeight) -> MinkowskiWe
 
 
 def default_displacement(n: int) -> tuple[int, ...]:
-    """(1, 2, 4, ..., 2^(n-1)): generic for every pair pairing_terms
-    accepts, whatever the second weight.
+    """(2^(n-1), ..., 4, 2, 1): generic for every pair pairing_terms
+    accepts, whatever the second weight.  The terms' Cremona images are
+    then the chains of flats whose least elements under 0 < n < ... < 1
+    decrease: as many at each level as count_descending_flags counts
+    under 0 < 1 < ... < n, but another set (Björner 1980).
 
     The one tie pairing_terms can meet is u_x = u_y, with u_x = v_x -
     v_r for x outside the transversal R and r in it (see pairing_terms).
@@ -126,7 +129,7 @@ def default_displacement(n: int) -> tuple[int, ...]:
     pairing_terms still tests for the tie, so genericity is certified on
     every call.
     """
-    return tuple(1 << i for i in range(n))
+    return tuple(1 << i for i in reversed(range(n)))
 
 
 class PairingTerm(NamedTuple):

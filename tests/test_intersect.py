@@ -244,7 +244,7 @@ def test_cup_detects_unbalanced_weight():
 
 
 def test_default_displacement():
-    assert default_displacement(4) == (1, 2, 4, 8)
+    assert default_displacement(4) == (8, 4, 2, 1)
     assert all(type(c) is int for c in default_displacement(4))
     assert default_displacement(0) == ()
 
@@ -711,7 +711,10 @@ def v_descending_chains(matroid, k, v):
     return sorted(chains)
 
 
-@pytest.mark.parametrize("name", ["k4", "fano", "non-fano", "free-6", "rt-whirl", "u-3-7"])
+BIJECTION_SAMPLE = ["k4", "fano", "non-fano", "free-6", "rt-whirl", "u-3-7"]
+
+
+@pytest.mark.parametrize("name", BIJECTION_SAMPLE)
 def test_displacement_terms_are_the_v_descending_flags(name):
     # A located pair needs each block of tau to meet R in its v-least
     # element, so the Cremona images of the terms' taus are the flags
@@ -726,6 +729,23 @@ def test_displacement_terms_are_the_v_descending_flags(name):
             terms = pairing_terms(w1, w2, v)
             assert sorted(cremona_flag(n, t.tau) for t in terms) == v_descending_chains(
                 matroid, k, v), (k, v)
+
+
+@pytest.mark.parametrize("name", BIJECTION_SAMPLE)
+def test_default_terms_are_not_the_flags_that_count_flags(name):
+    # count_descending_flags counts the chains whose least elements
+    # decrease: the v-descending ones for v = (1, 2, 4, ...).  The
+    # default's terms are another set of chains, of the same size at every
+    # level, so the flags and displacement routes do not count one set.
+    matroid = corpus.build(name)
+    n = matroid.size - 1
+    images, chains = [], []
+    for k in range(matroid.full_rank):
+        terms = pairing_terms(*displacement_weights(matroid, k), default_displacement(n))
+        images.append(sorted(cremona_flag(n, t.tau) for t in terms))
+        chains.append(v_descending_chains(matroid, k, tuple(1 << i for i in range(n))))
+    assert [len(c) for c in images] == [len(c) for c in chains]
+    assert images != chains
 
 
 @pytest.mark.parametrize("name", GEOMETRY_SAMPLE)
