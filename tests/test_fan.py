@@ -275,8 +275,8 @@ def test_the_input_layer_stays_below_the_geometry():
 
 
 def test_every_weight_iterates_its_flags_in_ascending_order():
-    # `matfan fan` writes cones in this order without sorting them again,
-    # and the terms of a check trace follow it.
+    # `matfan fan` writes cones in this order without sorting them again.
+    # Check traces do not follow it: pairing_terms sorts its terms.
     k4 = bergman_weight(corpus.build("k4"))
     built = [
         k4,
