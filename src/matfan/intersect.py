@@ -19,16 +19,16 @@ The degree pairing displaces one weight by a generic vector v and counts
 transversal intersections of complementary-dimension cones with lattice
 index multiplicities.  The first weight is the permutohedral weight,
 given by rule, and is never enumerated; v has positive, pairwise
-distinct coordinates; pairing_terms refuses anything else.  For each
-cone tau of the second weight, every way to meet tau's blocks once fixes
-a point, which names the one sigma that can meet tau + v.  Each such
-pair meets transversally, and cone_displacement_intersect reads its
+distinct coordinates; pairing_terms refuses anything else.  Each cone
+tau of the second weight has one candidate way to meet its blocks once,
+their v-least elements, which names the one sigma that can meet tau + v.
+Each hit meets transversally, and cone_displacement_intersect reads its
 point off one traversal of a graph on the two flags' blocks, a spanning
 tree, so every index is 1.  Genericity is certified, never assumed: any
-exact tie that a sweep over every pair would meet (a zero cone
-coefficient) aborts the pairing.  So v is certified for two weights
-exactly when pairing_terms returns, which default_displacement's powers
-of two always do.
+exact tie that a sweep over every pair would meet (a zero coefficient,
+read off v's differences within tau's blocks) aborts the pairing.  So v
+is certified for two weights exactly when pairing_terms returns, which
+default_displacement's powers of two always do.
 A displacement vector is a plain tuple of exact numbers, ints by
 default, and a point is computed in the vector's own numbers; there are
 no tolerances anywhere.
@@ -36,7 +36,7 @@ no tolerances anywhere.
 
 from __future__ import annotations
 
-from itertools import accumulate, product
+from itertools import accumulate
 from numbers import Rational
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -211,21 +211,22 @@ def pairing_terms(
     raises ValueError.  A sigma of w1 is n-k singleton blocks above a
     (k+1)-element bottom block R, so its graph against tau (see
     cone_displacement_intersect) is a tree exactly when R meets each of
-    tau's blocks T_0..T_k once, say in r_j.
-    The point is then fixed: with v lifted by v_0 = 0, and u_x = v_x -
-    v_(r_j) for the other elements x of T_j, sigma must order those
-    singletons by decreasing u.  So each (tau, R) names at most one
-    sigma, and w1 is never enumerated.  Every pair so named meets
-    transversally, and cone_displacement_intersect gives its point in
-    v's own numbers: ints under the default.
+    tau's blocks T_0..T_k once, say in r_j; with v lifted by v_0 = 0 and
+    u_x = v_x - v_(r_j) for the other x in T_j, sigma then orders those
+    singletons by decreasing u.  A hit needs v increasing along R and
+    every u positive, so each tau names one candidate R, its v-least
+    elements, and w1 is never enumerated.  Each hit meets transversally;
+    cone_displacement_intersect gives its point in v's own numbers.
 
     Returning, rather than raising DegenerateDisplacementError, certifies
     v for this pair of supports; no argument is modified.  The verdict is
     that of a sweep over every pair of sigma in w1 and tau in w2,
-    skipping unsolved the pairs that cannot meet under a positive v:
-    those where some coordinate has neither a positive sigma ray nor a
-    negative tau ray.  With the lifted values all distinct, the one tie
-    such a sweep meets is two equal u's, a zero coefficient.
+    skipping unsolved the pairs where some coordinate has neither a
+    positive sigma ray nor a negative tau ray: R must lie in 0 and the
+    blocks after 0's, so 0 must be in T_0.  Its one tie is two equal u's
+    on any such R, hit or not.  They lie in two blocks, v being
+    distinct, so some R ties exactly when a difference v_x - v_r, x != r
+    in one block (r = 0 in T_0), recurs in another.
     """
     if w1.n != w2.n:
         raise ValueError("weights live on different fans")
@@ -243,29 +244,28 @@ def pairing_terms(
     found: list[PairingTerm] = []
     for tau in w2.weights:
         block_of = _flag_blocks(n, tau)
-        # The sign test keeps a pair only when R minus 0 lies in tau's
-        # negative rays: the blocks after the one holding 0.  So R is
-        # drawn from those and 0 alone, and holds 0 whenever it is a
-        # transversal.
+        if block_of[0]:
+            continue
         blocks: list[list[int]] = [[] for _ in range(k + 1)]
         for e in range(n + 1):
-            if e == 0 or block_of[e] > block_of[0]:
-                blocks[block_of[e]].append(e)
-        for bottom in product(*blocks):
-            # The tree's coefficients are v(r_(j+1)) - v(r_j) on tau, and on
-            # sigma the steps between the u's in sigma's order and from the
-            # last u down to R's 0.  The sign test keeps every order, so two
-            # equal u's are a zero coefficient of a swept pair.
-            ends = [lifted[r] for r in bottom]
-            u = {x: lifted[x] - ends[block_of[x]] for x in range(n + 1) if x not in bottom}
-            if len(set(u.values())) < len(u):
-                raise DegenerateDisplacementError(f"boundary tie on {tau}")
-            # A hit needs v increasing along R and every u positive.
-            if min(u.values(), default=1) < 0 or any(a > b for a, b in zip(ends, ends[1:])):
-                continue
-            order = sorted(u, key=u.__getitem__, reverse=True)
-            sigma = tuple(accumulate(1 << x for x in order))
-            found.append(PairingTerm(sigma, tau, *cone_displacement_intersect(n, sigma, tau, v)))
+            blocks[block_of[e]].append(e)
+        # The tree's coefficients are v(r_(j+1)) - v(r_j) on tau, and on
+        # sigma the steps between the u's in order and from the last to 0:
+        # two equal u's are a zero coefficient under some swept order.
+        owner: dict[Rational, int] = {}
+        for j, block in enumerate(blocks):
+            for r in block if j else (0,):
+                for x in block:
+                    if x != r and owner.setdefault(lifted[x] - lifted[r], j) != j:
+                        raise DegenerateDisplacementError(f"boundary tie on {tau}")
+        bottom = [min(block, key=lifted.__getitem__) for block in blocks]
+        ends = [lifted[r] for r in bottom]
+        if any(a > b for a, b in zip(ends, ends[1:])):
+            continue
+        u = {x: lifted[x] - ends[block_of[x]] for x in range(n + 1) if x not in bottom}
+        order = sorted(u, key=u.__getitem__, reverse=True)
+        sigma = tuple(accumulate(1 << x for x in order))
+        found.append(PairingTerm(sigma, tau, *cone_displacement_intersect(n, sigma, tau, v)))
     found.sort(key=lambda term: (term.sigma, term.tau))
     return found
 

@@ -17,9 +17,10 @@ classifier, built on linalg.solve_square_int, which tells empty pairs,
 degenerate spans and boundary ties from transversal ones.  The
 displacement pairing as a sweep over every pair of cones classifies
 each pair with it, so it shares no solver with the located pairing it
-checks.  Seeded rational perturbations of the displacement vector, with
-a retry loop over them, check that the degrees do not depend on the
-vector.  The global facet sweep lives here as well: one facet map over
+checks; the located pairing over every transversal of each cone's
+blocks checks its one candidate per cone at larger n.  Seeded rational
+perturbations of the displacement vector, with a retry loop over them,
+check that the degrees do not depend on the vector.  The global facet sweep lives here as well: one facet map over
 every gap at once, the flag-cone span test, and the divisor cup read off
 each facet's whole ray-sum.  Production uses the structure of flag
 cones instead (one block per gap, spanning trees, located pairs), and
@@ -38,7 +39,7 @@ the image of a subset in Z^n, is the reference for the facet ray sums.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, combinations, permutations, product
 from math import lcm
 
 from matfan import linalg
@@ -47,6 +48,8 @@ from matfan.intersect import (
     DegenerateDisplacementError,
     NotBalancedError,
     PairingTerm,
+    _flag_blocks,
+    cone_displacement_intersect,
     divisor_cup,
     pairing_terms,
 )
@@ -651,6 +654,47 @@ def pairing_sweep_oracle(w1, w2, v):
             if hit is not None:
                 terms.append(PairingTerm(sigma, tau, *hit))
     return terms
+
+
+def transversal_pairing_oracle(w1, w2, v):
+    """The located pairing over every transversal: for each tau of w2,
+    each R that meets tau's blocks once (0 alone from 0's block, the
+    later blocks whole) is tested for two equal u's, then kept when it
+    hits.  That is prod |T_j| transversals per tau, against the one
+    candidate and the within-block differences of
+    intersect.pairing_terms, which must agree with it on every input it
+    accepts: terms, order, verdict and message alike."""
+    n = w1.n
+    k = w1.codim
+    lifted = (0, *v)
+    found = []
+    for tau in w2.weights:
+        block_of = _flag_blocks(n, tau)
+        # The sign test keeps a pair only when R minus 0 lies in tau's
+        # negative rays: the blocks after the one holding 0.  So R is
+        # drawn from those and 0 alone, and holds 0 whenever it is a
+        # transversal.
+        blocks: list[list[int]] = [[] for _ in range(k + 1)]
+        for e in range(n + 1):
+            if e == 0 or block_of[e] > block_of[0]:
+                blocks[block_of[e]].append(e)
+        for bottom in product(*blocks):
+            # The tree's coefficients are v(r_(j+1)) - v(r_j) on tau, and on
+            # sigma the steps between the u's in sigma's order and from the
+            # last u down to R's 0.  The sign test keeps every order, so two
+            # equal u's are a zero coefficient of a swept pair.
+            ends = [lifted[r] for r in bottom]
+            u = {x: lifted[x] - ends[block_of[x]] for x in range(n + 1) if x not in bottom}
+            if len(set(u.values())) < len(u):
+                raise DegenerateDisplacementError(f"boundary tie on {tau}")
+            # A hit needs v increasing along R and every u positive.
+            if min(u.values(), default=1) < 0 or any(a > b for a, b in zip(ends, ends[1:])):
+                continue
+            order = sorted(u, key=u.__getitem__, reverse=True)
+            sigma = tuple(accumulate(1 << x for x in order))
+            found.append(PairingTerm(sigma, tau, *cone_displacement_intersect(n, sigma, tau, v)))
+    found.sort(key=lambda term: (term.sigma, term.tau))
+    return found
 
 
 PERTURB_DEN = 9973

@@ -1,0 +1,41 @@
+"""Hypothesis strategies for random matroids, shared by the test modules:
+graphic matroids, and sparse paving matroids as rank_table documents
+(the rule that builds them is in test_nonrealizable's docstring)."""
+
+from hypothesis import strategies as st
+
+from matfan.matroid import GraphicMatroid
+
+
+def graphs(vertices, max_edges):
+    """Graphic matroids on `vertices` vertices with 1..max_edges edges,
+    loops and parallel edges included."""
+    ends = st.integers(0, vertices - 1)
+    return st.builds(GraphicMatroid, st.just(vertices), st.lists(
+        st.tuples(ends, ends), min_size=1, max_size=max_edges))
+
+
+def masks(*sets):
+    return [sum(1 << e for e in s) for s in sets]
+
+
+def sparse_paving_document(size, rank, family):
+    """rank_table document of the sparse paving matroid whose
+    circuit-hyperplanes are the masks in family."""
+    family = set(family)
+    ranks = [rank - 1 if mask in family else min(mask.bit_count(), rank)
+             for mask in range(1 << size)]
+    return {"type": "rank_table", "n": size, "ranks": ranks}
+
+
+@st.composite
+def sparse_paving_documents(draw):
+    rank = draw(st.integers(3, 4))
+    size = draw(st.integers(5, 9))
+    candidates = draw(st.lists(
+        st.sets(st.integers(0, size - 1), min_size=rank, max_size=rank), max_size=12))
+    family = []
+    for mask in masks(*candidates):
+        if all((mask & other).bit_count() <= rank - 2 for other in family):
+            family.append(mask)
+    return sparse_paving_document(size, rank, family)

@@ -35,7 +35,7 @@ from oracles import (
     mu_oracle,
     uniform_rank,
 )
-from test_nonrealizable import sparse_paving_documents
+from strategies import graphs, sparse_paving_documents
 
 
 # -- polynomial arithmetic --------------------------------------------------
@@ -95,12 +95,8 @@ def linear_matroids(p, width):
     return st.builds(LinearMatroid, st.lists(row, min_size=1, max_size=5), st.just(p))
 
 
-GRAPHS = st.builds(GraphicMatroid, st.just(6), st.lists(
-    st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=12))
-
-
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(GRAPHS, linear_matroids(2, 9), linear_matroids(3, 7),
+@given(st.one_of(graphs(6, 12), linear_matroids(2, 9), linear_matroids(3, 7),
                  sparse_paving_documents().map(load_matroid)))
 def test_mobius_matches_weisner_on_random_matroids(matroid):
     # The defining recursion against Weisner's recursion over covers,

@@ -42,7 +42,7 @@ from oracles import (
     truncation,
     unimodularity_factors,
 )
-from test_nonrealizable import sparse_paving_documents
+from strategies import graphs, sparse_paving_documents
 
 
 # -- lattice points of subsets ----------------------------------------------
@@ -191,14 +191,12 @@ def test_permutohedral_is_truncated_free_fan():
             assert set(w.weights.values()) == {1}
 
 
-GRAPHS = st.builds(GraphicMatroid, st.just(5), st.lists(
-    st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=9))
 GF3_MATRICES = st.builds(LinearMatroid, st.lists(
     st.lists(st.integers(0, 2), min_size=7, max_size=7), min_size=1, max_size=4), st.just(3))
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(GRAPHS, GF3_MATRICES, sparse_paving_documents().map(load_matroid)))
+@given(st.one_of(graphs(5, 9), GF3_MATRICES, sparse_paving_documents().map(load_matroid)))
 def test_truncated_fans_match_independent_truncations(matroid):
     # bergman_weight(m, k) walks m's own flats; the reference is the full
     # fan of the truncation built as a rank table of min(r(S), k + 1).

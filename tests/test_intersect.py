@@ -4,9 +4,12 @@ import ast
 import gc
 import json
 import math
+import operator
 import random
+import time
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -60,6 +63,7 @@ from oracles import (
     oracle_divisor_cup,
     pairing_sweep_oracle,
     perturbed_displacement,
+    transversal_pairing_oracle,
     truncation,
 )
 
@@ -336,11 +340,13 @@ def test_intersect_validates_dimensions():
 
 
 @st.composite
-def flag_of_length(draw, n, length):
-    """A random flag of `length` proper nonempty subsets of {0..n}."""
+def flag_of_length(draw, n, length, rooted=False):
+    """A random flag of `length` proper nonempty subsets of {0..n}; with
+    rooted, its first subset holds 0."""
     if length == 0:
         return ()
-    order = draw(st.permutations(range(n + 1)))
+    order = [0, *draw(st.permutations(range(1, n + 1)))] if rooted else draw(
+        st.permutations(range(n + 1)))
     cuts = sorted(draw(st.sets(st.integers(1, n), min_size=length, max_size=length)))
     return tuple(sum(1 << x for x in order[:cut]) for cut in cuts)
 
@@ -478,6 +484,12 @@ def test_scaling_the_vector_scales_the_points(data):
     (5, 2, [(0b110101, 0b111101)], (1, 1, 2, 1, 1), "degenerate"),
     # Positive, distinct v; on the transversal R = {0, 2}, u = 1 on 1 and 3.
     (3, 1, [(0b0011,)], (1, 2, 3), "degenerate"),
+    # Only R = {0, 2, 4} ties, u_1 = u_3 = 1, and v decreases along it
+    # (0, 3, 2), so the tie is on a transversal that cannot hit.
+    (4, 2, [(0b00011, 0b01111)], (1, 3, 4, 2), "degenerate"),
+    # v_4 = 5 leaves every u distinct; the candidate R = {0, 2, 4} still
+    # cannot hit.
+    (4, 2, [(0b00011, 0b01111)], (1, 3, 5, 2), []),
 ])
 def test_located_pairs_on_each_kind_of_tie(n, k, support, v, outcome):
     # The sweep classifies every tie; pairing_terms accepts only positive
@@ -492,6 +504,55 @@ def test_located_pairs_on_each_kind_of_tie(n, k, support, v, outcome):
     else:
         with pytest.raises(ValueError, match="distinct"):
             pairing_terms(w1, w2, v)
+
+
+def _verdict(pairing, w1, w2, v):
+    try:
+        return pairing(w1, w2, v)
+    except DegenerateDisplacementError as error:
+        return str(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_candidate_per_cone_matches_every_transversal(data):
+    # Past the full sweep's reach, up to n = 10: the one candidate per
+    # cone and the tie test on within-block differences must give the
+    # terms, order, verdict and message of a test on every transversal.
+    # Rooted flags have a transversal, and vectors from small integer
+    # pools repeat their differences, so ties are common.
+    n = data.draw(st.integers(0, 10))
+    k = data.draw(st.integers(0, n))
+    flags = data.draw(st.lists(st.sampled_from((True, True, False)).flatmap(
+        lambda rooted: flag_of_length(n, k, rooted)), min_size=1, max_size=4))
+    w1 = permutohedral_weight(n, k)
+    w2 = MinkowskiWeight(n, n - k, dict.fromkeys(flags, 1))
+    v = data.draw(st.lists(st.integers(1, n + 3), min_size=n, max_size=n, unique=True))
+    assert _verdict(pairing_terms, w1, w2, v) == _verdict(transversal_pairing_oracle, w1, w2, v)
+
+
+def test_pairing_names_one_candidate_per_cone():
+    # Twenty cones in n = 30, each with T_0 = {0} and ten 3-element
+    # blocks whose largest elements decrease: 3^10 transversals apiece.
+    # Under the default vector a block's largest element is its v-least,
+    # so exactly one transversal of each cone hits.
+    n, k = 30, 10
+    rng = random.Random(7)
+    flags = set()
+    while len(flags) < 20:
+        rest = rng.sample(range(1, n + 1), n)
+        blocks = sorted((rest[i:i + 3] for i in range(0, n, 3)), key=max, reverse=True)
+        flags.add(tuple(accumulate((sum(1 << x for x in b) for b in blocks[:k - 1]),
+                                   operator.or_, initial=1)))
+    w1 = permutohedral_weight(n, k)
+    w2 = MinkowskiWeight(n, n - k, dict.fromkeys(flags, 1))
+    v = default_displacement(n)
+    start = time.perf_counter()
+    terms = pairing_terms(w1, w2, v)
+    assert time.perf_counter() - start < 1
+    assert len(terms) == 20 and {t.tau for t in terms} == flags
+    for t in terms:
+        assert displacement_reference(n, t.sigma, t.tau, v) == (t.point, 1)
 
 
 @pytest.mark.parametrize("matroid", [UniformMatroid(3, 9), UniformMatroid(4, 9)])

@@ -15,28 +15,16 @@ rank_table document, so validate_rank_table checks that rule too.
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from matfan import cli
 from matfan.schema import load_matroid
 from matfan.validation import run_check
 
 from oracles import mu_oracle
+from strategies import masks, sparse_paving_document, sparse_paving_documents
 
 ROUTES = {"mobius", "flags", "divisor", "displacement"}
-
-
-def sparse_paving_document(size, rank, family):
-    """rank_table document of the sparse paving matroid whose
-    circuit-hyperplanes are the masks in family."""
-    family = set(family)
-    ranks = [rank - 1 if mask in family else min(mask.bit_count(), rank)
-             for mask in range(1 << size)]
-    return {"type": "rank_table", "n": size, "ranks": ranks}
-
-
-def masks(*sets):
-    return [sum(1 << e for e in s) for s in sets]
 
 
 PAIRS = [{0, 1}, {2, 3}, {4, 5}, {6, 7}]
@@ -76,19 +64,6 @@ def test_non_realizable_matroids_pass_check(tmp_path, capsys, doc, expected):
     path.write_text(json.dumps(doc))
     assert cli.main(["check", str(path)]) == 0
     assert_routes_agree(json.loads(capsys.readouterr().out), expected)
-
-
-@st.composite
-def sparse_paving_documents(draw):
-    rank = draw(st.integers(3, 4))
-    size = draw(st.integers(5, 9))
-    candidates = draw(st.lists(
-        st.sets(st.integers(0, size - 1), min_size=rank, max_size=rank), max_size=12))
-    family = []
-    for mask in masks(*candidates):
-        if all((mask & other).bit_count() <= rank - 2 for other in family):
-            family.append(mask)
-    return sparse_paving_document(size, rank, family)
 
 
 @settings(max_examples=100, deadline=None)
