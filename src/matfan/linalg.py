@@ -1,14 +1,14 @@
 """Exact linear algebra over the integers, the rationals, and GF(p).
 
-No floats.  One fraction-free elimination, _echelon, serves rank and
-both generic solvers.  Production uses rank over Q or GF(p), and
-is_prime.  The solvers are kept as references that the flag-cone code
-is tested against: solve_square_int (Bareiss square solves) for the
-displacement pairing's spanning-tree solve, and solve_in_span for the
-flag-cone span test of the test oracles' flag_span_coefficients (fan's
-balancing test reads one block per gap and solves nothing).  The
-benchmark's layer tracer (perfbench/layertrace.py) wraps both by name,
-so they stay here rather than among the test oracles.
+No floats.  One fraction-free elimination, _echelon, serves rank and both
+generic solvers.  Production uses rank over Q and odd p, and is_prime;
+rank(rows, 2) is kept as the tests' GF(2) reference.  The solvers are kept
+as references that the flag-cone code is tested against: solve_square_int
+(Bareiss square solves) for the displacement pairing's spanning-tree
+solve, and solve_in_span for the flag-cone span test of the test oracles'
+flag_span_coefficients (fan's balancing test reads one block per gap and
+solves nothing).  The benchmark's layer tracer (perfbench/layertrace.py)
+wraps both by name, so they stay here rather than among the test oracles.
 """
 
 from __future__ import annotations

@@ -1,27 +1,27 @@
 """Matroids on a ground set {0, ..., n} with exact rank oracles.
 
 A matroid is its rank function.  Concrete backends cover the standard
-constructions: uniform and free matroids, multigraphs, column matroids of
-exact matrices over GF(p) or the rationals, explicit basis lists, and
-explicit rank tables.  Derived wrappers implement free coextension and
-relabelling lazily, without materializing tables; a truncation needs no
-wrapper, since fan.bergman_weight reads its fan off the matroid's own
-flats.
+constructions: uniform and free matroids, column matroids of exact
+matrices over GF(p) or the rationals (a multigraph's is its incidence
+matrix over GF(2)), explicit basis lists, and explicit rank tables.
+Derived wrappers implement free coextension and relabelling lazily,
+without materializing tables; a truncation needs no wrapper, since
+fan.bergman_weight reads its fan off the matroid's own flats.
 The backends trust their input; validate_rank_table checks an explicit
 table (or a basis list's table) against the rank axioms exactly.
 
 Only the backends whose rank computation does real work memoize rank
-values, one dict per instance: graphic, linear and relabelled.  A rank
-table keeps no memo, since its rank is one list index and a memo would
-only copy the table; a basis list is a rank table, built once by its
-constructor.  Uniform and free matroids keep no memo, and
-neither does the free coextension, which adjusts one call to its base's
-rank, so it reads the memo of the backend underneath.  A relabelling
-(simplify's result) keeps its own memo and computes its misses through
-its input's rank computation, not its input's memo: each of its masks
-names one input mask, so that memo would hold a second copy.  Instances are
-immutable after construction and a memo dict is only written under
-CPython's GIL, so concurrent readers are safe.  All arithmetic is exact.
+values, one dict per instance: linear (graphs among them) and relabelled.
+A rank table keeps no memo, since its rank is one list index and a memo
+would only copy the table; a basis list is a rank table, built once by its
+constructor.  Uniform and free matroids keep no memo, and neither does the
+free coextension, which adjusts one call to its base's rank, so it reads
+the memo of the backend underneath.  A relabelling (simplify's result)
+keeps its own memo and computes its misses through its input's rank
+computation, not its input's memo: each of its masks names one input mask,
+so that memo would hold a second copy.  Instances are immutable after
+construction and a memo dict is only written under CPython's GIL, so
+concurrent readers are safe.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -226,49 +226,12 @@ class FreeMatroid(UniformMatroid):
         super().__init__(size, size, f"free({size})" if name is None else name)
 
 
-class GraphicMatroid(Matroid):
-    """Cycle matroid of a multigraph; elements are edge indices.
-
-    rank(S) = (vertices touched by S) - (components of the subgraph on S).
-    Parallel edges and self-loops are allowed; self-loops are matroid loops.
-    Equivalently, rank(S) is the GF(2) rank of S's incidence vectors: edge
-    uv is bit[u] ^ bit[v] over its endpoints numbered densely (vertex ids
-    only name them), so a self-loop is 0 and parallel edges are equal.
-    """
-
-    def __init__(self, vertices: int, edges: Sequence[tuple[int, int]],
-                 name: str | None = None):
-        if vertices < 1:
-            raise ValueError("graph needs at least one vertex")
-        for u, v in edges:
-            if not (0 <= u < vertices and 0 <= v < vertices):
-                raise ValueError(f"edge ({u},{v}) has endpoints outside 0..{vertices - 1}")
-        super().__init__(len(edges), f"graphic(V={vertices},E={len(edges)})"
-                         if name is None else name)
-        ends = dict.fromkeys(w for edge in edges for w in edge)
-        bit = {w: 1 << i for i, w in enumerate(ends)}
-        self.edge_masks = [bit[u] ^ bit[v] for u, v in edges]
-
-    def _rank_impl(self, mask: int) -> int:
-        # XOR basis keyed by leading bit: reduce each edge by the basis
-        # vectors under its leading bits; whatever is left joins the basis.
-        basis: dict[int, int] = {}
-        for e in elements_of(mask):
-            x = self.edge_masks[e]
-            while x:
-                top = x.bit_length()
-                if top not in basis:
-                    basis[top] = x
-                    break
-                x ^= basis[top]
-        return len(basis)
-
-
 class LinearMatroid(Matroid):
     """Column matroid of an exact matrix over GF(p) or the rationals.
 
     field is None for the rationals or a prime p for GF(p).  Entries over
     GF(p) must be ints; over Q they may be ints or Fractions, not floats.
+    A GF(2) column is the bitmask of its odd entries, ranked in an XOR basis.
     """
 
     def __init__(self, matrix: Sequence[Sequence], field: int | None = None,
@@ -288,7 +251,7 @@ class LinearMatroid(Matroid):
             raise ValueError("matrix entries over Q must be exact, not floats")
         if field is not None and not all(isinstance(x, int) for x in entries):
             raise ValueError(f"matrix entries over GF({field}) must be ints")
-        # Integer columns for both fields: over Q each column is scaled by
+        # Integer columns for Q and odd p: over Q each column is scaled by
         # the lcm of its denominators, a nonzero scalar that keeps ranks.
         self.columns = []
         for col in zip(*matrix):
@@ -296,12 +259,52 @@ class LinearMatroid(Matroid):
                 col = [Fraction(x) for x in col]
                 scale = lcm(*(x.denominator for x in col))
                 self.columns.append(tuple(int(x * scale) for x in col))
+            elif field == 2:
+                self.columns.append(sum((x & 1) << i for i, x in enumerate(col)))
             else:
                 self.columns.append(tuple(x % field for x in col))
 
     def _rank_impl(self, mask: int) -> int:
-        # Rank is transpose-invariant, so feed the columns as rows.
-        return linalg.rank([self.columns[e] for e in elements_of(mask)], self.field)
+        if self.field != 2:
+            # Rank is transpose-invariant, so feed the columns as rows.
+            return linalg.rank([self.columns[e] for e in elements_of(mask)], self.field)
+        # XOR basis keyed by leading bit: reduce each column by the basis
+        # vectors under its leading bits; whatever is left joins the basis.
+        basis: dict[int, int] = {}
+        for e in elements_of(mask):
+            x = self.columns[e]
+            while x:
+                top = x.bit_length()
+                if top not in basis:
+                    basis[top] = x
+                    break
+                x ^= basis[top]
+        return len(basis)
+
+
+class GraphicMatroid(LinearMatroid):
+    """Cycle matroid of a multigraph; elements are edge indices.
+
+    rank(S) = (vertices touched by S) - (components of the subgraph on S).
+    Parallel edges and self-loops are allowed; self-loops are matroid loops.
+    It is the GF(2) column matroid whose column for edge uv is bit[u] ^
+    bit[v], over endpoints numbered densely (vertex ids only name them).
+    """
+
+    def __init__(self, vertices: int, edges: Sequence[tuple[int, int]],
+                 name: str | None = None):
+        if vertices < 1:
+            raise ValueError("graph needs at least one vertex")
+        for u, v in edges:
+            if not (0 <= u < vertices and 0 <= v < vertices):
+                raise ValueError(f"edge ({u},{v}) has endpoints outside 0..{vertices - 1}")
+        # Past LinearMatroid.__init__: there is no matrix to check.
+        Matroid.__init__(self, len(edges), f"graphic(V={vertices},E={len(edges)})"
+                         if name is None else name)
+        ends = dict.fromkeys(w for edge in edges for w in edge)
+        bit = {w: 1 << i for i, w in enumerate(ends)}
+        self.field = 2
+        self.columns = [bit[u] ^ bit[v] for u, v in edges]
 
 
 class RankTableMatroid(Matroid):

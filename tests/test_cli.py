@@ -123,16 +123,19 @@ def test_a_rank_table_is_checked_in_place_and_copied_once():
 
 def test_k6_checks_alike_as_a_graph_and_as_a_rank_table():
     # 15 elements: above the geometry limit, so a rank table with no memo
-    # goes through balancing and the Welsh-Mason coextension.
+    # goes through balancing and the Welsh-Mason coextension.  The
+    # vertex-edge incidence matrix over GF(2) is the same matroid again.
     k6_doc = {"type": "graphic", "vertices": 6,
               "edges": [[u, v] for u in range(6) for v in range(u + 1, 6)]}
     graph = load_matroid(k6_doc)
     table = load_matroid({"type": "rank_table", "n": graph.size,
                           "ranks": graph.rank_table()})
-    reports = [validation.run_check(m).report for m in (graph, table)]
+    incidence = load_matroid({"type": "linear", "field": "GF(2)", "matrix": [
+        [int(w in edge) for edge in k6_doc["edges"]] for w in range(6)]})
+    reports = [validation.run_check(m).report for m in (graph, table, incidence)]
     for report in reports:
         assert report.pop("name")
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
     assert reports[0]["welsh_mason"] is True
     assert reports[0]["pass"] is True
 

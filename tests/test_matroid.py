@@ -74,6 +74,8 @@ def test_graphic_rank_k4():
     m = GraphicMatroid(4, K4_EDGES)
     assert_same_ranks(m, graphic_rank(4, K4_EDGES))
     assert m.full_rank == 3
+    assert m.name == "graphic(V=4,E=6)"
+    assert GraphicMatroid(4, K4_EDGES, "k4").name == "k4"
 
 
 def test_graphic_rank_k5():
@@ -108,10 +110,15 @@ def test_graphic_rank_matches_the_components_oracle(edges, extra):
 
 
 def test_graphic_rejects_bad_edges():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edge \(0,2\) has endpoints outside 0\.\.1$"):
         GraphicMatroid(2, [(0, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edge \(-1,1\) has endpoints outside 0\.\.1$"):
+        GraphicMatroid(2, [(0, 1), (-1, 1)])
+    with pytest.raises(ValueError, match="^graph needs at least one vertex$"):
         GraphicMatroid(0, [])
+    # A graph with no edges has an empty ground set.
+    with pytest.raises(ValueError, match="^ground-set size 0 out of range 1..31$"):
+        GraphicMatroid(3, [])
 
 
 def test_linear_rank_binary_vs_rational():
@@ -169,6 +176,28 @@ def test_linear_ranks_over_q_build_no_fraction(monkeypatch):
 
     monkeypatch.setattr(linalg, "Fraction", refuse)
     assert m.rank_table() == expected
+
+
+def test_binary_ranks_never_reach_the_elimination(monkeypatch):
+    # One GF(2) algorithm: a binary matrix, a graph among them, ranks its
+    # odd entries in an XOR basis; linalg.rank serves only Q and odd p.
+    # The matrix has entries in -3..3, a zero column (a loop), column 4
+    # parallel to column 1 mod 2 only, and the circuit {0, 3, 5}.
+    matrix = [[3, -1, 0, 2, -3, -1],
+              [-2, 1, 0, 1, 3, 3],
+              [1, -2, 0, -2, 2, -3]]
+    builds = (lambda: corpus.build("fano"), lambda: GraphicMatroid(4, K4_EDGES),
+              lambda: LinearMatroid(matrix, 2))
+    expected = [build().rank_table() for build in builds]
+    oracle = matrix_rank_oracle(list(zip(*matrix)), 2)
+    assert expected[2] == [oracle(mask) for mask in iter_subsets(6)]
+    assert expected[1] == [graphic_rank(4, K4_EDGES)(mask) for mask in iter_subsets(6)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("linalg.rank called on a GF(2) matroid")
+
+    monkeypatch.setattr(linalg, "rank", refuse)
+    assert [build().rank_table() for build in builds] == expected
 
 
 fraction_entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
@@ -272,6 +301,10 @@ def test_graphic_axioms(edges):
 def test_linear_axioms(matrix):
     rank_axioms(LinearMatroid(matrix, None))
     rank_axioms(LinearMatroid(matrix, 3))
+    # Over GF(2) the odd negatives -1 count as 1 and -2 as 0.
+    binary = LinearMatroid(matrix, 2)
+    rank_axioms(binary)
+    assert_same_ranks(binary, matrix_rank_oracle(list(zip(*matrix)), 2))
 
 
 def test_derived_constructions_satisfy_axioms():
@@ -314,6 +347,8 @@ def test_rank_memos_live_only_in_backends_that_compute():
     c.flat_strata()
     assert c.base is g
     assert c._rank_cache is None
+    # The graph computes and memoizes through the GF(2) linear backend.
+    assert "_rank_impl" not in GraphicMatroid.__dict__
     assert g._rank_cache
     # Every rank of the coextension comes through the graphic memo.
     c.rank_table()
