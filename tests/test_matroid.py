@@ -117,7 +117,7 @@ def test_graphic_rejects_bad_edges():
     with pytest.raises(ValueError, match="^graph needs at least one vertex$"):
         GraphicMatroid(0, [])
     # A graph with no edges has an empty ground set.
-    with pytest.raises(ValueError, match="^ground-set size 0 out of range 1..31$"):
+    with pytest.raises(ValueError, match=r"^ground-set size 0 out of range 1\.\.31$"):
         GraphicMatroid(3, [])
 
 
@@ -179,7 +179,7 @@ def test_linear_ranks_over_q_build_no_fraction(monkeypatch):
 
 
 def test_binary_ranks_never_reach_the_elimination(monkeypatch):
-    # One GF(2) algorithm: a binary matrix, a graph among them, ranks its
+    # One GF(2) algorithm: binary matrices, graphs among them, rank their
     # odd entries in an XOR basis; linalg.rank serves only Q and odd p.
     # The matrix has entries in -3..3, a zero column (a loop), column 4
     # parallel to column 1 mod 2 only, and the circuit {0, 3, 5}.
