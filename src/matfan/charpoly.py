@@ -8,20 +8,21 @@ which always vanishes at q = 1.  Dividing by (q - 1) gives the reduced
 polynomial; its coefficients, with signs stripped, are the invariants the
 rest of the library recomputes geometrically.  A polynomial is the plain
 tuple of its int coefficients, highest degree first.  The same
-coefficients also count initial descending flag chains of flats,
-computed here by dynamic programming over the covering relation.
+coefficients also count initial descending flag chains of flats.
 
-Both routes read ``Matroid.flat_strata()``.  The Moebius values come from
-the defining recursion (one sum per flat over the flats it contains, in a
-single pass by rank); the tests check them against an independent
-Weisner-style recursion kept in ``tests/oracles.py``.
+The two routes share only the rank oracle.  The Moebius values read
+``Matroid.flat_strata()`` and come from the defining recursion (one sum
+per flat over the flats it contains, in a single pass by rank); the
+tests check them against an independent Weisner-style recursion kept in
+``tests/oracles.py``.  The flags are counted as the no-broken-circuit
+sets they are in bijection with.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 
-from .masks import iter_elements, min_element
+from .masks import iter_elements
 from .matroid import Matroid
 
 
@@ -83,29 +84,25 @@ def count_descending_flags(matroid: Matroid) -> tuple[int, ...]:
     flats, one of each rank 1..k, whose minimum elements strictly decrease
     and never include 0; entry 0 is the empty chain.
 
-    One pass up the ranks: the chains ending at a rank-k flat G extend
-    those ending at the flats G covers.
+    Reads only the rank oracle.  The least elements x1 > ... > xk of such
+    a chain form an independent set whose prefixes close to its flats
+    (Björner 1980), so a depth-first search counts the chains as those
+    sets: it grows S, whose closure has least element m (the empty set's
+    is taken to be size), by each x in 1..m-1 whose closure with S holds
+    no y < x.  Every x < m lies outside cl(S), so S + x stays independent.
     """
     if matroid.loops():
         raise ValueError(f"{matroid.name} has loops; flags need a loopless matroid")
-    strata, covered_by = matroid.flat_strata()
-    vector = [1]
-    counts = {f: 1 for f in strata[1] if not f & 1}
-    for level in strata[2:]:
-        vector.append(sum(counts.values()))
-        nxt: dict[int, int] = {}
-        for g in level:
-            if g & 1:
-                continue
-            mg = min_element(g)
-            acc = 0
-            for f in covered_by[g]:
-                got = counts.get(f)
-                if got and min_element(f) > mg:
-                    acc += got
-            if acc:
-                nxt[g] = acc
-        counts = nxt
+    rank = matroid.rank
+    vector = [0] * matroid.full_rank
+    stack = [(0, 0, matroid.size)]
+    while stack:
+        s, k, m = stack.pop()
+        vector[k] += 1
+        for x in range(1, m):
+            t = s | 1 << x
+            if all(rank(t | 1 << y) > k + 1 for y in range(x)):
+                stack.append((t, k + 1, x))
     return tuple(vector)
 
 

@@ -35,12 +35,6 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(iter_elements(mask))
 
 
-def min_element(mask: int) -> int:
-    if not mask:
-        raise ValueError("empty mask has no minimum element")
-    return (mask & -mask).bit_length() - 1
-
-
 def complement(mask: int, size: int) -> int:
     return full_mask(size) & ~mask
 

@@ -1,11 +1,12 @@
 """Characteristic polynomials, Moebius values and flag counts."""
 
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matfan import charpoly, corpus
+from matfan import charpoly, cli, corpus
 from matfan.validation import GEOMETRY_LIMIT, run_check
 from matfan.charpoly import (
     char_poly,
@@ -19,6 +20,7 @@ from matfan.matroid import (
     FreeMatroid,
     GraphicMatroid,
     LinearMatroid,
+    Matroid,
     RankTableMatroid,
     UniformMatroid,
 )
@@ -95,9 +97,12 @@ def linear_matroids(p, width):
     return st.builds(LinearMatroid, st.lists(row, min_size=1, max_size=5), st.just(p))
 
 
+RANDOM_MATROIDS = st.one_of(graphs(6, 12), linear_matroids(2, 9), linear_matroids(3, 7),
+                           sparse_paving_documents().map(load_matroid))
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(graphs(6, 12), linear_matroids(2, 9), linear_matroids(3, 7),
-                 sparse_paving_documents().map(load_matroid)))
+@given(RANDOM_MATROIDS)
 def test_mobius_matches_weisner_on_random_matroids(matroid):
     # The defining recursion against Weisner's recursion over covers,
     # which needs a loopless matroid: so both read the simplification.
@@ -249,6 +254,42 @@ def test_flag_counts_match_brute_force():
 def test_flag_counts_equal_mu(name):
     matroid = corpus.build(name)
     assert count_descending_flags(matroid) == mu_vector_mobius(matroid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(RANDOM_MATROIDS)
+def test_flag_counts_match_brute_force_on_random_matroids(matroid):
+    if not matroid.full_rank:
+        return
+    simple = matroid.simplify()[0]
+    assert count_descending_flags(simple) == tuple(
+        descending_flag_count_oracle(simple.size, simple.rank, k)
+        for k in range(simple.full_rank))
+
+
+def test_flags_read_no_flat(monkeypatch, tmp_path, capsys):
+    # The flags route reads the rank oracle alone, so a fault in the
+    # lattice of flats cannot move it and the Moebius route alike.
+    cases = [
+        (corpus.build("fano"), FROZEN_MU["fano"]),
+        (corpus.build("k4"), FROZEN_MU["k4"]),
+        (corpus.build("free-6"), tuple(math.comb(5, k) for k in range(6))),
+        (corpus.build("rt-parallel").simplify()[0], (1, 3, 2)),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("the flags route read the lattice of flats")
+
+    monkeypatch.setattr(Matroid, "flat_strata", refuse)
+    monkeypatch.setattr(charpoly, "mobius", refuse)
+    for matroid, expected in cases:
+        assert count_descending_flags(matroid) == expected, matroid.name
+
+    path = tmp_path / "free-18.json"
+    path.write_text(json.dumps({"type": "free", "size": 18}))
+    assert cli.main(["mu", "--method", "flags", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["mu"]["flags"] == [math.comb(17, k) for k in range(18)]
 
 
 # -- Welsh-Mason: independent sets against the free coextension --------------

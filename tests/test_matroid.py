@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from matfan import corpus, linalg
 from matfan.fan import bergman_weight
-from matfan.masks import elements_of, full_mask, iter_subsets, min_element
+from matfan.masks import elements_of, full_mask, iter_subsets
 from matfan.matroid import (
     BasesMatroid,
     FreeMatroid,
@@ -229,12 +229,10 @@ def test_bases_matroid():
 
 
 def test_base_class_and_helpers_refuse_what_they_cannot_answer():
-    # The abstract base has no rank, an empty mask no least element, and
-    # the corpus no entry of an unknown name.
+    # The abstract base has no rank, and the corpus no entry of an
+    # unknown name.
     with pytest.raises(NotImplementedError):
         Matroid(3).rank(0b001)
-    with pytest.raises(ValueError, match="empty mask"):
-        min_element(0)
     with pytest.raises(ValueError, match="unknown corpus entry 'k9'"):
         corpus.build("k9")
 
