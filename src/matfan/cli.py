@@ -77,26 +77,21 @@ def cmd_check(args) -> int:
     # Refuse the input before opening the trace, so that a refusal leaves
     # an existing trace file as it was.
     refuse_rank_zero(matroid)
-    trace_fh = None
     trace = None
-    if args.trace:
-        trace_fh = _open_output(args.trace)
-
-        def trace(k: int, term) -> None:
-            row = {
-                "k": k,
-                "sigma": list(term.sigma),
-                "tau": list(term.tau),
-                "point": [str(c) for c in term.point],
-                "index": term.index,
-            }
-            trace_fh.write(json.dumps(row) + "\n")
-
-    try:
-        result = run_check(matroid, timings=args.timings, trace=trace)
-    finally:
+    out = _open_output(args.trace) if args.trace else nullcontext()
+    with out as trace_fh:
         if trace_fh:
-            trace_fh.close()
+            def trace(k: int, term) -> None:
+                row = {
+                    "k": k,
+                    "sigma": list(term.sigma),
+                    "tau": list(term.tau),
+                    "point": [str(c) for c in term.point],
+                    "index": term.index,
+                }
+                trace_fh.write(json.dumps(row) + "\n")
+
+        result = run_check(matroid, timings=args.timings, trace=trace)
     sys.stdout.write(dump_json(result.report))
     if result.internal_error:
         return INTERNAL

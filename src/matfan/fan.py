@@ -87,17 +87,16 @@ class SizeGradedFlags(Mapping, Frozen):
         object.__setattr__(self, "k", k)
 
     def __getitem__(self, flag) -> int:
-        if isinstance(flag, tuple) and len(flag) == self.n - self.k:
-            top = full_mask(self.n + 1)
-            prev = 0
-            for mask in flag:
-                # Each subset must add exactly one element of {0..n}.
-                new = mask ^ prev if isinstance(mask, int) else 0
-                if not (0 < new < top and new & (new - 1) == 0 and mask & prev == prev):
-                    break
-                prev = mask
-            else:
+        # validate_flag tests range and nesting; the shape rule is that
+        # mask i of the flag has i elements.
+        if (isinstance(flag, tuple) and len(flag) == self.n - self.k
+                and all(isinstance(mask, int) and mask.bit_count() == i
+                        for i, mask in enumerate(flag, 1))):
+            try:
+                validate_flag(self.n, flag)
                 return 1
+            except ValueError:
+                pass
         raise KeyError(flag)
 
     def __len__(self) -> int:

@@ -7,7 +7,7 @@ exhaustive 2**size scans are additionally capped at 21 elements.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 MAX_GROUND_SIZE = 31
 EXHAUSTIVE_SCAN_LIMIT = 21
@@ -17,22 +17,11 @@ def full_mask(size: int) -> int:
     return (1 << size) - 1
 
 
-def mask_of(elements: Iterable[int]) -> int:
-    m = 0
-    for e in elements:
-        m |= 1 << e
-    return m
-
-
 def iter_elements(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def elements_of(mask: int) -> tuple[int, ...]:
-    return tuple(iter_elements(mask))
 
 
 def complement(mask: int, size: int) -> int:

@@ -32,14 +32,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from . import linalg
-from .masks import (
-    MAX_GROUND_SIZE,
-    check_mask,
-    elements_of,
-    full_mask,
-    iter_subsets,
-    mask_of,
-)
+from .masks import MAX_GROUND_SIZE, check_mask, full_mask, iter_elements, iter_subsets
 
 
 class Matroid:
@@ -154,30 +147,27 @@ class Matroid:
         """Combinatorial geometry: drop loops, collapse parallel classes.
 
         Returns (geometry, mapping) where mapping[x] is the new index of
-        element x, or None for loops.  Simple matroids are fixed points
-        and are returned unchanged.
+        element x, or None for loops.  Past the loops it reads pair ranks
+        only: a non-loop x joins the class of the first representative r
+        with rank({x, r}) = 1, and otherwise becomes a representative.
+        Simple matroids are fixed points and are returned unchanged.
         """
-        loops = self.closure(0)
+        loops = self.loops()
         reps: list[int] = []
-        class_of: dict[int, int] = {}
-        seen = loops
+        mapping: list[Optional[int]] = []
         for x in range(self.size):
-            b = 1 << x
-            if b & seen:
+            if loops >> x & 1:
+                mapping.append(None)
                 continue
-            cls = self.closure(b)
-            rep_index = len(reps)
-            reps.append(x)
-            for y in elements_of(cls & ~loops):
-                class_of[y] = rep_index
-            seen |= cls
+            index = next((i for i, r in enumerate(reps)
+                          if self.rank(1 << x | 1 << r) == 1), len(reps))
+            if index == len(reps):
+                reps.append(x)
+            mapping.append(index)
         if not reps:
             raise ValueError("rank-zero matroid has an empty simplification")
         if loops == 0 and len(reps) == self.size:
-            return self, list(range(self.size))
-        mapping: list[Optional[int]] = [
-            None if (1 << x) & loops else class_of[x] for x in range(self.size)
-        ]
+            return self, mapping
         geometry = RelabeledMatroid(self, reps, name=f"si({self.name})")
         return geometry, mapping
 
@@ -267,11 +257,11 @@ class LinearMatroid(Matroid):
     def _rank_impl(self, mask: int) -> int:
         if self.field != 2:
             # Rank is transpose-invariant, so feed the columns as rows.
-            return linalg.rank([self.columns[e] for e in elements_of(mask)], self.field)
+            return linalg.rank([self.columns[e] for e in iter_elements(mask)], self.field)
         # XOR basis keyed by leading bit: reduce each column by the basis
         # vectors under its leading bits; whatever is left joins the basis.
         basis: dict[int, int] = {}
-        for e in elements_of(mask):
+        for e in iter_elements(mask):
             x = self.columns[e]
             while x:
                 top = x.bit_length()
@@ -358,11 +348,11 @@ class BasesMatroid(RankTableMatroid):
         for c in complements:
             mask = full ^ c
             if ranks[mask] > 0:
-                for x in elements_of(mask):
+                for x in iter_elements(mask):
                     ranks[mask ^ 1 << x] = ranks[mask] - 1
         for mask in range(full + 1):
             if ranks[mask] < 0:
-                ranks[mask] = max(ranks[mask ^ 1 << x] for x in elements_of(mask))
+                ranks[mask] = max(ranks[mask ^ 1 << x] for x in iter_elements(mask))
 
 
 class RelabeledMatroid(Matroid):
@@ -376,7 +366,7 @@ class RelabeledMatroid(Matroid):
     def _rank_impl(self, mask: int) -> int:
         # Past the base's memo: this memo already answers repeated masks,
         # and the relabelling is injective, so the base's would only copy it.
-        return self.base._rank_impl(mask_of(self.kept[e] for e in elements_of(mask)))
+        return self.base._rank_impl(sum(1 << self.kept[e] for e in iter_elements(mask)))
 
 
 class FreeCoextensionMatroid(Matroid):
@@ -421,14 +411,14 @@ def validate_rank_table(size: int, ranks: Sequence[int]) -> Optional[str]:
             if step == 0:
                 keep |= b
             elif step != 1:
-                return (f"unit increase fails at S={sorted(elements_of(mask))}, "
+                return (f"unit increase fails at S={list(iter_elements(mask))}, "
                         f"x={x}: {r} -> {ranks[mask | b]}")
-        for y in elements_of(mask):
+        for y in iter_elements(mask):
             b = 1 << y
             lost = keeps[mask ^ b] & ~b & ~keep
             if lost:
                 s = mask ^ b | lost & -lost
-                return (f"submodularity fails at S={sorted(elements_of(s))}, "
-                        f"T={sorted(elements_of(mask))}")
+                return (f"submodularity fails at S={list(iter_elements(s))}, "
+                        f"T={list(iter_elements(mask))}")
         keeps[mask] = keep
     return None

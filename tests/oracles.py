@@ -34,6 +34,8 @@ closed-form free coextension is checked against; truncation, a rank
 table capped at k + 1, is the reference for the truncated fans that
 bergman_weight reads off the matroid's own flats; and incidence_vector,
 the image of a subset in Z^n, is the reference for the facet ray sums.
+simplification_oracle reads each parallel class off a closure, the
+reference for Matroid.simplify, which reads pair ranks.
 """
 
 from __future__ import annotations
@@ -238,6 +240,31 @@ def truncation(matroid, k):
     """The k-truncation as an explicit rank table: min(r(S), k + 1)."""
     return RankTableMatroid(matroid.size, [min(r, k + 1) for r in matroid.rank_table()],
                             name=f"tr{k}({matroid.name})")
+
+
+def simplification_oracle(size, rank_fn):
+    """(representatives, mapping) of the simplification, from closures.
+
+    The class of a non-loop x is closure({x}) minus the loops; its least
+    element represents it, so the representatives come in first-seen order
+    and mapping[x] is the index of x's representative, or None for a loop.
+    """
+    def closure(s):
+        r = rank_fn(s)
+        return s | sum(1 << x for x in range(size)
+                       if not s >> x & 1 and rank_fn(s | 1 << x) == r)
+
+    loops = closure(0)
+    reps, mapping = [], []
+    for x in range(size):
+        if loops >> x & 1:
+            mapping.append(None)
+            continue
+        cls = closure(1 << x) & ~loops
+        if cls & -cls == 1 << x:
+            reps.append(x)
+        mapping.append(reps.index((cls & -cls).bit_length() - 1))
+    return reps, mapping
 
 
 # -- flats, Moebius, characteristic polynomial -------------------------

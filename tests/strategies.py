@@ -1,10 +1,12 @@
 """Hypothesis strategies for random matroids, shared by the test modules:
-graphic matroids, and sparse paving matroids as rank_table documents
-(the rule that builds them is in test_nonrealizable's docstring)."""
+graphic matroids, column matroids over GF(p), sparse paving matroids as
+rank_table documents (the rule that builds them is in
+test_nonrealizable's docstring), and RANDOM_MATROIDS, a mix of all three."""
 
 from hypothesis import strategies as st
 
-from matfan.matroid import GraphicMatroid
+from matfan.matroid import GraphicMatroid, LinearMatroid
+from matfan.schema import load_matroid
 
 
 def graphs(vertices, max_edges):
@@ -39,3 +41,12 @@ def sparse_paving_documents(draw):
         if all((mask & other).bit_count() <= rank - 2 for other in family):
             family.append(mask)
     return sparse_paving_document(size, rank, family)
+
+
+def linear_matroids(p, width):
+    row = st.lists(st.integers(0, p - 1), min_size=width, max_size=width)
+    return st.builds(LinearMatroid, st.lists(row, min_size=1, max_size=5), st.just(p))
+
+
+RANDOM_MATROIDS = st.one_of(graphs(6, 12), linear_matroids(2, 9), linear_matroids(3, 7),
+                           sparse_paving_documents().map(load_matroid))

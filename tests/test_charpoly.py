@@ -24,7 +24,6 @@ from matfan.matroid import (
     RankTableMatroid,
     UniformMatroid,
 )
-from matfan.schema import load_matroid
 
 from oracles import (
     FANO_MATRIX,
@@ -37,7 +36,7 @@ from oracles import (
     mu_oracle,
     uniform_rank,
 )
-from strategies import graphs, sparse_paving_documents
+from strategies import RANDOM_MATROIDS
 
 
 # -- polynomial arithmetic --------------------------------------------------
@@ -90,15 +89,6 @@ def test_weisner_route_agrees():
     for matroid in (GraphicMatroid(4, K4_EDGES), UniformMatroid(3, 6),
                     corpus.build("rt-whirl"), corpus.build("rt-one-line")):
         assert mobius_weisner(matroid) == mobius(matroid.flat_strata()[0])
-
-
-def linear_matroids(p, width):
-    row = st.lists(st.integers(0, p - 1), min_size=width, max_size=width)
-    return st.builds(LinearMatroid, st.lists(row, min_size=1, max_size=5), st.just(p))
-
-
-RANDOM_MATROIDS = st.one_of(graphs(6, 12), linear_matroids(2, 9), linear_matroids(3, 7),
-                           sparse_paving_documents().map(load_matroid))
 
 
 @settings(max_examples=150, deadline=None)

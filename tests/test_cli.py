@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from matfan import cli, corpus, schema, validation
 from matfan.fan import BalancingViolation, MinkowskiWeight, bergman_weight
+from matfan.intersect import PairingTerm
 from matfan.matroid import FreeMatroid, GraphicMatroid, LinearMatroid, Matroid, UniformMatroid
 from matfan.schema import InputError, dump_json, load_matroid, load_matroid_file
 from matfan.validation import CheckResult
@@ -358,6 +360,29 @@ def test_check_command_is_byte_stable(tmp_path, capsys):
         traces.append(trace_path.read_bytes())
     assert outputs[0] == outputs[1]
     assert traces[0] == traces[1]
+
+
+def test_check_closes_the_trace_file_on_every_exit(tmp_path, monkeypatch):
+    # run_check writes one row through the trace and then raises: the
+    # error propagates, and the row is in the file because it was closed.
+    path = write_doc(tmp_path, "k4.json", K4_DOC)
+    trace_path = tmp_path / "trace.ndjson"
+    traces = []
+
+    def write_one_row_then_raise(matroid, timings=False, trace=None):
+        traces.append(trace)
+        if trace is not None:
+            trace(1, PairingTerm((0b01,), (0b10,), (Fraction(1, 2),), 1))
+        raise RuntimeError("mid-pipeline")
+
+    monkeypatch.setattr(cli, "run_check", write_one_row_then_raise)
+    with pytest.raises(RuntimeError, match="mid-pipeline"):
+        cli.main(["check", path, "--trace", str(trace_path)])
+    assert trace_path.read_text() == (
+        '{"k": 1, "sigma": [1], "tau": [2], "point": ["1/2"], "index": 1}\n')
+    with pytest.raises(RuntimeError, match="mid-pipeline"):
+        cli.main(["check", path])
+    assert traces[1] is None
 
 
 @pytest.mark.parametrize("doc", [

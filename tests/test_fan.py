@@ -217,7 +217,8 @@ def test_truncated_fans_match_independent_truncations(matroid):
 
 
 @pytest.mark.parametrize("flag", [
-    (0b0011,),                 # first subset has two elements
+    (0b0011, 0b0111),          # first subset has two elements
+    (0b0001, 0b0111),          # second step adds two elements
     (0b0001, 0b0010),          # not nested
     (0b0001, 0b0011, 0b0111),  # too long for codimension 1
     (0b0001,),                 # too short

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from matfan import corpus, linalg
 from matfan.fan import bergman_weight
-from matfan.masks import elements_of, full_mask, iter_subsets
+from matfan.masks import full_mask, iter_elements, iter_subsets
 from matfan.matroid import (
     BasesMatroid,
     FreeMatroid,
@@ -34,11 +34,13 @@ from oracles import (
     independent_counts_oracle,
     matrix_rank_oracle,
     rank_axioms_oracle,
+    simplification_oracle,
     dual,
     free_extension,
     strata_oracle,
     uniform_rank,
 )
+from strategies import RANDOM_MATROIDS
 
 
 def assert_same_ranks(matroid: Matroid, rank_fn) -> None:
@@ -489,6 +491,23 @@ def test_simplified_input_keeps_no_second_rank_memo():
     assert len(g._rank_cache) <= g.size ** 2
 
 
+@settings(max_examples=150, deadline=None)
+@given(RANDOM_MATROIDS)
+def test_simplify_matches_closure_reference_on_random_matroids(matroid):
+    # Pair ranks against closures: the same classes, representatives in
+    # first-seen order, and a subject of the same rank.
+    if not matroid.full_rank:
+        return
+    subject, mapping = matroid.simplify()
+    reps, expected = simplification_oracle(matroid.size, matroid.rank)
+    assert mapping == expected
+    if subject is matroid:
+        assert reps == list(range(matroid.size))
+    else:
+        assert subject.kept == reps
+    assert subject.full_rank == matroid.full_rank
+
+
 def test_simplify_rank_zero_raises():
     all_loops = RankTableMatroid(2, [0, 0, 0, 0])
     with pytest.raises(ValueError):
@@ -678,8 +697,8 @@ def test_validate_matches_all_pairs_oracle(table):
 
 def _basis_exchange(family):
     return all(
-        any(b1 ^ x | 1 << y in family for y in elements_of(b2 & ~b1))
-        for b1 in family for b2 in family for x in (1 << e for e in elements_of(b1 & ~b2))
+        any(b1 ^ x | 1 << y in family for y in iter_elements(b2 & ~b1))
+        for b1 in family for b2 in family for x in (1 << e for e in iter_elements(b1 & ~b2))
     )
 
 
