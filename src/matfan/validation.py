@@ -16,9 +16,11 @@ the Bergman weight itself, and its cups test balancing.  Without it,
 run_check builds the weight and runs check_balancing on it to fill
 balancing_violations, unless too_many_cones finds the weight has more
 cones, complete flags of proper flats, than any input within the
-geometry limit: FLAG_LIMIT, 9!.  So free-10, with 10! cones, skips
-balancing too.  mu_report never balances, so its gate never reads the
-flat lattice.
+geometry limit: FLAG_LIMIT, 9!.  It reads the flat lattice only when
+N atoms and rank R, which give at least N * (R - 1)! cones, do not
+already pass the limit.  So free-10, with 10! cones, skips balancing
+without reading a flat.  mu_report never balances, so its gate never
+reads the flat lattice.
 """
 
 from __future__ import annotations
@@ -182,12 +184,12 @@ def too_many_cones(matroid: Matroid) -> Optional[str]:
     """Why the Bergman weight of a loopless matroid is too large to
     build, or None when it has at most FLAG_LIMIT cones.
 
-    Rank R gives at least R! complete flags: the closures of the
-    prefixes of each ordering of one basis make a different one.  So a
-    rank whose factorial passes the limit is refused before the flat
-    lattice is read.
+    N atoms and rank R give at least N * (R - 1)! complete flags: each
+    atom begins the complete flags of its contraction, which has rank
+    R - 1 and so at least (R - 1)!.  So a bound past the limit is
+    refused before the flat lattice is read.
     """
-    least = math.factorial(matroid.full_rank)
+    least = matroid.simplify()[0].size * math.factorial(matroid.full_rank - 1)
     if least > FLAG_LIMIT:
         count = f"at least {least}"
     else:
@@ -234,21 +236,19 @@ def run_check(
     if note:
         report["simplification"] = note
 
-    clock = time.perf_counter_ns
     spent: dict[str, int] = {}
-    failures: list[str] = []
+
+    def timed(phase, step, *args):
+        t0 = time.perf_counter_ns()
+        result = step(*args)
+        spent[phase] = time.perf_counter_ns() - t0
+        return result
 
     try:
         skipped = out_of_reach(simple)
-
-        t0 = clock()
-        poly = char_poly(simple)
+        poly = timed("charpoly", char_poly, simple)
         reduced, mu_mobius = reduced_char_poly(poly)
-        spent["charpoly"] = clock() - t0
-
-        t0 = clock()
-        mu_flags = count_descending_flags(simple)
-        spent["flags"] = clock() - t0
+        mu_flags = timed("flags", count_descending_flags, simple)
 
         report["char_poly"] = [str(c) for c in poly]
         report["reduced"] = [str(c) for c in reduced]
@@ -259,23 +259,18 @@ def run_check(
             # The cups test balancing on every facet of every weight
             # below top codimension, raising NotBalancedError, so
             # balancing is a phase of its own only without this route.
-            t0 = clock()
-            mu["divisor"], truncation_identity = cup_chain(simple)
+            mu["divisor"], truncation_identity = timed("divisor", cup_chain, simple)
             balancing_failures = []
-            spent["divisor"] = clock() - t0
         elif "balancing" not in skipped:
-            t0 = clock()
-            balancing_failures = [
+            balancing_failures = timed("balancing", lambda: [
                 {"cone": list(v.tau), "excess": list(v.excess)}
                 for v in check_balancing(bergman_weight(simple))
-            ]
-            spent["balancing"] = clock() - t0
+            ])
 
         displacement_detail = []
         if "displacement" not in skipped:
-            t0 = clock()
-            mu["displacement"], displacement_detail = displacement_levels(simple, trace)
-            spent["displacement"] = clock() - t0
+            mu["displacement"], displacement_detail = timed(
+                "displacement", displacement_levels, simple, trace)
 
         unreduced = tuple(abs(c) for c in poly)
         log_concave = {
@@ -284,11 +279,10 @@ def run_check(
         }
         f_vector = mu_coext = welsh_mason = None
         if "welsh_mason" not in skipped:
-            t0 = clock()
-            f_vector = list(simple.independent_set_counts())
-            mu_coext = list(reduced_char_poly(char_poly(simple.free_coextension()))[1])
+            f_vector, mu_coext = timed("welsh_mason", lambda: (
+                list(simple.independent_set_counts()),
+                list(reduced_char_poly(char_poly(simple.free_coextension()))[1])))
             welsh_mason = f_vector == mu_coext
-            spent["welsh_mason"] = clock() - t0
             log_concave["f_vector"] = is_log_concave(f_vector)
 
         report["mu"] = mu
@@ -305,16 +299,13 @@ def run_check(
         if displacement_detail:
             report["displacement_detail"] = displacement_detail
 
-        if not report["agreement"]:
-            failures.append("method disagreement")
-        if not all(log_concave.values()):
-            failures.append("log-concavity failure")
-        if balancing_failures:
-            failures.append("balancing violation")
-        if truncation_identity is False:
-            failures.append("truncation identity failure")
-        if welsh_mason is False:
-            failures.append("independent-set count mismatch")
+        failures = [message for message, failed in (
+            ("method disagreement", not report["agreement"]),
+            ("log-concavity failure", not report["log_concave"]),
+            ("balancing violation", bool(balancing_failures)),
+            ("truncation identity failure", truncation_identity is False),
+            ("independent-set count mismatch", welsh_mason is False),
+        ) if failed]
     except Exception as exc:  # noqa: BLE001 -- the harness must report, not crash
         report["error"] = f"{type(exc).__name__}: {exc}"
         report["pass"] = False

@@ -298,16 +298,31 @@ def test_fan_refuses_more_cones_than_the_flag_limit(tmp_path):
     assert validation.count_complete_flags(FreeMatroid(9)) == validation.FLAG_LIMIT
 
 
-def test_fan_refuses_a_high_rank_before_reading_the_flats(monkeypatch, tmp_path, capsys):
-    # Rank 20 has at least 20! complete flags, known without the lattice.
+@pytest.mark.parametrize("doc, least", [
+    ({"type": "free", "size": 20}, math.factorial(20)),
+    # About 11.5 million flats, which the refusal never reads.
+    ({"type": "uniform", "rank": 9, "size": 31}, 31 * math.factorial(8)),
+], ids=["free-20", "u-9-31"])
+def test_fan_refuses_a_high_rank_before_reading_the_flats(monkeypatch, tmp_path, capsys,
+                                                         doc, least):
+    # N atoms of rank R give at least N * (R - 1)! complete flags, known
+    # without the lattice.
     def refuse(self):
         raise AssertionError("the flat lattice was read")
 
     monkeypatch.setattr(Matroid, "flat_strata", refuse)
-    path = write_doc(tmp_path, "free20.json", {"type": "free", "size": 20})
-    code, out, err = run_cli(capsys, "fan", path)
+    code, out, err = run_cli(capsys, "fan", write_doc(tmp_path, "doc.json", doc))
     assert (code, out) == (2, "")
-    assert "at least 2432902008176640000 complete flags" in err
+    assert f"at least {least} complete flags" in err
+
+
+def test_the_flag_bound_counts_atoms_not_elements():
+    # free-9 plus a column parallel to the first: 10 elements but 9 atoms,
+    # so the bound is 9 * 8! and the lattice's 9! flags are within the limit.
+    rows = [[int(i == j) for j in range(9)] + [int(i == 0)] for i in range(9)]
+    matroid = load_matroid({"type": "linear", "field": "GF(2)", "matrix": rows})
+    assert (matroid.size, matroid.full_rank) == (10, 9)
+    assert validation.too_many_cones(matroid) is None
 
 
 def test_fan_command_rejects_loops(tmp_path, capsys):
@@ -411,11 +426,15 @@ def test_check_command_timings_flag(tmp_path, capsys):
 
 
 def test_balancing_is_timed_as_a_phase_only_without_the_divisor_route():
-    # Within the limit the cups balance the fan inside the divisor phase.
-    phases = [validation.run_check(corpus.build(name), timings=True).report["timings_ns"]
-              for name in ("k4", "k5")]
-    assert "divisor" in phases[0] and "balancing" not in phases[0]
-    assert "divisor" not in phases[1] and "balancing" in phases[1]
+    # Within the limit the cups balance the fan inside the divisor phase;
+    # u(2,22) skips the Welsh-Mason scan too.
+    phases = [set(validation.run_check(m, timings=True).report["timings_ns"])
+              for m in (corpus.build("k4"), corpus.build("k5"), UniformMatroid(2, 22))]
+    assert phases == [
+        {"charpoly", "flags", "divisor", "displacement", "welsh_mason"},
+        {"charpoly", "flags", "balancing", "welsh_mason"},
+        {"charpoly", "flags", "balancing"},
+    ]
 
 
 def test_check_command_large_input_skips_geometry(tmp_path, capsys):
@@ -723,6 +742,23 @@ def test_each_failed_step_is_a_failure_verdict(monkeypatch, doc, patch, failure)
     assert result.report["failures"] == [failure]
     assert result.report["pass"] is False
     assert result.ok is False
+
+
+@pytest.mark.parametrize("doc, patches, failures", [
+    (K4_DOC, (_wrong_flag_counts, _not_log_concave, _empty_truncations,
+              _wrong_independent_sets),
+     ["method disagreement", "log-concavity failure", "truncation identity failure",
+      "independent-set count mismatch"]),
+    (K5_DOC, (_wrong_flag_counts, _not_log_concave, _unbalanced, _wrong_independent_sets),
+     ["method disagreement", "log-concavity failure", "balancing violation",
+      "independent-set count mismatch"]),
+], ids=["k4", "k5"])
+def test_several_failures_keep_their_order(monkeypatch, doc, patches, failures):
+    for patch in patches:
+        patch(monkeypatch)
+    result = validation.run_check(load_matroid(doc))
+    assert result.internal_error is None
+    assert result.report["failures"] == failures
 
 
 def test_a_failure_verdict_exits_1(monkeypatch, tmp_path, capsys):
