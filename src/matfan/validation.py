@@ -134,38 +134,20 @@ def mu_vector_divisors(matroid: Matroid) -> tuple[int, ...]:
     return tuple(cup_chain(matroid)[0])
 
 
-def displacement_levels(
-    matroid: Matroid, trace: TraceFn = None
-) -> tuple[list[int], list[dict]]:
-    """(degrees, detail): every coefficient by the displacement pairing
-    under default_displacement, and one report row per level; trace, if
-    given, sees each term and level.  A tie raises
+def mu_vector_displacement(matroid: Matroid, trace: TraceFn = None) -> tuple[int, ...]:
+    """Coefficients by the displacement pairing under default_displacement;
+    trace, if given, sees each term and its level.  A tie raises
     DegenerateDisplacementError, which the default rules out."""
     vector = default_displacement(matroid.size - 1)
     degrees = []
-    detail = []
     for k in range(matroid.full_rank):
         w1, w2 = displacement_weights(matroid, k)
         terms = pairing_terms(w1, w2, vector)
         degrees.append(terms_degree(w1, w2, terms))
-        detail.append(
-            {
-                "k": k,
-                "pairs": len(terms),
-                "max_index": max((t.index for t in terms), default=0),
-                "vector": [str(c) for c in vector],
-            }
-        )
         if trace is not None:
             for term in terms:
                 trace(k, term)
-    return degrees, detail
-
-
-def mu_vector_displacement(matroid: Matroid) -> tuple[int, ...]:
-    """Coefficients by the displacement pairing; every certified vector
-    gives them."""
-    return tuple(displacement_levels(matroid)[0])
+    return tuple(degrees)
 
 
 def count_complete_flags(matroid: Matroid) -> int:
@@ -267,10 +249,9 @@ def run_check(
                 for v in check_balancing(bergman_weight(simple))
             ])
 
-        displacement_detail = []
         if "displacement" not in skipped:
-            mu["displacement"], displacement_detail = timed(
-                "displacement", displacement_levels, simple, trace)
+            mu["displacement"] = list(timed(
+                "displacement", mu_vector_displacement, simple, trace))
 
         unreduced = tuple(abs(c) for c in poly)
         log_concave = {
@@ -296,8 +277,6 @@ def run_check(
         report["f_vector"] = f_vector
         report["mu_coextension"] = mu_coext
         report["welsh_mason"] = welsh_mason
-        if displacement_detail:
-            report["displacement_detail"] = displacement_detail
 
         failures = [message for message, failed in (
             ("method disagreement", not report["agreement"]),

