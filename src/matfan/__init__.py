@@ -12,7 +12,6 @@ from .charpoly import (
     char_poly,
     count_descending_flags,
     is_log_concave,
-    mu_vector_mobius,
     reduced_char_poly,
 )
 from .fan import (
@@ -32,7 +31,6 @@ from .intersect import (
     beta,
     cone_displacement_intersect,
     default_displacement,
-    degree_pairing,
     divisor_cup,
     pairing_terms,
 )
@@ -47,7 +45,7 @@ from .matroid import (
     validate_rank_table,
 )
 from .schema import InputError, load_matroid, load_matroid_file
-from .validation import CheckResult, mu_vector_displacement, mu_vector_divisors, run_check
+from .validation import CheckResult, cup_chain, mu_vector_displacement, run_check
 
 __version__ = "0.1.0"
 
@@ -74,17 +72,15 @@ __all__ = [
     "check_balancing",
     "cone_displacement_intersect",
     "count_descending_flags",
+    "cup_chain",
     "cremona_flag",
     "cremona_pullback_weight",
     "default_displacement",
-    "degree_pairing",
     "divisor_cup",
     "is_log_concave",
     "load_matroid",
     "load_matroid_file",
     "mu_vector_displacement",
-    "mu_vector_divisors",
-    "mu_vector_mobius",
     "pairing_terms",
     "permutohedral_weight",
     "reduced_char_poly",

@@ -75,10 +75,6 @@ def reduced_char_poly(poly: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int
     return tuple(quotient), mu
 
 
-def mu_vector_mobius(matroid: Matroid) -> tuple[int, ...]:
-    return reduced_char_poly(char_poly(matroid))[1]
-
-
 def count_descending_flags(matroid: Matroid) -> tuple[int, ...]:
     """Entry k (0 <= k < full rank) counts the length-k chains of proper
     flats, one of each rank 1..k, whose minimum elements strictly decrease

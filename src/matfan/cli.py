@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 from . import corpus
 from .fan import bergman_weight
@@ -27,9 +27,12 @@ from .validation import (MU_METHODS, charpoly_report, mu_report, refuse_rank_zer
 PASS, FAIL, BAD_INPUT, INTERNAL = 0, 1, 2, 3
 
 
-def _open_output(path: str):
+@contextmanager
+def _output_file(path: str):
+    """Open path for writing; a failure to open, write or close it is bad output."""
     try:
-        return open(path, "w", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from None
 
@@ -61,7 +64,7 @@ def cmd_fan(args) -> int:
         raise InputError(refusal)
     # Open the output after every refusal, which leaves an existing file as
     # it was, and before the build, so that an unwritable path fails first.
-    out = nullcontext(sys.stdout) if args.out == "-" else _open_output(args.out)
+    out = nullcontext(sys.stdout) if args.out == "-" else _output_file(args.out)
     with out as fh:
         weight = bergman_weight(matroid)
         fh.write(dump_json({
@@ -78,20 +81,22 @@ def cmd_check(args) -> int:
     # an existing trace file as it was.
     refuse_rank_zero(matroid)
     trace = None
-    out = _open_output(args.trace) if args.trace else nullcontext()
+    rows: list[str] = []
+    out = _output_file(args.trace) if args.trace else nullcontext()
     with out as trace_fh:
         if trace_fh:
             def trace(k: int, term) -> None:
-                row = {
-                    "k": k,
-                    "sigma": list(term.sigma),
-                    "tau": list(term.tau),
-                    "point": [str(c) for c in term.point],
-                    "index": term.index,
-                }
-                trace_fh.write(json.dumps(row) + "\n")
+                row = {"k": k, "sigma": list(term.sigma), "tau": list(term.tau),
+                       "point": [str(c) for c in term.point], "index": term.index}
+                rows.append(json.dumps(row) + "\n")
 
-        result = run_check(matroid, timings=args.timings, trace=trace)
+        try:
+            result = run_check(matroid, timings=args.timings, trace=trace)
+        finally:
+            # Written after the run, so that a failed write exits 2 and is no
+            # error inside run_check; the geometry limit caps a trace at 2^8 rows.
+            if rows:
+                trace_fh.writelines(rows)
     sys.stdout.write(dump_json(result.report))
     if result.internal_error:
         return INTERNAL

@@ -275,13 +275,6 @@ def terms_degree(w1: MinkowskiWeight, w2: MinkowskiWeight, terms: list[PairingTe
     return sum(t.index * w1.value(t.sigma) * w2.value(t.tau) for t in terms)
 
 
-def degree_pairing(
-    w1: MinkowskiWeight, w2: MinkowskiWeight, v: Sequence[Rational]
-) -> int:
-    """Displacement-rule product degree of two complementary weights."""
-    return terms_degree(w1, w2, pairing_terms(w1, w2, v))
-
-
 def displacement_weights(matroid: Matroid, k: int) -> tuple[MinkowskiWeight, MinkowskiWeight]:
     """The two complementary weights whose pairing computes coefficient k:
     the (n-k)-step size-graded weight against the pulled-back fan of the

@@ -129,11 +129,6 @@ def cup_chain(matroid: Matroid) -> tuple[list[int], bool]:
     return degrees, identity
 
 
-def mu_vector_divisors(matroid: Matroid) -> tuple[int, ...]:
-    """Coefficients by iterated divisor cups on the fan of a loopless matroid."""
-    return tuple(cup_chain(matroid)[0])
-
-
 def mu_vector_displacement(matroid: Matroid, trace: TraceFn = None) -> tuple[int, ...]:
     """Coefficients by the displacement pairing under default_displacement;
     trace, if given, sees each term and its level.  A tie raises
@@ -302,7 +297,7 @@ _ROUTES = {
     "mobius": lambda simple: reduced_char_poly(char_poly(simple))[1],
     "flags": lambda simple: count_descending_flags(simple),
     "displacement": lambda simple: mu_vector_displacement(simple),
-    "divisor": lambda simple: mu_vector_divisors(simple),
+    "divisor": lambda simple: cup_chain(simple)[0],
 }
 
 

@@ -553,6 +553,20 @@ def test_unwritable_output_paths_exit_code(tmp_path, capsys, monkeypatch):
     assert not missing.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command, option, doc", [
+    ("fan", "--out", {"type": "uniform", "rank": 2, "size": 3}),
+    ("check", "--trace", {"type": "uniform", "rank": 2, "size": 3}),
+    # 93 rows overflow the write buffer while run_check is still running.
+    ("check", "--trace", {"type": "uniform", "rank": 4, "size": 9}),
+], ids=["fan-u23", "check-u23", "check-u49"])
+def test_failed_writes_exit_code(tmp_path, capsys, command, option, doc):
+    path = write_doc(tmp_path, "doc.json", doc)
+    code, out, err = run_cli(capsys, command, path, option, "/dev/full")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write /dev/full: ")
+
+
 def _twelve_element_non_matroid():
     # u(2,12) except r({0,1}) = r({1,2}) = 1 while r({0,2}) = 2: unit
     # increase holds, and only pairs of sets of rank <= 1 break

@@ -113,6 +113,21 @@ def test_pinned_traces_hold_one_index_1_row_per_displacement_term():
         assert {row["index"] for row in rows} == {1}, trace.name
 
 
+def test_mu_and_check_reports_give_each_route_the_same_vector():
+    # mu and check run the same entry point per route: a computed vector
+    # is check's, and a route mu skips is skipped by check too.
+    paired = sorted(file for file in pinned() if file.name.endswith("_mu_all.json"))
+    assert len(paired) == 37
+    for mu_all in paired:
+        mu = json.loads(mu_all.read_text())["mu"]
+        check = json.loads(mu_all.with_name(mu_all.name.replace("_mu_all", "_check")).read_text())
+        computed = {route: vector for route, vector in mu.items() if vector is not None}
+        assert {route: check["mu"][route] for route in computed} == computed, mu_all.name
+        skipped = set(mu) - set(computed)
+        assert skipped.isdisjoint(check["mu"]), mu_all.name
+        assert skipped <= set(check.get("skipped", ())), mu_all.name
+
+
 def test_no_report_depends_on_a_weights_iteration_order(monkeypatch):
     # Every dict-backed weight keeps its flags in reverse order.  fan is
     # left out: it writes them in the sorted order that test_fan pins.

@@ -40,7 +40,7 @@ def test_library_use_names_exist():
     assert methods.startswith("Matroids expose")
     method_names = re.findall(r"`(\w+)`", methods)
     function_names = re.findall(r"`(\w+)`", rest)
-    assert "rank" in method_names and "degree_pairing" in function_names
+    assert "rank" in method_names and "divisor_cup" in function_names
     assert [m for m in method_names if not hasattr(Matroid, m)] == []
     assert [f for f in function_names if f not in matfan.__all__] == []
 
