@@ -7,14 +7,18 @@ over every built-in matroid.  Files and built-ins alike load through
 schema.load_matroid; the fan export and the trace rows are shaped here,
 at their one call site.
 
+Commands return their stdout text for main to write; that write, --out and
+--trace all go through _output, so a failed write exits 2.
+
 Exit codes: 0 all passed, 1 a check or cross-method comparison failed,
-2 bad input, 3 an internal invariant broke mid-pipeline.
+2 bad input or unwritable output, 3 an internal invariant broke mid-pipeline.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager, nullcontext
 
@@ -28,62 +32,61 @@ PASS, FAIL, BAD_INPUT, INTERNAL = 0, 1, 2, 3
 
 
 @contextmanager
-def _output_file(path: str):
-    """Open path for writing; a failure to open, write or close it is bad output."""
+def _output(path: str):
+    """Open path for writing, or stdout for "-"; a failure to open, write,
+    flush or close it is bad output."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
+        if path == "-":
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                yield fh
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from None
+        if path == "-":  # the flush at exit reaches the null device, not exit 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise InputError(f"cannot write {'stdout' if path == '-' else path}: {exc}") from None
 
 
-def cmd_charpoly(args) -> int:
+def cmd_charpoly(args) -> tuple[int, str]:
     matroid = load_matroid_file(args.file)
-    sys.stdout.write(dump_json(charpoly_report(matroid)))
-    return PASS
+    return PASS, dump_json(charpoly_report(matroid))
 
 
-def cmd_mu(args) -> int:
+def cmd_mu(args) -> tuple[int, str]:
     matroid = load_matroid_file(args.file)
     report = mu_report(matroid, args.method)
-    sys.stdout.write(dump_json(report))
     computed = [tuple(v) for v in report["mu"].values() if v is not None]
-    if any(v != computed[0] for v in computed):
-        return FAIL
-    return PASS
+    return FAIL if any(v != computed[0] for v in computed) else PASS, dump_json(report)
 
 
-def cmd_fan(args) -> int:
+def cmd_fan(args) -> tuple[int, str]:
     matroid = load_matroid_file(args.file)
     if matroid.loops():
-        raise InputError(
-            f"{matroid.name} has loops and no fan; simplify the input first"
-        )
+        raise InputError(f"{matroid.name} has loops and no fan; simplify the input first")
     refusal = too_many_cones(matroid)
     if refusal:
         raise InputError(refusal)
     # Open the output after every refusal, which leaves an existing file as
     # it was, and before the build, so that an unwritable path fails first.
-    out = nullcontext(sys.stdout) if args.out == "-" else _output_file(args.out)
-    with out as fh:
+    with _output(args.out) as fh:
         weight = bergman_weight(matroid)
         fh.write(dump_json({
             "n": weight.n,
             "codim": weight.codim,
             "cones": [{"flag": list(flag), "weight": value} for flag, value in weight.items()],
         }))
-    return PASS
+    return PASS, ""
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[int, str]:
     matroid = load_matroid_file(args.file)
     # Refuse the input before opening the trace, so that a refusal leaves
     # an existing trace file as it was.
     refuse_rank_zero(matroid)
     trace = None
     rows: list[str] = []
-    out = _output_file(args.trace) if args.trace else nullcontext()
-    with out as trace_fh:
+    with _output(args.trace) if args.trace else nullcontext() as trace_fh:
         if trace_fh:
             def trace(k: int, term) -> None:
                 row = {"k": k, "sigma": list(term.sigma), "tau": list(term.tau),
@@ -97,10 +100,8 @@ def cmd_check(args) -> int:
             # error inside run_check; the geometry limit caps a trace at 2^8 rows.
             if rows:
                 trace_fh.writelines(rows)
-    sys.stdout.write(dump_json(result.report))
-    if result.internal_error:
-        return INTERNAL
-    return PASS if result.ok else FAIL
+    code = INTERNAL if result.internal_error else PASS if result.ok else FAIL
+    return code, dump_json(result.report)
 
 
 def _format_table(results) -> str:
@@ -135,19 +136,15 @@ def _format_table(results) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_corpus(args) -> int:
+def cmd_corpus(args) -> tuple[int, str]:
     results = [run_check(corpus.build(name)) for name in corpus.CORPUS_NAMES]
+    passed = all(r.ok for r in results)
     if args.json:
-        doc = {
-            "entries": [r.report for r in results],
-            "pass": all(r.ok for r in results),
-        }
-        sys.stdout.write(dump_json(doc))
+        text = dump_json({"entries": [r.report for r in results], "pass": passed})
     else:
-        sys.stdout.write(_format_table(results))
-    if any(r.internal_error for r in results):
-        return INTERNAL
-    return PASS if all(r.ok for r in results) else FAIL
+        text = _format_table(results)
+    code = INTERNAL if any(r.internal_error for r in results) else PASS if passed else FAIL
+    return code, text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,7 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, text = args.func(args)
+        with _output("-") as out:
+            out.write(text)
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT

@@ -179,22 +179,25 @@ CHILD_ADDRESS_SPACE = 1_500_000_000
 CHILD_SECONDS = 10
 
 
-# The child imports the package under test, whether or not it is installed.
+# The child imports the package under test, whether or not it is installed,
+# and buffers stdout as an interpreter does by default.
 CHILD_PYTHONPATH = os.pathsep.join(
     p for p in (str(Path(cli.__file__).resolve().parent.parent),
                 os.environ.get("PYTHONPATH")) if p)
+CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 
 
-def run_child(*argv):
+def run_child(*argv, stdout=subprocess.PIPE):
     """Run `python -m matfan argv` in a child whose address space alone is
     capped at CHILD_ADDRESS_SPACE bytes, within CHILD_SECONDS of wall time.
     Every outcome is an exit code, never a traceback."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
 
-    proc = subprocess.run([sys.executable, "-m", "matfan", *argv], capture_output=True,
-                          text=True, timeout=CHILD_SECONDS, preexec_fn=cap,
-                          env=dict(os.environ, PYTHONPATH=CHILD_PYTHONPATH))
+    proc = subprocess.run([sys.executable, "-m", "matfan", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=CHILD_SECONDS,
+                          preexec_fn=cap,
+                          env=dict(CHILD_ENV, PYTHONPATH=CHILD_PYTHONPATH))
     assert "Traceback" not in proc.stderr, proc.stderr
     return proc
 
@@ -553,18 +556,64 @@ def test_unwritable_output_paths_exit_code(tmp_path, capsys, monkeypatch):
     assert not missing.exists()
 
 
+def _closed_pipe() -> int:
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+# Each opens a file descriptor whose writes fail, with the error they raise.
+FAILING_STDOUTS = {
+    "full": (lambda: os.open("/dev/full", os.O_WRONLY), "[Errno 28] No space left on device"),
+    "pipe": (_closed_pipe, "[Errno 32] Broken pipe"),
+}
+U23_DOC = {"type": "uniform", "rank": 2, "size": 3}
+
+
+STDOUT_COMMANDS = {
+    "charpoly": ("charpoly", "DOC"), "mu": ("mu", "DOC"), "fan": ("fan", "DOC"),
+    "check": ("check", "DOC"), "corpus": ("corpus",), "corpus-json": ("corpus", "--json"),
+}
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("command, option, doc", [
-    ("fan", "--out", {"type": "uniform", "rank": 2, "size": 3}),
-    ("check", "--trace", {"type": "uniform", "rank": 2, "size": 3}),
+@pytest.mark.parametrize("argv, doc, stdout, child", [
+    pytest.param(("fan", "DOC", "--out", "/dev/full"), U23_DOC, None, False, id="fan-u23"),
+    pytest.param(("check", "DOC", "--trace", "/dev/full"), U23_DOC, None, False,
+                 id="check-u23"),
     # 93 rows overflow the write buffer while run_check is still running.
-    ("check", "--trace", {"type": "uniform", "rank": 4, "size": 9}),
-], ids=["fan-u23", "check-u23", "check-u49"])
-def test_failed_writes_exit_code(tmp_path, capsys, command, option, doc):
-    path = write_doc(tmp_path, "doc.json", doc)
-    code, out, err = run_cli(capsys, command, path, option, "/dev/full")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: cannot write /dev/full: ")
+    pytest.param(("check", "DOC", "--trace", "/dev/full"),
+                 {"type": "uniform", "rank": 4, "size": 9}, None, False, id="check-u49"),
+    *[pytest.param(argv, K4_DOC, sink, child,
+                   id=f"{name}-stdout-{'child-' if child else ''}{sink}")
+      for name, argv in STDOUT_COMMANDS.items() for sink in FAILING_STDOUTS
+      for child in (False, True) if not child or name in ("charpoly", "check")],
+])
+def test_failed_writes_exit_code(tmp_path, capsys, monkeypatch, argv, doc, stdout, child):
+    argv = [write_doc(tmp_path, "doc.json", doc) if a == "DOC" else a for a in argv]
+    if stdout is None:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write /dev/full: ")
+        return
+    open_fd, message = FAILING_STDOUTS[stdout]
+    fd = open_fd()
+    if child:
+        # Only a child shows the exit status after the interpreter's own
+        # flush of stdout at exit.
+        try:
+            proc = run_child(*argv, stdout=fd)
+        finally:
+            os.close(fd)
+        code, err = proc.returncode, proc.stderr
+    else:
+        # Two entries keep the corpus runs short.
+        monkeypatch.setattr(cli.corpus, "CORPUS_NAMES", ("u-2-3", "k4"))
+        with open(fd, "w", encoding="utf-8") as failing:
+            monkeypatch.setattr(sys, "stdout", failing)
+            code = cli.main(argv)
+        err = capsys.readouterr().err
+    assert (code, err) == (2, f"error: cannot write stdout: {message}\n")
 
 
 def _twelve_element_non_matroid():
