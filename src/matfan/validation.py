@@ -202,8 +202,15 @@ def run_check(
     The report is JSON-ready and, for a fixed input, identical between
     runs unless ``timings`` is set.
     """
-    simple, note = _subject(matroid)
+    spent: dict[str, int] = {}
 
+    def timed(phase, step, *args):
+        t0 = time.perf_counter_ns()
+        result = step(*args)
+        spent[phase] = time.perf_counter_ns() - t0
+        return result
+
+    simple, note = timed("subject", _subject, matroid)
     report: dict = {
         "name": matroid.name,
         "size": matroid.size,
@@ -213,15 +220,8 @@ def run_check(
     if note:
         report["simplification"] = note
 
-    spent: dict[str, int] = {}
-
-    def timed(phase, step, *args):
-        t0 = time.perf_counter_ns()
-        result = step(*args)
-        spent[phase] = time.perf_counter_ns() - t0
-        return result
-
     try:
+        timed("lattice", simple.flat_strata)  # cached for out_of_reach and char_poly
         skipped = out_of_reach(simple)
         poly = timed("charpoly", char_poly, simple)
         reduced, mu_mobius = reduced_char_poly(poly)

@@ -434,9 +434,9 @@ def test_balancing_is_timed_as_a_phase_only_without_the_divisor_route():
     phases = [set(validation.run_check(m, timings=True).report["timings_ns"])
               for m in (corpus.build("k4"), corpus.build("k5"), UniformMatroid(2, 22))]
     assert phases == [
-        {"charpoly", "flags", "divisor", "displacement", "welsh_mason"},
-        {"charpoly", "flags", "balancing", "welsh_mason"},
-        {"charpoly", "flags", "balancing"},
+        {"subject", "lattice", "charpoly", "flags", "divisor", "displacement", "welsh_mason"},
+        {"subject", "lattice", "charpoly", "flags", "balancing", "welsh_mason"},
+        {"subject", "lattice", "charpoly", "flags", "balancing"},
     ]
 
 
