@@ -13,11 +13,11 @@ from itertools import accumulate
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import matfan
 from matfan import cli, corpus, intersect, linalg, validation
-from matfan.charpoly import char_poly, reduced_char_poly
+from matfan.charpoly import char_poly, count_descending_flags, is_log_concave, reduced_char_poly
 from matfan.fan import (
     MinkowskiWeight,
     SizeGradedFlags,
@@ -39,10 +39,11 @@ from matfan.intersect import (
     pairing_terms,
 )
 from matfan.masks import full_mask
-from matfan.matroid import FreeMatroid, UniformMatroid
+from matfan.matroid import FreeMatroid, RelabeledMatroid, UniformMatroid
 from matfan.validation import (
     cup_chain,
     mu_vector_displacement,
+    out_of_reach,
     run_check,
     terms_degree,
 )
@@ -64,6 +65,7 @@ from oracles import (
     transversal_pairing_oracle,
     truncation,
 )
+from strategies import RANDOM_MATROIDS
 
 
 # -- piecewise-linear divisors ------------------------------------------------
@@ -240,6 +242,95 @@ def test_cup_detects_unbalanced_weight():
     with pytest.raises(NotBalancedError) as exc:
         divisor_cup(alpha, lone)
     assert len(exc.value.tau) == 1
+
+
+# -- mixed degrees of nef divisors -------------------------------------------------
+#
+# For nef divisors D1, D2 the mixed degrees deg(D1^(r-k) . D2^k . B) on the
+# Bergman weight B of dimension r are log-concave in k: Huh-Katz for
+# realizable matroids, Adiprasito-Huh-Katz (arXiv:1511.02888) for all.  The
+# coefficients are the case (alpha, beta).  The nef divisors of the
+# permutohedral fan are positive sums of simplices (Postnikov 2009).
+
+
+def simplex_divisor(n, a, pulled=False):
+    """m_A(S) = [A <= S] - [0 in S] for a nonempty A <= {0..n}, or its
+    pullback along negation, m'_A(S) = [0 in S] - [A meets S], as a table."""
+    rays = range(1, full_mask(n + 1))
+    if pulled:
+        values = {s: (s & 1) - bool(a & s) for s in rays}
+    else:
+        values = {s: (a & s == a) - (s & 1) for s in rays}
+    return PLDivisor(n, {s: v for s, v in values.items() if v})
+
+
+@st.composite
+def simplex_sums(draw, n):
+    # Counted down from the whole set, so that the simplest draw is alpha; a
+    # singleton A gives a linear function, which has degree 0.
+    top = full_mask(n + 1)
+    sets = st.integers(0, top - 3).map(lambda x: top - x).filter(lambda a: a & (a - 1))
+    d = PLDivisor(n, {})
+    for a, pulled, times in draw(st.lists(
+            st.tuples(sets, st.booleans(), st.integers(1, 3)), min_size=1, max_size=3)):
+        for _ in range(times):
+            d = d + simplex_divisor(n, a, pulled)
+    return d
+
+
+def mixed_degrees(matroid, d1, d2):
+    """[deg(d1^(r-k) . d2^k . B) for k = 0..r], B the Bergman weight."""
+    r = matroid.full_rank - 1
+    degrees = []
+    for k in range(r + 1):
+        w = bergman_weight(matroid)
+        for d in [d1] * (r - k) + [d2] * k:
+            w = divisor_cup(d, w)
+        degrees.append(w.value(()))
+    return degrees
+
+
+HODGE_SAMPLE = ["k4", "u-3-6", "fano", "u-4-7", "free-5"]
+
+
+def test_simplex_divisors_of_the_whole_set_are_alpha_and_beta():
+    for n in range(1, 6):
+        top = full_mask(n + 1)
+        assert simplex_divisor(n, top) == alpha_divisor(n)
+        assert simplex_divisor(n, top, pulled=True) == cremona_pullback_divisor(alpha_divisor(n))
+
+
+@pytest.mark.parametrize("name", HODGE_SAMPLE)
+def test_alpha_and_beta_give_the_coefficients(name):
+    matroid = corpus.build(name)
+    top = full_mask(matroid.size)
+    alpha_table = simplex_divisor(matroid.size - 1, top)
+    beta_table = simplex_divisor(matroid.size - 1, top, pulled=True)
+    assert (mixed_degrees(matroid, alpha_table.value, beta_table.value)
+            == list(reduced_char_poly(char_poly(matroid))[1]))
+
+
+@pytest.mark.parametrize("name", HODGE_SAMPLE)
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_mixed_degrees_of_nef_divisors_are_log_concave(name, data):
+    matroid = corpus.build(name)
+    n = matroid.size - 1
+    d1, d2 = data.draw(simplex_sums(n)), data.draw(simplex_sums(n))
+    assert nef_check(d1) and nef_check(d2)
+    degrees = mixed_degrees(matroid, d1.value, d2.value)
+    assert min(degrees) >= 0 and is_log_concave(degrees), degrees
+
+
+@pytest.mark.parametrize("name", HODGE_SAMPLE)
+def test_a_divisor_that_is_not_nef_breaks_the_inequality(name):
+    # alpha - m_{1,2} with beta: the inequality has teeth.
+    matroid = corpus.build(name)
+    n = matroid.size - 1
+    control = simplex_divisor(n, full_mask(n + 1)) - simplex_divisor(n, 0b110)
+    assert not nef_check(control)
+    degrees = mixed_degrees(matroid, control.value, beta)
+    assert not (min(degrees) >= 0 and is_log_concave(degrees)), degrees
 
 
 # -- displacement vectors ---------------------------------------------------------
@@ -871,3 +962,41 @@ def test_pairing_respects_weight_multiplicities():
     v = default_displacement(2)
     degree = terms_degree(w1, w2, pairing_terms(w1, w2, v))
     assert terms_degree(w1, doubled, pairing_terms(w1, doubled, v)) == 2 * degree
+
+
+# -- relabelling ----------------------------------------------------------------
+#
+# alpha and beta read element 0, default_displacement orders the elements
+# and count_descending_flags orders chains by their least elements, but the
+# coefficients do not depend on the labels.  Only vectors are compared: the
+# traced terms do depend on them.
+
+
+def assert_routes_ignore_the_labels(simple, permutation):
+    relabelled = RelabeledMatroid(simple, permutation)
+    blocked = out_of_reach(simple, balancing=False)
+    routes = [lambda m: reduced_char_poly(char_poly(m))[1], count_descending_flags]
+    if "divisor" not in blocked:
+        routes.append(lambda m: cup_chain(m)[0])
+    if "displacement" not in blocked:
+        routes.append(mu_vector_displacement)
+    for route in routes:
+        assert tuple(route(simple)) == tuple(route(relabelled)), (simple.name, permutation)
+
+
+@settings(max_examples=60, deadline=None)
+@given(RANDOM_MATROIDS, st.data())
+def test_every_route_ignores_the_labels(matroid, data):
+    assume(matroid.full_rank > 0)
+    simple = matroid.simplify()[0]
+    assert_routes_ignore_the_labels(simple, data.draw(st.permutations(range(simple.size))))
+
+
+@pytest.mark.parametrize("name", [
+    name for name in corpus.CORPUS_NAMES
+    if corpus.build(name).simplify()[0].size - 1 <= validation.GEOMETRY_LIMIT])
+def test_every_route_ignores_the_labels_on_the_corpus(name):
+    simple = corpus.build(name).simplify()[0]
+    permutation = list(range(simple.size))
+    random.Random(name).shuffle(permutation)
+    assert_routes_ignore_the_labels(simple, permutation)
