@@ -5,10 +5,9 @@ single matroid, ``fan`` to export its weighted fan, ``check`` to run the
 full cross-validation harness on one input, and ``corpus`` to run it
 over every built-in matroid.  Files and built-ins alike load through
 schema.load_matroid; the fan export and the trace rows are shaped here,
-at their one call site.
-
-Commands return their stdout text for main to write; that write, --out and
---trace all go through _output, so a failed write exits 2.
+at their one call site.  Commands return their stdout text for main to
+write; that write, --out and --trace all go through _output, so a failed
+write exits 2.
 
 Exit codes: 0 all passed, 1 a check or cross-method comparison failed,
 2 bad input or unwritable output, 3 an internal invariant broke mid-pipeline.
@@ -44,7 +43,8 @@ def _output(path: str):
                 yield fh
     except OSError as exc:
         if path == "-":  # the flush at exit reaches the null device, not exit 120
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         raise InputError(f"cannot write {'stdout' if path == '-' else path}: {exc}") from None
 
 

@@ -568,8 +568,6 @@ FAILING_STDOUTS = {
     "pipe": (_closed_pipe, "[Errno 32] Broken pipe"),
 }
 U23_DOC = {"type": "uniform", "rank": 2, "size": 3}
-
-
 STDOUT_COMMANDS = {
     "charpoly": ("charpoly", "DOC"), "mu": ("mu", "DOC"), "fan": ("fan", "DOC"),
     "check": ("check", "DOC"), "corpus": ("corpus",), "corpus-json": ("corpus", "--json"),

@@ -303,9 +303,9 @@ def test_simplex_divisors_of_the_whole_set_are_alpha_and_beta():
 @pytest.mark.parametrize("name", HODGE_SAMPLE)
 def test_alpha_and_beta_give_the_coefficients(name):
     matroid = corpus.build(name)
-    top = full_mask(matroid.size)
-    alpha_table = simplex_divisor(matroid.size - 1, top)
-    beta_table = simplex_divisor(matroid.size - 1, top, pulled=True)
+    n = matroid.size - 1
+    alpha_table = simplex_divisor(n, full_mask(n + 1))
+    beta_table = simplex_divisor(n, full_mask(n + 1), pulled=True)
     assert (mixed_degrees(matroid, alpha_table.value, beta_table.value)
             == list(reduced_char_poly(char_poly(matroid))[1]))
 
