@@ -56,8 +56,8 @@ def cmd_charpoly(args) -> tuple[int, str]:
 def cmd_mu(args) -> tuple[int, str]:
     matroid = load_matroid_file(args.file)
     report = mu_report(matroid, args.method)
-    computed = [tuple(v) for v in report["mu"].values() if v is not None]
-    return FAIL if any(v != computed[0] for v in computed) else PASS, dump_json(report)
+    agree = len({tuple(v) for v in report["mu"].values() if v is not None}) == 1
+    return PASS if agree else FAIL, dump_json(report)
 
 
 def cmd_fan(args) -> tuple[int, str]:
@@ -74,7 +74,7 @@ def cmd_fan(args) -> tuple[int, str]:
         fh.write(dump_json({
             "n": weight.n,
             "codim": weight.codim,
-            "cones": [{"flag": list(flag), "weight": value} for flag, value in weight.items()],
+            "cones": [{"flag": list(flag), "weight": w} for flag, w in weight.weights.items()],
         }))
     return PASS, ""
 

@@ -34,7 +34,7 @@ from collections.abc import Mapping
 from itertools import accumulate, permutations
 from typing import Iterator, NamedTuple, Optional
 
-from .masks import complement, full_mask, iter_elements
+from .masks import full_mask, iter_elements
 from .matroid import Matroid
 
 Flag = tuple[int, ...]
@@ -143,9 +143,6 @@ class MinkowskiWeight(Frozen):
     def value(self, flag: Flag) -> int:
         return self.weights.get(tuple(flag), 0)
 
-    def items(self):
-        return self.weights.items()
-
     def __repr__(self) -> str:
         return f"MinkowskiWeight(n={self.n}, codim={self.codim}, cones={len(self.weights)})"
 
@@ -197,8 +194,8 @@ def permutohedral_weight(n: int, k: int) -> MinkowskiWeight:
 
 def cremona_flag(n: int, flag: Flag) -> Flag:
     """Complement every subset and reverse; negation of the cone."""
-    size = n + 1
-    return tuple(complement(mask, size) for mask in reversed(flag))
+    top = full_mask(n + 1)
+    return tuple(top & ~mask for mask in reversed(flag))
 
 
 def cremona_pullback_weight(weight: MinkowskiWeight) -> MinkowskiWeight:
@@ -211,7 +208,7 @@ def cremona_pullback_weight(weight: MinkowskiWeight) -> MinkowskiWeight:
     n = weight.n
     return MinkowskiWeight(
         n, weight.codim,
-        {cremona_flag(n, flag): value for flag, value in weight.items()},
+        {cremona_flag(n, flag): value for flag, value in weight.weights.items()},
     )
 
 
@@ -232,7 +229,7 @@ def facet_groups(
     top = full_mask(weight.n + 1)
     for i in range(weight.n - weight.codim):
         groups: dict[Flag, list[tuple[int, int]]] = {}
-        for flag, value in weight.items():
+        for flag, value in weight.weights.items():
             groups.setdefault(flag[:i] + flag[i + 1:], []).append((flag[i], value))
         for tau, above in groups.items():
             low = tau[i - 1] if i else 0

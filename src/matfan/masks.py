@@ -24,17 +24,12 @@ def iter_elements(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def complement(mask: int, size: int) -> int:
-    return full_mask(size) & ~mask
-
-
-def check_mask(mask: int, size: int) -> int:
+def check_mask(mask: int, size: int) -> None:
     """Reject masks with bits outside {0, ..., size-1}."""
     if mask < 0 or mask & ~full_mask(size):
         raise ValueError(
             f"mask {bin(mask)} has bits outside the {size}-element ground set"
         )
-    return mask
 
 
 def iter_subsets(size: int) -> Iterator[int]:

@@ -53,7 +53,14 @@ from .schema import InputError
 GEOMETRY_LIMIT = 8
 # The most cones of a Bergman weight that an input within the limit has.
 FLAG_LIMIT = math.factorial(GEOMETRY_LIMIT + 1)
-MU_METHODS = ("mobius", "flags", "displacement", "divisor")
+# Names resolve at call time, so wrappers installed on this module see them.
+_ROUTES = {
+    "mobius": lambda simple: reduced_char_poly(char_poly(simple))[1],
+    "flags": lambda simple: count_descending_flags(simple),
+    "displacement": lambda simple: mu_vector_displacement(simple),
+    "divisor": lambda simple: cup_chain(simple)[0],
+}
+MU_METHODS = tuple(_ROUTES)
 
 TraceFn = Optional[Callable[[int, PairingTerm], None]]
 
@@ -77,7 +84,7 @@ def _subject(matroid: Matroid) -> tuple[Matroid, Optional[dict]]:
     None for a simple input."""
     refuse_rank_zero(matroid)
     simple, mapping = matroid.simplify()
-    if mapping == list(range(matroid.size)):
+    if simple is matroid:
         return simple, None
     return simple, {
         "relabeling": mapping,
@@ -290,15 +297,6 @@ def run_check(
     report["failures"] = failures
     report["pass"] = not failures
     return CheckResult(report, ok=not failures)
-
-
-# Names resolve at call time, so wrappers installed on this module see them.
-_ROUTES = {
-    "mobius": lambda simple: reduced_char_poly(char_poly(simple))[1],
-    "flags": lambda simple: count_descending_flags(simple),
-    "displacement": lambda simple: mu_vector_displacement(simple),
-    "divisor": lambda simple: cup_chain(simple)[0],
-}
 
 
 def mu_report(matroid: Matroid, method: str) -> dict:

@@ -798,7 +798,7 @@ def facet_ray_sums(weight):
     """
     n = weight.n
     facet_map = {}
-    for flag, value in weight.items():
+    for flag, value in weight.weights.items():
         for tau, removed in flag_facets(flag):
             facet_map.setdefault(tau, []).append((removed, value))
     for tau in sorted(facet_map):

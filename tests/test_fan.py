@@ -433,7 +433,7 @@ def incidence_ray_sums(weight):
     """(facet, sum of value * incidence_vector(removed subset)), sorted."""
     n = weight.n
     sums = {}
-    for flag, value in weight.items():
+    for flag, value in weight.weights.items():
         for i, removed in enumerate(flag):
             total = sums.setdefault(flag[:i] + flag[i + 1:], [0] * n)
             for j, x in enumerate(incidence_vector(n, removed)):

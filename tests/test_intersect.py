@@ -705,7 +705,7 @@ def test_degree_pairing_shape_checks():
         pairing_terms(MinkowskiWeight(2, 1, {(0b011,): 1}), permutohedral_weight(2, 1),
                       default_displacement(2))
     with pytest.raises(ValueError, match="permutohedral_weight"):
-        pairing_terms(MinkowskiWeight(2, 1, dict(w1.items())), permutohedral_weight(2, 1),
+        pairing_terms(MinkowskiWeight(2, 1, dict(w1.weights.items())), permutohedral_weight(2, 1),
                       default_displacement(2))
 
 
@@ -958,7 +958,7 @@ def test_pairing_respects_weight_multiplicities():
     # Doubling one side doubles the degree.
     w1, w2 = displacement_weights(corpus.build("u-2-3"), 1)
     doubled = MinkowskiWeight(w2.n, w2.codim,
-                              {f: 2 * c for f, c in w2.items()})
+                              {f: 2 * c for f, c in w2.weights.items()})
     v = default_displacement(2)
     degree = terms_degree(w1, w2, pairing_terms(w1, w2, v))
     assert terms_degree(w1, doubled, pairing_terms(w1, doubled, v)) == 2 * degree

@@ -501,6 +501,7 @@ def test_simplify_matches_closure_reference_on_random_matroids(matroid):
     subject, mapping = matroid.simplify()
     reps, expected = simplification_oracle(matroid.size, matroid.rank)
     assert mapping == expected
+    assert (subject is matroid) == (mapping == list(range(matroid.size)))
     if subject is matroid:
         assert reps == list(range(matroid.size))
     else:
