@@ -6,8 +6,8 @@ full cross-validation harness on one input, and ``corpus`` to run it
 over every built-in matroid.  Files and built-ins alike load through
 schema.load_matroid; the fan export and the trace rows are shaped here,
 at their one call site.  Commands return their stdout text for main to
-write; that write, --out and --trace all go through _output, so a failed
-write exits 2.
+write; that write, the help, --out and --trace all go through _output,
+so a failed write exits 2.
 
 Exit codes: 0 all passed, 1 a check or cross-method comparison failed,
 2 bad input or unwritable output, 3 an internal invariant broke mid-pipeline.
@@ -16,6 +16,7 @@ Exit codes: 0 all passed, 1 a check or cross-method comparison failed,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -36,13 +37,15 @@ def _output(path: str):
     flush or close it is bad output."""
     try:
         if path == "-":
+            if sys.stdout is None:  # fd 1 was closed when the interpreter started
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             yield sys.stdout
             sys.stdout.flush()
         else:
             with open(path, "w", encoding="utf-8") as fh:
                 yield fh
     except OSError as exc:
-        if path == "-":  # the flush at exit reaches the null device, not exit 120
+        if path == "-" and sys.stdout is not None:  # so the flush at exit cannot exit 120
             with open(os.devnull, "w") as null:
                 os.dup2(null.fileno(), sys.stdout.fileno())
         raise InputError(f"cannot write {'stdout' if path == '-' else path}: {exc}") from None
@@ -147,8 +150,14 @@ def cmd_corpus(args) -> tuple[int, str]:
     return code, text
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse would drop a failed write and exit 0
+        with _output("-") as out:
+            out.write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matfan",
         description="Matroid fans, characteristic polynomials, and their "
                     "cross-validated intersection numbers.",
@@ -187,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code, text = args.func(args)
         with _output("-") as out:
             out.write(text)

@@ -614,6 +614,50 @@ def test_failed_writes_exit_code(tmp_path, capsys, monkeypatch, argv, doc, stdou
     assert (code, err) == (2, f"error: cannot write stdout: {message}\n")
 
 
+def run_child_without_stdout(*argv):
+    """`python -m matfan argv` in a child whose fd 1 is closed before it
+    starts, so that its sys.stdout is None."""
+    proc = subprocess.run([sys.executable, "-m", "matfan", *argv], stderr=subprocess.PIPE,
+                          text=True, timeout=CHILD_SECONDS, preexec_fn=lambda: os.close(1),
+                          env=dict(CHILD_ENV, PYTHONPATH=CHILD_PYTHONPATH))
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc
+
+
+CLOSED_STDOUT = "[Errno 9] Bad file descriptor"
+
+
+@pytest.mark.parametrize("argv", [
+    ("charpoly", "DOC"), ("check", "DOC", "--trace", "-"), ("fan", "DOC", "--out", "-"),
+    ("--help",), ("check", "--help"),
+], ids=["charpoly", "check-trace", "fan-out", "help", "check-help"])
+def test_a_closed_stdout_exits_2(tmp_path, argv):
+    argv = [write_doc(tmp_path, "k4.json", K4_DOC) if a == "DOC" else a for a in argv]
+    proc = run_child_without_stdout(*argv)
+    assert (proc.returncode, proc.stderr) == (2, f"error: cannot write stdout: {CLOSED_STDOUT}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("sink", FAILING_STDOUTS)
+@pytest.mark.parametrize("argv", [("--help",), ("check", "--help")], ids=["help", "check-help"])
+def test_help_that_cannot_be_written_exits_2(argv, sink):
+    # argparse alone drops the error of a failed help write and exits 0.
+    open_fd, message = FAILING_STDOUTS[sink]
+    fd = open_fd()
+    try:
+        proc = run_child(*argv, stdout=fd)
+    finally:
+        os.close(fd)
+    assert (proc.returncode, proc.stderr) == (2, f"error: cannot write stdout: {message}\n")
+
+
+def test_help_that_can_be_written_exits_0():
+    proc = run_child("--help")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, cli.build_parser().format_help(), "")
+    proc = run_child("check", "--help")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: matfan check ")
+
+
 def _twelve_element_non_matroid():
     # u(2,12) except r({0,1}) = r({1,2}) = 1 while r({0,2}) = 2: unit
     # increase holds, and only pairs of sets of rank <= 1 break
