@@ -12,7 +12,7 @@ numbers these oracles produce and also re-run the oracles against
 library output.
 
 The generic integer linear algebra lives here too: Bareiss determinants,
-the Smith form and lattice indices, and the one displacement-pair
+the inertia of a symmetric form, the Smith form and lattice indices, and the one displacement-pair
 classifier, built on linalg.solve_square_int, which tells empty pairs,
 degenerate spans and boundary ties from transversal ones.  The
 displacement pairing as a sweep over every pair of cones classifies
@@ -478,6 +478,40 @@ def det_int(rows):
             row_i[k] = 0
         prev = pk
     return sign * mat[n - 1][n - 1]
+
+
+def inertia(rows):
+    """(positive, negative, zero) eigenvalue counts of a symmetric rational
+    matrix, by exact symmetric elimination over Fraction.
+
+    Each step is a congruence, which keeps the counts (Sylvester): a
+    nonzero diagonal pivot p is split off and its row and column cleared,
+    leaving the Schur complement.  With every diagonal entry zero, a
+    nonzero entry a_ij first makes a pivot 2 a_ij, by adding row and
+    column j to row and column i.  A zero matrix is all kernel.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    if any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
+    positive = negative = 0
+    while a:
+        size = len(a)
+        i = next((i for i in range(size) if a[i][i]), None)
+        if i is None:
+            pair = next(((i, j) for i in range(size) for j in range(size) if a[i][j]), None)
+            if pair is None:
+                break
+            i, j = pair
+            for k in range(size):
+                a[i][k] += a[j][k]
+            for k in range(size):
+                a[k][i] += a[k][j]
+        p = a[i][i]
+        positive += p > 0
+        negative += p < 0
+        rest = [k for k in range(size) if k != i]
+        a = [[a[r][c] - a[r][i] * a[i][c] / p for c in rest] for r in rest]
+    return positive, negative, len(rows) - positive - negative
 
 
 def smith_invariant_factors(rows):

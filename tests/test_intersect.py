@@ -40,6 +40,7 @@ from matfan.intersect import (
 )
 from matfan.masks import full_mask
 from matfan.matroid import FreeMatroid, RelabeledMatroid, UniformMatroid
+from matfan.schema import load_matroid
 from matfan.validation import (
     cup_chain,
     mu_vector_displacement,
@@ -56,6 +57,7 @@ from oracles import (
     displacement_reference,
     evaluate_in_cone,
     flag_generators,
+    inertia,
     min_formula,
     nef_check,
     nef_values,
@@ -65,7 +67,7 @@ from oracles import (
     transversal_pairing_oracle,
     truncation,
 )
-from strategies import RANDOM_MATROIDS
+from strategies import RANDOM_MATROIDS, sparse_paving_documents
 
 
 # -- piecewise-linear divisors ------------------------------------------------
@@ -331,6 +333,61 @@ def test_a_divisor_that_is_not_nef_breaks_the_inequality(name):
     assert not nef_check(control)
     degrees = mixed_degrees(matroid, control.value, beta)
     assert not (min(degrees) >= 0 and is_log_concave(degrees)), degrees
+
+
+# -- the Hodge index theorem in degree 1 -------------------------------------------
+#
+# On the ray divisors D_F(S) = [S = F] of the proper flats F, the form
+# Q(F, G) = deg(D_F . D_G . alpha^(r-2) . B) has at most one positive
+# eigenvalue: the Hodge index theorem (Huh-Katz), which the Hodge-Riemann
+# relations of Adiprasito-Huh-Katz give for every matroid.  On the flats,
+# alpha is minus the sum of the D_F with 0 in F, and Q(alpha, alpha) =
+# deg(alpha^r . B) = mu_0 = 1, so it has exactly one.  In rank 3 the form is
+# the pairing of degree-1 classes into degree 2 of the Chow ring, which
+# is perfect: its kernel is the n linear functions.
+
+
+def hodge_form(matroid, d=alpha):
+    """The proper flats of a simple matroid, by rank, and Q over them,
+    with d in place of alpha."""
+    strata, _ = matroid.flat_strata()
+    flats = [f for level in strata[1:-1] for f in level]
+    w = bergman_weight(matroid)
+    for _ in range(matroid.full_rank - 3):
+        w = divisor_cup(d, w)
+    cupped = [divisor_cup(lambda s, f=f: int(s == f), w) for f in flats]
+    return flats, [[divisor_cup(lambda s, g=g: int(s == g), wf).value(()) for g in flats]
+                   for wf in cupped]
+
+
+def assert_hodge_index(matroid):
+    flats, form = hodge_form(matroid)
+    a = [-(f & 1) for f in flats]
+    assert sum(x * q * y for x, row in zip(a, form) for q, y in zip(row, a)) == 1
+    positive, _, kernel = inertia(form)
+    assert positive == 1
+    if matroid.full_rank == 3:
+        assert kernel == matroid.size - 1
+
+
+@pytest.mark.parametrize("name", ["u-3-5", "k4", "fano", "u-4-6"])
+def test_the_hodge_form_has_one_positive_eigenvalue(name):
+    assert_hodge_index(corpus.build(name))
+
+
+@settings(max_examples=25, deadline=None)
+@given(sparse_paving_documents().filter(lambda doc: doc["ranks"][-1] == 3))
+def test_the_hodge_form_has_one_positive_eigenvalue_on_sparse_paving_matroids(doc):
+    assert_hodge_index(load_matroid(doc))
+
+
+def test_a_divisor_that_is_not_nef_breaks_the_hodge_index():
+    # alpha - m_{1,2} in place of alpha: the count has teeth.
+    matroid = corpus.build("u-4-6")
+    n = matroid.size - 1
+    control = simplex_divisor(n, full_mask(n + 1)) - simplex_divisor(n, 0b110)
+    _, form = hodge_form(matroid, control.value)
+    assert inertia(form)[0] > 1
 
 
 # -- displacement vectors ---------------------------------------------------------

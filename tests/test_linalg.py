@@ -1,4 +1,4 @@
-"""Exact linear algebra: determinants, solves, Smith form, ranks."""
+"""Exact linear algebra: determinants, inertia, solves, Smith form, ranks."""
 
 import random
 from fractions import Fraction
@@ -11,6 +11,7 @@ from matfan import linalg
 from oracles import (
     det_int,
     fraction_rank,
+    inertia,
     lattice_index,
     mod_p_rank,
     smith_invariant_factors,
@@ -59,6 +60,30 @@ def test_det_known_values():
     # Vandermonde on 2, 3, 5.
     v = [[1, 2, 4], [1, 3, 9], [1, 5, 25]]
     assert det_int(v) == (3 - 2) * (5 - 2) * (5 - 3)
+
+
+def test_inertia_known_values():
+    assert inertia([]) == (0, 0, 0)
+    assert inertia([[2, 1], [1, 2]]) == (2, 0, 0)
+    assert inertia([[1, 1], [1, 1]]) == (1, 0, 1)
+    # Zero diagonals: the hyperbolic plane, alone and beside a zero row.
+    assert inertia([[0, 1], [1, 0]]) == (1, 1, 0)
+    assert inertia([[0, 0, 1], [0, 0, 0], [1, 0, 0]]) == (1, 1, 1)
+    with pytest.raises(ValueError, match="not symmetric"):
+        inertia([[0, 1], [0, 0]])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(-2, 2), min_size=1, max_size=5), st.data())
+def test_inertia_is_kept_by_congruence(diagonal, data):
+    # P^T D P has the signs of D for every invertible integer P (Sylvester).
+    n = len(diagonal)
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    p = data.draw(st.lists(row, min_size=n, max_size=n).filter(det_int))
+    form = [[sum(p[k][i] * diagonal[k] * p[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+    signs = [(d > 0) - (d < 0) for d in diagonal]
+    assert inertia(form) == (signs.count(1), signs.count(-1), signs.count(0))
 
 
 @given(small_matrix, st.lists(st.integers(-9, 9), min_size=1, max_size=5))
