@@ -1,25 +1,14 @@
 """Exact linear algebra over the integers, the rationals, and GF(p).
 
-No floats.  One fraction-free elimination, _echelon, serves rank and both
-generic solvers.  Production uses rank over Q and odd p, and is_prime;
-rank(rows, 2) is kept as the tests' GF(2) reference.  The solvers are kept
-as references that the flag-cone code is tested against: solve_square_int
-(Bareiss square solves) for the displacement pairing's spanning-tree
-solve, and solve_in_span for the flag-cone span test of the test oracles'
-flag_span_coefficients (fan's balancing test reads one block per gap and
-solves nothing).  The benchmark's layer tracer (perfbench/layertrace.py)
-wraps both by name, so they stay here rather than among the test oracles.
+No floats.  One fraction-free elimination, _echelon, serves rank, and the
+generic solvers of the test oracles run it too.  Production uses rank over
+Q and odd p, and is_prime; rank(rows, 2) is kept as the tests' GF(2)
+reference.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
-
-# Statuses returned by solve_square_int.
-UNIQUE = "unique"
-SINGULAR_CONSISTENT = "singular-consistent"
-SINGULAR_INCONSISTENT = "singular-inconsistent"
 
 
 def _echelon(mat: list[list[int]], p: int | None = None) -> tuple[list[int], int]:
@@ -72,52 +61,9 @@ def rank(rows: Sequence[Sequence[int]], p: int | None = None) -> int:
     return len(_echelon(mat, p)[0])
 
 
-def solve_square_int(aug: list[list[int]]):
-    """Solve A y = b for square integer A, given as augmented rows [A | b].
-
-    Returns (status, det, num, den): on UNIQUE the solution is the exact
-    rational vector num[i] / den with integer num and a single common
-    nonzero integer den (so callers can classify signs without building
-    Fractions); on either singular status det is 0 and num is None.
-    A is singular when some column of it has no pivot, and the system is
-    then inconsistent when the column of b has one.
-    Rows are consumed destructively; pass a copy if needed.
-    """
-    n = len(aug)
-    pivots, sign = _echelon(aug)
-    if pivots != list(range(n)):
-        if n in pivots:
-            return SINGULAR_INCONSISTENT, 0, None, 0
-        return SINGULAR_CONSISTENT, 0, None, 0
-    den = aug[n - 1][n - 1] if n else 1
-    # Back-substitute in scaled integers: num[i] = den * y[i] is det(A_i)
-    # up to the row-swap sign (Cramer), so every division below is exact.
-    # Eliminated rows are still valid equations of the original system.
-    num = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = aug[i]
-        num[i] = (row[n] * den - sum(row[j] * num[j] for j in range(i + 1, n))) // row[i]
-    return UNIQUE, sign * den, num, den
-
-
-def solve_in_span(columns: Sequence[Sequence[int]], target: Sequence[int]):
-    """Express target as a rational combination of the given column vectors.
-
-    Returns the coefficient list, or None if target is outside the span.
-    The columns must be linearly independent (flag-cone generators always
-    are); dependence raises ValueError.  Inside the span the coefficients
-    solve the normal equations C^T C x = C^T t, whose matrix is
-    nonsingular for independent columns.
-    """
-    k = len(columns)
-    if rank(columns) < k:
-        raise ValueError("span generators are linearly dependent")
-    if rank([*columns, target]) > k:
-        return None
-    aug = [[sum(a * b for a, b in zip(ci, cj)) for cj in columns]
-           + [sum(a * b for a, b in zip(ci, target))] for ci in columns]
-    _, _, num, den = solve_square_int(aug)
-    return [Fraction(c, den) for c in num]
+# Never called: perfbench/layertrace.py wraps these two names.  The
+# generic solvers are test oracles (tests/oracles.py).
+solve_square_int = solve_in_span = None
 
 
 # Miller-Rabin with the prime bases up to 41 is proven deterministic

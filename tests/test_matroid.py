@@ -170,13 +170,14 @@ def test_linear_refuses_malformed_matrices(matrix, field, message):
 def test_linear_ranks_over_q_build_no_fraction(monkeypatch):
     # Rational columns are scaled to integers once, at construction; the
     # elimination keeps every entry an integer minor.
+    assert "Fraction" not in vars(linalg)
     expected = corpus.build("non-fano").rank_table()
     m = corpus.build("non-fano")
 
     def refuse(*args, **kwargs):
         raise AssertionError("Fraction built during rank elimination")
 
-    monkeypatch.setattr(linalg, "Fraction", refuse)
+    monkeypatch.setattr("matfan.matroid.Fraction", refuse)
     assert m.rank_table() == expected
 
 
