@@ -93,7 +93,7 @@ def cmd_check(args) -> tuple[int, str]:
         if trace_fh:
             def trace(k: int, term) -> None:
                 row = {"k": k, "sigma": list(term.sigma), "tau": list(term.tau),
-                       "point": [str(c) for c in term.point], "index": term.index}
+                       "point": [str(c) for c in term.point]}
                 rows.append(json.dumps(row) + "\n")
 
         try:

@@ -24,7 +24,8 @@ tau of the second weight has one candidate way to meet its blocks once,
 their v-least elements, which names the one sigma that can meet tau + v.
 Each hit meets transversally, and cone_displacement_intersect reads its
 point off one traversal of a graph on the two flags' blocks, a spanning
-tree, so every index is 1.  Genericity is certified, never assumed: any
+tree, so every index is 1 and so is the first weight: a term counts the
+weight of its tau alone.  Genericity is certified, never assumed: any
 exact tie that a sweep over every pair would meet (a zero coefficient,
 read off v's differences within tau's blocks) aborts the pairing.  So v
 is certified for two weights exactly when pairing_terms returns, which
@@ -136,7 +137,6 @@ class PairingTerm(NamedTuple):
     sigma: Flag
     tau: Flag
     point: tuple[Rational, ...]
-    index: int
 
 
 def _flag_blocks(n: int, flag: Flag) -> list[int]:
@@ -156,10 +156,10 @@ def _flag_blocks(n: int, flag: Flag) -> list[int]:
 
 def cone_displacement_intersect(
     n: int, sigma: Flag, tau: Flag, v: Sequence[Rational]
-) -> tuple[tuple[Rational, ...], int]:
-    """(point, lattice index) where sigma meets (tau + v), for cones of
-    complementary dimension that meet transversally, as every pair that
-    pairing_terms locates does; any other pair raises ValueError.
+) -> tuple[Rational, ...]:
+    """The point where sigma meets (tau + v), for cones of complementary
+    dimension that meet transversally, as every pair that pairing_terms
+    locates does; any other pair raises ValueError.
 
     Lifted to {0..n} with v_0 = 0, a point of a flag cone is constant on
     the flag's blocks and each coefficient is the difference of adjacent
@@ -197,7 +197,7 @@ def cone_displacement_intersect(
     ):
         raise ValueError(f"{sigma} and {tau} + v do not meet transversally")
     origin = potential[left[0]]
-    return tuple(potential[left[j]] - origin for j in range(1, n + 1)), 1
+    return tuple(potential[left[j]] - origin for j in range(1, n + 1))
 
 
 def pairing_terms(
@@ -265,14 +265,9 @@ def pairing_terms(
         u = {x: lifted[x] - ends[block_of[x]] for x in range(n + 1) if x not in bottom}
         order = sorted(u, key=u.__getitem__, reverse=True)
         sigma = tuple(accumulate(1 << x for x in order))
-        found.append(PairingTerm(sigma, tau, *cone_displacement_intersect(n, sigma, tau, v)))
+        found.append(PairingTerm(sigma, tau, cone_displacement_intersect(n, sigma, tau, v)))
     found.sort(key=lambda term: (term.sigma, term.tau))
     return found
-
-
-def terms_degree(w1: MinkowskiWeight, w2: MinkowskiWeight, terms: list[PairingTerm]) -> int:
-    """Displacement-rule degree: lattice index times both weights, summed."""
-    return sum(t.index * w1.value(t.sigma) * w2.value(t.tau) for t in terms)
 
 
 def displacement_weights(matroid: Matroid, k: int) -> tuple[MinkowskiWeight, MinkowskiWeight]:

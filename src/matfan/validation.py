@@ -44,7 +44,6 @@ from .intersect import (
     displacement_weights,
     divisor_cup,
     pairing_terms,
-    terms_degree,
 )
 from .masks import EXHAUSTIVE_SCAN_LIMIT
 from .matroid import Matroid
@@ -137,15 +136,16 @@ def cup_chain(matroid: Matroid) -> tuple[list[int], bool]:
 
 
 def mu_vector_displacement(matroid: Matroid, trace: TraceFn = None) -> tuple[int, ...]:
-    """Coefficients by the displacement pairing under default_displacement;
-    trace, if given, sees each term and its level.  A tie raises
+    """Coefficients by the displacement pairing under default_displacement:
+    level k sums the second weight over its terms (see intersect).  trace,
+    if given, sees each term and its level.  A tie raises
     DegenerateDisplacementError, which the default rules out."""
     vector = default_displacement(matroid.size - 1)
     degrees = []
     for k in range(matroid.full_rank):
         w1, w2 = displacement_weights(matroid, k)
         terms = pairing_terms(w1, w2, vector)
-        degrees.append(terms_degree(w1, w2, terms))
+        degrees.append(sum(w2.value(t.tau) for t in terms))
         if trace is not None:
             for term in terms:
                 trace(k, term)

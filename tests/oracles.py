@@ -17,16 +17,20 @@ the two generic solvers.  solve_square_int is a Bareiss square solve and
 solve_in_span a span test by the normal equations.  Both run
 linalg._echelon, the package's one elimination loop, which the flag-cone
 code they check never runs.  The one displacement-pair classifier is
-built on solve_square_int.  It tells empty pairs,
-degenerate spans and boundary ties from transversal ones.  The
-displacement pairing as a sweep over every pair of cones classifies
-each pair with it, so it shares no solver with the located pairing it
-checks; the located pairing over every transversal of each cone's
-blocks checks its one candidate per cone at larger n.  Seeded rational
-perturbations of the displacement vector, with a retry loop over them,
-check that the degrees do not depend on the vector.  The global facet sweep lives here as well: one facet map over
-every gap at once, the flag-cone span test, and the divisor cup read off
-each facet's whole ray-sum.  Production uses the structure of flag
+built on solve_square_int.  It tells empty pairs, degenerate spans and
+boundary ties from transversal ones, and gives a transversal pair's
+lattice index as a determinant.  The displacement pairing as a sweep
+over every pair of cones classifies each pair with it, so it shares no
+solver with the located pairing it checks, and asserts every index is
+1; the located pairing over every transversal of each cone's blocks
+checks its one candidate per cone at larger n.  displacement_degree is
+the general displacement rule, each term's weights times its computed
+lattice index, against which the package's sum of second weights is
+checked.  Seeded rational perturbations of the displacement vector,
+with a retry loop over them, check that the degrees do not depend on
+the vector.  The global facet sweep lives here as well: one facet map
+over every gap at once, the flag-cone span test, and the divisor cup
+read off each facet's whole ray-sum.  Production uses the structure of flag
 cones instead (one block per gap, spanning trees, located pairs), and
 these check it.
 Divisors as ray tables (PLDivisor, alpha_divisor, the Cremona pullback)
@@ -688,6 +692,13 @@ def unimodularity_factors(n, flag):
     return smith_invariant_factors(flag_generators(n, flag))
 
 
+def combined_generators(n, sigma, tau):
+    """The n x n matrix [gens_sigma | -gens_tau], one row per coordinate."""
+    gens_s = flag_generators(n, sigma)
+    gens_t = flag_generators(n, tau)
+    return [[g[i] for g in gens_s] + [-g[i] for g in gens_t] for i in range(n)]
+
+
 def displacement_reference(n, sigma, tau, v):
     """Classify sigma meeting (tau + v) by the generic Bareiss solve.
 
@@ -697,8 +708,7 @@ def displacement_reference(n, sigma, tau, v):
     generators [gens_sigma | -gens_tau].
     """
     gens_s = flag_generators(n, sigma)
-    gens_t = flag_generators(n, tau)
-    combined = [[g[i] for g in gens_s] + [-g[i] for g in gens_t] for i in range(n)]
+    combined = combined_generators(n, sigma, tau)
     scale = 1
     for x in v:
         scale = lcm(scale, Fraction(x).denominator)
@@ -771,8 +781,21 @@ def pairing_sweep_oracle(w1, w2, v):
             if isinstance(hit, str):
                 raise DegenerateDisplacementError(f"{hit} between {sigma} and {tau}")
             if hit is not None:
-                terms.append(PairingTerm(sigma, tau, *hit))
+                point, index = hit
+                # A transversal pair of flag cones has a spanning tree for
+                # its block graph (see intersect), so |det| must be 1.
+                assert index == 1, (sigma, tau, index)
+                terms.append(PairingTerm(sigma, tau, point))
     return terms
+
+
+def displacement_degree(w1, w2, terms):
+    """The fan displacement rule's degree (Fulton-Sturmfels 1997): lattice
+    index times both weights, summed over the terms.  Each index is the
+    lattice_index of the pair's combined generators, computed, not read
+    off the terms; mu_vector_displacement sums the second weight alone."""
+    return sum(lattice_index(combined_generators(w1.n, t.sigma, t.tau))
+               * w1.value(t.sigma) * w2.value(t.tau) for t in terms)
 
 
 def transversal_pairing_oracle(w1, w2, v):
@@ -811,7 +834,7 @@ def transversal_pairing_oracle(w1, w2, v):
                 continue
             order = sorted(u, key=u.__getitem__, reverse=True)
             sigma = tuple(accumulate(1 << x for x in order))
-            found.append(PairingTerm(sigma, tau, *cone_displacement_intersect(n, sigma, tau, v)))
+            found.append(PairingTerm(sigma, tau, cone_displacement_intersect(n, sigma, tau, v)))
     found.sort(key=lambda term: (term.sigma, term.tau))
     return found
 

@@ -13,9 +13,10 @@ import pytest
 
 from matfan import corpus
 from matfan.intersect import default_displacement, displacement_weights, pairing_terms
-from matfan.validation import GEOMETRY_LIMIT, run_check, terms_degree
+from matfan.validation import GEOMETRY_LIMIT, run_check
 
-from oracles import certified_terms, displacement_reference, mu_oracle, perturbed_displacement
+from oracles import (certified_terms, displacement_degree, displacement_reference, mu_oracle,
+                     perturbed_displacement)
 
 CHECK_BUDGET_SECONDS = 120.0
 PERTURBATION_BUDGET_SECONDS = 300.0
@@ -134,11 +135,11 @@ def test_criterion_6_structure_constants(corpus_results):
         n = simple.size - 1
         v = default_displacement(n)
         for k, count in enumerate(flags):
-            # The production solve gives index 1 by construction, so the
-            # pairs under the default are re-solved by the generic
-            # Bareiss oracle: it must find a unique solution with every
-            # coefficient positive, the same point, and |det| of the
-            # combined generators [gens_sigma | -gens_tau] equal to 1.
+            # The production solve gives only the point; the pairs under
+            # the default are re-solved by the generic Bareiss oracle: it
+            # must find a unique solution with every coefficient positive,
+            # the same point, and |det| of the combined generators
+            # [gens_sigma | -gens_tau] equal to 1.
             w1, w2 = displacement_weights(simple, k)
             terms = pairing_terms(w1, w2, v)
             if len(terms) != count:
@@ -167,7 +168,7 @@ def test_criterion_7_displacement_independence(corpus_results):
             for round_ in range(PERTURBATION_ROUNDS):
                 v = perturbed_displacement(n, rng)
                 terms, used, _ = certified_terms(w1, w2, random.Random(round_), v)
-                if terms_degree(w1, w2, terms) != target:
+                if displacement_degree(w1, w2, terms) != target:
                     ok = False
                 # Certified: the sweep under the vector used returns, and
                 # gives the same terms again.

@@ -349,7 +349,7 @@ def test_check_command_passes_and_traces(tmp_path, capsys):
     assert report["truncation_identity"] is True
     rows = [json.loads(line) for line in trace_path.read_text().splitlines()]
     assert len(rows) == 12  # 1 + 5 + 6 contributing pairs
-    assert all(row["index"] == 1 for row in rows)
+    assert all(set(row) == {"k", "sigma", "tau", "point"} for row in rows)
     assert sorted({row["k"] for row in rows}) == [0, 1, 2]
 
 
@@ -390,14 +390,14 @@ def test_check_closes_the_trace_file_on_every_exit(tmp_path, monkeypatch):
     def write_one_row_then_raise(matroid, timings=False, trace=None):
         traces.append(trace)
         if trace is not None:
-            trace(1, PairingTerm((0b01,), (0b10,), (Fraction(1, 2),), 1))
+            trace(1, PairingTerm((0b01,), (0b10,), (Fraction(1, 2),)))
         raise RuntimeError("mid-pipeline")
 
     monkeypatch.setattr(cli, "run_check", write_one_row_then_raise)
     with pytest.raises(RuntimeError, match="mid-pipeline"):
         cli.main(["check", path, "--trace", str(trace_path)])
     assert trace_path.read_text() == (
-        '{"k": 1, "sigma": [1], "tau": [2], "point": ["1/2"], "index": 1}\n')
+        '{"k": 1, "sigma": [1], "tau": [2], "point": ["1/2"]}\n')
     with pytest.raises(RuntimeError, match="mid-pipeline"):
         cli.main(["check", path])
     assert traces[1] is None

@@ -23,6 +23,9 @@ from pathlib import Path
 import pytest
 
 from matfan import cli, fan
+from matfan.intersect import default_displacement
+
+from oracles import displacement_reference
 
 GOLDEN = Path(__file__).parent / "golden"
 SEED1 = GOLDEN / "seed1"
@@ -100,9 +103,11 @@ def test_reports_match_golden_files(report):
     assert differing(report, CASES[report]) == []
 
 
-def test_pinned_traces_hold_one_index_1_row_per_displacement_term():
+def test_pinned_traces_hold_one_row_per_displacement_term():
     # A check report's mu.displacement[k] is its number of pairing terms
-    # at level k, each of weight 1 and lattice index 1.
+    # at level k, each of weight 1 and lattice index 1.  The Bareiss
+    # reference re-solves each row's pair under the default vector: the
+    # same point, and |det| 1.
     traced = sorted(file for file in pinned() if file.suffix == ".ndjson")
     assert len(traced) == 16
     for trace in traced:
@@ -110,7 +115,12 @@ def test_pinned_traces_hold_one_index_1_row_per_displacement_term():
         mu = json.loads(trace.with_suffix(".json").read_text())["mu"]["displacement"]
         assert [row["k"] for row in rows] == [k for k, count in enumerate(mu)
                                               for _ in range(count)], trace.name
-        assert {row["index"] for row in rows} == {1}, trace.name
+        for row in rows:
+            assert list(row) == ["k", "sigma", "tau", "point"], trace.name
+            n = len(row["point"])
+            point, index = displacement_reference(
+                n, tuple(row["sigma"]), tuple(row["tau"]), default_displacement(n))
+            assert ([str(c) for c in point], index) == (row["point"], 1), (trace.name, row)
 
 
 def test_mu_and_check_reports_give_each_route_the_same_vector():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import matfan
-from matfan import cli, corpus, intersect, linalg, validation
+from matfan import cli, corpus, intersect, validation
 from matfan.charpoly import char_poly, count_descending_flags, is_log_concave, reduced_char_poly
 from matfan.fan import (
     MinkowskiWeight,
@@ -46,7 +46,6 @@ from matfan.validation import (
     mu_vector_displacement,
     out_of_reach,
     run_check,
-    terms_degree,
 )
 
 from oracles import (
@@ -54,6 +53,7 @@ from oracles import (
     alpha_divisor,
     certified_terms,
     cremona_pullback_divisor,
+    displacement_degree,
     displacement_reference,
     evaluate_in_cone,
     flag_generators,
@@ -438,11 +438,11 @@ def frac(*xs):
 
 def test_intersect_two_dim_cone_with_point():
     # Cone of the flag ({2}, {1,2}) is x2 >= x1 >= 0; (1,2) is interior.
-    hit = cone_displacement_intersect(2, (0b100, 0b110), (), frac(1, 2))
-    assert hit == (frac(1, 2), 1)
+    assert cone_displacement_intersect(2, (0b100, 0b110), (), frac(1, 2)) == frac(1, 2)
+    assert displacement_reference(2, (0b100, 0b110), (), frac(1, 2)) == (frac(1, 2), 1)
     # The mirror flag needs the mirrored displacement.
-    hit = cone_displacement_intersect(2, (0b010, 0b110), (), frac(2, 1))
-    assert hit == (frac(2, 1), 1)
+    assert cone_displacement_intersect(2, (0b010, 0b110), (), frac(2, 1)) == frac(2, 1)
+    assert displacement_reference(2, (0b010, 0b110), (), frac(2, 1)) == (frac(2, 1), 1)
     # Outside the mirror cone the pair is empty, which only the
     # reference classifies; the solver refuses it.
     assert displacement_reference(2, (0b010, 0b110), (), frac(1, 2)) is None
@@ -468,16 +468,15 @@ def test_intersect_singular_cases():
 
 def test_intersect_ray_against_ray():
     # sigma = ray of {1}, tau = ray of {0,1}; tau + v crosses sigma.
-    hit = cone_displacement_intersect(2, (0b010,), (0b011,), frac(1, 2))
-    assert hit is not None
-    point, index = hit
-    assert index == 1
+    point = cone_displacement_intersect(2, (0b010,), (0b011,), frac(1, 2))
+    assert displacement_reference(2, (0b010,), (0b011,), frac(1, 2)) == (point, 1)
     # The point lies on the sigma ray: second coordinate zero.
     assert point[1] == 0
 
 
 def test_intersect_trivial_dimension():
-    assert cone_displacement_intersect(0, (), (), ()) == ((), 1)
+    assert cone_displacement_intersect(0, (), (), ()) == ()
+    assert displacement_reference(0, (), (), ()) == ((), 1)
 
 
 def test_intersect_validates_dimensions():
@@ -516,13 +515,14 @@ def displacements(n):
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_tree_solve_matches_bareiss_reference(data):
-    # Where the reference finds a transversal pair, the tree solve gives
-    # its point and index; every empty, degenerate or tied pair raises.
+    # Where the reference finds a transversal pair, its index is 1 and
+    # the tree solve gives its point; every empty, degenerate or tied pair
+    # raises.
     n, sigma, tau = data.draw(flag_pairs())
     v = data.draw(displacements(n))
     expected = displacement_reference(n, sigma, tau, v)
     if isinstance(expected, tuple):
-        assert cone_displacement_intersect(n, sigma, tau, v) == expected
+        assert (cone_displacement_intersect(n, sigma, tau, v), 1) == expected
     else:
         with pytest.raises(ValueError, match="transversally"):
             cone_displacement_intersect(n, sigma, tau, v)
@@ -611,7 +611,7 @@ def test_scaling_the_vector_scales_the_points(data):
         return
     assert scaled_terms == [t._replace(point=tuple(c * x for x in t.point)) for t in terms]
     assert all(type(x) is int for t in scaled_terms for x in t.point)
-    assert terms_degree(w1, w2, scaled_terms) == terms_degree(w1, w2, terms)
+    assert displacement_degree(w1, w2, scaled_terms) == displacement_degree(w1, w2, terms)
 
 
 @pytest.mark.parametrize("n, k, support, v, outcome", [
@@ -712,22 +712,21 @@ def test_displacement_never_enumerates_the_permutohedral_weight(monkeypatch, mat
     assert report["mu"]["displacement"] == report["mu"]["flags"]
 
 
-def test_production_never_calls_the_generic_solvers(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("generic solver called from production")
-
-    monkeypatch.setattr(linalg, "solve_square_int", refuse)
-    monkeypatch.setattr(linalg, "solve_in_span", refuse)
+def test_k4_and_fano_agree_on_all_four_routes_with_a_full_trace():
+    # One traced term per unit of each coefficient; the Bareiss reference
+    # re-solves each under the default vector: the same point, index 1.
     for name, mu in (("k4", [1, 5, 6]), ("fano", [1, 6, 8])):
         matroid = corpus.build(name)
+        n = matroid.size - 1
         traced = []
         result = run_check(matroid, trace=lambda k, term: traced.append(term))
         assert result.internal_error is None and result.ok
         assert result.report["mu"] == {method: mu for method in
                                        ("mobius", "flags", "divisor", "displacement")}
         assert len(traced) == sum(mu)
-        assert all(term.index == 1 and len(term.point) == matroid.size - 1
-                   for term in traced)
+        v = default_displacement(n)
+        for term in traced:
+            assert displacement_reference(n, term.sigma, term.tau, v) == (term.point, 1)
 
 
 def test_production_imports_no_random():
@@ -786,11 +785,12 @@ def test_degree_pairing_shape_checks():
 def test_pairing_line_by_hand():
     # Level 1 of the three-point line: two transversal pairs, index 1.
     w1, w2 = displacement_weights(corpus.build("u-2-3"), 1)
-    terms = pairing_terms(w1, w2, default_displacement(2))
+    v = default_displacement(2)
+    terms = pairing_terms(w1, w2, v)
     assert len(terms) == 2
     assert {t.sigma for t in terms} == {(0b010,), (0b100,)}
-    assert all(t.index == 1 for t in terms)
-    assert terms_degree(w1, w2, pairing_terms(w1, w2, default_displacement(2))) == 2
+    assert all(displacement_reference(2, t.sigma, t.tau, v) == (t.point, 1) for t in terms)
+    assert displacement_degree(w1, w2, pairing_terms(w1, w2, v)) == 2
 
 
 def test_default_pairing_points_are_ints():
@@ -808,7 +808,7 @@ def test_pairing_level_zero_point_is_the_displacement():
     assert len(terms) == 1
     assert terms[0].tau == ()
     assert terms[0].point == v
-    assert terms[0].index == 1
+    assert displacement_reference(5, terms[0].sigma, (), v) == (v, 1)
 
 
 def test_pairing_certifies_the_vector():
@@ -817,7 +817,7 @@ def test_pairing_certifies_the_vector():
     # arguments, so a list serves as well as a tuple.
     v = list(default_displacement(2))
     before = (list(v), dict(w1.weights), dict(w2.weights))
-    assert terms_degree(w1, w2, pairing_terms(w1, w2, v)) == 2
+    assert displacement_degree(w1, w2, pairing_terms(w1, w2, v)) == 2
     assert (v, dict(w1.weights), dict(w2.weights)) == before
 
 
@@ -830,11 +830,11 @@ def test_certified_pairing_retries_past_degeneracy():
     with pytest.raises(DegenerateDisplacementError):
         pairing_terms(w1, w2, bad)
     terms, used, first = certified_terms(w1, w2, random.Random(0), bad)
-    assert terms_degree(w1, w2, terms) == 6
+    assert displacement_degree(w1, w2, terms) == 6
     assert pairing_terms(w1, w2, used) == terms
     assert not first
     assert used != bad
-    assert terms_degree(w1, w2, pairing_terms(w1, w2, default_displacement(w1.n))) == 6
+    assert displacement_degree(w1, w2, pairing_terms(w1, w2, default_displacement(w1.n))) == 6
 
 
 def test_a_tie_in_check_is_an_internal_error(monkeypatch, tmp_path, capsys):
@@ -873,7 +873,7 @@ def test_certified_pairing_is_deterministic():
     v = one_to_n(w1.n)
     a_terms, a_used, _ = certified_terms(w1, w2, random.Random(9), v)
     b_terms, b_used, _ = certified_terms(w1, w2, random.Random(9), v)
-    assert terms_degree(w1, w2, a_terms) == terms_degree(w1, w2, b_terms) == 6
+    assert displacement_degree(w1, w2, a_terms) == displacement_degree(w1, w2, b_terms) == 6
     assert a_used == b_used
 
 
@@ -1023,7 +1023,7 @@ def test_explicit_displacement_vector_is_used():
     w1, w2 = displacement_weights(corpus.build("u-2-3"), 1)
     v = frac(Fraction(3, 2), Fraction(7, 3))
     terms, used, first = certified_terms(w1, w2, random.Random(0), v)
-    assert terms_degree(w1, w2, terms) == 2
+    assert displacement_degree(w1, w2, terms) == 2
     assert used is v and first
     assert pairing_terms(w1, w2, used) == terms
 
@@ -1034,8 +1034,8 @@ def test_pairing_respects_weight_multiplicities():
     doubled = MinkowskiWeight(w2.n, w2.codim,
                               {f: 2 * c for f, c in w2.weights.items()})
     v = default_displacement(2)
-    degree = terms_degree(w1, w2, pairing_terms(w1, w2, v))
-    assert terms_degree(w1, doubled, pairing_terms(w1, doubled, v)) == 2 * degree
+    degree = displacement_degree(w1, w2, pairing_terms(w1, w2, v))
+    assert displacement_degree(w1, doubled, pairing_terms(w1, doubled, v)) == 2 * degree
 
 
 # -- relabelling ----------------------------------------------------------------

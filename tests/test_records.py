@@ -37,10 +37,11 @@ def test_constructor_forms():
     assert MinkowskiWeight(2, 1, flags) == MinkowskiWeight(n=2, codim=1, weights=flags)
     assert SizeGradedFlags(3, 1) == SizeGradedFlags(n=3, k=1)
     assert PLDivisor(2, {0b010: 3}) == PLDivisor(n=2, ray_values={0b010: 3})
-    hit = ((Fraction(1), Fraction(5, 3)), 1)
-    term = PairingTerm((2,), (3,), *hit)
-    assert (term.sigma, term.tau, term.point, term.index) == ((2,), (3,), *hit)
-    assert term == PairingTerm(sigma=(2,), tau=(3,), point=hit[0], index=1)
+    point = (Fraction(1), Fraction(5, 3))
+    term = PairingTerm((2,), (3,), point)
+    assert (term.sigma, term.tau, term.point) == ((2,), (3,), point)
+    assert term == PairingTerm(sigma=(2,), tau=(3,), point=point)
+    assert PairingTerm._fields == ("sigma", "tau", "point")
     violation = BalancingViolation((1,), (0, 2))
     assert (violation.tau, violation.excess) == ((1,), (0, 2))
     result = CheckResult({"pass": False}, ok=False)
@@ -69,7 +70,7 @@ def test_minkowski_weight_equality():
     (SizeGradedFlags(3, 1), "k"),
     (PLDivisor(2, {1: 1}), "ray_values"),
     (BalancingViolation((1,), (0, 2)), "tau"),
-    (PairingTerm((2,), (3,), (Fraction(1),), 1), "index"),
+    (PairingTerm((2,), (3,), (Fraction(1),)), "point"),
     (CheckResult({}, ok=True), "ok"),
 ])
 def test_frozen_records_refuse_assignment(record, field):
@@ -90,8 +91,8 @@ def test_mutable_valued_records_are_unhashable(record):
 
 
 def test_equal_value_records_hash_equal():
-    a = PairingTerm((2,), (3,), (Fraction(1), Fraction(5, 3)), 1)
-    b = PairingTerm((2,), (3,), (Fraction(1), Fraction(5, 3)), 1)
+    a = PairingTerm((2,), (3,), (Fraction(1), Fraction(5, 3)))
+    b = PairingTerm((2,), (3,), (Fraction(1), Fraction(5, 3)))
     assert a == b and hash(a) == hash(b)
     assert BalancingViolation((1,), (0, 2)) == BalancingViolation((1,), (0, 2))
     assert hash(BalancingViolation((1,), (0, 2))) == hash(BalancingViolation((1,), (0, 2)))
@@ -104,8 +105,8 @@ def test_reprs_are_unchanged():
         MinkowskiWeight(3, 2, SizeGradedFlags(3, 1))
     assert repr(permutohedral_weight(3, 1)) == "MinkowskiWeight(n=3, codim=1, cones=12)"
     assert repr(PLDivisor(2, {1: -1})) == "PLDivisor(n=2, ray_values={1: -1})"
-    assert (repr(PairingTerm((2,), (3,), (Fraction(1),), 1))
-            == "PairingTerm(sigma=(2,), tau=(3,), point=(Fraction(1, 1),), index=1)")
+    assert (repr(PairingTerm((2,), (3,), (Fraction(1),)))
+            == "PairingTerm(sigma=(2,), tau=(3,), point=(Fraction(1, 1),))")
     assert repr(BalancingViolation((1,), (0, 2))) == "BalancingViolation(tau=(1,), excess=(0, 2))"
     assert (repr(CheckResult({}, ok=True))
             == "CheckResult(report={}, ok=True, internal_error=None)")
