@@ -1,4 +1,4 @@
-"""Every geometry on up to 6 points passes check.
+"""Every geometry on up to 7 points passes check.
 
 A geometry is a simple matroid.  Deleting a point of a geometry leaves a
 geometry, so every geometry on n + 1 points is a single-element extension
@@ -6,7 +6,9 @@ of one on n points.  The extensions are the modular cuts of the flat
 lattice (Crapo 1965): up-sets of flats closed under meets of modular
 pairs.  The new point is parallel to a rank-1 flat of the cut, or a loop
 if the cut holds the empty flat, so the extensions that stay simple are
-the cuts of flats of rank 2 and up.  The empty cut adds a coloop.
+the cuts of flats of rank 2 and up.  The empty cut adds a coloop.  The
+cuts are walked with the modular meets forced as flats join, so no
+up-set that is not a cut is completed.
 
 Isomorphs are rejected within buckets keyed by each element's profile,
 the (rank, size) of the flats that contain it.  The counts cannot be
@@ -14,12 +16,12 @@ looked up here, so the generator is checked against itself: on up to 5
 points, the labelled geometries counted over every family of bases equal
 the sum of n!/|Aut(M)| over the classes it generates.  Every geometry
 then passes the rank axioms oracle and runs through run_check as a rank
-table, so the four routes are checked on every input of up to 6 points,
+table, so the four routes are checked on every input of up to 7 points,
 whatever its field.
 """
 
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
@@ -29,9 +31,10 @@ from matfan.validation import run_check
 
 from oracles import rank_axioms_oracle
 
-MAX_POINTS = 6
+MAX_POINTS = 7
 
 
+@cache
 def flats(size, ranks):
     """The sets that every added element enlarges."""
     return frozenset(mask for mask in range(1 << size)
@@ -44,24 +47,44 @@ def closure(size, ranks, mask):
 
 
 def modular_cuts(size, ranks):
-    """Yield each modular cut of flats of rank 2 and up, the empty one first."""
-    # By falling rank, so each flat's covers are decided before it is.
+    """Yield each modular cut of flats of rank 2 and up, the empty one first.
+
+    The walk decides the flats by falling rank, so the flats above each
+    one and its modular partners are decided before it is.  Leaving a flat
+    out rules out every flat below it, which keeps the cut an up-set.  A
+    flat joins only when each modular partner in the cut meets it in rank
+    2 or more; that meet is then forced, and a branch that rules out a
+    forced flat ends.  So every leaf is a modular cut, and every modular
+    cut is a leaf.
+    """
     upper = sorted((f for f in flats(size, ranks) if ranks[f] >= 2), key=lambda f: -ranks[f])
-    covers = {f: [g for g in upper if g & f == f and ranks[g] == ranks[f] + 1] for f in upper}
+    place = {f: i for i, f in enumerate(upper)}
+    below = [sum(1 << place[g] for g in upper if g & f == g != f) for f in upper]
+    # partners[i]: (bit of an earlier flat g modular with upper[i] and not
+    # above it, bit of their meet or 0 when the meet has rank below 2).
+    partners = [[(1 << j, 1 << place[f & g] if ranks[f & g] >= 2 else 0)
+                 for j, g in enumerate(upper[:i])
+                 if g & f != f and ranks[f] + ranks[g] == ranks[f & g] + ranks[f | g]]
+                for i, f in enumerate(upper)]
 
-    def walk(i, cut):
-        if i == len(upper):
-            # A modular pair whose meet has rank below 2 has no meet in
-            # the cut, so such a cut is refused here too.
-            if all((f & g) in cut for f, g in combinations(cut, 2)
-                   if ranks[f] + ranks[g] == ranks[f & g] + ranks[f | g]):
-                yield cut
+    def walk(i, cut, forced, out):
+        if forced & out:
             return
-        yield from walk(i + 1, cut)
-        if all(g in cut for g in covers[upper[i]]):
-            yield from walk(i + 1, cut | {upper[i]})
+        if i == len(upper):
+            yield frozenset(f for j, f in enumerate(upper) if cut >> j & 1)
+            return
+        bit = 1 << i
+        yield from walk(i + 1, cut, forced, out | bit | below[i])
+        if out & bit:
+            return
+        for g, meet in partners[i]:
+            if cut & g:
+                if not meet:
+                    return
+                forced |= meet
+        yield from walk(i + 1, cut | bit, forced, out)
 
-    yield from walk(0, frozenset())
+    yield from walk(0, 0, 0, 0)
 
 
 def extension(size, ranks, cut):
@@ -81,12 +104,24 @@ def profiles(size, lattice, ranks):
 
 
 def isomorphic(size, a, b):
-    """Whether some relabelling maps the flats of table a onto those of b."""
+    """Whether some relabelling maps the flats of table a onto those of b.
+    Only relabellings that keep each element's profile are tried."""
     flats_a, flats_b = flats(size, a), flats(size, b)
     pa, pb = profiles(size, flats_a, a), profiles(size, flats_b, b)
-    return any({relabel(f, perm) for f in flats_a} == flats_b
-               for perm in permutations(range(size))
-               if all(pa[e] == pb[perm[e]] for e in range(size)))
+    if len(flats_a) != len(flats_b) or sorted(pa) != sorted(pb):
+        return False
+    classes = {}
+    for e in range(size):
+        classes.setdefault(tuple(pa[e]), []).append(e)
+    targets = [[x for x in range(size) if tuple(pb[x]) == p] for p in classes]
+    perm = [0] * size
+    for images in product(*map(permutations, targets)):
+        for sources, image in zip(classes.values(), images):
+            for e, x in zip(sources, image):
+                perm[e] = x
+        if all(relabel(f, perm) in flats_b for f in flats_a):
+            return True
+    return False
 
 
 def automorphisms(size, ranks):
@@ -131,9 +166,9 @@ def labelled_geometries(size):
 
 
 def test_geometry_counts():
-    assert [len(geometries(n)) for n in range(1, MAX_POINTS + 1)] == [1, 1, 2, 4, 9, 26]
+    assert [len(geometries(n)) for n in range(1, MAX_POINTS + 1)] == [1, 1, 2, 4, 9, 26, 101]
     by_rank = [sum(t[-1] == r for t in geometries(MAX_POINTS)) for r in range(2, MAX_POINTS + 1)]
-    assert by_rank == [1, 9, 11, 4, 1]
+    assert by_rank == [1, 23, 49, 22, 5, 1]
 
 
 @pytest.mark.parametrize("size, labelled", [(1, 1), (2, 1), (3, 2), (4, 7), (5, 49)])
