@@ -77,7 +77,8 @@ def cmd_fan(args) -> tuple[int, str]:
         fh.write(dump_json({
             "n": weight.n,
             "codim": weight.codim,
-            "cones": [{"flag": list(flag), "weight": w} for flag, w in weight.weights.items()],
+            "cones": [{"flag": list(flag), "weight": w}
+                      for flag, w in sorted(weight.weights.items())],
         }))
     return PASS, ""
 

@@ -19,8 +19,8 @@ off the matroid's own Matroid.flat_strata.  The permutohedral weight (the
 fan of a truncated free matroid) is given by rule instead: SizeGradedFlags
 tests membership from the flag's shape and stores nothing, so its
 (n+1)!/(k+1)! cones exist only when a caller iterates them.  There are
-no caches: flags are checked and summed as bitmasks, and every weight is
-built afresh for the caller that asked for it.
+no caches, and every weight is built afresh and keeps its builder's
+order; only the `matfan fan` export sorts the flags, as it writes them.
 
 One facet sweep, facet_groups, serves the balancing test here and the
 divisor cup in intersect: it reads one block per gap of each facet's
@@ -110,10 +110,9 @@ class SizeGradedFlags(Mapping, Frozen):
 
 
 class MinkowskiWeight(Frozen):
-    """Integer weight on the codimension-k cones; zero values are dropped.
-
-    A SizeGradedFlags table is kept as it is: it holds valid flags by
-    construction and no zeros.
+    """Integer weight on the codimension-k cones, in its builder's order;
+    zero values are dropped.  A SizeGradedFlags table is kept as it is:
+    it holds valid flags by construction and no zeros.
     """
 
     __slots__ = ("n", "codim", "weights")
@@ -127,8 +126,7 @@ class MinkowskiWeight(Frozen):
         else:
             dim = n - codim
             cleaned = {}
-            for flag in sorted(weights):
-                value = weights[flag]
+            for flag, value in weights.items():
                 if value == 0:
                     continue
                 if len(flag) != dim:

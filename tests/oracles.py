@@ -786,6 +786,7 @@ def pairing_sweep_oracle(w1, w2, v):
                 # its block graph (see intersect), so |det| must be 1.
                 assert index == 1, (sigma, tau, index)
                 terms.append(PairingTerm(sigma, tau, point))
+    terms.sort(key=lambda term: (term.sigma, term.tau))
     return terms
 
 
