@@ -19,8 +19,8 @@ off the matroid's own Matroid.flat_strata.  The permutohedral weight (the
 fan of a truncated free matroid) is given by rule instead: SizeGradedFlags
 tests membership from the flag's shape and stores nothing, so its
 (n+1)!/(k+1)! cones exist only when a caller iterates them.  There are
-no caches, and every weight is built afresh and keeps its builder's
-order; only the `matfan fan` export sorts the flags, as it writes them.
+no caches: flags are checked and summed as bitmasks, and every weight is
+built afresh, in its builder's order; only the `fan` export sorts flags.
 
 One facet sweep, facet_groups, serves the balancing test here and the
 divisor cup in intersect: it reads one block per gap of each facet's
