@@ -187,6 +187,7 @@ def test_permutohedral_is_truncated_free_fan():
             assert (w.n, w.codim) == (n, k)
             expected = bergman_weight(UniformMatroid(n - k + 1, n + 1))
             assert w == expected  # as mappings, whatever their orders
+            assert len(w.weights) == len(expected.weights)
             assert set(w.weights) == permutohedral_oracle(n, k)
             assert set(w.weights.values()) == {1}
 
