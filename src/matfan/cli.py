@@ -101,7 +101,8 @@ def cmd_check(args) -> tuple[int, str]:
             result = run_check(matroid, timings=args.timings, trace=trace)
         finally:
             # Written after the run, so that a failed write exits 2 and is no
-            # error inside run_check; the geometry limit caps a trace at 2^8 rows.
+            # error inside run_check; a trace has one row per displacement
+            # term, sum(mu) rows in all.
             if rows:
                 trace_fh.writelines(rows)
     code = INTERNAL if result.internal_error else PASS if result.ok else FAIL

@@ -8,19 +8,19 @@ coefficient sequence is unchanged by that, and the fan constructions
 require looplessness anyway.
 
 out_of_reach is the one size gate of run_check and mu_report.  The
-geometric routes (divisor, displacement) build Bergman fans cone by
-cone, so they need at most 9 elements (n <= 8 in fan coordinates); the
-Welsh-Mason identity scans every subset, so it needs at most 21.  The
-report lists each step it skips.  The divisor route, cup_chain, builds
-the Bergman weight itself, and its cups test balancing.  Without it,
-run_check builds the weight and runs check_balancing on it to fill
-balancing_violations, unless too_many_cones finds the weight has more
-cones, complete flags of proper flats, than any input within the
-geometry limit: FLAG_LIMIT, 9!.  It reads the flat lattice only when
-N atoms and rank R, which give at least N * (R - 1)! cones, do not
-already pass the limit.  So free-10, with 10! cones, skips balancing
-without reading a flat.  mu_report never balances, so its gate never
-reads the flat lattice.
+geometric steps (divisor, displacement, balancing) build Bergman fans
+cone by cone, so they run exactly when too_many_cones finds at most
+FLAG_LIMIT = 9! cones, complete flags of proper flats, as many as
+free-9 has.  It reads the flat lattice only when N atoms and rank R,
+which give at least N * (R - 1)! cones, do not already pass the limit,
+so free-10, with 10! cones, is refused without reading a flat.  The
+Welsh-Mason identity scans every subset, so it needs at most 21
+elements.  The report lists each step it skips.  The divisor route,
+cup_chain, tests balancing on every facet of every cup and raises
+NotBalancedError on the first failure, so an unbalanced fan is an
+internal error and a finished report lists no violation.  mu_report
+consults the gate only for a geometric route, so the others read no
+flat.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from .charpoly import (
     is_log_concave,
     reduced_char_poly,
 )
-from .fan import bergman_weight, check_balancing
+from . import fan
+from .fan import bergman_weight
 from .intersect import (
     PairingTerm,
     alpha,
@@ -49,9 +50,10 @@ from .masks import EXHAUSTIVE_SCAN_LIMIT
 from .matroid import Matroid
 from .schema import InputError
 
-GEOMETRY_LIMIT = 8
-# The most cones of a Bergman weight that an input within the limit has.
-FLAG_LIMIT = math.factorial(GEOMETRY_LIMIT + 1)
+# The most cones of a Bergman weight that is built: free-9's.
+FLAG_LIMIT = math.factorial(9)
+# Not called here: perfbench/layertrace.py wraps this name.
+check_balancing = fan.check_balancing
 # Names resolve at call time, so wrappers installed on this module see them.
 _ROUTES = {
     "mobius": lambda simple: reduced_char_poly(char_poly(simple))[1],
@@ -185,14 +187,9 @@ def too_many_cones(matroid: Matroid) -> Optional[str]:
             f"a Bergman weight is built with at most {FLAG_LIMIT} cones")
 
 
-def out_of_reach(simple: Matroid, balancing: bool = True) -> list[str]:
-    """The report steps a simple matroid is too large for, in report order;
-    above the geometry limit, only deciding on balancing reads the flats."""
-    blocked = []
-    if simple.size - 1 > GEOMETRY_LIMIT:
-        blocked += ["divisor", "displacement"]
-        if balancing and too_many_cones(simple):
-            blocked.append("balancing")
+def out_of_reach(simple: Matroid) -> list[str]:
+    """The report steps a simple matroid is too large for, in report order."""
+    blocked = ["divisor", "displacement", "balancing"] if too_many_cones(simple) else []
     if simple.size > EXHAUSTIVE_SCAN_LIMIT:
         blocked.append("welsh_mason")
     return blocked
@@ -238,18 +235,9 @@ def run_check(
         report["reduced"] = [str(c) for c in reduced]
         mu = {"mobius": list(mu_mobius), "flags": list(mu_flags)}
 
-        balancing_failures = truncation_identity = None
+        truncation_identity = None
         if "divisor" not in skipped:
-            # The cups test balancing on every facet of every weight
-            # below top codimension, raising NotBalancedError, so
-            # balancing is a phase of its own only without this route.
             mu["divisor"], truncation_identity = timed("divisor", cup_chain, simple)
-            balancing_failures = []
-        elif "balancing" not in skipped:
-            balancing_failures = timed("balancing", lambda: [
-                {"cone": list(v.tau), "excess": list(v.excess)}
-                for v in check_balancing(bergman_weight(simple))
-            ])
 
         if "displacement" not in skipped:
             mu["displacement"] = list(timed(
@@ -274,7 +262,7 @@ def run_check(
         report["agreement"] = len({tuple(v) for v in mu.values()}) == 1
         report["log_concave"] = all(log_concave.values())
         report["log_concave_detail"] = log_concave
-        report["balancing_violations"] = balancing_failures
+        report["balancing_violations"] = None if "balancing" in skipped else []
         report["truncation_identity"] = truncation_identity
         report["f_vector"] = f_vector
         report["mu_coextension"] = mu_coext
@@ -283,7 +271,6 @@ def run_check(
         failures = [message for message, failed in (
             ("method disagreement", not report["agreement"]),
             ("log-concavity failure", not report["log_concave"]),
-            ("balancing violation", bool(balancing_failures)),
             ("truncation identity failure", truncation_identity is False),
             ("independent-set count mismatch", welsh_mason is False),
         ) if failed]
@@ -304,11 +291,11 @@ def mu_report(matroid: Matroid, method: str) -> dict:
     if method != "all" and method not in MU_METHODS:
         raise ValueError(f"unknown method {method!r}; expected 'all' or one of {MU_METHODS}")
     simple, note = _subject(matroid)
-    blocked = out_of_reach(simple, balancing=False)
-    if method in blocked:
-        raise InputError(f"{method} needs a ground set of at most {GEOMETRY_LIMIT + 1} "
-                         f"elements after simplification; {matroid.name} has {simple.size}")
     wanted = MU_METHODS if method == "all" else (method,)
+    # Only a geometric route consults the gate, so the others read no flat.
+    blocked = out_of_reach(simple) if {"divisor", "displacement"} & set(wanted) else []
+    if method in blocked:
+        raise InputError(f"{method} needs the Bergman weight: {too_many_cones(simple)}")
     skipped = [name for name in wanted if name in blocked]
     mu = {name: None if name in skipped else list(_ROUTES[name](simple))
           for name in wanted}

@@ -13,7 +13,7 @@ import pytest
 
 from matfan import corpus
 from matfan.intersect import default_displacement, displacement_weights, pairing_terms
-from matfan.validation import GEOMETRY_LIMIT, run_check
+from matfan.validation import run_check
 
 from oracles import (certified_terms, displacement_degree, displacement_reference, mu_oracle,
                      perturbed_displacement)
@@ -40,20 +40,13 @@ def announce(number: int, title: str, ok: bool) -> bool:
     return ok
 
 
-def geometry_entries(reports):
-    return {name: rep for name, rep in reports.items()
-            if rep["subject_size"] - 1 <= GEOMETRY_LIMIT}
-
-
 def test_criterion_1_four_methods_agree(corpus_results):
     reports, elapsed = corpus_results
     ok = True
     for name, rep in reports.items():
-        if not rep["agreement"]:
+        if not rep["agreement"] or "skipped" in rep:
             ok = False
-        expected = ({"mobius", "flags", "divisor", "displacement"}
-                    if name in geometry_entries(reports) else {"mobius", "flags"})
-        if set(rep["mu"]) != expected:
+        if set(rep["mu"]) != {"mobius", "flags", "divisor", "displacement"}:
             ok = False
         vectors = {tuple(v) for v in rep["mu"].values() if v is not None}
         if len(vectors) != 1:
@@ -110,12 +103,9 @@ def test_criterion_3_log_concavity(corpus_results):
 
 def test_criterion_4_truncation_identity(corpus_results):
     reports, _ = corpus_results
-    eligible = geometry_entries(reports)
-    ok = all(rep["truncation_identity"] is True for rep in eligible.values())
-    ok = ok and all(rep["truncation_identity"] is None
-                    for name, rep in reports.items() if name not in eligible)
+    ok = all(rep["truncation_identity"] is True for rep in reports.values())
     announce(4, f"alpha-cup equals the truncated fan, cone by cone, on "
-                f"{len(eligible)} eligible entries", ok)
+                f"{len(reports)} entries", ok)
     assert ok
 
 
@@ -129,7 +119,7 @@ def test_criterion_5_balancing(corpus_results):
 def test_criterion_6_structure_constants(corpus_results):
     reports, _ = corpus_results
     ok = True
-    for name, rep in geometry_entries(reports).items():
+    for name, rep in reports.items():
         flags = rep["mu"]["flags"]
         simple, _ = corpus.build(name).simplify()
         n = simple.size - 1
@@ -157,7 +147,7 @@ def test_criterion_7_displacement_independence(corpus_results):
     reports, _ = corpus_results
     start = time.perf_counter()
     ok = True
-    for position, name in enumerate(sorted(geometry_entries(reports))):
+    for position, name in enumerate(sorted(reports)):
         rep = reports[name]
         expected = rep["mu"]["displacement"]
         simple, _ = corpus.build(name).simplify()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matfan import charpoly, cli, corpus
-from matfan.validation import GEOMETRY_LIMIT, run_check
+from matfan.validation import run_check
 from matfan.charpoly import (
     char_poly,
     count_descending_flags,
@@ -285,15 +285,17 @@ def test_flags_read_no_flat(monkeypatch, tmp_path, capsys):
 
 
 def test_welsh_mason_above_the_geometry_limit():
-    # K6: 15 edges, above the geometry limit and within the subset scan.
-    # Forests of K6 by size; the last entry is Cayley's 6^4 spanning trees.
+    # K6: 15 edges, within the subset scan, and 2,700 complete flags of
+    # flats, within the flag gate, so nothing is skipped.  Forests of K6
+    # by size; the last entry is Cayley's 6^4 spanning trees.
     k6 = GraphicMatroid(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
-    assert k6.size - 1 > GEOMETRY_LIMIT
     report = run_check(k6).report
     assert report["f_vector"] == [1, 15, 105, 435, 1080, 1296]
     assert report["mu_coextension"] == report["f_vector"]
     assert report["welsh_mason"] is True
-    assert "welsh_mason" not in report["skipped"]
+    assert "skipped" not in report
+    assert set(report["mu"]) == {"mobius", "flags", "divisor", "displacement"}
+    assert report["truncation_identity"] is True
     assert report["pass"] is True
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matfan import cli, corpus, schema, validation
-from matfan.fan import BalancingViolation, MinkowskiWeight, bergman_weight
+from matfan.fan import MinkowskiWeight, bergman_weight
 from matfan.intersect import PairingTerm
 from matfan.matroid import FreeMatroid, GraphicMatroid, LinearMatroid, Matroid, UniformMatroid
 from matfan.schema import InputError, dump_json, load_matroid, load_matroid_file
@@ -124,9 +124,9 @@ def test_a_rank_table_is_checked_in_place_and_copied_once():
 
 
 def test_k6_checks_alike_as_a_graph_and_as_a_rank_table():
-    # 15 elements: above the geometry limit, so a rank table with no memo
-    # goes through balancing and the Welsh-Mason coextension.  The
-    # vertex-edge incidence matrix over GF(2) is the same matroid again.
+    # 15 elements and 2,700 complete flags of flats, so a rank table with
+    # no memo goes through every route and the Welsh-Mason coextension.
+    # The vertex-edge incidence matrix over GF(2) is the same matroid again.
     k6_doc = {"type": "graphic", "vertices": 6,
               "edges": [[u, v] for u in range(6) for v in range(u + 1, 6)]}
     graph = load_matroid(k6_doc)
@@ -240,32 +240,42 @@ def test_mu_command_single_method(tmp_path, capsys):
 
 
 def test_mu_report_refuses_an_unknown_method():
-    # k5 has 10 elements: a misspelled geometric method must not slip
-    # past the geometry limit.
+    # free-10 has 10! complete flags: a misspelled geometric method must
+    # not slip past the flag gate.
     with pytest.raises(ValueError, match="unknown method"):
-        validation.mu_report(load_matroid(K5_DOC), "mobuis")
+        validation.mu_report(FreeMatroid(10), "mobuis")
 
 
 def test_mu_geometric_methods_respect_size_limit(tmp_path, capsys):
-    path = write_doc(tmp_path, "big.json", {"type": "uniform", "rank": 3, "size": 12})
+    # free-10 has 10! complete flags of flats, ten times free-9's.
+    path = write_doc(tmp_path, "big.json", {"type": "free", "size": 10})
     code, _, err = run_cli(capsys, "mu", path, "--method", "displacement")
     assert code == 2
-    assert "at most" in err
+    assert "at least 3628800 complete flags" in err
+    assert "at most 362880 cones" in err
     code, out, _ = run_cli(capsys, "mu", path, "--method", "all")
     assert code == 0
     report = json.loads(out)
     assert report["mu"]["displacement"] is None
     assert report["skipped"] == ["displacement", "divisor"]
-    assert report["mu"]["mobius"] == [1, 11, 55]
+    assert report["mu"]["mobius"] == [math.comb(9, k) for k in range(10)]
 
 
 @pytest.mark.parametrize("method", ["divisor", "displacement"])
-def test_mu_refuses_a_geometric_method_by_size_alone(tmp_path, method):
-    # free-20 has 2^20 flats; the refusal must not read them.
-    path = write_doc(tmp_path, "free20.json", {"type": "free", "size": 20})
+def test_mu_refuses_a_geometric_method_by_size_alone(monkeypatch, tmp_path, method):
+    # 10 atoms of rank 10 give at least 10 * 9! complete flags, known
+    # without the lattice, so the refusal reads no flat.
+    path = write_doc(tmp_path, "free10.json", {"type": "free", "size": 10})
     proc = run_child("mu", path, "--method", method)
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert f"{method} needs a ground set of at most 9 elements" in proc.stderr
+    assert f"{method} needs the Bergman weight: free(10) has at least 3628800" in proc.stderr
+
+    def refuse(self):
+        raise AssertionError("the flat lattice was read")
+
+    monkeypatch.setattr(Matroid, "flat_strata", refuse)
+    with pytest.raises(InputError, match="at least 3628800 complete flags"):
+        validation.mu_report(FreeMatroid(10), method)
 
 
 def test_fan_command(tmp_path, capsys):
@@ -428,19 +438,9 @@ def test_check_command_timings_flag(tmp_path, capsys):
     assert all(isinstance(v, int) for v in report["timings_ns"].values())
 
 
-def test_balancing_is_timed_as_a_phase_only_without_the_divisor_route():
-    # Within the limit the cups balance the fan inside the divisor phase;
-    # u(2,22) skips the Welsh-Mason scan too.
-    phases = [set(validation.run_check(m, timings=True).report["timings_ns"])
-              for m in (corpus.build("k4"), corpus.build("k5"), UniformMatroid(2, 22))]
-    assert phases == [
-        {"subject", "lattice", "charpoly", "flags", "divisor", "displacement", "welsh_mason"},
-        {"subject", "lattice", "charpoly", "flags", "balancing", "welsh_mason"},
-        {"subject", "lattice", "charpoly", "flags", "balancing"},
-    ]
-
-
 def test_check_command_large_input_skips_geometry(tmp_path, capsys):
+    # K5 has 10 elements but only 5!4!/2^4 = 180 complete flags of flats
+    # (chains of set partitions of its vertices), so every route runs.
     path = write_doc(tmp_path, "k5.json", {
         "type": "graphic", "vertices": 5,
         "edges": [[u, v] for u in range(5) for v in range(u + 1, 5)],
@@ -448,41 +448,48 @@ def test_check_command_large_input_skips_geometry(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "check", path)
     assert code == 0
     report = json.loads(out)
-    assert report["skipped"] == ["divisor", "displacement"]
-    assert report["truncation_identity"] is None
-    assert report["mu"]["mobius"] == [1, 9, 26, 24]
+    assert "skipped" not in report
+    assert report["mu"] == {route: [1, 9, 26, 24]
+                            for route in ("mobius", "flags", "divisor", "displacement")}
+    assert report["truncation_identity"] is True
+    assert report["balancing_violations"] == []
+    assert report["pass"] is True
 
 
 def test_one_gate_decides_for_check_and_mu(monkeypatch):
-    # k4 is inside every limit; blocking its geometric routes through the
-    # gate alone must reach both reports.
-    monkeypatch.setattr(validation, "out_of_reach",
-                        lambda simple, balancing=True: ["divisor", "displacement"])
+    # k4 is inside every limit; refusing its Bergman weight through the
+    # flag gate alone must reach both reports.
+    monkeypatch.setattr(validation, "too_many_cones", lambda matroid: "k4 is held back")
     k4 = load_matroid(K4_DOC)
     report = validation.run_check(k4).report
-    assert report["skipped"] == ["divisor", "displacement"]
+    assert report["skipped"] == ["divisor", "displacement", "balancing"]
     assert list(report["mu"]) == ["mobius", "flags"]
     assert report["truncation_identity"] is None
+    assert report["balancing_violations"] is None
     assert report["welsh_mason"] is True
     mu = validation.mu_report(k4, "all")
     assert mu["skipped"] == ["displacement", "divisor"]
     assert mu["mu"] == {"mobius": [1, 5, 6], "flags": [1, 5, 6],
                         "displacement": None, "divisor": None}
-    with pytest.raises(InputError, match="divisor needs a ground set"):
+    with pytest.raises(InputError, match="divisor needs the Bergman weight: k4 is held back"):
         validation.mu_report(k4, "divisor")
 
 
 @pytest.mark.parametrize("rank, size, blocked", [
     (3, 9, []),
-    (3, 10, ["divisor", "displacement"]),
-    (2, 21, ["divisor", "displacement"]),
-    (2, 22, ["divisor", "displacement", "welsh_mason"]),
-    (7, 10, ["divisor", "displacement"]),
+    (3, 10, []),
+    (2, 21, []),
+    (2, 22, ["welsh_mason"]),
+    (7, 10, []),
     (8, 10, ["divisor", "displacement", "balancing"]),
 ])
 def test_gate_boundaries(rank, size, blocked):
-    # Balancing needs at most 9! complete flags of proper flats, as many
-    # as free-9 has: u(7,10) has 10!/4! = 151,200 and u(8,10) 10!/3!.
+    # The geometric steps need at most 9! = 362,880 complete flags of
+    # proper flats, as many as free-9 has; u(r,n) has n!/(n-r+1)!.  So
+    # u(7,10), with 10!/4! = 151,200, runs them and u(8,10), with 10!/3!,
+    # does not.  Welsh-Mason needs at most 21 elements.
+    assert [validation.count_complete_flags(UniformMatroid(r, 10)) for r in (7, 8)] == [
+        151_200, 604_800]
     assert validation.out_of_reach(UniformMatroid(rank, size)) == blocked
 
 
@@ -716,8 +723,9 @@ def test_check_skips_welsh_mason_above_scan_limit(tmp_path, capsys, rank, size, 
     assert code == 0
     report = json.loads(out)
     assert report["pass"] is True
-    assert report["mu"] == {"mobius": mu, "flags": mu}
-    assert report["skipped"] == ["divisor", "displacement", "welsh_mason"]
+    assert report["mu"] == {route: mu for route in ("mobius", "flags", "divisor", "displacement")}
+    assert report["skipped"] == ["welsh_mason"]
+    assert report["truncation_identity"] is True
     assert report["f_vector"] is None
     assert report["mu_coextension"] is None
     assert report["welsh_mason"] is None
@@ -807,11 +815,6 @@ def _not_log_concave(monkeypatch):
     monkeypatch.setattr(validation, "is_log_concave", lambda sequence: False)
 
 
-def _unbalanced(monkeypatch):
-    violation = BalancingViolation((0b1,), (0, 1, 0, 0, 0, 0, 0, 0, 0))
-    monkeypatch.setattr(validation, "check_balancing", lambda weight: [violation])
-
-
 def _empty_truncations(monkeypatch):
     real = validation.bergman_weight
 
@@ -835,11 +838,9 @@ def _wrong_independent_sets(monkeypatch):
 @pytest.mark.parametrize("doc, patch, failure", [
     (K4_DOC, _wrong_flag_counts, "method disagreement"),
     (K4_DOC, _not_log_concave, "log-concavity failure"),
-    # Above the geometry limit, balancing runs check_balancing itself.
-    (K5_DOC, _unbalanced, "balancing violation"),
     (K4_DOC, _empty_truncations, "truncation identity failure"),
     (K4_DOC, _wrong_independent_sets, "independent-set count mismatch"),
-], ids=["flags", "log-concavity", "balancing", "truncation", "welsh-mason"])
+], ids=["flags", "log-concavity", "truncation", "welsh-mason"])
 def test_each_failed_step_is_a_failure_verdict(monkeypatch, doc, patch, failure):
     patch(monkeypatch)
     result = validation.run_check(load_matroid(doc))
@@ -854,8 +855,10 @@ def test_each_failed_step_is_a_failure_verdict(monkeypatch, doc, patch, failure)
               _wrong_independent_sets),
      ["method disagreement", "log-concavity failure", "truncation identity failure",
       "independent-set count mismatch"]),
-    (K5_DOC, (_wrong_flag_counts, _not_log_concave, _unbalanced, _wrong_independent_sets),
-     ["method disagreement", "log-concavity failure", "balancing violation",
+    # K5 runs every route, so its cups meet the empty truncations too.
+    (K5_DOC, (_wrong_flag_counts, _not_log_concave, _empty_truncations,
+              _wrong_independent_sets),
+     ["method disagreement", "log-concavity failure", "truncation identity failure",
       "independent-set count mismatch"]),
 ], ids=["k4", "k5"])
 def test_several_failures_keep_their_order(monkeypatch, doc, patches, failures):
@@ -910,13 +913,14 @@ def test_corpus_table_marks_an_internal_error(monkeypatch, capsys):
 
 
 def test_unbalanced_fan_is_an_internal_error(monkeypatch, tmp_path, capsys):
-    # Within the geometry limit the cup product runs the balancing test.
+    # The cup product runs the balancing test at every size the flag gate
+    # admits: free-3 and K5's 10 elements alike.
     lone = MinkowskiWeight(2, 0, {(0b010, 0b110): 1})
     monkeypatch.setattr(validation, "bergman_weight", lambda matroid: lone)
-    path = write_doc(tmp_path, "free.json", {"type": "free", "size": 3})
-    code, out, _ = run_cli(capsys, "check", path)
-    assert code == 3
-    assert json.loads(out)["error"].startswith("NotBalancedError")
+    for name, doc in (("free", {"type": "free", "size": 3}), ("k5", K5_DOC)):
+        code, out, _ = run_cli(capsys, "check", write_doc(tmp_path, f"{name}.json", doc))
+        assert code == 3, name
+        assert json.loads(out)["error"].startswith("NotBalancedError"), name
 
 
 def test_corpus_command_on_a_subset(monkeypatch, capsys):

@@ -47,12 +47,10 @@ CASES = {
     GOLDEN / "corpus.json": ["corpus", "--json"],
     # Level 2 of k4 is where (1, ..., n) ties; the default does not.
     **document(GOLDEN, "k4", "check", "mu_all", "charpoly"),
-    # Above the geometry limit: check runs only the base weight's
-    # balancing, and mu skips in MU_METHODS order, not check's.
+    # 10 elements and 180 cones: every route runs past 9 elements.
     **document(GOLDEN, "k5", "check", "mu_all"),
-    # 13 of the 15 points of PG(3,2), fewest ones first, above the
-    # geometry limit: the Welsh-Mason identity (the free coextension's
-    # lattice) is most of the work.
+    # 13 of the 15 points of PG(3,2), fewest ones first: the Welsh-Mason
+    # identity (the free coextension's lattice) is most of the work.
     **document(GOLDEN, "gf2_r4_13", "check"),
     # Element 0 is a loop, so the report names the simplification.
     **document(GOLDEN, "loopy_table", "charpoly"),
@@ -109,7 +107,7 @@ def test_pinned_traces_hold_one_row_per_displacement_term():
     # reference re-solves each row's pair under the default vector: the
     # same point, and |det| 1.
     traced = sorted(file for file in pinned() if file.suffix == ".ndjson")
-    assert len(traced) == 16
+    assert len(traced) == 38
     for trace in traced:
         rows = [json.loads(line) for line in trace.read_text().splitlines()]
         mu = json.loads(trace.with_suffix(".json").read_text())["mu"]["displacement"]

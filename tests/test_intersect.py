@@ -200,7 +200,7 @@ def test_cup_of_top_codimension_raises():
 
 @pytest.mark.parametrize("name", ["k4", "fano", "free-6", "k5"])
 def test_cup_chain_matches_the_global_sweep_cup_by_cup(monkeypatch, name):
-    # k5 is above the geometry limit, so cup_chain is called directly.
+    # cup_chain is called directly, without the rest of run_check.
     cups = []
 
     def checked(d, weight):
@@ -1048,7 +1048,7 @@ def test_pairing_respects_weight_multiplicities():
 
 def assert_routes_ignore_the_labels(simple, permutation):
     relabelled = RelabeledMatroid(simple, permutation)
-    blocked = out_of_reach(simple, balancing=False)
+    blocked = out_of_reach(simple)
     routes = [lambda m: reduced_char_poly(char_poly(m))[1], count_descending_flags]
     if "divisor" not in blocked:
         routes.append(lambda m: cup_chain(m)[0])
@@ -1066,9 +1066,7 @@ def test_every_route_ignores_the_labels(matroid, data):
     assert_routes_ignore_the_labels(simple, data.draw(st.permutations(range(simple.size))))
 
 
-@pytest.mark.parametrize("name", [
-    name for name in corpus.CORPUS_NAMES
-    if corpus.build(name).simplify()[0].size - 1 <= validation.GEOMETRY_LIMIT])
+@pytest.mark.parametrize("name", corpus.CORPUS_NAMES)
 def test_every_route_ignores_the_labels_on_the_corpus(name):
     simple = corpus.build(name).simplify()[0]
     permutation = list(range(simple.size))

@@ -16,9 +16,12 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch):
     tracer = layertrace.Tracer()
     try:
         tracer.install()
-        # k4 is inside the geometry limit, k5 above it.
         for name in ("k4", "k5"):
             assert validation.run_check(corpus.build(name)).ok
+        # run_check no longer balances on its own (its cups do), but the
+        # tracer still wraps validation.check_balancing.
+        k5 = corpus.build("k5")
+        assert validation.check_balancing(validation.bergman_weight(k5)) == []
     finally:
         tracer.uninstall()
     assert layertrace.installed() == []
