@@ -31,9 +31,11 @@ def sparse_paving_document(size, rank, family):
 
 
 @st.composite
-def sparse_paving_documents(draw):
-    rank = draw(st.integers(3, 4))
-    size = draw(st.integers(5, 9))
+def sparse_paving_documents(draw, ranks=(3, 4), sizes=(5, 9)):
+    """Sparse paving rank_table documents of rank and size within the
+    given inclusive ranges, from up to 12 candidate circuit-hyperplanes."""
+    rank = draw(st.integers(*ranks))
+    size = draw(st.integers(*sizes))
     candidates = draw(st.lists(
         st.sets(st.integers(0, size - 1), min_size=rank, max_size=rank), max_size=12))
     family = []
