@@ -15,7 +15,6 @@ from .charpoly import (
     reduced_char_poly,
 )
 from .fan import (
-    BalancingViolation,
     MinkowskiWeight,
     bergman_weight,
     check_balancing,
@@ -50,7 +49,6 @@ from .validation import CheckResult, cup_chain, mu_vector_displacement, run_chec
 __version__ = "0.1.0"
 
 __all__ = [
-    "BalancingViolation",
     "BasesMatroid",
     "CheckResult",
     "DegenerateDisplacementError",

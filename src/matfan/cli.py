@@ -110,12 +110,13 @@ def cmd_check(args) -> tuple[int, str]:
 
 
 def _format_table(results) -> str:
-    rows = [("name", "size", "rank", "mu", "agree", "logc", "bal", "trunc", "wm", "result")]
+    header = ("name", "size", "rank", "mu", "agree", "logc", "trunc", "wm", "result")
+    rows = [header]
     for res in results:
         rep = res.report
         if res.internal_error:
-            rows.append((rep["name"], str(rep.get("size", "?")), "-", "-", "-", "-",
-                         "-", "-", "-", "ERROR"))
+            rows.append((rep["name"], str(rep.get("size", "?")))
+                        + ("-",) * (len(header) - 3) + ("ERROR",))
             continue
         mu = " ".join(str(x) for x in rep["mu"]["mobius"])
         trunc = rep["truncation_identity"]
@@ -126,12 +127,11 @@ def _format_table(results) -> str:
             mu,
             "yes" if rep["agreement"] else "NO",
             "yes" if rep["log_concave"] else "NO",
-            str(len(rep["balancing_violations"])),
             "-" if trunc is None else ("yes" if trunc else "NO"),
             "yes" if rep["welsh_mason"] else "NO",
             "PASS" if rep["pass"] else "FAIL",
         ))
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     lines = [
         "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
         for row in rows

@@ -24,7 +24,8 @@ built afresh, in its builder's order; only the `fan` export sorts flags.
 
 One facet sweep, facet_groups, serves the balancing test here and the
 divisor cup in intersect: it reads one block per gap of each facet's
-flag and solves nothing.
+flag and solves nothing.  check_balancing makes one pass of it and
+returns only the unbalanced facets, not their ray-sums.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from itertools import accumulate, permutations
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .masks import full_mask, iter_elements
 from .matroid import Matroid
@@ -236,32 +237,12 @@ def facet_groups(
             yield tau, low, high, above, sums.pop() if len(sums) == 1 else None
 
 
-class BalancingViolation(NamedTuple):
-    tau: Flag
-    excess: tuple[int, ...]
-
-
-def check_balancing(weight: MinkowskiWeight) -> list[BalancingViolation]:
-    """Check the balancing condition around every one-smaller cone.
+def check_balancing(weight: MinkowskiWeight) -> list[Flag]:
+    """The facets around which the weight is not balanced, sorted; []
+    when it is balanced.
 
     For each facet tau of a supported cone, the weighted sum of the
     inserted subsets' incidence vectors must land in the span of tau's
     generators: by facet_groups, each gap of tau must have a level.
-    Returns the violations in sorted order, with that sum as the excess;
-    balanced weights return [].
     """
-    bad = {tau for tau, _, _, _, level in facet_groups(weight) if level is None}
-    if not bad:
-        return []
-    # Only the unbalanced facets get their ray-sums, in a second sweep.
-    lifted = {tau: [0] * (weight.n + 1) for tau in bad}
-    for tau, _, _, above, _ in facet_groups(weight):
-        if tau in bad:
-            for s, value in above:
-                for e in iter_elements(s):
-                    lifted[tau][e] += value
-    # Coordinate j of a subset's incidence vector is [j in S] - [0 in S].
-    return [
-        BalancingViolation(tau, tuple(x - lifted[tau][0] for x in lifted[tau][1:]))
-        for tau in sorted(bad)
-    ]
+    return sorted({tau for tau, _, _, _, level in facet_groups(weight) if level is None})

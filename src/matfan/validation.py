@@ -8,8 +8,8 @@ coefficient sequence is unchanged by that, and the fan constructions
 require looplessness anyway.
 
 out_of_reach is the one size gate of run_check and mu_report.  The
-geometric steps (divisor, displacement, balancing) build Bergman fans
-cone by cone, so they run exactly when too_many_cones finds at most
+geometric routes (divisor, displacement) build Bergman fans cone by
+cone, so they run exactly when too_many_cones finds at most
 FLAG_LIMIT = 9! cones, complete flags of proper flats, as many as
 free-9 has.  It reads the flat lattice only when N atoms and rank R,
 which give at least N * (R - 1)! cones, do not already pass the limit,
@@ -18,7 +18,7 @@ Welsh-Mason identity scans every subset, so it needs at most 21
 elements.  The report lists each step it skips.  The divisor route,
 cup_chain, tests balancing on every facet of every cup and raises
 NotBalancedError on the first failure, so an unbalanced fan is an
-internal error and a finished report lists no violation.  mu_report
+internal error (exit 3) and the report has no balancing field.  mu_report
 consults the gate only for a geometric route, so the others read no
 flat.
 """
@@ -189,7 +189,7 @@ def too_many_cones(matroid: Matroid) -> Optional[str]:
 
 def out_of_reach(simple: Matroid) -> list[str]:
     """The report steps a simple matroid is too large for, in report order."""
-    blocked = ["divisor", "displacement", "balancing"] if too_many_cones(simple) else []
+    blocked = ["divisor", "displacement"] if too_many_cones(simple) else []
     if simple.size > EXHAUSTIVE_SCAN_LIMIT:
         blocked.append("welsh_mason")
     return blocked
@@ -262,7 +262,6 @@ def run_check(
         report["agreement"] = len({tuple(v) for v in mu.values()}) == 1
         report["log_concave"] = all(log_concave.values())
         report["log_concave_detail"] = log_concave
-        report["balancing_violations"] = None if "balancing" in skipped else []
         report["truncation_identity"] = truncation_identity
         report["f_vector"] = f_vector
         report["mu_coextension"] = mu_coext

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import matfan
-from matfan.fan import BalancingViolation, MinkowskiWeight, SizeGradedFlags, permutohedral_weight
+from matfan.fan import MinkowskiWeight, SizeGradedFlags, permutohedral_weight
 from matfan.intersect import PairingTerm
 from matfan.matroid import UniformMatroid
 from matfan.validation import CheckResult
@@ -42,8 +42,6 @@ def test_constructor_forms():
     assert (term.sigma, term.tau, term.point) == ((2,), (3,), point)
     assert term == PairingTerm(sigma=(2,), tau=(3,), point=point)
     assert PairingTerm._fields == ("sigma", "tau", "point")
-    violation = BalancingViolation((1,), (0, 2))
-    assert (violation.tau, violation.excess) == ((1,), (0, 2))
     result = CheckResult({"pass": False}, ok=False)
     assert result.internal_error is None
     failed = CheckResult({"error": "boom"}, ok=False, internal_error="boom")
@@ -69,7 +67,6 @@ def test_minkowski_weight_equality():
     (MinkowskiWeight(2, 1, {(1,): 1}), "n"),
     (SizeGradedFlags(3, 1), "k"),
     (PLDivisor(2, {1: 1}), "ray_values"),
-    (BalancingViolation((1,), (0, 2)), "tau"),
     (PairingTerm((2,), (3,), (Fraction(1),)), "point"),
     (CheckResult({}, ok=True), "ok"),
 ])
@@ -94,8 +91,6 @@ def test_equal_value_records_hash_equal():
     a = PairingTerm((2,), (3,), (Fraction(1), Fraction(5, 3)))
     b = PairingTerm((2,), (3,), (Fraction(1), Fraction(5, 3)))
     assert a == b and hash(a) == hash(b)
-    assert BalancingViolation((1,), (0, 2)) == BalancingViolation((1,), (0, 2))
-    assert hash(BalancingViolation((1,), (0, 2))) == hash(BalancingViolation((1,), (0, 2)))
     assert len({a, b}) == 1
 
 
@@ -107,7 +102,6 @@ def test_reprs_are_unchanged():
     assert repr(PLDivisor(2, {1: -1})) == "PLDivisor(n=2, ray_values={1: -1})"
     assert (repr(PairingTerm((2,), (3,), (Fraction(1),)))
             == "PairingTerm(sigma=(2,), tau=(3,), point=(Fraction(1, 1),))")
-    assert repr(BalancingViolation((1,), (0, 2))) == "BalancingViolation(tau=(1,), excess=(0, 2))"
     assert (repr(CheckResult({}, ok=True))
             == "CheckResult(report={}, ok=True, internal_error=None)")
     assert repr(UniformMatroid(2, 3)) == "<UniformMatroid 'uniform(2,3)' size=3>"

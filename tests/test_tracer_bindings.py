@@ -5,6 +5,7 @@ in a traced benchmark run."""
 from pathlib import Path
 
 from matfan import corpus, validation
+from matfan.fan import MinkowskiWeight
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -39,3 +40,19 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch):
     for name in ("fan.bergman_weight.cones", "fan.check_balancing.facets",
                  "intersect.divisor_cup.facets", "intersect.pairing_terms.certified"):
         assert tracer.counts[name] > 0, name
+
+
+def test_tracer_counts_the_facets_check_balancing_returns(monkeypatch):
+    # The tracer adds len() of check_balancing's result to its violations
+    # counter, so the returned list of facets is what the benchmark counts.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layertrace
+
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install()
+        lone = MinkowskiWeight(2, 0, {(0b010, 0b110): 1})
+        assert len(validation.check_balancing(lone)) == 2
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["fan.check_balancing.violations"] == 2
