@@ -25,7 +25,7 @@ built afresh, in its builder's order; only the `fan` export sorts flags.
 One facet sweep, facet_groups, serves the balancing test here and the
 divisor cup in intersect: it reads one block per gap of each facet's
 flag and solves nothing.  check_balancing makes one pass of it and
-returns only the unbalanced facets, not their ray-sums.
+returns the unbalanced facets.
 """
 
 from __future__ import annotations

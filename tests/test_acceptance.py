@@ -136,7 +136,7 @@ def test_criterion_5_balancing():
     for name in corpus.CORPUS_NAMES:
         for i, weight in enumerate(geometric_weights(corpus.build(name).simplify()[0])):
             tested += 1
-            if check_balancing(weight) != []:
+            if check_balancing(weight):
                 unbalanced.append((name, i))
     ok = not unbalanced
     announce(5, f"all {tested} Bergman, cup and displacement weights of the "
