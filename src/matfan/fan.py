@@ -166,15 +166,15 @@ def bergman_weight(matroid: Matroid, k: Optional[int] = None) -> MinkowskiWeight
     weights: dict[Flag, int] = {}
 
     # Down from each rank-k flat, a chain of k flats ends at rank 1: the
-    # bottom is only ever below its last flat, never in it.
-    def extend(chain: Flag, below: list[int]) -> None:
+    # bottom is only ever below its last flat, never in it.  Covers are
+    # pushed reversed, so the flags come out in the lattice's order.
+    stack = [((), strata[k])]
+    while stack:
+        chain, below = stack.pop()
         if len(chain) == k:
             weights[chain] = 1
-            return
-        for f in below:
-            extend((f,) + chain, covered_by[f])
-
-    extend((), strata[k])
+        else:
+            stack.extend(((f,) + chain, covered_by[f]) for f in reversed(below))
     return MinkowskiWeight(n, n - k, weights)
 
 

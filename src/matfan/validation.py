@@ -14,13 +14,13 @@ FLAG_LIMIT = 9! cones, complete flags of proper flats, as many as
 free-9 has.  It reads the flat lattice only when N atoms and rank R,
 which give at least N * (R - 1)! cones, do not already pass the limit,
 so free-10, with 10! cones, is refused without reading a flat.  The
-Welsh-Mason identity scans every subset, so it needs at most 21
-elements.  The report lists each step it skips.  The divisor route,
-cup_chain, tests balancing on every facet of every cup and raises
-NotBalancedError on the first failure, so an unbalanced fan is an
-internal error (exit 3) and the report has no balancing field.  mu_report
-consults the gate only for a geometric route, so the others read no
-flat.
+Welsh-Mason step scans every subset, so it needs at most 21 elements,
+and counts the free coextension's flags from its rank oracle alone.
+The report lists each step it skips.  The divisor route, cup_chain,
+tests balancing on every facet of every cup and raises NotBalancedError
+on the first failure, so an unbalanced fan is an internal error (exit
+3) and the report has no balancing field.  mu_report consults the gate
+only for a geometric route, so the others read no flat.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ def run_check(
         if "welsh_mason" not in skipped:
             f_vector, mu_coext = timed("welsh_mason", lambda: (
                 list(simple.independent_set_counts()),
-                list(reduced_char_poly(char_poly(simple.free_coextension()))[1])))
+                list(count_descending_flags(simple.free_coextension()))))
             welsh_mason = f_vector == mu_coext
             log_concave["f_vector"] = is_log_concave(f_vector)
 

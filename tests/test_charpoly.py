@@ -2,6 +2,8 @@
 
 import json
 import math
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from matfan.charpoly import (
     reduced_char_poly,
 )
 from matfan.matroid import (
+    FreeCoextensionMatroid,
     FreeMatroid,
     GraphicMatroid,
     LinearMatroid,
@@ -23,6 +26,7 @@ from matfan.matroid import (
     RankTableMatroid,
     UniformMatroid,
 )
+from matfan.schema import load_matroid_file
 
 from oracles import (
     FANO_MATRIX,
@@ -118,9 +122,10 @@ def test_lattice_shape_k4():
 def test_one_mobius_pass_per_matroid(monkeypatch):
     passes = []
     monkeypatch.setattr(charpoly, "mobius", lambda strata: passes.append(1) or mobius(strata))
-    # k4: 6 elements, so the Welsh-Mason step reduces the coextension too.
+    # k4: 6 elements, so the Welsh-Mason step runs, but it counts the
+    # coextension's flags from its rank oracle and sums no Moebius values.
     assert run_check(corpus.build("k4")).ok
-    assert len(passes) == 2
+    assert len(passes) == 1
     # u(2,22): above the 21-element subset scan, so only the subject.
     passes.clear()
     assert run_check(UniformMatroid(2, 22)).ok
@@ -284,12 +289,15 @@ def test_flags_read_no_flat(monkeypatch, tmp_path, capsys):
 # -- Welsh-Mason: independent sets against the free coextension --------------
 
 
-def test_welsh_mason_above_the_geometry_limit():
+def k6():
+    return GraphicMatroid(6, list(combinations(range(6), 2)))
+
+
+def test_welsh_mason_on_k6_with_every_route():
     # K6: 15 edges, within the subset scan, and 2,700 complete flags of
     # flats, within the flag gate, so nothing is skipped.  Forests of K6
     # by size; the last entry is Cayley's 6^4 spanning trees.
-    k6 = GraphicMatroid(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
-    report = run_check(k6).report
+    report = run_check(k6()).report
     assert report["f_vector"] == [1, 15, 105, 435, 1080, 1296]
     assert report["mu_coextension"] == report["f_vector"]
     assert report["welsh_mason"] is True
@@ -297,6 +305,38 @@ def test_welsh_mason_above_the_geometry_limit():
     assert set(report["mu"]) == {"mobius", "flags", "divisor", "displacement"}
     assert report["truncation_identity"] is True
     assert report["pass"] is True
+
+
+def test_coextension_lattice_gives_the_f_vector():
+    # run_check counts the free coextension's flags from its rank oracle,
+    # so this keeps the coextension's own flat lattice and Moebius sum
+    # under the identity.  K6's coextension has 3,135 flats.
+    for m in (*map(corpus.build, corpus.CORPUS_NAMES), k6()):
+        s = m.simplify()[0]
+        mu = reduced_char_poly(char_poly(s.free_coextension()))[1]
+        assert mu == s.independent_set_counts(), m.name
+
+
+def test_check_builds_one_flat_lattice(monkeypatch):
+    def refuse(self):
+        raise AssertionError("run_check built the free coextension's flat lattice")
+
+    real = Matroid.flat_strata
+    built = []
+
+    def recorded(self):
+        built.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Matroid, "flat_strata", recorded)
+    monkeypatch.setattr(FreeCoextensionMatroid, "flat_strata", refuse)
+    gf2 = Path(__file__).parent / "golden" / "inputs" / "gf2_r4_13.json"
+    for matroid in (corpus.build("k4"), k6(), load_matroid_file(str(gf2))):
+        built.clear()
+        result = run_check(matroid)
+        assert result.ok, result.report
+        assert result.report["welsh_mason"] is True
+        assert len({id(m) for m in built}) == 1, matroid.name
 
 
 # -- log-concavity ------------------------------------------------------------

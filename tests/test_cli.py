@@ -16,7 +16,14 @@ from hypothesis import given, settings, strategies as st
 from matfan import cli, corpus, schema, validation
 from matfan.fan import MinkowskiWeight, bergman_weight
 from matfan.intersect import PairingTerm
-from matfan.matroid import FreeMatroid, GraphicMatroid, LinearMatroid, Matroid, UniformMatroid
+from matfan.matroid import (
+    FreeCoextensionMatroid,
+    FreeMatroid,
+    GraphicMatroid,
+    LinearMatroid,
+    Matroid,
+    UniformMatroid,
+)
 from matfan.schema import InputError, dump_json, load_matroid, load_matroid_file
 from matfan.validation import CheckResult
 
@@ -806,6 +813,14 @@ def test_check_exit_codes_for_failures(monkeypatch, tmp_path, capsys):
 
 
 def _wrong_flag_counts(monkeypatch):
+    # On the subject only: the Welsh-Mason step counts the free
+    # coextension's flags through the same name.
+    real = validation.count_descending_flags
+    monkeypatch.setattr(validation, "count_descending_flags", lambda matroid: (
+        real(matroid) if isinstance(matroid, FreeCoextensionMatroid) else (1, 5, 7)))
+
+
+def _wrong_flag_counts_everywhere(monkeypatch):
     monkeypatch.setattr(validation, "count_descending_flags", lambda matroid: (1, 5, 7))
 
 
@@ -858,7 +873,11 @@ def test_each_failed_step_is_a_failure_verdict(monkeypatch, doc, patch, failure)
               _wrong_independent_sets),
      ["method disagreement", "log-concavity failure", "truncation identity failure",
       "independent-set count mismatch"]),
-], ids=["k4", "k5"])
+    # The coextension's coefficients are its flag counts, so a flags route
+    # that is wrong on every matroid breaks the Welsh-Mason identity too.
+    (K4_DOC, (_wrong_flag_counts_everywhere,),
+     ["method disagreement", "independent-set count mismatch"]),
+], ids=["k4", "k5", "flags-everywhere"])
 def test_several_failures_keep_their_order(monkeypatch, doc, patches, failures):
     for patch in patches:
         patch(monkeypatch)

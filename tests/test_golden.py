@@ -50,7 +50,7 @@ CASES = {
     # 10 elements and 180 cones: every route runs past 9 elements.
     **document(GOLDEN, "k5", "check", "mu_all"),
     # 13 of the 15 points of PG(3,2), fewest ones first: the Welsh-Mason
-    # identity (the free coextension's lattice) is most of the work.
+    # step scans its 2^13 subsets and counts its free coextension's flags.
     **document(GOLDEN, "gf2_r4_13", "check"),
     # Element 0 is a loop, so the report names the simplification.
     **document(GOLDEN, "loopy_table", "charpoly"),

@@ -80,9 +80,8 @@ def test_sparse_paving_matroids_pass_check(doc):
 def test_sparse_paving_matroids_past_9_elements_pass_check(doc):
     # Rank 4 on N elements gives at most N(N-1)(N-2) complete flags of
     # flats, 2,184 on 14, so the flag gate sends each through all four
-    # routes.  One takes about 0.4 s on 14 elements, split about evenly
-    # between the rank-table load, the cups, the displacement pairing and
-    # the Welsh-Mason coextension.
+    # routes.  One takes about 0.2 s on 14 elements, most of it in the
+    # rank-table load, the cups and the displacement pairing.
     result = run_check(load_matroid(doc))
     assert result.ok
     assert "skipped" not in result.report
