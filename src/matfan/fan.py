@@ -143,7 +143,7 @@ class MinkowskiWeight(Frozen):
         return self.weights.get(tuple(flag), 0)
 
     def __repr__(self) -> str:
-        return f"MinkowskiWeight(n={self.n}, codim={self.codim}, cones={len(self.weights)})"
+        return f"MinkowskiWeight(n={self.n}, codim={self.codim}, cones={self.weights.__len__()})"
 
 
 def bergman_weight(matroid: Matroid, k: Optional[int] = None) -> MinkowskiWeight:

@@ -187,9 +187,6 @@ class Matroid:
                 counts[c] += 1
         return tuple(counts)
 
-    def rank_table(self) -> list[int]:
-        return [self.rank(mask) for mask in iter_subsets(self.size)]
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r} size={self.size}>"
 

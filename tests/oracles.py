@@ -43,7 +43,10 @@ table capped at k + 1, is the reference for the truncated fans that
 bergman_weight reads off the matroid's own flats; and incidence_vector,
 the image of a subset in Z^n, is the reference for the facet ray sums.
 simplification_oracle reads each parallel class off a closure, the
-reference for Matroid.simplify, which reads pair ranks.
+reference for Matroid.simplify, which reads pair ranks.  rank_table
+lists a matroid's rank on every subset, for tests that compare two rank
+functions whole.  integer_inertia is inertia by fraction-free steps, for
+integer forms too large for Fraction elimination.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from matfan.intersect import (
     divisor_cup,
     pairing_terms,
 )
-from matfan.masks import full_mask, iter_elements
+from matfan.masks import full_mask, iter_elements, iter_subsets
 from matfan.matroid import Matroid, RankTableMatroid
 
 
@@ -244,9 +247,14 @@ def free_extension(matroid):
     return FreeExtensionMatroid(matroid)
 
 
+def rank_table(matroid):
+    """The rank of every subset, indexed by its mask."""
+    return [matroid.rank(mask) for mask in iter_subsets(matroid.size)]
+
+
 def truncation(matroid, k):
     """The k-truncation as an explicit rank table: min(r(S), k + 1)."""
-    return RankTableMatroid(matroid.size, [min(r, k + 1) for r in matroid.rank_table()],
+    return RankTableMatroid(matroid.size, [min(r, k + 1) for r in rank_table(matroid)],
                             name=f"tr{k}({matroid.name})")
 
 
@@ -573,6 +581,43 @@ def inertia(rows):
         negative += p < 0
         rest = [k for k in range(size) if k != i]
         a = [[a[r][c] - a[r][i] * a[i][c] / p for c in rest] for r in rest]
+    return positive, negative, len(rows) - positive - negative
+
+
+def integer_inertia(rows):
+    """inertia of a symmetric integer matrix, by fraction-free symmetric
+    elimination (Bareiss).
+
+    The steps are inertia's, each scaled by the previous pivot.  The
+    entries stay integers: each is a bordered minor of the pivots taken so
+    far, so every division is exact, and a pivot's sign against the
+    previous one is the sign of the diagonal entry that inertia splits off.
+    The zero-diagonal step adds a row and column that is not yet a pivot
+    to another, which keeps the entries those minors.
+    """
+    a = [list(row) for row in rows]
+    if any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
+    positive = negative = 0
+    previous = 1
+    while a:
+        size = len(a)
+        i = next((i for i in range(size) if a[i][i]), None)
+        if i is None:
+            pair = next(((i, j) for i in range(size) for j in range(size) if a[i][j]), None)
+            if pair is None:
+                break
+            i, j = pair
+            for k in range(size):
+                a[i][k] += a[j][k]
+            for k in range(size):
+                a[k][i] += a[k][j]
+        p = a[i][i]
+        positive += (p > 0) == (previous > 0)
+        negative += (p > 0) != (previous > 0)
+        rest = [k for k in range(size) if k != i]
+        a = [[(p * a[r][c] - a[r][i] * a[i][c]) // previous for c in rest] for r in rest]
+        previous = p
     return positive, negative, len(rows) - positive - negative
 
 

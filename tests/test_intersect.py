@@ -39,7 +39,7 @@ from matfan.intersect import (
     pairing_terms,
 )
 from matfan.masks import full_mask
-from matfan.matroid import FreeMatroid, RelabeledMatroid, UniformMatroid
+from matfan.matroid import FreeMatroid, RankTableMatroid, RelabeledMatroid, UniformMatroid
 from matfan.schema import load_matroid
 from matfan.validation import (
     cup_chain,
@@ -58,6 +58,7 @@ from oracles import (
     evaluate_in_cone,
     flag_generators,
     inertia,
+    integer_inertia,
     min_formula,
     nef_check,
     nef_values,
@@ -388,6 +389,74 @@ def test_a_divisor_that_is_not_nef_breaks_the_hodge_index():
     control = simplex_divisor(n, full_mask(n + 1)) - simplex_divisor(n, 0b110)
     _, form = hodge_form(matroid, control.value)
     assert inertia(form)[0] > 1
+
+
+# -- the Hodge-Riemann relations in degree 2 --------------------------------------
+#
+# For a matroid of rank 5 the Chow ring has top degree 4, and A^2 is its
+# middle degree.  The products D_F . D_G of comparable proper flats F <= G
+# span A^2 (Feichtner-Yuzvinsky), so Q(x, y) = deg(x . y . B) over them has
+# rank h2 = dim A^2 when the pairing is perfect (Poincare duality).  The
+# Hodge-Riemann relations (Adiprasito-Huh-Katz) make Q positive on alpha^2
+# and on the primitive classes of degree 2, and negative on alpha times the
+# primitive classes of degree 1.  So its signature is
+# (h2 - h1 + 1, h1 - 1), with h1 = dim A^1 = proper flats - n, whatever
+# the ample class.
+
+
+def middle_form(weight):
+    """The rays of a weight of dimension 4, and Q over the products of
+    comparable rays, with the upper triangle computed and mirrored."""
+    rays = sorted({mask for flag in weight.weights for mask in flag})
+    ray = {f: (lambda s, f=f: int(s == f)) for f in rays}
+    one = {f: divisor_cup(ray[f], weight) for f in rays}
+    products = [(f, g) for g in rays for f in rays if f & g == f]
+    form = [[0] * len(products) for _ in products]
+    for i, (f, g) in enumerate(products):
+        two = divisor_cup(ray[g], one[f])
+        three = {h: divisor_cup(ray[h], two) for h in rays}
+        for j in range(i, len(products)):
+            h, k = products[j]
+            form[i][j] = form[j][i] = divisor_cup(ray[k], three[h]).value(())
+    return rays, form
+
+
+def test_the_middle_form_of_free_5_has_the_hodge_riemann_signature():
+    matroid = corpus.build("free-5")
+    strata, _ = matroid.flat_strata()
+    rays, form = middle_form(bergman_weight(matroid))
+    assert rays == sorted(f for level in strata[1:-1] for f in level)
+    assert len(form) == 180
+    positive, negative, _ = integer_inertia(form)
+    h1, h2 = len(rays) - (matroid.size - 1), positive + negative
+    # h1 = 26 and h2 = 66 are the Eulerian numbers A(5, 1) and A(5, 2):
+    # the h-vector of the 4-dimensional permutohedral variety, whose Chow
+    # ring free-5's is.
+    assert (h1, h2) == (26, 66)
+    assert (positive, negative) == (h2 - h1 + 1, h1 - 1) == (41, 25)
+
+
+def test_a_balanced_weight_that_is_no_matroid_fan_breaks_the_signature():
+    # The fan of u(3,4) + free-2 less that of u(4,5) + free-1, both on six
+    # elements: balanced, of mixed sign, and no matroid's fan, so nothing
+    # fixes its signature.  The sum of the fans of u(5,6) and u(3,4) +
+    # free-2 is no control: it keeps the signature its rank predicts.
+    def line_plus_free(k):
+        """u(k, k+1) on elements 0..k, each other element free."""
+        line = full_mask(k + 1)
+        return RankTableMatroid(6, [min((s & line).bit_count(), k) + (s >> k + 1).bit_count()
+                                    for s in range(64)])
+
+    first, second = (bergman_weight(line_plus_free(k)) for k in (3, 4))
+    flags = {*first.weights, *second.weights}
+    control = MinkowskiWeight(5, 1, {f: first.value(f) - second.value(f) for f in flags})
+    assert check_balancing(control) == []
+    assert min(control.weights.values()) < 0 < max(control.weights.values())
+    rays, form = middle_form(control)
+    positive, negative, _ = integer_inertia(form)
+    h1, h2 = len(rays) - control.n, positive + negative
+    assert (h1, h2) == (27, 73)
+    assert (positive, negative) == (31, 42) != (h2 - h1 + 1, h1 - 1)
 
 
 # -- displacement vectors ---------------------------------------------------------

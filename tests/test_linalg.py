@@ -15,6 +15,7 @@ from oracles import (
     det_int,
     fraction_rank,
     inertia,
+    integer_inertia,
     lattice_index,
     mod_p_rank,
     smith_invariant_factors,
@@ -76,6 +77,29 @@ def test_inertia_known_values():
     assert inertia([[0, 0, 1], [0, 0, 0], [1, 0, 0]]) == (1, 1, 1)
     with pytest.raises(ValueError, match="not symmetric"):
         inertia([[0, 1], [0, 0]])
+
+
+symmetric_matrix = st.integers(0, 7).flatmap(
+    lambda n: st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]),
+                                min_size=n, max_size=n), min_size=n, max_size=n)
+).map(lambda rows: [[rows[min(i, j)][max(i, j)] for j in range(len(rows))]
+                    for i in range(len(rows))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrix)
+def test_integer_inertia_matches_inertia(form):
+    # Mostly zeros, so zero diagonals and singular forms come up often.
+    assert integer_inertia(form) == inertia(form)
+
+
+def test_integer_inertia_known_values():
+    assert integer_inertia([[0, 0, 1], [0, 0, 0], [1, 0, 0]]) == (1, 1, 1)
+    # A negative pivot flips the sign that the next one is read against.
+    assert integer_inertia([[-1, 2], [2, -5]]) == (0, 2, 0)
+    assert integer_inertia([[-1, 2], [2, 1]]) == (1, 1, 0)
+    with pytest.raises(ValueError, match="not symmetric"):
+        integer_inertia([[0, 1], [0, 0]])
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,13 +1,16 @@
 """Rank oracles, flats, and the standard constructions."""
 
+import ast
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matfan
 from matfan import corpus, linalg
 from matfan.fan import bergman_weight
 from matfan.masks import full_mask, iter_elements, iter_subsets
@@ -34,6 +37,7 @@ from oracles import (
     independent_counts_oracle,
     matrix_rank_oracle,
     rank_axioms_oracle,
+    rank_table,
     simplification_oracle,
     dual,
     free_extension,
@@ -171,14 +175,14 @@ def test_linear_ranks_over_q_build_no_fraction(monkeypatch):
     # Rational columns are scaled to integers once, at construction; the
     # elimination keeps every entry an integer minor.
     assert "Fraction" not in vars(linalg)
-    expected = corpus.build("non-fano").rank_table()
+    expected = rank_table(corpus.build("non-fano"))
     m = corpus.build("non-fano")
 
     def refuse(*args, **kwargs):
         raise AssertionError("Fraction built during rank elimination")
 
     monkeypatch.setattr("matfan.matroid.Fraction", refuse)
-    assert m.rank_table() == expected
+    assert rank_table(m) == expected
 
 
 def test_binary_ranks_never_reach_the_elimination(monkeypatch):
@@ -191,7 +195,7 @@ def test_binary_ranks_never_reach_the_elimination(monkeypatch):
               [1, -2, 0, -2, 2, -3]]
     builds = (lambda: corpus.build("fano"), lambda: GraphicMatroid(4, K4_EDGES),
               lambda: LinearMatroid(matrix, 2))
-    expected = [build().rank_table() for build in builds]
+    expected = [rank_table(build()) for build in builds]
     oracle = matrix_rank_oracle(list(zip(*matrix)), 2)
     assert expected[2] == [oracle(mask) for mask in iter_subsets(6)]
     assert expected[1] == [graphic_rank(4, K4_EDGES)(mask) for mask in iter_subsets(6)]
@@ -200,7 +204,7 @@ def test_binary_ranks_never_reach_the_elimination(monkeypatch):
         raise AssertionError("linalg.rank called on a GF(2) matroid")
 
     monkeypatch.setattr(linalg, "rank", refuse)
-    assert [build().rank_table() for build in builds] == expected
+    assert [rank_table(build()) for build in builds] == expected
 
 
 fraction_entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
@@ -215,8 +219,8 @@ def test_linear_fraction_columns_rank_as_their_integer_multiples(drawn):
     columns = [col for col, _ in drawn]
     scaled = [[int(x * prod(y.denominator for y in col) * sign) for x in col]
               for col, sign in drawn]
-    table = LinearMatroid([list(r) for r in zip(*columns)], None).rank_table()
-    assert table == LinearMatroid([list(r) for r in zip(*scaled)], None).rank_table()
+    table = rank_table(LinearMatroid([list(r) for r in zip(*columns)], None))
+    assert table == rank_table(LinearMatroid([list(r) for r in zip(*scaled)], None))
     oracle = matrix_rank_oracle(columns, None)
     assert table == [oracle(mask) for mask in iter_subsets(len(columns))]
 
@@ -240,10 +244,26 @@ def test_base_class_and_helpers_refuse_what_they_cannot_answer():
         corpus.build("k9")
 
 
+def test_the_package_uses_every_public_matroid_method():
+    # The package holds only what its routes run: a method of the base
+    # class that only tests reach belongs in tests/oracles.py.
+    package = Path(matfan.__file__).parent
+    trees = [ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(package.glob("*.py"))]
+    base = next(node for tree in trees for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "Matroid")
+    public = [node.name for node in base.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    used = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    assert "rank" in public and "full_rank" in public
+    assert [name for name in public if name not in used] == []
+
+
 def test_rank_table_matroid_round_trip():
     src = GraphicMatroid(4, K4_EDGES)
-    copy = RankTableMatroid(6, src.rank_table())
-    assert copy.rank_table() == src.rank_table()
+    copy = RankTableMatroid(6, rank_table(src))
+    assert rank_table(copy) == rank_table(src)
 
 
 def test_rank_table_rejects_invalid():
@@ -331,7 +351,7 @@ def test_rank_rejects_masks_outside_the_ground_set(build, warm):
     if warm:
         # Fill whatever memo the matroid or its base keeps with every valid
         # mask first.
-        m.rank_table()
+        rank_table(m)
     top = full_mask(m.size)
     for bad in (1 << m.size, top + 1, top | 1 << 30, -1, -(1 << m.size), ~top):
         with pytest.raises(ValueError, match="outside"):
@@ -352,17 +372,17 @@ def test_rank_memos_live_only_in_backends_that_compute():
     assert "_rank_impl" not in GraphicMatroid.__dict__
     assert g._rank_cache
     # Every rank of the coextension comes through the graphic memo.
-    c.rank_table()
+    rank_table(c)
     assert set(g._rank_cache) == set(iter_subsets(g.size))
     for w in (dual(g), free_extension(g)):
         w.flat_strata()
         assert w.base is g
         assert w._rank_cache is None
     # A rank table's rank is one list index; a memo would copy the table.
-    t = RankTableMatroid(g.size, g.rank_table())
+    t = RankTableMatroid(g.size, rank_table(g))
     t.flat_strata()
     assert t._rank_cache is None
-    t.rank_table()
+    rank_table(t)
     assert t._rank_cache is None
     # A basis family loads as its rank table and keeps no memo beside it.
     b = BasesMatroid(4, [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100])
@@ -406,7 +426,7 @@ def test_flat_strata_peak_stays_near_what_it_keeps():
     # building its lattice should allocate little beyond the strata and
     # cover lists it returns.
     k6 = GraphicMatroid(6, list(combinations(range(6), 2)))
-    k6.rank_table()
+    rank_table(k6)
     c = k6.free_coextension()
     tracemalloc.start()
     try:
@@ -434,7 +454,7 @@ def small_matroids(draw):
     if kind == "graphic":
         return graph
     # Cographic, so the table backend sees loops and coloops too.
-    return RankTableMatroid(graph.size, dual(graph).rank_table())
+    return RankTableMatroid(graph.size, rank_table(dual(graph)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -529,10 +549,10 @@ def test_dual():
     # The oracle the closed-form free coextension is checked against.
     m = UniformMatroid(2, 5)
     d = dual(m)
-    assert d.rank_table() == UniformMatroid(3, 5).rank_table()
-    assert dual(d).rank_table() == m.rank_table()
+    assert rank_table(d) == rank_table(UniformMatroid(3, 5))
+    assert rank_table(dual(d)) == rank_table(m)
     g = GraphicMatroid(4, K4_EDGES)
-    assert dual(dual(g)).rank_table() == g.rank_table()
+    assert rank_table(dual(dual(g))) == rank_table(g)
     assert dual(g).full_rank == 6 - 3
 
 
@@ -542,11 +562,11 @@ def test_free_extension():
     e = free_extension(m)
     assert e.size == 4
     assert e.full_rank == 2
-    assert e.rank_table() == UniformMatroid(2, 4).rank_table()
+    assert rank_table(e) == rank_table(UniformMatroid(2, 4))
     # Extending a full-rank matroid adds a coloop-free generic element,
     # but rank cannot grow.
     f = free_extension(FreeMatroid(2))
-    assert f.rank_table() == UniformMatroid(2, 3).rank_table()
+    assert rank_table(f) == rank_table(UniformMatroid(2, 3))
 
 
 def test_free_coextension():
@@ -556,7 +576,7 @@ def test_free_coextension():
     assert c.full_rank == 3
     assert c.loops() == 0
     # Coextension of a free matroid is free.
-    assert FreeMatroid(3).free_coextension().rank_table() == FreeMatroid(4).rank_table()
+    assert rank_table(FreeMatroid(3).free_coextension()) == rank_table(FreeMatroid(4))
 
 
 @st.composite
@@ -594,7 +614,7 @@ def test_free_coextension_is_dual_of_free_extension_of_dual(m):
     c = m.free_coextension()
     assert c.size == m.size + 1
     assert c.full_rank == m.full_rank + 1
-    assert c.rank_table() == dual(free_extension(dual(m))).rank_table()
+    assert rank_table(c) == rank_table(dual(free_extension(dual(m))))
 
 
 def test_free_coextension_never_has_loops():
@@ -628,7 +648,7 @@ def test_size_bounds():
 def test_validate_accepts_real_tables():
     for m in (UniformMatroid(2, 5), GraphicMatroid(4, K4_EDGES),
               LinearMatroid(FANO_MATRIX, 2)):
-        assert validate_rank_table(m.size, m.rank_table()) is None
+        assert validate_rank_table(m.size, rank_table(m)) is None
 
 
 def test_validate_rejects_wrong_length():
@@ -658,7 +678,7 @@ def test_validate_rejects_submodularity():
 
 def test_validate_large_table_sampled_path():
     m = UniformMatroid(3, 10)
-    assert validate_rank_table(10, m.rank_table()) is None
+    assert validate_rank_table(10, rank_table(m)) is None
 
 
 @st.composite

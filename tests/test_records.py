@@ -105,3 +105,9 @@ def test_reprs_are_unchanged():
     assert (repr(CheckResult({}, ok=True))
             == "CheckResult(report={}, ok=True, internal_error=None)")
     assert repr(UniformMatroid(2, 3)) == "<UniformMatroid 'uniform(2,3)' size=3>"
+
+
+def test_a_weight_repr_counts_cones_past_sys_maxsize():
+    # 21! cones, more than len() can return.
+    assert (repr(permutohedral_weight(20, 0))
+            == "MinkowskiWeight(n=20, codim=0, cones=51090942171709440000)")
