@@ -34,7 +34,7 @@ PASS, FAIL, BAD_INPUT, INTERNAL = 0, 1, 2, 3
 @contextmanager
 def _output(path: str):
     """Open path for writing, or stdout for "-"; a failure to open, write,
-    flush or close it is bad output."""
+    flush or close it, or text stdout's encoding cannot represent, is bad output."""
     try:
         if path == "-":
             if sys.stdout is None:  # fd 1 was closed when the interpreter started
@@ -44,7 +44,7 @@ def _output(path: str):
         else:
             with open(path, "w", encoding="utf-8") as fh:
                 yield fh
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         if path == "-" and sys.stdout is not None:  # so the flush at exit cannot exit 120
             with open(os.devnull, "w") as null:
                 os.dup2(null.fileno(), sys.stdout.fileno())

@@ -9,12 +9,10 @@ and a single nontrivial line.
 
 Each entry is an input document, loaded by schema.load_matroid like any
 user document, so the built-in rank tables are checked against the rank
-axioms on every build.  Documents are made only when built.
+axioms on every build.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from .matroid import Matroid
 from .schema import load_matroid
@@ -58,24 +56,18 @@ def _parallel_sum_table() -> list[int]:
     ]
 
 
-def _documents() -> dict[str, Callable[[], dict]]:
-    out: dict[str, Callable[[], dict]] = {}
-    for size in range(1, 8):
-        out[f"free-{size}"] = lambda size=size: {"type": "free", "size": size}
-    for m in range(2, 8):
-        for k in range(1, m):
-            out[f"u-{k}-{m}"] = lambda k=k, m=m: {"type": "uniform", "rank": k, "size": m}
-    out["k4"] = lambda: K4_DOC
-    out["k5"] = lambda: {"type": "graphic", "vertices": 5, "edges": K5_EDGES}
-    out["fano"] = lambda: {"type": "linear", "field": "GF(2)", "matrix": POINT_MATRIX}
-    out["non-fano"] = lambda: {"type": "linear", "field": "Q", "matrix": POINT_MATRIX}
-    out["rt-parallel"] = lambda: {"type": "rank_table", "n": 5, "ranks": _parallel_sum_table()}
-    out["rt-whirl"] = lambda: {"type": "rank_table", "n": 6, "ranks": _whirl_table()}
-    out["rt-one-line"] = lambda: {"type": "rank_table", "n": 6, "ranks": _one_line_table()}
-    return out
-
-
-_DOCUMENTS = _documents()
+_DOCUMENTS: dict[str, dict] = {
+    **{f"free-{size}": {"type": "free", "size": size} for size in range(1, 8)},
+    **{f"u-{k}-{m}": {"type": "uniform", "rank": k, "size": m}
+       for m in range(2, 8) for k in range(1, m)},
+    "k4": K4_DOC,
+    "k5": {"type": "graphic", "vertices": 5, "edges": K5_EDGES},
+    "fano": {"type": "linear", "field": "GF(2)", "matrix": POINT_MATRIX},
+    "non-fano": {"type": "linear", "field": "Q", "matrix": POINT_MATRIX},
+    "rt-parallel": {"type": "rank_table", "n": 5, "ranks": _parallel_sum_table()},
+    "rt-whirl": {"type": "rank_table", "n": 6, "ranks": _whirl_table()},
+    "rt-one-line": {"type": "rank_table", "n": 6, "ranks": _one_line_table()},
+}
 
 CORPUS_NAMES: tuple[str, ...] = tuple(_DOCUMENTS)
 
@@ -85,4 +77,4 @@ def build(name: str) -> Matroid:
         document = _DOCUMENTS[name]
     except KeyError:
         raise ValueError(f"unknown corpus entry {name!r}") from None
-    return load_matroid(dict(document(), name=name))
+    return load_matroid(dict(document, name=name))

@@ -86,8 +86,8 @@ def load_matroid(data: Any) -> Matroid:
     """Build a matroid from a parsed JSON document.
 
     Rank-table and bases inputs are checked exactly against the rank
-    axioms before use, so they may have at most 21 elements, and are
-    rejected with the witnessing subset(s) on failure.
+    axioms before use, so n outside 1..21 is refused before either list
+    is read, and they are rejected with the witnessing subset(s) on failure.
     """
     if not isinstance(data, dict):
         raise InputError("matroid document must be a JSON object")
@@ -95,6 +95,8 @@ def load_matroid(data: Any) -> Matroid:
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise InputError("field 'name' must be a string")
+    if name and any("\ud800" <= c <= "\udfff" for c in name):
+        raise InputError("field 'name' must be valid Unicode text, not a lone surrogate")
     try:
         if kind == "uniform":
             return UniformMatroid(_require(data, "rank", int),
@@ -126,20 +128,20 @@ def load_matroid(data: Any) -> Matroid:
                 raise InputError("field 'matrix' must be a list of rows")
             parsed = [[_parse_entry(x, field) for x in row] for row in matrix]
             return LinearMatroid(parsed, field, name)
+        if kind in ("bases", "rank_table"):
+            size = _require(data, "n", int)
+            if not 1 <= size <= EXHAUSTIVE_SCAN_LIMIT:
+                raise InputError(f"n={size} is outside 1..{EXHAUSTIVE_SCAN_LIMIT}: bases and "
+                                 f"rank tables are checked over every subset, which caps "
+                                 f"them at {EXHAUSTIVE_SCAN_LIMIT} elements")
         if kind == "bases":
-            matroid = BasesMatroid(_require(data, "n", int),
-                                   _int_list(data, "bases"), name)
-            witness = validate_rank_table(matroid.size, matroid.ranks)
+            matroid = BasesMatroid(size, _int_list(data, "bases"), name)
+            witness = validate_rank_table(size, matroid.ranks)
             if witness is not None:
                 raise InputError(f"bases fail basis exchange; their rank function "
                                  f"violates the rank axioms: {witness}")
             return matroid
         if kind == "rank_table":
-            size = _require(data, "n", int)
-            if not 1 <= size <= EXHAUSTIVE_SCAN_LIMIT:
-                raise InputError(f"rank table n={size} is outside 1..{EXHAUSTIVE_SCAN_LIMIT}: "
-                                 f"tables are checked over every subset, which caps "
-                                 f"them at {EXHAUSTIVE_SCAN_LIMIT} elements")
             ranks = _int_list(data, "ranks")
             witness = validate_rank_table(size, ranks)
             if witness is not None:

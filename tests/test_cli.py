@@ -111,6 +111,7 @@ def test_load_rejects_malformed_documents():
         # Past the pattern, Fraction itself refuses the zero denominator.
         ({"type": "linear", "field": "Q", "matrix": [["1/0"]]}, r"'1/0': Fraction\(1, 0\)"),
         ({"type": "free", "size": 2, "name": 7}, "'name' must be a string"),
+        ({"type": "free", "size": 2, "name": "ab\udfff"}, "'name' must be valid Unicode text"),
         ({"type": "linear", "field": "Q", "matrix": [1, 2]}, "list of rows"),
     ]:
         with pytest.raises(InputError, match=message):
@@ -196,9 +197,10 @@ CHILD_PYTHONPATH = os.pathsep.join(
 CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 
 
-def run_child(*argv, stdout=subprocess.PIPE):
+def run_child(*argv, stdout=subprocess.PIPE, env=()):
     """Run `python -m matfan argv` in a child whose address space alone is
-    capped at CHILD_ADDRESS_SPACE bytes, within CHILD_SECONDS of wall time.
+    capped at CHILD_ADDRESS_SPACE bytes, within CHILD_SECONDS of wall time,
+    with env's variables added to its environment.
     Every outcome is an exit code, never a traceback."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
@@ -206,7 +208,7 @@ def run_child(*argv, stdout=subprocess.PIPE):
     proc = subprocess.run([sys.executable, "-m", "matfan", *argv], stdout=stdout,
                           stderr=subprocess.PIPE, text=True, timeout=CHILD_SECONDS,
                           preexec_fn=cap,
-                          env=dict(CHILD_ENV, PYTHONPATH=CHILD_PYTHONPATH))
+                          env=dict(CHILD_ENV, PYTHONPATH=CHILD_PYTHONPATH, **dict(env)))
     assert "Traceback" not in proc.stderr, proc.stderr
     return proc
 
@@ -665,6 +667,26 @@ def test_help_that_cannot_be_written_exits_2(argv, sink):
     assert (proc.returncode, proc.stderr) == (2, f"error: cannot write stdout: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["charpoly", "mu", "check"])
+def test_a_name_that_is_not_text_exits_2(tmp_path, command):
+    # Valid JSON, but a lone surrogate has no UTF-8 encoding, so no report
+    # could carry it.
+    path = write_doc(tmp_path, "doc.json", dict(U23_DOC, name="\ud800"))
+    proc = run_child(command, path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["charpoly", "mu", "check"])
+def test_a_report_stdout_cannot_encode_exits_2(tmp_path, command):
+    path = write_doc(tmp_path, "doc.json", dict(U23_DOC, name="M\u00f6bius"))
+    proc = run_child(command, path, env={"PYTHONIOENCODING": "ascii"})
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: cannot write stdout: 'ascii' codec can't encode "
+                                  "character '\\xf6'"), proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
 def test_help_that_can_be_written_exits_0():
     proc = run_child("--help")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, cli.build_parser().format_help(), "")
@@ -701,15 +723,19 @@ def test_oversized_bases_document_exit_code(tmp_path, capsys):
     path = write_doc(tmp_path, "big.json", {"type": "bases", "n": 22, "bases": [3]})
     code, out, err = run_cli(capsys, "check", path)
     assert (code, out) == (2, "")
-    assert "refusing exhaustive scan" in err
+    assert err == ("error: n=22 is outside 1..21: bases and rank tables are checked "
+                   "over every subset, which caps them at 21 elements\n")
 
 
-@pytest.mark.parametrize("n", [10**12, 10**8, -1, 22])
-def test_rank_table_size_is_checked_before_the_table(tmp_path, capsys, n):
+@pytest.mark.parametrize("n, kind, table", [
+    pytest.param(n, kind, table, id=f"{prefix}{n}")
+    for kind, table, prefix in (("rank_table", "ranks", ""), ("bases", "bases", "bases-"))
+    for n in (10**12, 10**8, -1, 22)])
+def test_rank_table_size_is_checked_before_the_table(tmp_path, capsys, n, kind, table):
     # The table check shifts by n: unchecked, these ended in a
     # MemoryError, a digit-limit error, a negative shift count and a
-    # 4,194,304-entry count.
-    path = write_doc(tmp_path, "big.json", {"type": "rank_table", "n": n, "ranks": [0]})
+    # 4,194,304-entry count.  Both 2**n-table types share one message.
+    path = write_doc(tmp_path, "big.json", {"type": kind, "n": n, table: [0]})
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "check", path)
     assert time.perf_counter() - start < 1.0
