@@ -90,8 +90,10 @@ def cmd_check(args) -> tuple[int, str]:
     refuse_rank_zero(matroid)
     trace = None
     rows: list[str] = []
-    with _output(args.trace) if args.trace else nullcontext() as trace_fh:
-        if trace_fh:
+    # Rows for "-" leave ahead of the report in main's one write to stdout.
+    to_file = args.trace and args.trace != "-"
+    with _output(args.trace) if to_file else nullcontext() as trace_fh:
+        if args.trace:
             def trace(k: int, term) -> None:
                 row = {"k": k, "sigma": list(term.sigma), "tau": list(term.tau),
                        "point": [str(c) for c in term.point]}
@@ -103,10 +105,11 @@ def cmd_check(args) -> tuple[int, str]:
             # Written after the run, so that a failed write exits 2 and is no
             # error inside run_check; a trace has one row per displacement
             # term, sum(mu) rows in all.
-            if rows:
+            if trace_fh:
                 trace_fh.writelines(rows)
     code = INTERNAL if result.internal_error else PASS if result.ok else FAIL
-    return code, dump_json(result.report)
+    report = dump_json(result.report)
+    return code, "".join(rows) + report if args.trace == "-" else report
 
 
 def _format_table(results) -> str:

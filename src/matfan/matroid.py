@@ -81,20 +81,11 @@ class Matroid:
     def full_rank(self) -> int:
         return self.rank(self.ground_mask)
 
-    # -- closure and flats --------------------------------------------
-
-    def closure(self, mask: int) -> int:
-        """Smallest flat containing mask: add every element that keeps rank."""
-        r = self.rank(mask)
-        out = mask
-        for x in range(self.size):
-            b = 1 << x
-            if not out & b and self.rank(mask | b) == r:
-                out |= b
-        return out
+    # -- flats ---------------------------------------------------------
 
     def loops(self) -> int:
-        return self.closure(0)
+        """The bottom flat: the elements of rank 0."""
+        return sum(1 << x for x in range(self.size) if not self.rank(1 << x))
 
     def flat_strata(self) -> tuple[list[list[int]], dict[int, list[int]]]:
         """All flats, stratified by rank, plus the covering relation.
@@ -113,7 +104,7 @@ class Matroid:
         """
         if self._strata_cache is None:
             rank = self.rank
-            bottom = self.closure(0)
+            bottom = self.loops()
             strata = [[bottom]]
             covered_by: dict[int, list[int]] = {bottom: []}
             current = [bottom]

@@ -42,8 +42,10 @@ closed-form free coextension is checked against; truncation, a rank
 table capped at k + 1, is the reference for the truncated fans that
 bergman_weight reads off the matroid's own flats; and incidence_vector,
 the image of a subset in Z^n, is the reference for the facet ray sums.
-simplification_oracle reads each parallel class off a closure, the
-reference for Matroid.simplify, which reads pair ranks.  rank_table
+closure is the smallest flat containing a set, which the package
+computes only for the empty set (Matroid.loops); simplification_oracle
+reads each parallel class off a closure, the reference for
+Matroid.simplify, which reads pair ranks.  rank_table
 lists a matroid's rank on every subset, for tests that compare two rank
 functions whole.  integer_inertia is inertia by fraction-free steps, for
 integer forms too large for Fraction elimination.
@@ -258,25 +260,27 @@ def truncation(matroid, k):
                             name=f"tr{k}({matroid.name})")
 
 
-def simplification_oracle(size, rank_fn):
+def closure(matroid, mask):
+    """The smallest flat containing mask: add every element that keeps rank."""
+    r = matroid.rank(mask)
+    return mask | sum(1 << x for x in range(matroid.size)
+                      if not mask >> x & 1 and matroid.rank(mask | 1 << x) == r)
+
+
+def simplification_oracle(matroid):
     """(representatives, mapping) of the simplification, from closures.
 
     The class of a non-loop x is closure({x}) minus the loops; its least
     element represents it, so the representatives come in first-seen order
     and mapping[x] is the index of x's representative, or None for a loop.
     """
-    def closure(s):
-        r = rank_fn(s)
-        return s | sum(1 << x for x in range(size)
-                       if not s >> x & 1 and rank_fn(s | 1 << x) == r)
-
-    loops = closure(0)
+    loops = closure(matroid, 0)
     reps, mapping = [], []
-    for x in range(size):
+    for x in range(matroid.size):
         if loops >> x & 1:
             mapping.append(None)
             continue
-        cls = closure(1 << x) & ~loops
+        cls = closure(matroid, 1 << x) & ~loops
         if cls & -cls == 1 << x:
             reps.append(x)
         mapping.append(reps.index((cls & -cls).bit_length() - 1))
@@ -406,6 +410,67 @@ def mu_oracle(size, rank_fn):
     rem = acc + cp[-1]
     assert rem == 0, "characteristic polynomial not divisible by q - 1"
     return tuple(q if i % 2 == 0 else -q for i, q in enumerate(quot))
+
+
+def point_count_char_poly(document, prime=None):
+    """chi of a linear document's matroid, degree-descending as char_poly
+    gives it (the empty tuple when chi is 0, that is when there is a loop),
+    counted over a finite field without reading a rank (Crapo-Rota).
+
+    Over F_p, with m rows and columns a_e, the m x s matrices X over F_p
+    with a_e^T X != 0 for every e are the points of F_(p^s)^m on no
+    column's hyperplane, and number p^(s(m - r)) chi(p^s).  The zero sets
+    Z(x) = {e : a_e . x = 0} are counted over x in F_p^m, one x per line
+    standing for its p - 1 multiples, and the s-fold AND-convolution of
+    that histogram counts the meets of s of them: its weight on the empty
+    set is the count.  The p^(m - r) vectors with Z(x) = E give r, and the
+    counts at s = 1..r + 1 fix chi.  A Q document is reduced mod prime, by
+    default the least prime that divides none of its nonzero minors, where
+    the matroid stays the same (Athanasiadis 1996).
+    """
+    rows = len(document["matrix"])
+    columns = [[Fraction(x) for x in col] for col in zip(*document["matrix"])]
+    columns = [[int(x * lcm(*(y.denominator for y in col))) for x in col] for col in columns]
+    if document["field"] != "Q":
+        prime = int(document["field"][3:-1])
+    elif prime is None:
+        minors = [d for k in range(1, min(rows, len(columns)) + 1)
+                  for kept in combinations(range(rows), k)
+                  for cols in combinations(columns, k)
+                  if (d := det_int([[col[i] for col in cols] for i in kept]))]
+        prime = next(q for q in range(2, linalg.PRIME_TEST_LIMIT)
+                     if linalg.is_prime(q) and all(d % q for d in minors))
+    everything = full_mask(len(columns))
+    histogram = {everything: 1}  # x = 0
+    for lead in range(rows):
+        for tail in product(range(prime), repeat=rows - lead - 1):
+            x = (0,) * lead + (1,) + tail
+            z = sum(1 << e for e, col in enumerate(columns)
+                    if sum(a * b for a, b in zip(col, x)) % prime == 0)
+            histogram[z] = histogram.get(z, 0) + prime - 1
+    rank = rows - next(k for k in range(rows + 1) if prime ** k == histogram[everything])
+    points, meets = [], {everything: 1}
+    for s in range(1, rank + 2):
+        convolved = {}
+        for z, c in meets.items():
+            for y, d in histogram.items():
+                convolved[z & y] = convolved.get(z & y, 0) + c * d
+        meets = convolved
+        value, rest = divmod(meets.get(0, 0), prime ** (s * (rows - rank)))
+        assert rest == 0
+        points.append((prime ** s, value))
+    # Lagrange interpolation through the r + 1 points, ascending coefficients.
+    coefficients = [Fraction(0)] * (rank + 1)
+    for x, y in points:
+        basis, scale = [Fraction(y)], 1
+        for other, _ in points:
+            if other != x:
+                basis = [a - other * b for a, b in zip([0, *basis], [*basis, 0])]
+                scale *= x - other
+        coefficients = [c + b / scale for c, b in zip(coefficients, basis)]
+    assert all(c.denominator == 1 for c in coefficients)
+    poly = tuple(int(c) for c in reversed(coefficients))
+    return poly if any(poly) else ()
 
 
 def descending_flag_count_oracle(size, rank_fn, k):

@@ -1,11 +1,12 @@
 """Hypothesis strategies for random matroids, shared by the test modules:
-graphic matroids, column matroids over GF(p), sparse paving matroids as
-rank_table documents (the rule that builds them is in
-test_nonrealizable's docstring), and RANDOM_MATROIDS, a mix of all three."""
+graphic matroids, column matroids over GF(p) and their linear documents,
+sparse paving matroids as rank_table documents (the rule that builds them
+is in test_nonrealizable's docstring), and RANDOM_MATROIDS, a mix of all
+three."""
 
 from hypothesis import strategies as st
 
-from matfan.matroid import GraphicMatroid, LinearMatroid
+from matfan.matroid import GraphicMatroid
 from matfan.schema import load_matroid
 
 
@@ -45,9 +46,15 @@ def sparse_paving_documents(draw, ranks=(3, 4), sizes=(5, 9)):
     return sparse_paving_document(size, rank, family)
 
 
-def linear_matroids(p, width):
+def linear_documents(p, width):
+    """GF(p) linear documents of 1 to 5 rows and `width` columns."""
     row = st.lists(st.integers(0, p - 1), min_size=width, max_size=width)
-    return st.builds(LinearMatroid, st.lists(row, min_size=1, max_size=5), st.just(p))
+    return st.builds(lambda matrix: {"type": "linear", "field": f"GF({p})", "matrix": matrix},
+                     st.lists(row, min_size=1, max_size=5))
+
+
+def linear_matroids(p, width):
+    return linear_documents(p, width).map(load_matroid)
 
 
 RANDOM_MATROIDS = st.one_of(graphs(6, 12), linear_matroids(2, 9), linear_matroids(3, 7),

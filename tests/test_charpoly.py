@@ -2,11 +2,12 @@
 
 import json
 import math
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from matfan import charpoly, cli, corpus
 from matfan.validation import run_check
@@ -26,20 +27,22 @@ from matfan.matroid import (
     RankTableMatroid,
     UniformMatroid,
 )
-from matfan.schema import load_matroid_file
+from matfan.schema import load_matroid, load_matroid_file
 
 from oracles import (
     FANO_MATRIX,
     K4_EDGES,
     char_poly_oracle,
     descending_flag_count_oracle,
+    det_int,
     graphic_rank,
     mobius_oracle,
     mobius_weisner,
     mu_oracle,
+    point_count_char_poly,
     uniform_rank,
 )
-from strategies import RANDOM_MATROIDS
+from strategies import RANDOM_MATROIDS, linear_documents
 
 
 # -- polynomial arithmetic --------------------------------------------------
@@ -174,6 +177,87 @@ def test_char_poly_with_loops_is_zero():
     assert char_poly(loopy) == ()
     with pytest.raises(ValueError):
         reduced_char_poly(char_poly(loopy))
+
+
+# -- chi by point counts over finite fields ------------------------------------
+#
+# Every route reads the rank oracle, so a wrong LinearMatroid rank would
+# pass them all; point_count_char_poly reads the matrix and no rank.
+
+
+GOLDEN_INPUTS = sorted(Path(__file__).parent.glob("golden/**/inputs/*.json"))
+LINEAR_DOCUMENTS = {
+    **{name: corpus._DOCUMENTS[name] for name in ("fano", "non-fano")},
+    **{path.stem: doc for path in GOLDEN_INPUTS
+       if (doc := json.loads(path.read_text()))["type"] == "linear"},
+}
+# test_golden pins each to the report `matfan check` writes.
+PINNED_REPORTS = {path.stem: path.parent.parent / f"{path.stem}_check.json"
+                  for path in GOLDEN_INPUTS}
+
+
+def without_loops(document):
+    """The document less its zero columns: the loops, which check drops
+    before its routes run."""
+    field = document["field"]
+
+    def is_zero(x):
+        return Fraction(x) == 0 if field == "Q" else x % int(field[3:-1]) == 0
+
+    columns = [col for col in zip(*document["matrix"]) if not all(map(is_zero, col))]
+    return dict(document, matrix=[list(row) for row in zip(*columns)])
+
+
+def assert_point_counts_match(document, report):
+    subject = without_loops(document)
+    poly = point_count_char_poly(subject)
+    # A loop makes chi 0, which both give as the empty tuple.
+    whole = poly if subject == document else point_count_char_poly(document)
+    assert whole == char_poly(load_matroid(document))
+    assert [str(c) for c in poly] == report["char_poly"]
+    mu = list(reduced_char_poly(poly)[1])
+    assert report["mu"] and all(v == mu for v in report["mu"].values()), report["mu"]
+
+
+@pytest.mark.parametrize("name", LINEAR_DOCUMENTS)
+def test_point_counts_give_chi_and_every_route(name):
+    document = LINEAR_DOCUMENTS[name]
+    if name in PINNED_REPORTS:
+        report = json.loads(PINNED_REPORTS[name].read_text())
+    else:
+        report = run_check(load_matroid(document)).report
+    assert_point_counts_match(document, report)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(linear_documents(2, 9), linear_documents(3, 7)))
+def test_point_counts_give_chi_and_every_route_on_random_matroids(document):
+    matroid = load_matroid(document)
+    assume(matroid.full_rank > 0)
+    assert_point_counts_match(document, run_check(matroid).report)
+
+
+def test_point_counts_follow_a_changed_column():
+    fano = LINEAR_DOCUMENTS["fano"]
+    # Column 6, (1, 1, 1), becomes (1, 1, 0), a copy of column 2.
+    changed = dict(fano, matrix=[row[:6] + [bit] for row, bit in zip(fano["matrix"], (1, 1, 0))])
+    assert point_count_char_poly(changed) == char_poly(load_matroid(changed))
+    assert point_count_char_poly(changed) != char_poly(load_matroid(fano))
+
+
+def test_point_counts_need_a_prime_of_good_reduction():
+    # Each prime below 17 divides a nonzero 3 x 3 minor of q-r3, and the
+    # count mod each of them is another matroid's; 17 divides none.
+    q_r3 = LINEAR_DOCUMENTS["q-r3"]
+    expected = char_poly(load_matroid(q_r3))
+    columns = list(zip(*q_r3["matrix"]))
+    minors = [det_int([[columns[e][i] for e in kept] for i in range(3)])
+              for kept in combinations(range(8), 3)]
+    for prime in (2, 3, 5, 7, 11, 13):
+        assert any(d % prime == 0 for d in minors if d)
+        assert point_count_char_poly(q_r3, prime) != expected
+    assert all(d % 17 for d in minors if d)
+    assert point_count_char_poly(q_r3) == point_count_char_poly(q_r3, 17) == expected
 
 
 # -- reduced polynomial and coefficient vectors -----------------------------

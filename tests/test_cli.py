@@ -387,6 +387,16 @@ def test_refused_input_leaves_the_trace_file_as_it_was(tmp_path, capsys, doc):
     assert trace_path.read_text() == "an earlier trace\n"
 
 
+def test_check_trace_to_stdout_is_the_trace_file_then_the_report(tmp_path, capsys):
+    path = write_doc(tmp_path, "k4.json", K4_DOC)
+    trace_path = tmp_path / "trace.ndjson"
+    code, report, _ = run_cli(capsys, "check", path, "--trace", str(trace_path))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "check", path, "--trace", "-")
+    assert code == 0
+    assert out == trace_path.read_text() + report
+
+
 def test_check_command_is_byte_stable(tmp_path, capsys):
     path = write_doc(tmp_path, "k4.json", K4_DOC)
     trace_path = tmp_path / "trace.ndjson"
@@ -677,10 +687,14 @@ def test_a_name_that_is_not_text_exits_2(tmp_path, command):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
-@pytest.mark.parametrize("command", ["charpoly", "mu", "check"])
-def test_a_report_stdout_cannot_encode_exits_2(tmp_path, command):
+@pytest.mark.parametrize("argv", [
+    ("charpoly", "DOC"), ("mu", "DOC"), ("check", "DOC"), ("check", "DOC", "--trace", "-"),
+], ids=["charpoly", "mu", "check", "check-trace"])
+def test_a_report_stdout_cannot_encode_exits_2(tmp_path, argv):
+    # With --trace -, the rows that stdout could encode do not leave
+    # without the report.
     path = write_doc(tmp_path, "doc.json", dict(U23_DOC, name="M\u00f6bius"))
-    proc = run_child(command, path, env={"PYTHONIOENCODING": "ascii"})
+    proc = run_child(*[path if a == "DOC" else a for a in argv], env={"PYTHONIOENCODING": "ascii"})
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: cannot write stdout: 'ascii' codec can't encode "
                                   "character '\\xf6'"), proc.stderr

@@ -32,6 +32,7 @@ from matfan.schema import load_matroid
 
 from oracles import (
     PLDivisor,
+    closure,
     facet_ray_sums,
     flag_generators,
     flag_span_coefficients,
@@ -132,7 +133,7 @@ def test_bergman_k4():
     # Every cone is a (rank-1 flat, rank-2 flat) chain.
     m = GraphicMatroid(4, corpus.K4_EDGES)
     for f1, f2 in w.weights:
-        assert m.closure(f1) == f1 and m.closure(f2) == f2
+        assert closure(m, f1) == f1 and closure(m, f2) == f2
         assert m.rank(f1) == 1 and m.rank(f2) == 2
         assert f1 & f2 == f1
 

@@ -32,6 +32,7 @@ from oracles import (
     K4_EDGES,
     K5_EDGES,
     bases_rank_oracle,
+    closure,
     forest_rank_oracle,
     graphic_rank,
     independent_counts_oracle,
@@ -54,7 +55,7 @@ def assert_same_ranks(matroid: Matroid, rank_fn) -> None:
 
 def is_simple(matroid: Matroid) -> bool:
     """No loops, and every single element is its own closure."""
-    return all(matroid.closure(b) == b for b in [0] + [1 << x for x in range(matroid.size)])
+    return all(closure(matroid, b) == b for b in [0] + [1 << x for x in range(matroid.size)])
 
 
 # -- backends against independent oracles ---------------------------------
@@ -396,12 +397,24 @@ def test_rank_memos_live_only_in_backends_that_compute():
 def test_closure_properties_k4():
     m = GraphicMatroid(4, K4_EDGES)
     for mask in iter_subsets(6):
-        cl = m.closure(mask)
+        cl = closure(m, mask)
         assert mask & cl == mask
-        assert m.closure(cl) == cl
+        assert closure(m, cl) == cl
         assert m.rank(cl) == m.rank(mask)
     # The triangle on vertices {0,1,2} is edges 0,1,3 and is closed.
-    assert m.closure(0b000011) == 0b001011
+    assert closure(m, 0b000011) == 0b001011
+
+
+def test_loops_are_the_closure_of_the_empty_set():
+    for name in corpus.CORPUS_NAMES:
+        m = corpus.build(name)
+        assert m.loops() == closure(m, 0), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(RANDOM_MATROIDS)
+def test_loops_are_the_closure_of_the_empty_set_on_random_matroids(matroid):
+    assert matroid.loops() == closure(matroid, 0)
 
 
 def test_flat_strata_k4():
@@ -520,7 +533,7 @@ def test_simplify_matches_closure_reference_on_random_matroids(matroid):
     if not matroid.full_rank:
         return
     subject, mapping = matroid.simplify()
-    reps, expected = simplification_oracle(matroid.size, matroid.rank)
+    reps, expected = simplification_oracle(matroid)
     assert mapping == expected
     assert (subject is matroid) == (mapping == list(range(matroid.size)))
     if subject is matroid:
