@@ -412,10 +412,10 @@ def mu_oracle(size, rank_fn):
     return tuple(q if i % 2 == 0 else -q for i, q in enumerate(quot))
 
 
-def point_count_char_poly(document, prime=None):
-    """chi of a linear document's matroid, degree-descending as char_poly
-    gives it (the empty tuple when chi is 0, that is when there is a loop),
-    counted over a finite field without reading a rank (Crapo-Rota).
+def point_counts(document, prime=None):
+    """The values chi(p^s), s = 1..r + 1, of a linear document's matroid,
+    as pairs (p^s, chi(p^s)), counted over a finite field without reading
+    a rank (Crapo-Rota); r + 1 values fix chi, of degree r.
 
     Over F_p, with m rows and columns a_e, the m x s matrices X over F_p
     with a_e^T X != 0 for every e are the points of F_(p^s)^m on no
@@ -423,10 +423,10 @@ def point_count_char_poly(document, prime=None):
     Z(x) = {e : a_e . x = 0} are counted over x in F_p^m, one x per line
     standing for its p - 1 multiples, and the s-fold AND-convolution of
     that histogram counts the meets of s of them: its weight on the empty
-    set is the count.  The p^(m - r) vectors with Z(x) = E give r, and the
-    counts at s = 1..r + 1 fix chi.  A Q document is reduced mod prime, by
-    default the least prime that divides none of its nonzero minors, where
-    the matroid stays the same (Athanasiadis 1996).
+    set is the count.  The p^(m - r) vectors with Z(x) = E give r.  A Q
+    document is reduced mod prime, by default the least prime that
+    divides none of its nonzero minors, where the matroid stays the same
+    (Athanasiadis 1996).
     """
     rows = len(document["matrix"])
     columns = [[Fraction(x) for x in col] for col in zip(*document["matrix"])]
@@ -459,18 +459,7 @@ def point_count_char_poly(document, prime=None):
         value, rest = divmod(meets.get(0, 0), prime ** (s * (rows - rank)))
         assert rest == 0
         points.append((prime ** s, value))
-    # Lagrange interpolation through the r + 1 points, ascending coefficients.
-    coefficients = [Fraction(0)] * (rank + 1)
-    for x, y in points:
-        basis, scale = [Fraction(y)], 1
-        for other, _ in points:
-            if other != x:
-                basis = [a - other * b for a, b in zip([0, *basis], [*basis, 0])]
-                scale *= x - other
-        coefficients = [c + b / scale for c, b in zip(coefficients, basis)]
-    assert all(c.denominator == 1 for c in coefficients)
-    poly = tuple(int(c) for c in reversed(coefficients))
-    return poly if any(poly) else ()
+    return points
 
 
 def descending_flag_count_oracle(size, rank_fn, k):

@@ -39,7 +39,7 @@ from oracles import (
     mobius_oracle,
     mobius_weisner,
     mu_oracle,
-    point_count_char_poly,
+    point_counts,
     uniform_rank,
 )
 from strategies import RANDOM_MATROIDS, linear_documents
@@ -182,7 +182,7 @@ def test_char_poly_with_loops_is_zero():
 # -- chi by point counts over finite fields ------------------------------------
 #
 # Every route reads the rank oracle, so a wrong LinearMatroid rank would
-# pass them all; point_count_char_poly reads the matrix and no rank.
+# pass them all; point_counts reads the matrix and no rank.
 
 
 GOLDEN_INPUTS = sorted(Path(__file__).parent.glob("golden/**/inputs/*.json"))
@@ -208,13 +208,21 @@ def without_loops(document):
     return dict(document, matrix=[list(row) for row in zip(*columns)])
 
 
+def values_at(poly, counts):
+    """poly's values at the counts' points, paired as point_counts pairs them."""
+    return [(x, value_at(poly, x)) for x, _ in counts]
+
+
 def assert_point_counts_match(document, report):
+    # r + 1 values fix a polynomial of degree r.  check reports the
+    # loopless matroid; a loop makes chi 0, which char_poly gives as ().
     subject = without_loops(document)
-    poly = point_count_char_poly(subject)
-    # A loop makes chi 0, which both give as the empty tuple.
-    whole = poly if subject == document else point_count_char_poly(document)
-    assert whole == char_poly(load_matroid(document))
-    assert [str(c) for c in poly] == report["char_poly"]
+    counts = point_counts(subject)
+    poly = tuple(int(c) for c in report["char_poly"])
+    assert len(poly) == len(counts) and values_at(poly, counts) == counts
+    whole = char_poly(load_matroid(document))
+    whole_counts = counts if subject == document else point_counts(document)
+    assert len(whole) in (0, len(counts)) and values_at(whole, whole_counts) == whole_counts
     mu = list(reduced_char_poly(poly)[1])
     assert report["mu"] and all(v == mu for v in report["mu"].values()), report["mu"]
 
@@ -241,8 +249,9 @@ def test_point_counts_follow_a_changed_column():
     fano = LINEAR_DOCUMENTS["fano"]
     # Column 6, (1, 1, 1), becomes (1, 1, 0), a copy of column 2.
     changed = dict(fano, matrix=[row[:6] + [bit] for row, bit in zip(fano["matrix"], (1, 1, 0))])
-    assert point_count_char_poly(changed) == char_poly(load_matroid(changed))
-    assert point_count_char_poly(changed) != char_poly(load_matroid(fano))
+    counts = point_counts(changed)
+    assert values_at(char_poly(load_matroid(changed)), counts) == counts
+    assert values_at(char_poly(load_matroid(fano)), counts) != counts
 
 
 def test_point_counts_need_a_prime_of_good_reduction():
@@ -255,9 +264,11 @@ def test_point_counts_need_a_prime_of_good_reduction():
               for kept in combinations(range(8), 3)]
     for prime in (2, 3, 5, 7, 11, 13):
         assert any(d % prime == 0 for d in minors if d)
-        assert point_count_char_poly(q_r3, prime) != expected
+        counts = point_counts(q_r3, prime)
+        assert values_at(expected, counts) != counts
     assert all(d % 17 for d in minors if d)
-    assert point_count_char_poly(q_r3) == point_count_char_poly(q_r3, 17) == expected
+    counts = point_counts(q_r3)
+    assert counts == point_counts(q_r3, 17) == values_at(expected, counts)
 
 
 # -- reduced polynomial and coefficient vectors -----------------------------

@@ -352,18 +352,16 @@ def test_a_divisor_that_is_not_nef_breaks_the_inequality(name):
 
 def hodge_form(matroid, d=alpha):
     """The proper flats of a simple matroid, by rank, and Q over them,
-    with d in place of alpha; the upper triangle is computed and mirrored."""
+    with d in place of alpha.  Every entry is computed, so inertia's
+    symmetry check also checks that divisor_cup commutes."""
     strata, _ = matroid.flat_strata()
     flats = [f for level in strata[1:-1] for f in level]
     w = bergman_weight(matroid)
     for _ in range(matroid.full_rank - 3):
         w = divisor_cup(d, w)
-    form = [[0] * len(flats) for _ in flats]
-    for i, f in enumerate(flats):
-        wf = divisor_cup(lambda s, f=f: int(s == f), w)
-        for j in range(i, len(flats)):
-            form[i][j] = form[j][i] = divisor_cup(lambda s, g=flats[j]: int(s == g), wf).value(())
-    return flats, form
+    cupped = [divisor_cup(lambda s, f=f: int(s == f), w) for f in flats]
+    return flats, [[divisor_cup(lambda s, g=g: int(s == g), wf).value(()) for g in flats]
+                   for wf in cupped]
 
 
 def assert_hodge_index(matroid):
@@ -416,8 +414,7 @@ def ample(size):
 
 
 LEFSCHETZ_CASES = {
-    **{name: corpus.build(name) for name in corpus.CORPUS_NAMES
-       if corpus.build(name).full_rank >= 4},
+    **{name: m for name in corpus.CORPUS_NAMES if (m := corpus.build(name)).full_rank >= 4},
     **{f"geometry-{size}-{i}": RankTableMatroid(size, ranks)
        for size in range(4, 7) for i, ranks in enumerate(geometries(size)) if ranks[-1] >= 4},
     "vamos": load_matroid(dict(VAMOS, name="vamos")),
