@@ -25,8 +25,8 @@ from contextlib import contextmanager, nullcontext
 from . import corpus
 from .fan import bergman_weight
 from .schema import InputError, dump_json, load_matroid_file
-from .validation import (MU_METHODS, charpoly_report, mu_report, refuse_rank_zero,
-                         run_check, too_many_cones)
+from .validation import (MU_METHODS, charpoly_report, mu_report, out_of_reach,
+                         refuse_rank_zero, run_check)
 
 PASS, FAIL, BAD_INPUT, INTERNAL = 0, 1, 2, 3
 
@@ -67,7 +67,7 @@ def cmd_fan(args) -> tuple[int, str]:
     matroid = load_matroid_file(args.file)
     if matroid.loops():
         raise InputError(f"{matroid.name} has loops and no fan; simplify the input first")
-    refusal = too_many_cones(matroid)
+    refusal = out_of_reach(matroid).get("divisor")
     if refusal:
         raise InputError(refusal)
     # Open the output after every refusal, which leaves an existing file as

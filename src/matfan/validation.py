@@ -7,16 +7,17 @@ The subject of every report is the simplification of the input matroid
 coefficient sequence is unchanged by that, and the fan constructions
 require looplessness anyway.
 
-out_of_reach is the one size gate of run_check and mu_report.  The
-geometric routes (divisor, displacement) build Bergman fans cone by
-cone, so they run exactly when too_many_cones finds at most
-FLAG_LIMIT = 9! cones, complete flags of proper flats, as many as
-free-9 has.  It reads the flat lattice only when N atoms and rank R,
-which give at least N * (R - 1)! cones, do not already pass the limit,
-so free-10, with 10! cones, is refused without reading a flat.  The
-Welsh-Mason step scans every subset, so it needs at most 21 elements,
-and counts the free coextension's flags from its rank oracle alone.
-The report lists each step it skips.  The divisor route, cup_chain,
+out_of_reach is the one size gate of run_check, mu_report and the fan
+export, and maps each step it blocks to the sentence that says why.
+The geometric routes (divisor, displacement) build Bergman fans cone by
+cone, so they run exactly when there are at most FLAG_LIMIT = 9! cones,
+complete flags of proper flats, as many as free-9 has.  The gate reads
+the flat lattice only when N atoms and rank R, which give at least
+N * (R - 1)! cones, do not already pass the limit, so free-10, with 10!
+cones, is refused without reading a flat.  The Welsh-Mason step scans
+every subset, so it needs at most 21 elements, and counts the free
+coextension's flags from its rank oracle alone.  The report maps each
+step it skips to its reason.  The divisor route, cup_chain,
 tests balancing on every facet of every cup and raises NotBalancedError
 on the first failure, so an unbalanced fan is an internal error (exit
 3) and the report has no balancing field.  mu_report consults the gate
@@ -166,9 +167,9 @@ def count_complete_flags(matroid: Matroid) -> int:
     return chains[strata[-1][0]]
 
 
-def too_many_cones(matroid: Matroid) -> Optional[str]:
-    """Why the Bergman weight of a loopless matroid is too large to
-    build, or None when it has at most FLAG_LIMIT cones.
+def out_of_reach(matroid: Matroid) -> dict[str, str]:
+    """Each report step a loopless matroid is too large for, in report
+    order, mapped to the sentence that says why.
 
     N atoms and rank R give at least N * (R - 1)! complete flags: each
     atom begins the complete flags of its contraction, which has rank
@@ -176,22 +177,17 @@ def too_many_cones(matroid: Matroid) -> Optional[str]:
     refused before the flat lattice is read.
     """
     least = matroid.simplify()[0].size * math.factorial(matroid.full_rank - 1)
-    if least > FLAG_LIMIT:
-        count = f"at least {least}"
-    else:
-        cones = count_complete_flags(matroid)
-        if cones <= FLAG_LIMIT:
-            return None
-        count = str(cones)
-    return (f"{matroid.name} has {count} complete flags of flats; "
+    cones = least if least > FLAG_LIMIT else count_complete_flags(matroid)
+    blocked = {}
+    if cones > FLAG_LIMIT:
+        count = f"at least {least}" if least > FLAG_LIMIT else cones
+        blocked["divisor"] = blocked["displacement"] = (
+            f"{matroid.name} has {count} complete flags of flats; "
             f"a Bergman weight is built with at most {FLAG_LIMIT} cones")
-
-
-def out_of_reach(simple: Matroid) -> list[str]:
-    """The report steps a simple matroid is too large for, in report order."""
-    blocked = ["divisor", "displacement"] if too_many_cones(simple) else []
-    if simple.size > EXHAUSTIVE_SCAN_LIMIT:
-        blocked.append("welsh_mason")
+    if matroid.size > EXHAUSTIVE_SCAN_LIMIT:
+        blocked["welsh_mason"] = (
+            f"{matroid.name} has {matroid.size} elements; the Welsh-Mason step "
+            f"scans every subset, which caps it at {EXHAUSTIVE_SCAN_LIMIT} elements")
     return blocked
 
 
@@ -292,10 +288,10 @@ def mu_report(matroid: Matroid, method: str) -> dict:
     simple, note = _subject(matroid)
     wanted = MU_METHODS if method == "all" else (method,)
     # Only a geometric route consults the gate, so the others read no flat.
-    blocked = out_of_reach(simple) if {"divisor", "displacement"} & set(wanted) else []
+    blocked = out_of_reach(simple) if {"divisor", "displacement"} & set(wanted) else {}
     if method in blocked:
-        raise InputError(f"{method} needs the Bergman weight: {too_many_cones(simple)}")
-    skipped = [name for name in wanted if name in blocked]
+        raise InputError(f"{method} needs the Bergman weight: {blocked[method]}")
+    skipped = {name: blocked[name] for name in wanted if name in blocked}
     mu = {name: None if name in skipped else list(_ROUTES[name](simple))
           for name in wanted}
 

@@ -268,7 +268,10 @@ def test_mu_geometric_methods_respect_size_limit(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["mu"]["displacement"] is None
-    assert report["skipped"] == ["displacement", "divisor"]
+    reason = ("free(10) has at least 3628800 complete flags of flats; "
+              "a Bergman weight is built with at most 362880 cones")
+    assert report["skipped"] == {"displacement": reason, "divisor": reason}
+    assert list(report["skipped"]) == ["displacement", "divisor"]
     assert report["mu"]["mobius"] == [math.comb(9, k) for k in range(10)]
 
 
@@ -346,7 +349,7 @@ def test_the_flag_bound_counts_atoms_not_elements():
     rows = [[int(i == j) for j in range(9)] + [int(i == 0)] for i in range(9)]
     matroid = load_matroid({"type": "linear", "field": "GF(2)", "matrix": rows})
     assert (matroid.size, matroid.full_rank) == (10, 9)
-    assert validation.too_many_cones(matroid) is None
+    assert "divisor" not in validation.out_of_reach(matroid)
 
 
 def test_fan_command_rejects_loops(tmp_path, capsys):
@@ -478,22 +481,26 @@ def test_check_command_large_input_skips_geometry(tmp_path, capsys):
 
 
 def test_one_gate_decides_for_check_and_mu(monkeypatch):
-    # k4 is inside every limit; refusing its Bergman weight through the
-    # flag gate alone must reach both reports.
-    monkeypatch.setattr(validation, "too_many_cones", lambda matroid: "k4 is held back")
+    # k4 has 18 complete flags of flats; a flag limit of 17 refuses its
+    # Bergman weight, and the refusal must reach both reports.
+    monkeypatch.setattr(validation, "FLAG_LIMIT", 17)
+    reason = "k4 has 18 complete flags of flats; a Bergman weight is built with at most 17 cones"
     k4 = load_matroid(K4_DOC)
     report = validation.run_check(k4).report
-    assert report["skipped"] == ["divisor", "displacement"]
+    assert report["skipped"] == {"divisor": reason, "displacement": reason}
+    assert list(report["skipped"]) == ["divisor", "displacement"]
     assert list(report["mu"]) == ["mobius", "flags"]
     assert report["truncation_identity"] is None
     assert "balancing_violations" not in report
     assert report["welsh_mason"] is True
     mu = validation.mu_report(k4, "all")
-    assert mu["skipped"] == ["displacement", "divisor"]
+    assert mu["skipped"] == {"displacement": reason, "divisor": reason}
+    assert list(mu["skipped"]) == ["displacement", "divisor"]
     assert mu["mu"] == {"mobius": [1, 5, 6], "flags": [1, 5, 6],
                         "displacement": None, "divisor": None}
-    with pytest.raises(InputError, match="divisor needs the Bergman weight: k4 is held back"):
+    with pytest.raises(InputError) as exc:
         validation.mu_report(k4, "divisor")
+    assert str(exc.value) == f"divisor needs the Bergman weight: {reason}"
 
 
 @pytest.mark.parametrize("rank, size, blocked", [
@@ -509,7 +516,35 @@ def test_gate_boundaries(rank, size, blocked):
     # proper flats, as many as free-9 has; u(r,n) has n!/(n-r+1)!.  So
     # u(7,10), with 10!/4! = 151,200, runs them and u(8,10), with 10!/3!,
     # does not.  Welsh-Mason needs at most 21 elements.
-    assert validation.out_of_reach(UniformMatroid(rank, size)) == blocked
+    assert list(validation.out_of_reach(UniformMatroid(rank, size))) == blocked
+
+
+def test_a_refused_geometric_method_counts_the_flags_once(monkeypatch):
+    # u(8,10)'s atom bound, 10 * 7!, is within the limit, so the gate
+    # counts its 10!/3! flags, and the refusal reuses that one count.
+    calls = []
+    original = validation.count_complete_flags
+
+    def count(matroid):
+        calls.append(matroid.name)
+        return original(matroid)
+
+    monkeypatch.setattr(validation, "count_complete_flags", count)
+    with pytest.raises(InputError, match="604800 complete flags"):
+        validation.mu_report(UniformMatroid(8, 10), "divisor")
+    assert calls == ["uniform(8,10)"]
+
+
+def test_fan_mu_and_check_give_one_reason(tmp_path, capsys):
+    path = write_doc(tmp_path, "u8-10.json", {"type": "uniform", "rank": 8, "size": 10})
+    reason = ("uniform(8,10) has 604800 complete flags of flats; "
+              "a Bergman weight is built with at most 362880 cones")
+    assert run_cli(capsys, "fan", path) == (2, "", f"error: {reason}\n")
+    assert run_cli(capsys, "mu", path, "--method", "divisor") == (
+        2, "", f"error: divisor needs the Bergman weight: {reason}\n")
+    code, out, _ = run_cli(capsys, "check", path)
+    assert code == 0
+    assert json.loads(out)["skipped"] == {"divisor": reason, "displacement": reason}
 
 
 @pytest.mark.parametrize("size", [10, 11])
@@ -520,7 +555,10 @@ def test_check_builds_no_fan_above_the_flag_limit(monkeypatch, size):
     monkeypatch.setattr(validation, "bergman_weight", no_fan)
     report = validation.run_check(FreeMatroid(size)).report
     assert report["pass"] is True, report.get("error")
-    assert report["skipped"] == ["divisor", "displacement"]
+    reason = (f"free({size}) has at least {math.factorial(size)} complete flags of flats; "
+              "a Bergman weight is built with at most 362880 cones")
+    assert report["skipped"] == {"divisor": reason, "displacement": reason}
+    assert list(report["skipped"]) == ["divisor", "displacement"]
     assert "balancing_violations" not in report
     assert report["mu"]["mobius"] == [math.comb(size - 1, k) for k in range(size)]
 
@@ -771,7 +809,9 @@ def test_check_skips_welsh_mason_above_scan_limit(tmp_path, capsys, rank, size, 
     report = json.loads(out)
     assert report["pass"] is True
     assert report["mu"] == {route: mu for route in ("mobius", "flags", "divisor", "displacement")}
-    assert report["skipped"] == ["welsh_mason"]
+    assert report["skipped"] == {"welsh_mason": (
+        f"uniform({rank},{size}) has {size} elements; the Welsh-Mason step "
+        "scans every subset, which caps it at 21 elements")}
     assert report["truncation_identity"] is True
     assert report["f_vector"] is None
     assert report["mu_coextension"] is None
