@@ -535,11 +535,24 @@ def test_a_refused_geometric_method_counts_the_flags_once(monkeypatch):
     assert calls == ["uniform(8,10)"]
 
 
-def test_fan_mu_and_check_give_one_reason(tmp_path, capsys):
-    path = write_doc(tmp_path, "u8-10.json", {"type": "uniform", "rank": 8, "size": 10})
-    reason = ("uniform(8,10) has 604800 complete flags of flats; "
+# u(8,10), and u(8,10) with element 0 doubled as element 10.
+U8_10_DOUBLED = [basis for basis in range(1 << 11)
+                 if basis.bit_count() == 8 and (basis >> 10 & 1) + (basis & 1) < 2]
+
+
+@pytest.mark.parametrize("doc, simple", [
+    ({"type": "uniform", "rank": 8, "size": 10}, "uniform(8,10)"),
+    ({"type": "bases", "n": 11, "bases": U8_10_DOUBLED, "name": "m"}, "si(m)"),
+], ids=["u8-10", "u8-10-doubled"])
+def test_fan_mu_and_check_give_one_reason(tmp_path, capsys, doc, simple):
+    # fan gates its input, and mu and check the simplification, which is
+    # named si(...) when the input has parallel elements.
+    path = write_doc(tmp_path, "doc.json", doc)
+    counts = ("has 604800 complete flags of flats; "
               "a Bergman weight is built with at most 362880 cones")
-    assert run_cli(capsys, "fan", path) == (2, "", f"error: {reason}\n")
+    name = doc.get("name", simple)
+    assert run_cli(capsys, "fan", path) == (2, "", f"error: {name} {counts}\n")
+    reason = f"{simple} {counts}"
     assert run_cli(capsys, "mu", path, "--method", "divisor") == (
         2, "", f"error: divisor needs the Bergman weight: {reason}\n")
     code, out, _ = run_cli(capsys, "check", path)
