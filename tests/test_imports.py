@@ -1,4 +1,5 @@
-"""Every name that a module of the package imports is used in that module.
+"""Every name that a module of the package, or a script under tests/,
+imports is used in that module.
 
 Stdlib only, with no linter: each module is parsed with ast.  An imported
 name counts as used when the module reads it (as a bare name or as the
@@ -14,6 +15,8 @@ import pytest
 import matfan
 
 MODULES = sorted(Path(matfan.__file__).parent.glob("*.py"))
+# The scripts under tests/, which pytest imports but does not collect.
+SCRIPTS = [Path(__file__).parent / name for name in ("read_graphs.py", "geometries.py")]
 
 
 def imported_names(tree):
@@ -51,7 +54,7 @@ def test_the_package_has_modules():
     assert {p.name for p in MODULES} >= {"__init__.py", "matroid.py", "masks.py", "cli.py"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     used = used_names(tree)

@@ -48,6 +48,7 @@ from matfan.validation import (
     run_check,
 )
 
+from geometries import geometries
 from oracles import (
     PLDivisor,
     alpha_divisor,
@@ -69,7 +70,6 @@ from oracles import (
     truncation,
 )
 from strategies import RANDOM_MATROIDS, sparse_paving_documents
-from test_geometries import geometries
 from test_nonrealizable import VAMOS
 
 
