@@ -26,9 +26,12 @@ marking each new family's whole orbit under the relabellings.
 Each geometry must satisfy the rank axioms oracle and pass check as a
 rank table with all four routes and nothing skipped, whatever its
 field.  The split by rank must match SPLITS, and its rank-3 count the
-linear spaces.  The script prints the count, the split and the time,
-and exits 1 on the first geometry that fails.  tests/test_geometries.py
-runs the same generator and checks on 1 to 7 points under pytest.
+linear spaces.  Then each geometry of rank 4 or more must pass
+oracles.degree_one_hodge: hard Lefschetz and Hodge-Riemann in degree 1
+with an ample class (Adiprasito-Huh-Katz).  The script prints the
+counts, the split and the times, and exits 1 on the first geometry
+that fails.  tests/test_geometries.py runs the same generator and
+checks on 1 to 7 points under pytest.
 """
 
 import sys
@@ -40,8 +43,7 @@ from itertools import combinations, permutations, product
 from matfan.matroid import RankTableMatroid
 from matfan.validation import run_check
 
-from oracles import rank_axioms_oracle
-from read_graphs import ROUTES
+from oracles import all_flats_oracle, degree_one_hodge, every_route_failure, rank_axioms_oracle
 
 # The geometries on N points by rank.  950 on 8 points is the count
 # Mayhew-Royle 2008 tabulate, as recalled without the paper at hand;
@@ -59,13 +61,6 @@ SPLITS = {
 }
 
 
-def flats(size, ranks):
-    """The sets that every added element enlarges."""
-    return frozenset(mask for mask in range(1 << size)
-                     if all(ranks[mask | 1 << e] > ranks[mask]
-                            for e in range(size) if not mask >> e & 1))
-
-
 def closure(size, ranks, mask):
     return mask | sum(1 << e for e in range(size) if ranks[mask | 1 << e] == ranks[mask])
 
@@ -81,7 +76,8 @@ def modular_cuts(size, ranks):
     forced flat ends.  So every leaf is a modular cut, and every modular
     cut is a leaf.
     """
-    upper = sorted((f for f in flats(size, ranks) if ranks[f] >= 2), key=lambda f: -ranks[f])
+    upper = sorted((f for f in all_flats_oracle(size, ranks.__getitem__) if ranks[f] >= 2),
+                   key=lambda f: -ranks[f])
     place = {f: i for i, f in enumerate(upper)}
     below = [sum(1 << place[g] for g in upper if g & f == g != f) for f in upper]
     # partners[i]: (bit of an earlier flat g modular with upper[i] and not
@@ -156,7 +152,7 @@ def geometries(size):
     for ranks in geometries(size - 1):
         for cut in modular_cuts(size - 1, ranks):
             table = extension(size - 1, ranks, cut)
-            lattice = flats(size, table)
+            lattice = frozenset(all_flats_oracle(size, table.__getitem__))
             profile = profiles(size, lattice, table)
             bucket = buckets.setdefault((table[-1], len(lattice), tuple(sorted(profile))), [])
             if not any(isomorphic(size, (lattice, profile), seen) for _, seen in bucket):
@@ -198,10 +194,9 @@ def check(size, ranks):
     if failure:
         return f"not a rank table: {failure}"
     report = run_check(RankTableMatroid(size, ranks)).report
-    if not report["pass"]:
-        return f"check fails: {report.get('error') or report['failures']}"
-    if "skipped" in report or set(report["mu"]) != ROUTES:
-        return f"not every route ran: {report.get('skipped')}"
+    failure = every_route_failure(report)
+    if failure:
+        return failure
     if report["subject_size"] != size:
         return f"the subject has {report['subject_size']} elements"
     return None
@@ -227,6 +222,15 @@ def main(size):
     if split != SPLITS.get(size) or split.get(3, 0) != linear:
         print(f"expected {SPLITS.get(size)} by rank, with the linear spaces of rank 3")
         return 1
+    start = time.perf_counter()
+    higher = [ranks for ranks in tables if ranks[-1] >= 4]
+    for ranks in higher:
+        failure = degree_one_hodge(RankTableMatroid(size, ranks))
+        if failure:
+            print(f"{ranks}: {failure}")
+            return 1
+    print(f"{len(higher)} of rank 4 or more pass hard Lefschetz and Hodge-Riemann "
+          f"in degree 1, in {time.perf_counter() - start:.1f} s")
     return 0
 
 

@@ -48,7 +48,13 @@ reads each parallel class off a closure, the reference for
 Matroid.simplify, which reads pair ranks.  rank_table
 lists a matroid's rank on every subset, for tests that compare two rank
 functions whole.  integer_inertia is inertia by fraction-free steps, for
-integer forms too large for Fraction elimination.
+integer forms too large for Fraction elimination.  hodge_form is the
+degree-1 form on the ray divisors of the proper flats, and
+degree_one_hodge checks hard Lefschetz and Hodge-Riemann on it with an
+ample class.  value_at reads a polynomial by Horner's rule.  ROUTES
+names the four routes as the tests expect them, independently of the
+package's own list, and every_route_failure is the rule that a check
+report passes by all four with nothing skipped.
 """
 
 from __future__ import annotations
@@ -58,12 +64,13 @@ from itertools import accumulate, combinations, permutations, product
 from math import lcm
 
 from matfan import linalg
-from matfan.fan import Frozen, MinkowskiWeight, permutohedral_weight
+from matfan.fan import Frozen, MinkowskiWeight, bergman_weight, permutohedral_weight
 from matfan.intersect import (
     DegenerateDisplacementError,
     NotBalancedError,
     PairingTerm,
     _flag_blocks,
+    alpha,
     cone_displacement_intersect,
     divisor_cup,
     pairing_terms,
@@ -410,6 +417,14 @@ def mu_oracle(size, rank_fn):
     rem = acc + cp[-1]
     assert rem == 0, "characteristic polynomial not divisible by q - 1"
     return tuple(q if i % 2 == 0 else -q for i, q in enumerate(quot))
+
+
+def value_at(p, x):
+    """p(x) by Horner's rule, p degree-descending."""
+    acc = 0
+    for c in p:
+        acc = acc * x + c
+    return acc
 
 
 def point_counts(document, prime=None):
@@ -1125,6 +1140,60 @@ def nef_check(d):
     if d.n == 0:
         return True
     return all(v >= 0 for v in nef_values(d).weights.values())
+
+
+# -- the Hodge form in degree 1 ------------------------------------------
+
+def hodge_form(matroid, d=alpha):
+    """The proper flats of a simple matroid, by rank, and the form
+    Q(F, G) = deg(D_F . D_G . d^(r-3) . B) over their ray divisors
+    D_F(S) = [S = F].  Every entry is computed, so an inertia's symmetry
+    check also checks that divisor_cup commutes."""
+    strata, _ = matroid.flat_strata()
+    flats = [f for level in strata[1:-1] for f in level]
+    w = bergman_weight(matroid)
+    for _ in range(matroid.full_rank - 3):
+        w = divisor_cup(d, w)
+    cupped = [divisor_cup(lambda s, f=f: int(s == f), w) for f in flats]
+    return flats, [[divisor_cup(lambda s, g=g: int(s == g), wf).value(()) for g in flats]
+                   for wf in cupped]
+
+
+def ample(size):
+    """The ray values -|S| (size - |S|) of an ample class
+    (Adiprasito-Huh-Katz, section 4)."""
+    return lambda s: -s.bit_count() * (size - s.bit_count())
+
+
+def degree_one_hodge(matroid):
+    """Why a simple matroid of rank 4 or more fails hard Lefschetz and
+    Hodge-Riemann in degree 1, or None.  With the ample class in place of
+    alpha, the form must have inertia (1, h1 - 1, n), where h1 is the
+    number of proper flats less n; with alpha, nef but not ample, its
+    kernel must exceed n."""
+    n = matroid.size - 1
+    flats, form = hodge_form(matroid, ample(matroid.size))
+    expected = (1, len(flats) - n - 1, n)
+    if (found := integer_inertia(form)) != expected:
+        return f"the ample class gives inertia {found}, expected {expected}"
+    if (kernel := integer_inertia(hodge_form(matroid)[1])[2]) <= n:
+        return f"alpha leaves a kernel of {kernel}, expected more than {n}"
+    return None
+
+
+# -- check reports -------------------------------------------------------
+
+ROUTES = frozenset({"mobius", "flags", "divisor", "displacement"})
+
+
+def every_route_failure(report):
+    """Why a check report is not a pass by all four routes with nothing
+    skipped, or None."""
+    if not report["pass"]:
+        return f"check fails: {report.get('error') or report['failures']}"
+    if "skipped" in report or set(report["mu"]) != ROUTES:
+        return f"not every route ran: {report.get('skipped')}"
+    return None
 
 
 # -- tiny fixed structures used across the test-suite ------------------

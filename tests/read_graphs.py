@@ -28,9 +28,10 @@ from matfan.charpoly import char_poly
 from matfan.matroid import GraphicMatroid
 from matfan.validation import run_check
 
+from oracles import every_route_failure, value_at
+
 # OEIS A000088 less the edgeless graph.
 WITH_AN_EDGE = {1: 0, 2: 1, 3: 3, 4: 10, 5: 33, 6: 155, 7: 1043, 8: 12345}
-ROUTES = {"mobius", "flags", "divisor", "displacement"}
 
 
 def canonical(vertices, edges):
@@ -86,25 +87,16 @@ def colourings(vertices, edges, q):
     return extend(0, 0)
 
 
-def evaluate(poly, q):
-    value = 0
-    for c in poly:
-        value = value * q + c
-    return value
-
-
 def check(vertices, edges):
     """Why the graph fails, or None when it passes."""
     matroid = GraphicMatroid(vertices, edges)
-    report = run_check(matroid).report
-    if not report["pass"]:
-        return f"check fails: {report.get('error') or report['failures']}"
-    if "skipped" in report or set(report["mu"]) != ROUTES:
-        return f"not every route ran: {report.get('skipped')}"
+    failure = every_route_failure(run_check(matroid).report)
+    if failure:
+        return failure
     poly = char_poly(matroid)
     components = vertices - matroid.full_rank
     if [colourings(vertices, edges, q) for q in range(vertices + 1)] != [
-            q ** components * evaluate(poly, q) for q in range(vertices + 1)]:
+            q ** components * value_at(poly, q) for q in range(vertices + 1)]:
         return "the colourings are not q^c * chi(q)"
     return None
 

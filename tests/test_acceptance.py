@@ -17,8 +17,8 @@ from matfan.intersect import (alpha, beta, default_displacement, displacement_we
                               divisor_cup, pairing_terms)
 from matfan.validation import run_check
 
-from oracles import (certified_terms, displacement_degree, displacement_reference, mu_oracle,
-                     perturbed_displacement)
+from oracles import (ROUTES, certified_terms, displacement_degree, displacement_reference,
+                     mu_oracle, perturbed_displacement)
 
 CHECK_BUDGET_SECONDS = 120.0
 PERTURBATION_BUDGET_SECONDS = 300.0
@@ -48,7 +48,7 @@ def test_criterion_1_four_methods_agree(corpus_results):
     for name, rep in reports.items():
         if not rep["agreement"] or "skipped" in rep:
             ok = False
-        if set(rep["mu"]) != {"mobius", "flags", "divisor", "displacement"}:
+        if set(rep["mu"]) != ROUTES:
             ok = False
         vectors = {tuple(v) for v in rep["mu"].values() if v is not None}
         if len(vectors) != 1:

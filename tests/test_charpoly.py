@@ -32,6 +32,7 @@ from matfan.schema import load_matroid, load_matroid_file
 from oracles import (
     FANO_MATRIX,
     K4_EDGES,
+    ROUTES,
     char_poly_oracle,
     descending_flag_count_oracle,
     det_int,
@@ -41,19 +42,12 @@ from oracles import (
     mu_oracle,
     point_counts,
     uniform_rank,
+    value_at,
 )
 from strategies import RANDOM_MATROIDS, linear_documents
 
 
 # -- polynomial arithmetic --------------------------------------------------
-
-
-def value_at(p, x):
-    """p(x) by Horner's rule, p degree-descending."""
-    acc = 0
-    for c in p:
-        acc = acc * x + c
-    return acc
 
 
 def times_q_minus_one(quotient):
@@ -397,7 +391,7 @@ def test_welsh_mason_on_k6_with_every_route():
     assert report["mu_coextension"] == report["f_vector"]
     assert report["welsh_mason"] is True
     assert "skipped" not in report
-    assert set(report["mu"]) == {"mobius", "flags", "divisor", "displacement"}
+    assert set(report["mu"]) == ROUTES
     assert report["truncation_identity"] is True
     assert report["pass"] is True
 

@@ -27,7 +27,7 @@ from matfan.matroid import (
 from matfan.schema import InputError, dump_json, load_matroid, load_matroid_file
 from matfan.validation import CheckResult
 
-from oracles import rank_table
+from oracles import ROUTES, rank_table
 
 K4_DOC = {
     "type": "graphic",
@@ -462,7 +462,7 @@ def test_check_command_timings_flag(tmp_path, capsys):
     assert all(isinstance(v, int) for v in report["timings_ns"].values())
 
 
-def test_check_command_large_input_skips_geometry(tmp_path, capsys):
+def test_check_command_runs_every_route_on_k5(tmp_path, capsys):
     # K5 has 10 elements but only 5!4!/2^4 = 180 complete flags of flats
     # (chains of set partitions of its vertices), so every route runs.
     path = write_doc(tmp_path, "k5.json", {
@@ -473,8 +473,7 @@ def test_check_command_large_input_skips_geometry(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert "skipped" not in report
-    assert report["mu"] == {route: [1, 9, 26, 24]
-                            for route in ("mobius", "flags", "divisor", "displacement")}
+    assert report["mu"] == {route: [1, 9, 26, 24] for route in ROUTES}
     assert report["truncation_identity"] is True
     assert "balancing_violations" not in report
     assert report["pass"] is True
@@ -821,7 +820,7 @@ def test_check_skips_welsh_mason_above_scan_limit(tmp_path, capsys, rank, size, 
     assert code == 0
     report = json.loads(out)
     assert report["pass"] is True
-    assert report["mu"] == {route: mu for route in ("mobius", "flags", "divisor", "displacement")}
+    assert report["mu"] == {route: mu for route in ROUTES}
     assert report["skipped"] == {"welsh_mason": (
         f"uniform({rank},{size}) has {size} elements; the Welsh-Mason step "
         "scans every subset, which caps it at 21 elements")}

@@ -424,7 +424,7 @@ def incidence_ray_sums(weight):
 
 @settings(max_examples=200, deadline=None)
 @given(weights())
-def test_ray_sums_and_excesses_are_incidence_vector_sums(weight):
+def test_ray_sums_are_incidence_vector_sums_and_unbalanced_facets_are_unspanned(weight):
     expected = incidence_ray_sums(weight)
     assert [(tau, total) for tau, _, total in facet_ray_sums(weight)] == expected
     assert check_balancing(weight) == [

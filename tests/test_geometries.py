@@ -9,7 +9,10 @@ generates.  The rank-3 classes are counted again as linear spaces,
 without the generator.  Every geometry then passes geometries.check:
 the rank axioms oracle, and run_check as a rank table with all four
 routes and nothing skipped, whatever its field.  The script
-tests/geometries.py runs the same on 8 points.
+tests/geometries.py runs the same on 8 points, and then
+oracles.degree_one_hodge on every geometry of rank 4 or more; its main
+is run here on 6 points, with a geometry that fails each check and with
+a wrong count.
 """
 
 from itertools import combinations, permutations
@@ -17,13 +20,14 @@ from math import factorial
 
 import pytest
 
-from geometries import SPLITS, check, flats, geometries, linear_space_classes, main, relabel
+from geometries import SPLITS, check, geometries, linear_space_classes, main, relabel
+from oracles import all_flats_oracle
 
 MAX_POINTS = 7
 
 
 def automorphisms(size, ranks):
-    lattice = flats(size, ranks)
+    lattice = frozenset(all_flats_oracle(size, ranks.__getitem__))
     return sum({relabel(f, perm) for f in lattice} == lattice
                for perm in permutations(range(size)))
 
@@ -89,3 +93,13 @@ def test_the_script_fails_on_a_wrong_count(monkeypatch, capsys):
     monkeypatch.setitem(SPLITS[6], 4, SPLITS[6][4] + 1)
     assert main(6) == 1
     assert "expected {2: 1, 3: 9, 4: 12, 5: 4, 6: 1} by rank" in capsys.readouterr().out
+
+
+def test_the_script_fails_on_a_geometry_that_fails_in_degree_1(monkeypatch, capsys):
+    failing = geometries(6)[10]
+    assert failing[-1] >= 4
+    monkeypatch.setattr("geometries.check", lambda size, ranks: None)
+    monkeypatch.setattr("geometries.degree_one_hodge",
+                        lambda matroid: "made to fail" if tuple(matroid.ranks) == failing else None)
+    assert main(6) == 1
+    assert capsys.readouterr().out.endswith(f"{failing}: made to fail\n")

@@ -51,13 +51,16 @@ from matfan.validation import (
 from geometries import geometries
 from oracles import (
     PLDivisor,
+    ROUTES,
     alpha_divisor,
     certified_terms,
     cremona_pullback_divisor,
+    degree_one_hodge,
     displacement_degree,
     displacement_reference,
     evaluate_in_cone,
     flag_generators,
+    hodge_form,
     inertia,
     integer_inertia,
     min_formula,
@@ -350,20 +353,6 @@ def test_a_divisor_that_is_not_nef_breaks_the_inequality(name):
 # which is perfect: its kernel is the n linear functions.
 
 
-def hodge_form(matroid, d=alpha):
-    """The proper flats of a simple matroid, by rank, and Q over them,
-    with d in place of alpha.  Every entry is computed, so inertia's
-    symmetry check also checks that divisor_cup commutes."""
-    strata, _ = matroid.flat_strata()
-    flats = [f for level in strata[1:-1] for f in level]
-    w = bergman_weight(matroid)
-    for _ in range(matroid.full_rank - 3):
-        w = divisor_cup(d, w)
-    cupped = [divisor_cup(lambda s, f=f: int(s == f), w) for f in flats]
-    return flats, [[divisor_cup(lambda s, g=g: int(s == g), wf).value(()) for g in flats]
-                   for wf in cupped]
-
-
 def assert_hodge_index(matroid):
     flats, form = hodge_form(matroid)
     a = [-(f & 1) for f in flats]
@@ -406,11 +395,8 @@ def test_a_divisor_that_is_not_nef_breaks_the_hodge_index():
 # flats that leaves a kernel of exactly the n linear functions.  Vamos is
 # not realizable, so Huh-Katz's proof does not reach it; AHK's does.
 # alpha is nef but not ample, and in its place the kernel grows.
-
-
-def ample(size):
-    """The ray values -|S| (size - |S|)."""
-    return lambda s: -s.bit_count() * (size - s.bit_count())
+# oracles.degree_one_hodge checks both, and tests/geometries.py runs it on
+# every geometry of rank 4 or more on N points.
 
 
 LEFSCHETZ_CASES = {
@@ -423,12 +409,7 @@ LEFSCHETZ_CASES = {
 
 @pytest.mark.parametrize("matroid", LEFSCHETZ_CASES.values(), ids=LEFSCHETZ_CASES)
 def test_an_ample_class_has_the_hodge_riemann_signature_in_degree_1(matroid):
-    n = matroid.size - 1
-    flats, form = hodge_form(matroid, ample(matroid.size))
-    assert integer_inertia(form) == (1, len(flats) - n - 1, n)
-    # alpha in place of l: hard Lefschetz fails for a nef class that is not ample.
-    _, form = hodge_form(matroid)
-    assert integer_inertia(form)[2] > n
+    assert degree_one_hodge(matroid) is None
 
 
 # -- the Hodge-Riemann relations in degree 2 --------------------------------------
@@ -831,7 +812,7 @@ def test_k4_and_fano_agree_on_all_four_routes_with_a_full_trace():
         result = run_check(matroid, trace=lambda k, term: traced.append(term))
         assert result.internal_error is None and result.ok
         assert result.report["mu"] == {method: mu for method in
-                                       ("mobius", "flags", "divisor", "displacement")}
+                                       ROUTES}
         assert len(traced) == sum(mu)
         v = default_displacement(n)
         for term in traced:

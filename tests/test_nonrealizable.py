@@ -22,10 +22,8 @@ from matfan import cli
 from matfan.schema import load_matroid
 from matfan.validation import run_check
 
-from oracles import mu_oracle
+from oracles import ROUTES, mu_oracle
 from strategies import masks, sparse_paving_document, sparse_paving_documents
-
-ROUTES = {"mobius", "flags", "divisor", "displacement"}
 
 
 PAIRS = [{0, 1}, {2, 3}, {4, 5}, {6, 7}]
