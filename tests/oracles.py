@@ -27,7 +27,7 @@ checks its one candidate per cone at larger n.  displacement_degree is
 the general displacement rule, each term's weights times its computed
 lattice index, against which the package's sum of second weights is
 checked.  Seeded rational perturbations of the displacement vector,
-with a retry loop over them, check that the degrees do not depend on
+each of which must certify, check that the degrees do not depend on
 the vector.  The global facet sweep lives here as well: one facet map
 over every gap at once, the flag-cone span test, and the divisor cup
 read off each facet's whole ray-sum.  Production uses the structure of flag
@@ -49,12 +49,13 @@ Matroid.simplify, which reads pair ranks.  rank_table
 lists a matroid's rank on every subset, for tests that compare two rank
 functions whole.  integer_inertia is inertia by fraction-free steps, for
 integer forms too large for Fraction elimination.  hodge_form is the
-degree-1 form on the ray divisors of the proper flats, and
-degree_one_hodge checks hard Lefschetz and Hodge-Riemann on it with an
-ample class.  value_at reads a polynomial by Horner's rule.  ROUTES
-names the four routes as the tests expect them, independently of the
-package's own list, and every_route_failure is the rule that a check
-report passes by all four with nothing skipped.
+degree-1 form on the ray divisors of the proper flats, each row cupped
+once and its degrees read off the row, and degree_one_hodge checks
+hard Lefschetz and Hodge-Riemann on it with an ample class.  value_at
+reads a polynomial by Horner's rule.  ROUTES names the four routes as
+the tests expect them, independently of the package's own list, and
+every_route_failure is the rule that a check report passes by all four
+with nothing skipped.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ from itertools import accumulate, combinations, permutations, product
 from math import lcm
 
 from matfan import linalg
-from matfan.fan import Frozen, MinkowskiWeight, bergman_weight, permutohedral_weight
+from matfan.fan import (Frozen, MinkowskiWeight, bergman_weight, check_balancing,
+                        permutohedral_weight)
 from matfan.intersect import (
     DegenerateDisplacementError,
     NotBalancedError,
@@ -73,7 +75,6 @@ from matfan.intersect import (
     alpha,
     cone_displacement_intersect,
     divisor_cup,
-    pairing_terms,
 )
 from matfan.masks import full_mask, iter_elements, iter_subsets
 from matfan.matroid import Matroid, RankTableMatroid
@@ -955,7 +956,6 @@ def transversal_pairing_oracle(w1, w2, v):
 
 
 PERTURB_DEN = 9973
-MAX_RETRIES = 32
 
 
 def perturbed_displacement(n, rng):
@@ -964,22 +964,6 @@ def perturbed_displacement(n, rng):
         Fraction(i * PERTURB_DEN + rng.randrange(1, PERTURB_DEN), PERTURB_DEN)
         for i in range(1, n + 1)
     )
-
-
-def certified_terms(w1, w2, rng, v):
-    """Pairing terms under the first displacement vector that certifies,
-    that is, under which pairing_terms returns instead of raising: v
-    first, then perturbations drawn from rng.  Returns (terms, vector,
-    first_vector_certified)."""
-    candidate = v
-    first = True
-    for _ in range(MAX_RETRIES):
-        try:
-            return pairing_terms(w1, w2, candidate), candidate, first
-        except DegenerateDisplacementError:
-            candidate = perturbed_displacement(w1.n, rng)
-            first = False
-    raise DegenerateDisplacementError(f"no generic displacement found in {MAX_RETRIES} attempts")
 
 
 # -- the global facet sweep ----------------------------------------------
@@ -1147,16 +1131,24 @@ def nef_check(d):
 def hodge_form(matroid, d=alpha):
     """The proper flats of a simple matroid, by rank, and the form
     Q(F, G) = deg(D_F . D_G . d^(r-3) . B) over their ray divisors
-    D_F(S) = [S = F].  Every entry is computed, so an inertia's symmetry
-    check also checks that divisor_cup commutes."""
+    D_F(S) = [S = F].  Row F is read off x = D_F . d^(r-3) . B, a weight
+    of dimension 1: the cup by D_G has one facet, (), whose one gap runs
+    from the empty set to the ground set and so ends in no ray, and its
+    degree is -x((G,)).  That cup would raise on an unbalanced x, so each
+    row's balancing is checked once.  Every entry is computed, so an
+    inertia's symmetry check also checks that divisor_cup commutes."""
     strata, _ = matroid.flat_strata()
     flats = [f for level in strata[1:-1] for f in level]
     w = bergman_weight(matroid)
     for _ in range(matroid.full_rank - 3):
         w = divisor_cup(d, w)
-    cupped = [divisor_cup(lambda s, f=f: int(s == f), w) for f in flats]
-    return flats, [[divisor_cup(lambda s, g=g: int(s == g), wf).value(()) for g in flats]
-                   for wf in cupped]
+    form = []
+    for f in flats:
+        row = divisor_cup(lambda s, f=f: int(s == f), w)
+        if bad := check_balancing(row):
+            raise NotBalancedError(bad[0])
+        form.append([-row.value((g,)) for g in flats])
+    return flats, form
 
 
 def ample(size):

@@ -53,7 +53,6 @@ from oracles import (
     PLDivisor,
     ROUTES,
     alpha_divisor,
-    certified_terms,
     cremona_pullback_divisor,
     degree_one_hodge,
     displacement_degree,
@@ -410,6 +409,44 @@ LEFSCHETZ_CASES = {
 @pytest.mark.parametrize("matroid", LEFSCHETZ_CASES.values(), ids=LEFSCHETZ_CASES)
 def test_an_ample_class_has_the_hodge_riemann_signature_in_degree_1(matroid):
     assert degree_one_hodge(matroid) is None
+
+
+# hodge_form cups each ray divisor D_F once, to a row x of dimension 1,
+# and reads deg(D_G . x) as -x((G,)) instead of cupping again.
+READ_OFF_CASES = {name: m for name, m in LEFSCHETZ_CASES.items()
+                  if name.startswith("geometry-") or name == "vamos"}
+
+
+@pytest.mark.parametrize("matroid", READ_OFF_CASES.values(), ids=READ_OFF_CASES)
+def test_the_hodge_form_reads_each_degree_off_its_row(matroid, monkeypatch):
+    rows = []
+
+    def recording_cup(d, weight):
+        out = divisor_cup(d, weight)
+        if out.codim == out.n - 1:
+            rows.append(out)
+        return out
+
+    monkeypatch.setattr("oracles.divisor_cup", recording_cup)
+    flats, form = hodge_form(matroid)
+    assert len(rows) == len(flats)
+    for row, entries in zip(rows, form):
+        cupped = [divisor_cup(lambda s, g=g: int(s == g), row).value(()) for g in flats]
+        assert entries == cupped == [-row.value((g,)) for g in flats]
+
+
+def test_the_hodge_form_refuses_an_unbalanced_row(monkeypatch):
+    # One more unit on a ray unbalances a row of dimension 1 around ().
+    def unbalanced_cup(d, weight):
+        out = divisor_cup(d, weight)
+        if out.codim < out.n - 1:
+            return out
+        ray = min(out.weights)
+        return MinkowskiWeight(out.n, out.codim, {**out.weights, ray: out.value(ray) + 1})
+
+    monkeypatch.setattr("oracles.divisor_cup", unbalanced_cup)
+    with pytest.raises(NotBalancedError):
+        hodge_form(LEFSCHETZ_CASES["vamos"])
 
 
 # -- the Hodge-Riemann relations in degree 2 --------------------------------------
@@ -911,19 +948,12 @@ def test_pairing_certifies_the_vector():
     assert (v, dict(w1.weights), dict(w2.weights)) == before
 
 
-def test_certified_pairing_retries_past_degeneracy():
-    # At level 2 of k4, (1, ..., n) ties two u's: the sweep is degenerate,
-    # and the oracles' retry certifies mu_2 = 6 under a perturbed vector.
-    # The default certifies the same degree on its first try.
+def test_a_tied_vector_raises_and_the_default_certifies():
+    # At level 2 of k4, (1, ..., n) ties two u's: the sweep is degenerate.
+    # The default certifies mu_2 = 6.
     w1, w2 = displacement_weights(corpus.build("k4"), 2)
-    bad = one_to_n(w1.n)
     with pytest.raises(DegenerateDisplacementError):
-        pairing_terms(w1, w2, bad)
-    terms, used, first = certified_terms(w1, w2, random.Random(0), bad)
-    assert displacement_degree(w1, w2, terms) == 6
-    assert pairing_terms(w1, w2, used) == terms
-    assert not first
-    assert used != bad
+        pairing_terms(w1, w2, one_to_n(w1.n))
     assert displacement_degree(w1, w2, pairing_terms(w1, w2, default_displacement(w1.n))) == 6
 
 
@@ -956,15 +986,6 @@ def test_a_located_pair_that_misses_is_an_internal_error(monkeypatch, tmp_path, 
     assert report["error"].startswith("ValueError")
     assert "do not meet transversally" in report["error"]
     assert report["pass"] is False
-
-
-def test_certified_pairing_is_deterministic():
-    w1, w2 = displacement_weights(corpus.build("fano"), 1)
-    v = one_to_n(w1.n)
-    a_terms, a_used, _ = certified_terms(w1, w2, random.Random(9), v)
-    b_terms, b_used, _ = certified_terms(w1, w2, random.Random(9), v)
-    assert displacement_degree(w1, w2, a_terms) == displacement_degree(w1, w2, b_terms) == 6
-    assert a_used == b_used
 
 
 def test_displacement_weights_shapes():
@@ -1112,10 +1133,11 @@ def test_mu_level_bounds():
 def test_explicit_displacement_vector_is_used():
     w1, w2 = displacement_weights(corpus.build("u-2-3"), 1)
     v = frac(Fraction(3, 2), Fraction(7, 3))
-    terms, used, first = certified_terms(w1, w2, random.Random(0), v)
+    terms = pairing_terms(w1, w2, v)
     assert displacement_degree(w1, w2, terms) == 2
-    assert used is v and first
-    assert pairing_terms(w1, w2, used) == terms
+    # Each point is where sigma meets tau + v, for this v.
+    for t in terms:
+        assert displacement_reference(w1.n, t.sigma, t.tau, v) == (t.point, 1)
 
 
 def test_pairing_respects_weight_multiplicities():
