@@ -6,20 +6,23 @@ inverses, and by maximizing over a basis family, flats by scanning all
 subsets, Moebius values by counting chains with alternating signs
 (Philip Hall) and by Weisner's recursion over the library's covering
 relation, characteristic polynomials by the subset expansion over the
-rank function, flag counts by filtering all chains of flats, and the
-permutohedral weight's flags by ordering elements.  Tests freeze the
+rank function, flag counts by filtering all chains of flats,
+independent sets as the subsets of the bases, and the permutohedral
+weight's flags by nesting subsets of each size.  Tests freeze the
 numbers these oracles produce and also re-run the oracles against
 library output.
 
-The generic integer linear algebra lives here too: Bareiss determinants,
-the inertia of a symmetric form, the Smith form and lattice indices, and
-the two generic solvers.  solve_square_int is a Bareiss square solve and
+The generic integer linear algebra lives here too: the two generic
+solvers, determinants, the inertia of a symmetric form, the Smith form
+and lattice indices.  solve_square_int is a Bareiss square solve and
 solve_in_span a span test by the normal equations.  Both run
 linalg._echelon, the package's one elimination loop, which the flag-cone
-code they check never runs.  The one displacement-pair classifier is
+code they check never runs; det_int is solve_square_int's determinant
+with a zero right-hand side.  The one displacement-pair classifier is
 built on solve_square_int.  It tells empty pairs, degenerate spans and
 boundary ties from transversal ones, and gives a transversal pair's
-lattice index as a determinant.  The displacement pairing as a sweep
+lattice index as the determinant of that solve, so each pair is
+eliminated once.  The displacement pairing as a sweep
 over every pair of cones classifies each pair with it, so it shares no
 solver with the located pairing it checks, and asserts every index is
 1; the located pairing over every transversal of each cone's blocks
@@ -47,8 +50,10 @@ computes only for the empty set (Matroid.loops); simplification_oracle
 reads each parallel class off a closure, the reference for
 Matroid.simplify, which reads pair ranks.  rank_table
 lists a matroid's rank on every subset, for tests that compare two rank
-functions whole.  integer_inertia is inertia by fraction-free steps, for
-integer forms too large for Fraction elimination.  hodge_form is the
+functions whole.  integer_inertia counts the signs of a symmetric
+integer form's eigenvalues by fraction-free congruence steps; the tests
+check it against Sylvester's law and against Descartes' rule of signs
+on the characteristic polynomial.  hodge_form is the
 degree-1 form on the ray divisors of the proper flats, each row cupped
 once and its degrees read off the row, and degree_one_hodge checks
 hard Lefschetz and Hodge-Riemann on it with an ample class.  value_at
@@ -516,12 +521,15 @@ def _min_elt(mask):
 
 
 def independent_counts_oracle(size, rank_fn):
-    full_rank = rank_fn((1 << size) - 1)
+    """Independent sets by size, as the subsets of the bases; the rank is
+    read only on the ground set and on the sets of its size."""
+    full_rank = rank_fn(full_mask(size))
+    bases = [b for b in combinations(range(size), full_rank)
+             if rank_fn(sum(1 << x for x in b)) == full_rank]
+    independent = {sub for b in bases for i in range(full_rank + 1) for sub in combinations(b, i)}
     counts = [0] * (full_rank + 1)
-    for s in range(1 << size):
-        c = s.bit_count()
-        if c <= full_rank and rank_fn(s) == c:
-            counts[c] += 1
+    for sub in independent:
+        counts[len(sub)] += 1
     return tuple(counts)
 
 
@@ -535,36 +543,6 @@ def min_formula(point):
 
 
 # -- lattice diagnostics and the generic displacement solve -------------
-
-def det_int(rows):
-    """Determinant of a square integer matrix via Bareiss elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    mat = [list(r) for r in rows]
-    if any(len(r) != n for r in mat):
-        raise ValueError("matrix is not square")
-    sign = 1
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if mat[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            mat[k], mat[piv] = mat[piv], mat[k]
-            sign = -sign
-        pk = mat[k][k]
-        for i in range(k + 1, n):
-            row_i = mat[i]
-            mik = row_i[k]
-            row_k = mat[k]
-            for j in range(k + 1, n):
-                # Bareiss: this division is exact.
-                row_i[j] = (pk * row_i[j] - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pk
-    return sign * mat[n - 1][n - 1]
-
 
 # Statuses returned by solve_square_int.
 UNIQUE = "unique"
@@ -600,6 +578,14 @@ def solve_square_int(aug):
     return UNIQUE, sign * den, num, den
 
 
+def det_int(rows):
+    """Determinant of a square integer matrix: solve_square_int's, with a
+    zero right-hand side."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix is not square")
+    return solve_square_int([[*row, 0] for row in rows])[1]
+
+
 def solve_in_span(columns, target):
     """Express target as a rational combination of the given column vectors.
 
@@ -620,50 +606,20 @@ def solve_in_span(columns, target):
     return [Fraction(c, den) for c in num]
 
 
-def inertia(rows):
-    """(positive, negative, zero) eigenvalue counts of a symmetric rational
-    matrix, by exact symmetric elimination over Fraction.
+def integer_inertia(rows):
+    """(positive, negative, zero) eigenvalue counts of a symmetric integer
+    matrix, by fraction-free symmetric elimination (Bareiss).
 
     Each step is a congruence, which keeps the counts (Sylvester): a
     nonzero diagonal pivot p is split off and its row and column cleared,
-    leaving the Schur complement.  With every diagonal entry zero, a
-    nonzero entry a_ij first makes a pivot 2 a_ij, by adding row and
-    column j to row and column i.  A zero matrix is all kernel.
-    """
-    a = [[Fraction(x) for x in row] for row in rows]
-    if any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i)):
-        raise ValueError("matrix is not symmetric")
-    positive = negative = 0
-    while a:
-        size = len(a)
-        i = next((i for i in range(size) if a[i][i]), None)
-        if i is None:
-            pair = next(((i, j) for i in range(size) for j in range(size) if a[i][j]), None)
-            if pair is None:
-                break
-            i, j = pair
-            for k in range(size):
-                a[i][k] += a[j][k]
-            for k in range(size):
-                a[k][i] += a[k][j]
-        p = a[i][i]
-        positive += p > 0
-        negative += p < 0
-        rest = [k for k in range(size) if k != i]
-        a = [[a[r][c] - a[r][i] * a[i][c] / p for c in rest] for r in rest]
-    return positive, negative, len(rows) - positive - negative
-
-
-def integer_inertia(rows):
-    """inertia of a symmetric integer matrix, by fraction-free symmetric
-    elimination (Bareiss).
-
-    The steps are inertia's, each scaled by the previous pivot.  The
+    leaving the Schur complement scaled by p over the previous pivot.  The
     entries stay integers: each is a bordered minor of the pivots taken so
-    far, so every division is exact, and a pivot's sign against the
-    previous one is the sign of the diagonal entry that inertia splits off.
-    The zero-diagonal step adds a row and column that is not yet a pivot
-    to another, which keeps the entries those minors.
+    far, so every division is exact.  The matrix left is the previous
+    pivot times the rational Schur complement, so the eigenvalue a step
+    splits off has the sign of p against the previous pivot.  With every
+    diagonal entry zero, a nonzero entry a_ij first makes a pivot 2 a_ij,
+    by adding row and column j, not yet a pivot, to row and column i,
+    which keeps the entries those minors.  A zero matrix is all kernel.
     """
     a = [list(row) for row in rows]
     if any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i)):
@@ -779,9 +735,13 @@ def lattice_index(rows):
 
 
 def permutohedral_oracle(n, k):
-    """The flags of subsets of sizes 1..n-k of {0..n}, as the prefix unions
-    of every ordered (n-k)-tuple of distinct elements; no lattice of flats."""
-    return {tuple(accumulate(1 << x for x in p)) for p in permutations(range(n + 1), n - k)}
+    """The flags of subsets of sizes 1..n-k of {0..n}, by keeping the nested
+    chains of subsets of each size; no lattice of flats, no element order."""
+    flags = [()]
+    for size in range(1, n - k + 1):
+        masks = [sum(1 << x for x in c) for c in combinations(range(n + 1), size)]
+        flags = [(*f, m) for f in flags for m in masks if not f or not f[-1] & ~m]
+    return set(flags)
 
 
 def incidence_vector(n, mask):
@@ -820,7 +780,7 @@ def displacement_reference(n, sigma, tau, v):
     Returns None for an empty intersection, "degenerate span" for a
     singular consistent system, "boundary tie" for a zero coefficient,
     and otherwise (point, index) with index |det| of the combined
-    generators [gens_sigma | -gens_tau].
+    generators [gens_sigma | -gens_tau], read off the same solve.
     """
     gens_s = flag_generators(n, sigma)
     combined = combined_generators(n, sigma, tau)
@@ -828,7 +788,7 @@ def displacement_reference(n, sigma, tau, v):
     for x in v:
         scale = lcm(scale, Fraction(x).denominator)
     aug = [row + [int(v[i] * scale)] for i, row in enumerate(combined)]
-    status, _, num, den = solve_square_int(aug)
+    status, det, num, den = solve_square_int(aug)
     if status == SINGULAR_INCONSISTENT:
         return None
     if status == SINGULAR_CONSISTENT:
@@ -842,7 +802,7 @@ def displacement_reference(n, sigma, tau, v):
         sum((c * g[i] for c, g in zip(coeffs, gens_s)), Fraction(0)) / scale
         for i in range(n)
     )
-    return point, abs(det_int(combined))
+    return point, abs(det)
 
 
 def _ray_sign_masks(n, flag):
@@ -1085,9 +1045,6 @@ class PLDivisor(Frozen):
     def __sub__(self, other):
         return self + (-other)
 
-    def to_json(self):
-        return {"rays": {str(mask): value for mask, value in sorted(self.ray_values.items())}}
-
 
 def alpha_divisor(n):
     """The divisor of min(0, x_1, ..., x_n): -1 on rays through 0, else 0.
@@ -1135,8 +1092,8 @@ def hodge_form(matroid, d=alpha):
     of dimension 1: the cup by D_G has one facet, (), whose one gap runs
     from the empty set to the ground set and so ends in no ray, and its
     degree is -x((G,)).  That cup would raise on an unbalanced x, so each
-    row's balancing is checked once.  Every entry is computed, so an
-    inertia's symmetry check also checks that divisor_cup commutes."""
+    row's balancing is checked once.  Every entry is computed, so
+    integer_inertia's symmetry check also checks that divisor_cup commutes."""
     strata, _ = matroid.flat_strata()
     flats = [f for level in strata[1:-1] for f in level]
     w = bergman_weight(matroid)

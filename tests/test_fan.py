@@ -148,7 +148,7 @@ def test_bergman_free_is_permutohedral():
     w = bergman_weight(FreeMatroid(3))
     assert len(w.weights) == 6
     assert w == permutohedral_weight(2, 0)
-    # Checked against flags built by ordering elements, not from flats.
+    # Checked against nested chains of subsets, not against flats.
     for n in range(6):
         w = bergman_weight(FreeMatroid(n + 1))
         assert set(w.weights) == permutohedral_oracle(n, 0)
@@ -179,7 +179,7 @@ def test_permutohedral_counts():
 
 def test_permutohedral_is_truncated_free_fan():
     # permutohedral_weight is given by rule; the Bergman fan of u(n-k+1, n+1),
-    # the (n-k)-truncated free matroid, and the element-ordering oracle are
+    # the (n-k)-truncated free matroid, and the oracle of nested subsets are
     # built independently.
     for n in range(6):
         for k in range(n + 1):
@@ -188,7 +188,9 @@ def test_permutohedral_is_truncated_free_fan():
             expected = bergman_weight(UniformMatroid(n - k + 1, n + 1))
             assert w == expected  # as mappings, whatever their orders
             assert len(w.weights) == len(expected.weights)
-            assert set(w.weights) == permutohedral_oracle(n, k)
+            flags = permutohedral_oracle(n, k)
+            assert len(flags) == math.factorial(n + 1) // math.factorial(k + 1)
+            assert set(w.weights) == flags
             assert set(w.weights.values()) == {1}
 
 

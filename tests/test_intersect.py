@@ -60,7 +60,6 @@ from oracles import (
     evaluate_in_cone,
     flag_generators,
     hodge_form,
-    inertia,
     integer_inertia,
     min_formula,
     nef_check,
@@ -68,6 +67,7 @@ from oracles import (
     oracle_divisor_cup,
     pairing_sweep_oracle,
     perturbed_displacement,
+    strata_oracle,
     transversal_pairing_oracle,
     truncation,
 )
@@ -103,11 +103,6 @@ def test_divisor_arithmetic():
     assert (-a).value(0b011) == 1
     with pytest.raises(ValueError):
         a + alpha_divisor(3)
-
-
-def test_divisor_json():
-    d = PLDivisor(2, {0b010: 3, 0b001: -1})
-    assert d.to_json() == {"rays": {"1": -1, "2": 3}}
 
 
 def test_cremona_pullback_divisor():
@@ -356,7 +351,7 @@ def assert_hodge_index(matroid):
     flats, form = hodge_form(matroid)
     a = [-(f & 1) for f in flats]
     assert sum(x * q * y for x, row in zip(a, form) for q, y in zip(row, a)) == 1
-    positive, _, kernel = inertia(form)
+    positive, _, kernel = integer_inertia(form)
     assert positive == 1
     if matroid.full_rank == 3:
         assert kernel == matroid.size - 1
@@ -379,7 +374,7 @@ def test_a_divisor_that_is_not_nef_breaks_the_hodge_index():
     n = matroid.size - 1
     control = simplex_divisor(n, full_mask(n + 1)) - simplex_divisor(n, 0b110)
     _, form = hodge_form(matroid, control.value)
-    assert inertia(form)[0] > 1
+    assert integer_inertia(form)[0] > 1
 
 
 # -- hard Lefschetz and Hodge-Riemann in degree 1 with an ample class -------------
@@ -1028,13 +1023,7 @@ def v_descending_chains(matroid, k, v):
     elements strictly decrease in v (lifted by v_0 = 0), with the top
     flat avoiding 0; the flats by brute force over every subset."""
     lifted = (0, *v)
-    full = full_mask(matroid.size)
-    flats = [[] for _ in range(k + 1)]
-    for s in range(full + 1):
-        rank = matroid.rank(s)
-        if rank <= k and all(matroid.rank(s | 1 << x) > rank
-                             for x in range(matroid.size) if not s >> x & 1):
-            flats[rank].append(s)
+    flats = strata_oracle(matroid.size, matroid.rank)
 
     def least(f):
         return min(lifted[x] for x in range(matroid.size) if f >> x & 1)

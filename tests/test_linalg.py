@@ -14,7 +14,6 @@ from oracles import (
     UNIQUE,
     det_int,
     fraction_rank,
-    inertia,
     integer_inertia,
     lattice_index,
     mod_p_rank,
@@ -66,17 +65,42 @@ def test_det_known_values():
     # Vandermonde on 2, 3, 5.
     v = [[1, 2, 4], [1, 3, 9], [1, 5, 25]]
     assert det_int(v) == (3 - 2) * (5 - 2) * (5 - 3)
+    with pytest.raises(ValueError, match="not square"):
+        det_int([[1, 2]])
+
+
+def descartes_inertia(rows):
+    """(positive, negative, zero) eigenvalue counts with no elimination:
+    the characteristic polynomial by Faddeev-LeVerrier, then Descartes'
+    rule of signs, which is exact when every root is real, as the
+    eigenvalues of a symmetric matrix are."""
+    n = len(rows)
+    coeffs, m = [1], [[0] * n for _ in range(n)]  # det(xI - A), degree-descending
+    for k in range(1, n + 1):
+        # M_k = A M_(k-1) + c_(n-k+1) I and c_(n-k) = -tr(A M_k) / k, exactly.
+        m = [[sum(a * b for a, b in zip(row, col)) + (coeffs[-1] if i == j else 0)
+              for j, col in enumerate(zip(*m))] for i, row in enumerate(rows)]
+        coeffs.append(-sum(sum(a * b for a, b in zip(row, col))
+                           for row, col in zip(rows, zip(*m))) // k)
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    zero = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c)
+    alternated = [c if (n - i) % 2 == 0 else -c for i, c in enumerate(coeffs)]
+    return sign_changes(coeffs), sign_changes(alternated), zero
 
 
 def test_inertia_known_values():
-    assert inertia([]) == (0, 0, 0)
-    assert inertia([[2, 1], [1, 2]]) == (2, 0, 0)
-    assert inertia([[1, 1], [1, 1]]) == (1, 0, 1)
+    assert integer_inertia([]) == (0, 0, 0)
+    assert integer_inertia([[2, 1], [1, 2]]) == (2, 0, 0)
+    assert integer_inertia([[1, 1], [1, 1]]) == (1, 0, 1)
     # Zero diagonals: the hyperbolic plane, alone and beside a zero row.
-    assert inertia([[0, 1], [1, 0]]) == (1, 1, 0)
-    assert inertia([[0, 0, 1], [0, 0, 0], [1, 0, 0]]) == (1, 1, 1)
+    assert integer_inertia([[0, 1], [1, 0]]) == (1, 1, 0)
+    assert integer_inertia([[0, 0, 1], [0, 0, 0], [1, 0, 0]]) == (1, 1, 1)
     with pytest.raises(ValueError, match="not symmetric"):
-        inertia([[0, 1], [0, 0]])
+        integer_inertia([[0, 1], [0, 0]])
 
 
 symmetric_matrix = st.integers(0, 7).flatmap(
@@ -88,18 +112,15 @@ symmetric_matrix = st.integers(0, 7).flatmap(
 
 @settings(max_examples=200, deadline=None)
 @given(symmetric_matrix)
-def test_integer_inertia_matches_inertia(form):
+def test_integer_inertia_matches_descartes(form):
     # Mostly zeros, so zero diagonals and singular forms come up often.
-    assert integer_inertia(form) == inertia(form)
+    assert integer_inertia(form) == descartes_inertia(form)
 
 
 def test_integer_inertia_known_values():
-    assert integer_inertia([[0, 0, 1], [0, 0, 0], [1, 0, 0]]) == (1, 1, 1)
     # A negative pivot flips the sign that the next one is read against.
     assert integer_inertia([[-1, 2], [2, -5]]) == (0, 2, 0)
     assert integer_inertia([[-1, 2], [2, 1]]) == (1, 1, 0)
-    with pytest.raises(ValueError, match="not symmetric"):
-        integer_inertia([[0, 1], [0, 0]])
 
 
 @settings(max_examples=50, deadline=None)
@@ -112,7 +133,8 @@ def test_inertia_is_kept_by_congruence(diagonal, data):
     form = [[sum(p[k][i] * diagonal[k] * p[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)]
     signs = [(d > 0) - (d < 0) for d in diagonal]
-    assert inertia(form) == (signs.count(1), signs.count(-1), signs.count(0))
+    expected = (signs.count(1), signs.count(-1), signs.count(0))
+    assert integer_inertia(form) == descartes_inertia(form) == expected
 
 
 @given(small_matrix, st.lists(st.integers(-9, 9), min_size=1, max_size=5))

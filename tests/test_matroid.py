@@ -4,7 +4,7 @@ import ast
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -278,18 +278,7 @@ def test_rank_table_rejects_invalid():
 
 
 def rank_axioms(matroid: Matroid) -> None:
-    size = matroid.size
-    for mask in iter_subsets(size):
-        r = matroid.rank(mask)
-        assert 0 <= r <= mask.bit_count()
-        for x in range(size):
-            b = 1 << x
-            if not mask & b:
-                assert r <= matroid.rank(mask | b) <= r + 1
-    for s in iter_subsets(size):
-        for t in iter_subsets(size):
-            assert (matroid.rank(s | t) + matroid.rank(s & t)
-                    <= matroid.rank(s) + matroid.rank(t))
+    assert rank_axioms_oracle(matroid.size, rank_table(matroid)) is None
 
 
 @settings(max_examples=25, deadline=None)
@@ -646,6 +635,14 @@ def test_independent_set_counts():
         6, graphic_rank(4, K4_EDGES))
     assert UniformMatroid(2, 4).independent_set_counts() == (1, 4, 6)
     assert FreeMatroid(3).independent_set_counts() == (1, 3, 3, 1)
+
+
+def test_independent_counts_oracle_on_uniform_matroids():
+    # u(k, n): every set of at most k elements is independent.
+    for n in range(7):
+        for k in range(n + 1):
+            assert independent_counts_oracle(n, uniform_rank(k)) == tuple(
+                comb(n, i) for i in range(k + 1))
 
 
 def test_size_bounds():
