@@ -13,8 +13,9 @@ numbers these oracles produce and also re-run the oracles against
 library output.
 
 The generic integer linear algebra lives here too: the two generic
-solvers, determinants, the inertia of a symmetric form, the Smith form
-and lattice indices.  solve_square_int is a Bareiss square solve and
+solvers, determinants, the inertia of a symmetric form, and unimodular,
+whether integer rows extend to a lattice basis, by the gcd of their
+maximal minors.  solve_square_int is a Bareiss square solve and
 solve_in_span a span test by the normal equations.  Both run
 linalg._echelon, the package's one elimination loop, which the flag-cone
 code they check never runs; det_int is solve_square_int's determinant
@@ -56,7 +57,8 @@ check it against Sylvester's law and against Descartes' rule of signs
 on the characteristic polynomial.  hodge_form is the
 degree-1 form on the ray divisors of the proper flats, each row cupped
 once and its degrees read off the row, and degree_one_hodge checks
-hard Lefschetz and Hodge-Riemann on it with an ample class.  value_at
+hard Lefschetz and Hodge-Riemann on it with an ample class, and that
+its kernel is spanned by the linear_relations.  value_at
 reads a polynomial by Horner's rule.  ROUTES names the four routes as
 the tests expect them, independently of the package's own list, and
 every_route_failure is the rule that a check report passes by all four
@@ -67,7 +69,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations, product
-from math import lcm
+from math import gcd, lcm
 
 from matfan import linalg
 from matfan.fan import (Frozen, MinkowskiWeight, bergman_weight, check_balancing,
@@ -647,93 +649,6 @@ def integer_inertia(rows):
     return positive, negative, len(rows) - positive - negative
 
 
-def smith_invariant_factors(rows):
-    """Nonzero invariant factors of an integer matrix, in divisibility order."""
-    mat = [list(r) for r in rows]
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    factors = []
-    top = 0
-    while top < m and top < n:
-        # Find a nonzero pivot of least absolute value.
-        best = None
-        for i in range(top, m):
-            for j in range(top, n):
-                v = mat[i][j]
-                if v and (best is None or abs(v) < abs(mat[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        mat[top], mat[bi] = mat[bi], mat[top]
-        for row in mat:
-            row[top], row[bj] = row[bj], row[top]
-        # Clear the pivot row and column by remainder steps.
-        dirty = True
-        while dirty:
-            dirty = False
-            p = mat[top][top]
-            for i in range(top + 1, m):
-                if mat[i][top]:
-                    q = mat[i][top] // p
-                    for j in range(top, n):
-                        mat[i][j] -= q * mat[top][j]
-                    if mat[i][top]:
-                        mat[top], mat[i] = mat[i], mat[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(top + 1, n):
-                if mat[top][j]:
-                    q = mat[top][j] // p
-                    for row in mat:
-                        row[j] -= q * row[top]
-                    if mat[top][j]:
-                        for row in mat:
-                            row[top], row[j] = row[j], row[top]
-                        dirty = True
-                        break
-        # Enforce divisibility of the remaining block by the pivot.
-        p = abs(mat[top][top])
-        adjusted = False
-        for i in range(top + 1, m):
-            for j in range(top + 1, n):
-                if mat[i][j] % p:
-                    for jj in range(top, n):
-                        mat[top][jj] += mat[i][jj]
-                    adjusted = True
-                    break
-            if adjusted:
-                break
-        if adjusted:
-            continue
-        factors.append(p)
-        top += 1
-    return factors
-
-
-def lattice_index(rows):
-    """Index in Z^n of the lattice spanned by n integer row vectors.
-
-    For the square full-rank case this is |det|; the Smith normal form
-    covers anything else (0 means the rows do not span a finite-index
-    sublattice).
-    """
-    n = len(rows[0]) if rows else 0
-    if len(rows) == n:
-        d = det_int(rows)
-        if d:
-            return abs(d)
-    factors = smith_invariant_factors(rows)
-    if len(factors) < n:
-        return 0
-    prod = 1
-    for f in factors:
-        prod *= f
-    return prod
-
-
 def permutohedral_oracle(n, k):
     """The flags of subsets of sizes 1..n-k of {0..n}, by keeping the nested
     chains of subsets of each size; no lattice of flats, no element order."""
@@ -759,12 +674,14 @@ def flag_generators(n, flag):
     return [incidence_vector(n, mask) for mask in flag]
 
 
-def unimodularity_factors(n, flag):
-    """Smith invariant factors of the flag's generator matrix; all ones
-    means the generators extend to a basis of the ambient lattice."""
-    if not flag:
-        return []
-    return smith_invariant_factors(flag_generators(n, flag))
+def unimodular(rows):
+    """Whether k integer rows of width n extend to a basis of Z^n: the
+    gcd of their k x k minors, the product of their invariant factors,
+    is 1.  Dependent rows, and more rows than columns, have no nonzero
+    minor and give gcd 0."""
+    width = len(rows[0]) if rows else 0
+    return gcd(*(det_int([[row[j] for j in columns] for row in rows])
+                 for columns in combinations(range(width), len(rows)))) == 1
 
 
 def combined_generators(n, sigma, tau):
@@ -867,10 +784,10 @@ def pairing_sweep_oracle(w1, w2, v):
 
 def displacement_degree(w1, w2, terms):
     """The fan displacement rule's degree (Fulton-Sturmfels 1997): lattice
-    index times both weights, summed over the terms.  Each index is the
-    lattice_index of the pair's combined generators, computed, not read
-    off the terms; mu_vector_displacement sums the second weight alone."""
-    return sum(lattice_index(combined_generators(w1.n, t.sigma, t.tau))
+    index times both weights, summed over the terms.  Each index is |det|
+    of the pair's combined generators, computed, not read off the terms;
+    mu_vector_displacement sums the second weight alone."""
+    return sum(abs(det_int(combined_generators(w1.n, t.sigma, t.tau)))
                * w1.value(t.sigma) * w2.value(t.tau) for t in terms)
 
 
@@ -1114,18 +1031,41 @@ def ample(size):
     return lambda s: -s.bit_count() * (size - s.bit_count())
 
 
+def linear_relations(n, flats):
+    """The coordinates x_1..x_n of Z^n on the rays of the flats, x_i(F) =
+    [i in F] - [0 in F]: each is linear, so the sum of x_i(F) D_F is 0
+    in the Chow ring (Feichtner-Yuzvinsky) and lies in the kernel of
+    every form hodge_form builds.  For a simple matroid each atom {i} is
+    a flat, on which only x_i is nonzero, so the n relations are
+    independent."""
+    return [[(f >> i & 1) - (f & 1) for f in flats] for i in range(1, n + 1)]
+
+
+def kills(form, vectors):
+    """Whether the form maps every one of the vectors to 0."""
+    return not any(sum(q * x for q, x in zip(row, vector))
+                   for vector in vectors for row in form)
+
+
 def degree_one_hodge(matroid):
     """Why a simple matroid of rank 4 or more fails hard Lefschetz and
     Hodge-Riemann in degree 1, or None.  With the ample class in place of
     alpha, the form must have inertia (1, h1 - 1, n), where h1 is the
-    number of proper flats less n; with alpha, nef but not ample, its
-    kernel must exceed n."""
+    number of proper flats less n, and kill the n linear relations, so
+    that its kernel is exactly theirs; with alpha, nef but not ample, it
+    must kill them too, and its kernel must exceed n."""
     n = matroid.size - 1
     flats, form = hodge_form(matroid, ample(matroid.size))
     expected = (1, len(flats) - n - 1, n)
     if (found := integer_inertia(form)) != expected:
         return f"the ample class gives inertia {found}, expected {expected}"
-    if (kernel := integer_inertia(hodge_form(matroid)[1])[2]) <= n:
+    relations = linear_relations(n, flats)
+    if not kills(form, relations):
+        return "the ample class does not kill every linear relation"
+    alpha_form = hodge_form(matroid)[1]
+    if not kills(alpha_form, relations):
+        return "alpha does not kill every linear relation"
+    if (kernel := integer_inertia(alpha_form)[2]) <= n:
         return f"alpha leaves a kernel of {kernel}, expected more than {n}"
     return None
 

@@ -3,6 +3,13 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they print.  Every expected constant here was verified against the
 brute-force oracles in oracles.py before being frozen.
+
+The module fixture runs each corpus entry through run_check once and
+keeps what that run built: validation's bergman_weight, divisor_cup and
+displacement_weights are wrapped for the run so that each keeps what it
+returns, and the trace keeps each pairing term with its level.
+Criteria 5 to 7 check those records, not weights rebuilt here, and
+first that each holds as many as the run must build.
 """
 
 import math
@@ -11,10 +18,9 @@ import time
 
 import pytest
 
-from matfan import corpus
+from matfan import corpus, validation
 from matfan.fan import MinkowskiWeight, bergman_weight, check_balancing
-from matfan.intersect import (alpha, beta, default_displacement, displacement_weights,
-                              divisor_cup, pairing_terms)
+from matfan.intersect import default_displacement, pairing_terms
 from matfan.validation import run_check
 
 from oracles import (ROUTES, displacement_degree, displacement_reference, mu_oracle,
@@ -23,18 +29,36 @@ from oracles import (ROUTES, displacement_degree, displacement_reference, mu_ora
 CHECK_BUDGET_SECONDS = 120.0
 PERTURBATION_BUDGET_SECONDS = 300.0
 PERTURBATION_ROUNDS = 5
+# The validation names whose results the fixture keeps.
+RECORDED = ("bergman_weight", "divisor_cup", "displacement_weights")
 
 
 @pytest.fixture(scope="module")
 def corpus_results():
+    """Each entry's report, the time of all the runs, and each entry's
+    records: a list per name in RECORDED, and "terms", the (level, term)
+    pairs its trace saw."""
+    def keeping(name):
+        function = getattr(validation, name)
+
+        def keep(*args):
+            kept[name].append(result := function(*args))
+            return result
+        return keep
+
+    reports, records = {}, {}
     start = time.perf_counter()
-    reports = {}
-    for name in corpus.CORPUS_NAMES:
-        result = run_check(corpus.build(name))
-        assert result.internal_error is None, (name, result.internal_error)
-        reports[name] = result.report
+    with pytest.MonkeyPatch.context() as patch:
+        for name in RECORDED:
+            patch.setattr(validation, name, keeping(name))
+        for entry in corpus.CORPUS_NAMES:
+            kept = records[entry] = {name: [] for name in (*RECORDED, "terms")}
+            result = run_check(corpus.build(entry),
+                               trace=lambda k, term: kept["terms"].append((k, term)))
+            assert result.internal_error is None, (entry, result.internal_error)
+            reports[entry] = result.report
     elapsed = time.perf_counter() - start
-    return reports, elapsed
+    return reports, elapsed, records
 
 
 def announce(number: int, title: str, ok: bool) -> bool:
@@ -43,7 +67,7 @@ def announce(number: int, title: str, ok: bool) -> bool:
 
 
 def test_criterion_1_four_methods_agree(corpus_results):
-    reports, elapsed = corpus_results
+    reports, elapsed, _ = corpus_results
     ok = True
     for name, rep in reports.items():
         if not rep["agreement"] or "skipped" in rep:
@@ -61,7 +85,7 @@ def test_criterion_1_four_methods_agree(corpus_results):
 
 
 def test_criterion_2_fixed_coefficient_vectors(corpus_results):
-    reports, _ = corpus_results
+    reports, _, _ = corpus_results
     expected = {
         "k4": [1, 5, 6],
         "k5": [1, 9, 26, 24],
@@ -90,7 +114,7 @@ def test_criterion_2_fixed_coefficient_vectors(corpus_results):
 
 
 def test_criterion_3_log_concavity(corpus_results):
-    reports, _ = corpus_results
+    reports, _, _ = corpus_results
     ok = all(rep["log_concave"] for rep in reports.values())
     detail_keys = {"reduced", "unreduced", "f_vector"}
     for rep in reports.values():
@@ -104,44 +128,35 @@ def test_criterion_3_log_concavity(corpus_results):
 
 
 def test_criterion_4_truncation_identity(corpus_results):
-    reports, _ = corpus_results
+    reports, _, _ = corpus_results
     ok = all(rep["truncation_identity"] is True for rep in reports.values())
     announce(4, f"alpha-cup equals the truncated fan, cone by cone, on "
                 f"{len(reports)} entries", ok)
     assert ok
 
 
-def geometric_weights(simple):
-    """Every weight the geometric routes build for a simple matroid: its
-    Bergman weight, each alpha level and beta branch of the cup chain,
-    and the second weight of each displacement pairing."""
-    r = simple.full_rank - 1
-    w = bergman_weight(simple)
-    yield w
-    for j in range(r + 1):
-        if j:
-            w = divisor_cup(alpha, w)
-            yield w
-        branch = w
-        for _ in range(r - j):
-            branch = divisor_cup(beta, branch)
-            yield branch
-    for k in range(simple.full_rank):
-        yield displacement_weights(simple, k)[1]
-
-
-def test_criterion_5_balancing():
+def test_criterion_5_balancing(corpus_results):
+    reports, _, records = corpus_results
     tested = 0
-    unbalanced = []
-    for name in corpus.CORPUS_NAMES:
-        for i, weight in enumerate(geometric_weights(corpus.build(name).simplify()[0])):
+    miscounted, unbalanced = [], []
+    for name, kept in records.items():
+        # Dimension r: cup_chain builds the Bergman weight and r truncated
+        # fans to compare, r alpha-cups and r(r+1)/2 beta-cups, and the
+        # displacement route one pair per coefficient.
+        r = reports[name]["rank"] - 1
+        counts = tuple(len(kept[key]) for key in RECORDED)
+        if counts != (r + 1, r * (r + 3) // 2, r + 1):
+            miscounted.append((name, counts))
+        weights = [*kept["bergman_weight"], *kept["divisor_cup"],
+                   *(w2 for _, w2 in kept["displacement_weights"])]
+        for i, weight in enumerate(weights):
             tested += 1
             if check_balancing(weight):
                 unbalanced.append((name, i))
-    ok = not unbalanced
-    announce(5, f"all {tested} Bergman, cup and displacement weights of the "
-                f"corpus are balanced", ok)
-    assert ok, unbalanced
+    ok = not miscounted and not unbalanced
+    announce(5, f"all {tested} Bergman, truncated, cup and displacement weights "
+                f"that the corpus run built are balanced", ok)
+    assert ok, (miscounted, unbalanced)
 
 
 def test_criterion_5_control_catches_a_doubled_cone():
@@ -163,53 +178,49 @@ def test_criterion_5_control_catches_a_doubled_cone():
 
 
 def test_criterion_6_structure_constants(corpus_results):
-    reports, _ = corpus_results
+    reports, _, records = corpus_results
     ok = True
     for name, rep in reports.items():
-        flags = rep["mu"]["flags"]
-        simple, _ = corpus.build(name).simplify()
-        n = simple.size - 1
+        # The production solve gives only the point; each traced term is
+        # re-solved by the generic Bareiss oracle under the same default
+        # vector: it must find a unique solution with every coefficient
+        # positive, the same point, and |det| of the combined generators
+        # [gens_sigma | -gens_tau] equal to 1.
+        n = rep["subject_size"] - 1
         v = default_displacement(n)
-        for k, count in enumerate(flags):
-            # The production solve gives only the point; the pairs under
-            # the default are re-solved by the generic Bareiss oracle: it
-            # must find a unique solution with every coefficient positive,
-            # the same point, and |det| of the combined generators
-            # [gens_sigma | -gens_tau] equal to 1.
-            w1, w2 = displacement_weights(simple, k)
-            terms = pairing_terms(w1, w2, v)
-            if len(terms) != count:
+        levels = [0] * len(rep["mu"]["flags"])
+        for k, t in records[name]["terms"]:
+            levels[k] += 1
+            if displacement_reference(n, t.sigma, t.tau, v) != (t.point, 1):
                 ok = False
-            for t in terms:
-                if displacement_reference(n, t.sigma, t.tau, v) != (t.point, 1):
-                    ok = False
-    announce(6, "every contributing pair under the default vector is "
-                "transversal with lattice index 1 by the Bareiss oracle, and "
-                "pair counts match the flag counts", ok)
+        if levels != rep["mu"]["flags"]:
+            ok = False
+    announce(6, "every traced pair under the default vector is transversal "
+                "with lattice index 1 by the Bareiss oracle, and pair counts "
+                "match the flag counts", ok)
     assert ok
 
 
 def test_criterion_7_displacement_independence(corpus_results):
-    reports, _ = corpus_results
+    reports, _, records = corpus_results
     start = time.perf_counter()
     ok = True
     for position, name in enumerate(sorted(reports)):
-        rep = reports[name]
-        expected = rep["mu"]["displacement"]
-        simple, _ = corpus.build(name).simplify()
-        n = simple.size - 1
+        expected = reports[name]["mu"]["displacement"]
+        pairs = records[name]["displacement_weights"]
+        if len(pairs) != len(expected):
+            ok = False
         rng = random.Random(1000 + position)
-        for k, target in enumerate(expected):
-            w1, w2 = displacement_weights(simple, k)
+        for (w1, w2), target in zip(pairs, expected):
             for _ in range(PERTURBATION_ROUNDS):
                 # Certified: the sweep returns instead of raising.
-                terms = pairing_terms(w1, w2, perturbed_displacement(n, rng))
+                terms = pairing_terms(w1, w2, perturbed_displacement(w1.n, rng))
                 if displacement_degree(w1, w2, terms) != target:
                     ok = False
     elapsed = time.perf_counter() - start
     within_budget = elapsed < PERTURBATION_BUDGET_SECONDS
     ok = ok and within_budget
-    announce(7, f"{PERTURBATION_ROUNDS} certified perturbations per level "
-                f"leave every degree unchanged ({elapsed:.1f}s, budget "
+    announce(7, f"{PERTURBATION_ROUNDS} certified perturbations of each recorded "
+                f"pair leave every degree unchanged ({elapsed:.1f}s, budget "
                 f"{PERTURBATION_BUDGET_SECONDS:.0f}s)", ok)
     assert ok

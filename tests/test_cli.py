@@ -200,10 +200,13 @@ CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 def run_child(*argv, stdout=subprocess.PIPE, env=()):
     """Run `python -m matfan argv` in a child whose address space alone is
     capped at CHILD_ADDRESS_SPACE bytes, within CHILD_SECONDS of wall time,
-    with env's variables added to its environment.
+    with env's variables added to its environment.  stdout=None closes
+    the child's fd 1 before it starts, so that its sys.stdout is None.
     Every outcome is an exit code, never a traceback."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+        if stdout is None:
+            os.close(1)
 
     proc = subprocess.run([sys.executable, "-m", "matfan", *argv], stdout=stdout,
                           stderr=subprocess.PIPE, text=True, timeout=CHILD_SECONDS,
@@ -690,16 +693,6 @@ def test_failed_writes_exit_code(tmp_path, capsys, monkeypatch, argv, doc, stdou
     assert (code, err) == (2, f"error: cannot write stdout: {message}\n")
 
 
-def run_child_without_stdout(*argv):
-    """`python -m matfan argv` in a child whose fd 1 is closed before it
-    starts, so that its sys.stdout is None."""
-    proc = subprocess.run([sys.executable, "-m", "matfan", *argv], stderr=subprocess.PIPE,
-                          text=True, timeout=CHILD_SECONDS, preexec_fn=lambda: os.close(1),
-                          env=dict(CHILD_ENV, PYTHONPATH=CHILD_PYTHONPATH))
-    assert "Traceback" not in proc.stderr, proc.stderr
-    return proc
-
-
 CLOSED_STDOUT = "[Errno 9] Bad file descriptor"
 
 
@@ -709,7 +702,7 @@ CLOSED_STDOUT = "[Errno 9] Bad file descriptor"
 ], ids=["charpoly", "check-trace", "fan-out", "help", "check-help"])
 def test_a_closed_stdout_exits_2(tmp_path, argv):
     argv = [write_doc(tmp_path, "k4.json", K4_DOC) if a == "DOC" else a for a in argv]
-    proc = run_child_without_stdout(*argv)
+    proc = run_child(*argv, stdout=None)
     assert (proc.returncode, proc.stderr) == (2, f"error: cannot write stdout: {CLOSED_STDOUT}\n")
 
 

@@ -61,6 +61,8 @@ from oracles import (
     flag_generators,
     hodge_form,
     integer_inertia,
+    kills,
+    linear_relations,
     min_formula,
     nef_check,
     nef_values,
@@ -344,7 +346,8 @@ def test_a_divisor_that_is_not_nef_breaks_the_inequality(name):
 # alpha is minus the sum of the D_F with 0 in F, and Q(alpha, alpha) =
 # deg(alpha^(r-1) . B) = mu_0 = 1, so it has exactly one.  In rank 3 the
 # form is the pairing of degree-1 classes into degree 2 of the Chow ring,
-# which is perfect: its kernel is the n linear functions.
+# which is perfect: its kernel is the n linear functions.  Every form
+# kills them, and in rank 3 the kernel has no more.
 
 
 def assert_hodge_index(matroid):
@@ -353,6 +356,7 @@ def assert_hodge_index(matroid):
     assert sum(x * q * y for x, row in zip(a, form) for q, y in zip(row, a)) == 1
     positive, _, kernel = integer_inertia(form)
     assert positive == 1
+    assert kills(form, linear_relations(matroid.size - 1, flats))
     if matroid.full_rank == 3:
         assert kernel == matroid.size - 1
 
@@ -404,6 +408,32 @@ LEFSCHETZ_CASES = {
 @pytest.mark.parametrize("matroid", LEFSCHETZ_CASES.values(), ids=LEFSCHETZ_CASES)
 def test_an_ample_class_has_the_hodge_riemann_signature_in_degree_1(matroid):
     assert degree_one_hodge(matroid) is None
+
+
+def test_each_form_must_kill_the_linear_relations(monkeypatch):
+    vamos = LEFSCHETZ_CASES["vamos"]
+
+    # One entry off, a relation is no longer linear, and the ample form's
+    # column of that flat is not 0.
+    def changed(n, flats):
+        relations = linear_relations(n, flats)
+        relations[0][0] += 1
+        return relations
+
+    with monkeypatch.context() as patch:
+        patch.setattr("oracles.linear_relations", changed)
+        assert degree_one_hodge(vamos) == "the ample class does not kill every linear relation"
+
+    # One more unit on alpha's diagonal entry at the first flat, an atom:
+    # some relation is nonzero there, so alpha's form no longer kills it.
+    def bumped(matroid, d=alpha):
+        flats, form = hodge_form(matroid, d)
+        if d is alpha:
+            form[0][0] += 1
+        return flats, form
+
+    monkeypatch.setattr("oracles.hodge_form", bumped)
+    assert degree_one_hodge(vamos) == "alpha does not kill every linear relation"
 
 
 # hodge_form cups each ray divisor D_F once, to a row x of dimension 1,
@@ -1063,11 +1093,11 @@ def test_default_terms_are_not_the_flags_that_count_flags(name):
     # level, so the flags and displacement routes do not count one set.
     matroid = corpus.build(name)
     n = matroid.size - 1
-    images, chains = [], []
-    for k in range(matroid.full_rank):
-        terms = pairing_terms(*displacement_weights(matroid, k), default_displacement(n))
-        images.append(sorted(cremona_flag(n, t.tau) for t in terms))
-        chains.append(v_descending_chains(matroid, k, tuple(1 << i for i in range(n))))
+    images = [[] for _ in range(matroid.full_rank)]
+    mu_vector_displacement(matroid, lambda k, t: images[k].append(cremona_flag(n, t.tau)))
+    images = [sorted(level) for level in images]
+    chains = [v_descending_chains(matroid, k, tuple(1 << i for i in range(n)))
+              for k in range(matroid.full_rank)]
     assert [len(c) for c in images] == [len(c) for c in chains]
     assert images != chains
 

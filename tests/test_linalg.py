@@ -1,4 +1,4 @@
-"""Exact linear algebra: determinants, inertia, solves, Smith form, ranks."""
+"""Exact linear algebra: determinants, inertia, solves, unimodularity, ranks."""
 
 import random
 from fractions import Fraction
@@ -15,11 +15,10 @@ from oracles import (
     det_int,
     fraction_rank,
     integer_inertia,
-    lattice_index,
     mod_p_rank,
-    smith_invariant_factors,
     solve_in_span,
     solve_square_int,
+    unimodular,
 )
 
 
@@ -281,8 +280,8 @@ rectangular_matrix = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
 
 
 @given(rectangular_matrix)
-def test_rank_over_q_matches_fraction_elimination_and_smith_form(rows):
-    assert linalg.rank(rows) == fraction_rank(rows) == len(smith_invariant_factors(rows))
+def test_rank_over_q_matches_fraction_elimination(rows):
+    assert linalg.rank(rows) == fraction_rank(rows)
 
 
 @given(rectangular_matrix)
@@ -314,28 +313,14 @@ def test_rank_of_low_rank_products(rows):
         assert linalg.rank(rows, p) == mod_p_rank(rows, p)
 
 
-def test_smith_invariant_factors():
-    assert smith_invariant_factors([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_invariant_factors([[1, 0], [0, 1]]) == [1, 1]
-    assert smith_invariant_factors([[2, 4], [4, 8]]) == [2]
-    assert smith_invariant_factors([[0, 0]]) == []
-
-
-@given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
-                min_size=1, max_size=3))
-def test_smith_divisibility_chain(rows):
-    factors = smith_invariant_factors(rows)
-    assert all(f > 0 for f in factors)
-    assert all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1))
-    assert len(factors) == linalg.rank(rows)
-
-
-def test_lattice_index():
-    assert lattice_index([[1, 0], [0, 1]]) == 1
-    assert lattice_index([[1, 0], [0, 2]]) == 2
-    assert lattice_index([[2, 0], [0, 3]]) == 6
-    # Rows that span only a line have infinite index, reported as 0.
-    assert lattice_index([[1, 0], [2, 0]]) == 0
+def test_unimodular_known_values():
+    assert unimodular([]) and unimodular([[1, 0], [0, 1]])
+    assert unimodular([[1, 2, 3], [0, 1, 5]])  # minors 1, 5, 7
+    assert not unimodular([[1, 0], [0, 2]])
+    assert not unimodular([[1, 1], [1, -1]])  # det -2
+    assert not unimodular([[2, 0, 0]])  # minors 2, 0, 0
+    assert not unimodular([[1, 0, 0], [2, 0, 0]])  # rank 1: every minor is 0
+    assert not unimodular([[1], [0]])  # more rows than columns
 
 
 def test_is_prime():
