@@ -54,11 +54,14 @@ lists a matroid's rank on every subset, for tests that compare two rank
 functions whole.  integer_inertia counts the signs of a symmetric
 integer form's eigenvalues by fraction-free congruence steps; the tests
 check it against Sylvester's law and against Descartes' rule of signs
-on the characteristic polynomial.  hodge_form is the
-degree-1 form on the ray divisors of the proper flats, each row cupped
-once and its degrees read off the row, and degree_one_hodge checks
-hard Lefschetz and Hodge-Riemann on it with an ample class, and that
-its kernel is spanned by the linear_relations.  value_at
+on the characteristic polynomial.  cup_all cups a weight by a list of
+divisors in turn.  hodge_form is the degree-1 form on the ray divisors
+of the proper flats after the R - 3 divisors it is given, each row
+cupped once and its degrees read off the row, and degree_one_hodge is
+the one check of the Hodge theorem in degree 1: hard Lefschetz and
+Hodge-Riemann with an ample class, whose kernel must be spanned by the
+linear_relations, and with alpha one positive eigenvalue and the
+caller's mu_0.  value_at
 reads a polynomial by Horner's rule.  ROUTES names the four routes as
 the tests expect them, independently of the package's own list, and
 every_route_failure is the rule that a check report passes by all four
@@ -68,6 +71,7 @@ with nothing skipped.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, combinations, permutations, product
 from math import gcd, lcm
 
@@ -1002,20 +1006,24 @@ def nef_check(d):
 
 # -- the Hodge form in degree 1 ------------------------------------------
 
-def hodge_form(matroid, d=alpha):
-    """The proper flats of a simple matroid, by rank, and the form
-    Q(F, G) = deg(D_F . D_G . d^(r-3) . B) over their ray divisors
-    D_F(S) = [S = F].  Row F is read off x = D_F . d^(r-3) . B, a weight
-    of dimension 1: the cup by D_G has one facet, (), whose one gap runs
-    from the empty set to the ground set and so ends in no ray, and its
-    degree is -x((G,)).  That cup would raise on an unbalanced x, so each
-    row's balancing is checked once.  Every entry is computed, so
+def cup_all(divisors, weight):
+    """The weight cupped by each of the divisors in turn."""
+    return reduce(lambda w, d: divisor_cup(d, w), divisors, weight)
+
+
+def hodge_form(matroid, divisors):
+    """The proper flats of a simple matroid of rank R, by rank, and the
+    form Q(F, G) = deg(D_F . D_G . d_1 ... d_(R-3) . B) over their ray
+    divisors D_F(S) = [S = F], for the R - 3 divisors d_i given.  Row F
+    is read off x = D_F . d_1 ... d_(R-3) . B, a weight of dimension 1:
+    the cup by D_G has one facet, (), whose one gap runs from the empty
+    set to the ground set and so ends in no ray, and its degree is
+    -x((G,)).  That cup would raise on an unbalanced x, so each row's
+    balancing is checked once.  Every entry is computed, so
     integer_inertia's symmetry check also checks that divisor_cup commutes."""
     strata, _ = matroid.flat_strata()
     flats = [f for level in strata[1:-1] for f in level]
-    w = bergman_weight(matroid)
-    for _ in range(matroid.full_rank - 3):
-        w = divisor_cup(d, w)
+    w = cup_all(divisors, bergman_weight(matroid))
     form = []
     for f in flats:
         row = divisor_cup(lambda s, f=f: int(s == f), w)
@@ -1047,25 +1055,34 @@ def kills(form, vectors):
                    for vector in vectors for row in form)
 
 
-def degree_one_hodge(matroid):
-    """Why a simple matroid of rank 4 or more fails hard Lefschetz and
-    Hodge-Riemann in degree 1, or None.  With the ample class in place of
-    alpha, the form must have inertia (1, h1 - 1, n), where h1 is the
-    number of proper flats less n, and kill the n linear relations, so
-    that its kernel is exactly theirs; with alpha, nef but not ample, it
-    must kill them too, and its kernel must exceed n."""
-    n = matroid.size - 1
-    flats, form = hodge_form(matroid, ample(matroid.size))
+def degree_one_hodge(matroid, mu):
+    """Why a simple matroid of rank R >= 3, with coefficient vector mu,
+    fails the Hodge theorem in degree 1, or None.  With R - 3 copies of
+    the ample class, the form must have inertia (1, h1 - 1, n), where h1
+    is the number of proper flats less n, and kill the n linear
+    relations, so that its kernel is exactly theirs (hard Lefschetz and
+    Hodge-Riemann).  With alpha, nef but not ample, it must kill them
+    too, give mu_0 on alpha = -[0 in F] and have exactly one positive
+    eigenvalue (the Hodge index theorem); from rank 4 on its kernel must
+    exceed n."""
+    rank, n = matroid.full_rank, matroid.size - 1
+    flats, form = hodge_form(matroid, [ample(matroid.size)] * (rank - 3))
     expected = (1, len(flats) - n - 1, n)
     if (found := integer_inertia(form)) != expected:
         return f"the ample class gives inertia {found}, expected {expected}"
     relations = linear_relations(n, flats)
     if not kills(form, relations):
         return "the ample class does not kill every linear relation"
-    alpha_form = hodge_form(matroid)[1]
-    if not kills(alpha_form, relations):
+    form = hodge_form(matroid, [alpha] * (rank - 3))[1]
+    if not kills(form, relations):
         return "alpha does not kill every linear relation"
-    if (kernel := integer_inertia(alpha_form)[2]) <= n:
+    a = [-(f & 1) for f in flats]
+    if (value := sum(x * q * y for x, row in zip(a, form) for q, y in zip(row, a))) != mu[0]:
+        return f"alpha gives {value} on alpha, expected mu_0 = {mu[0]}"
+    positive, _, kernel = integer_inertia(form)
+    if positive != 1:
+        return f"alpha gives {positive} positive eigenvalues, expected 1"
+    if rank > 3 and kernel <= n:
         return f"alpha leaves a kernel of {kernel}, expected more than {n}"
     return None
 

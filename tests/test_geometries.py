@@ -10,7 +10,7 @@ without the generator.  Every geometry then passes geometries.check:
 the rank axioms oracle, and run_check as a rank table with all four
 routes and nothing skipped, whatever its field.  The script
 tests/geometries.py runs the same on 8 points, and then
-oracles.degree_one_hodge on every geometry of rank 4 or more; its main
+oracles.degree_one_hodge on every geometry of rank 3 or more; its main
 is run here on 6 points, with a geometry that fails each check and with
 a wrong count.
 """
@@ -73,7 +73,7 @@ def test_the_classes_account_for_every_labelled_geometry(size, labelled):
 def test_every_geometry_passes_check():
     for size in range(1, MAX_POINTS + 1):
         for ranks in geometries(size):
-            assert check(size, ranks) is None, ranks
+            assert check(size, ranks)[0] is None, ranks
 
 
 def test_the_script_passes_6_points():
@@ -83,13 +83,13 @@ def test_the_script_passes_6_points():
 def test_the_script_fails_on_a_failing_geometry(monkeypatch, capsys):
     failing = geometries(6)[10]
     monkeypatch.setattr("geometries.check",
-                        lambda size, ranks: "made to fail" if ranks == failing else None)
+                        lambda size, ranks: ("made to fail" if ranks == failing else None, None))
     assert main(6) == 1
     assert capsys.readouterr().out == f"{failing}: made to fail\n"
 
 
 def test_the_script_fails_on_a_wrong_count(monkeypatch, capsys):
-    monkeypatch.setattr("geometries.check", lambda size, ranks: None)
+    monkeypatch.setattr("geometries.check", lambda size, ranks: (None, None))
     monkeypatch.setitem(SPLITS[6], 4, SPLITS[6][4] + 1)
     assert main(6) == 1
     assert "expected {2: 1, 3: 9, 4: 12, 5: 4, 6: 1} by rank" in capsys.readouterr().out
@@ -98,8 +98,8 @@ def test_the_script_fails_on_a_wrong_count(monkeypatch, capsys):
 def test_the_script_fails_on_a_geometry_that_fails_in_degree_1(monkeypatch, capsys):
     failing = geometries(6)[10]
     assert failing[-1] >= 4
-    monkeypatch.setattr("geometries.check", lambda size, ranks: None)
+    monkeypatch.setattr("geometries.check", lambda size, ranks: (None, None))
     monkeypatch.setattr("geometries.degree_one_hodge",
-                        lambda matroid: "made to fail" if tuple(matroid.ranks) == failing else None)
+                        lambda matroid, mu: "made to fail" if tuple(matroid.ranks) == failing else None)
     assert main(6) == 1
     assert capsys.readouterr().out.endswith(f"{failing}: made to fail\n")
