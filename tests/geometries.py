@@ -28,9 +28,10 @@ rank table with all four routes and nothing skipped, whatever its
 field.  The split by rank must match SPLITS, and its rank-3 count the
 linear spaces.  Then each geometry of rank 3 or more must pass
 oracles.degree_one_hodge, the Hodge theorem in degree 1
-(Adiprasito-Huh-Katz), with the mu of its report.  The script prints the
-counts, the split and the times, and exits 1 on the first geometry
-that fails.  tests/test_geometries.py runs the same generator and
+(Adiprasito-Huh-Katz) with an ample class and with each mix of alpha
+and beta, tied to the mu of its report.  The script prints the counts,
+the split, the number of forms and the times, and exits 1 on the first
+geometry that fails.  tests/test_geometries.py runs the same generator and
 checks on 1 to 7 points under pytest.
 """
 
@@ -232,8 +233,10 @@ def main(size):
         if failure:
             print(f"{ranks}: {failure}")
             return 1
-    print(f"{len(higher)} of rank 3 or more pass the Hodge theorem "
-          f"in degree 1, in {time.perf_counter() - start:.1f} s")
+    # The ample class's form and the R - 2 mixes of alpha and beta.
+    forms = sum(ranks[-1] - 1 for ranks, _ in higher)
+    print(f"{len(higher)} of rank 3 or more pass the Hodge theorem in degree 1 "
+          f"on {forms} forms, in {time.perf_counter() - start:.1f} s")
     return 0
 
 

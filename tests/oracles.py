@@ -60,8 +60,8 @@ of the proper flats after the R - 3 divisors it is given, each row
 cupped once and its degrees read off the row, and degree_one_hodge is
 the one check of the Hodge theorem in degree 1: hard Lefschetz and
 Hodge-Riemann with an ample class, whose kernel must be spanned by the
-linear_relations, and with alpha one positive eigenvalue and the
-caller's mu_0.  value_at
+linear_relations, and for each mix of alpha and beta one positive
+eigenvalue and, on span(alpha, beta), three of the caller's mu.  value_at
 reads a polynomial by Horner's rule.  ROUTES names the four routes as
 the tests expect them, independently of the package's own list, and
 every_route_failure is the rule that a check report passes by all four
@@ -84,6 +84,7 @@ from matfan.intersect import (
     PairingTerm,
     _flag_blocks,
     alpha,
+    beta,
     cone_displacement_intersect,
     divisor_cup,
 )
@@ -1061,9 +1062,12 @@ def degree_one_hodge(matroid, mu):
     the ample class, the form must have inertia (1, h1 - 1, n), where h1
     is the number of proper flats less n, and kill the n linear
     relations, so that its kernel is exactly theirs (hard Lefschetz and
-    Hodge-Riemann).  With alpha, nef but not ample, it must kill them
-    too, give mu_0 on alpha = -[0 in F] and have exactly one positive
-    eigenvalue (the Hodge index theorem); from rank 4 on its kernel must
+    Hodge-Riemann).  alpha and beta are nef, limits of ample classes, so
+    for b = 0..R-3 the form of alpha^(R-3-b) beta^b must kill them too,
+    have exactly one positive eigenvalue (the Hodge index theorem), and
+    give (mu_b, mu_(b+1), mu_(b+2)) on alpha = -[0 in F] and beta =
+    [0 in F] - 1, the paper's inequality mu_(b+1)^2 >= mu_b mu_(b+2).
+    alpha is not ample, and from rank 4 on the kernel of its form must
     exceed n."""
     rank, n = matroid.full_rank, matroid.size - 1
     flats, form = hodge_form(matroid, [ample(matroid.size)] * (rank - 3))
@@ -1073,17 +1077,24 @@ def degree_one_hodge(matroid, mu):
     relations = linear_relations(n, flats)
     if not kills(form, relations):
         return "the ample class does not kill every linear relation"
-    form = hodge_form(matroid, [alpha] * (rank - 3))[1]
-    if not kills(form, relations):
-        return "alpha does not kill every linear relation"
-    a = [-(f & 1) for f in flats]
-    if (value := sum(x * q * y for x, row in zip(a, form) for q, y in zip(row, a))) != mu[0]:
-        return f"alpha gives {value} on alpha, expected mu_0 = {mu[0]}"
-    positive, _, kernel = integer_inertia(form)
-    if positive != 1:
-        return f"alpha gives {positive} positive eigenvalues, expected 1"
-    if rank > 3 and kernel <= n:
-        return f"alpha leaves a kernel of {kernel}, expected more than {n}"
+    x_alpha = [-(f & 1) for f in flats]
+    x_beta = [(f & 1) - 1 for f in flats]
+    for b in range(rank - 2):
+        named = f"alpha^{rank - 3 - b} beta^{b}"
+        form = hodge_form(matroid, [alpha] * (rank - 3 - b) + [beta] * b)[1]
+        if not kills(form, relations):
+            return f"{named} does not kill every linear relation"
+        inertia = integer_inertia(form)
+        if inertia[0] != 1:
+            return f"{named} gives inertia {inertia}, expected one positive eigenvalue"
+        restricted = tuple(sum(x * q * y for x, row in zip(u, form) for q, y in zip(row, v))
+                           for u, v in ((x_alpha, x_alpha), (x_alpha, x_beta), (x_beta, x_beta)))
+        levels = tuple(mu[b:b + 3])
+        if restricted != levels:
+            return (f"{named} gives {restricted} on alpha and beta, "
+                    f"expected (mu_{b}, mu_{b + 1}, mu_{b + 2}) = {levels}")
+        if b == 0 and rank > 3 and inertia[2] <= n:
+            return f"{named} leaves a kernel of {inertia[2]}, expected more than {n}"
     return None
 
 

@@ -8,11 +8,12 @@ every family of bases equal the sum of n!/|Aut(M)| over the classes it
 generates.  The rank-3 classes are counted again as linear spaces,
 without the generator.  Every geometry then passes geometries.check:
 the rank axioms oracle, and run_check as a rank table with all four
-routes and nothing skipped, whatever its field.  The script
-tests/geometries.py runs the same on 8 points, and then
-oracles.degree_one_hodge on every geometry of rank 3 or more; its main
-is run here on 6 points, with a geometry that fails each check and with
-a wrong count.
+routes and nothing skipped, whatever its field, and geometries.check
+returns the mu of that report.  The script tests/geometries.py runs the
+same on 8 points, and then oracles.degree_one_hodge, with that mu, on
+every geometry of rank 3 or more: the ample class's form and the form
+of each mix of alpha and beta.  Its main is run here on 6 points, with
+a geometry that fails each check and with a wrong count.
 """
 
 from itertools import combinations, permutations

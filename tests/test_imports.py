@@ -1,4 +1,4 @@
-"""Every name that a module of the package, or a script under tests/,
+"""Every name that a module of the package, or any module under tests/,
 imports is used in that module.
 
 Stdlib only, with no linter: each module is parsed with ast.  An imported
@@ -15,8 +15,9 @@ import pytest
 import matfan
 
 MODULES = sorted(Path(matfan.__file__).parent.glob("*.py"))
-# The scripts under tests/, which pytest imports but does not collect.
-SCRIPTS = [Path(__file__).parent / name for name in ("read_graphs.py", "geometries.py")]
+# Every module under tests/: the test modules, the helpers they share,
+# and the scripts, which pytest imports but does not collect.
+TEST_MODULES = sorted(Path(__file__).parent.glob("**/*.py"))
 
 
 def imported_names(tree):
@@ -54,7 +55,7 @@ def test_the_package_has_modules():
     assert {p.name for p in MODULES} >= {"__init__.py", "matroid.py", "masks.py", "cli.py"}
 
 
-@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     used = used_names(tree)

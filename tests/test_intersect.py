@@ -334,20 +334,23 @@ def test_a_divisor_that_is_not_nef_breaks_the_inequality(name):
 # -- the Hodge theorem in degree 1 ------------------------------------------------
 #
 # On the ray divisors D_F(S) = [S = F] of the proper flats F of a matroid
-# of rank R, take Q(F, G) = deg(D_F . D_G . d^(R-3) . B).  c(S) = |S| (N -
-# |S|) is strictly submodular on the subsets of an N-element ground set and
-# vanishes on the empty set and the whole set, so the ray values l(S) =
-# -c(S) give an ample class (Adiprasito-Huh-Katz, section 4; the minus
-# sign is alpha's, whose ray values are -[0 in S]).  With d = l, Q has
-# signature (1, h1 - 1) on A^1, h1 = proper flats - n (hard Lefschetz and
-# Hodge-Riemann), and every form kills the n linear functions, so the
-# kernel is exactly theirs.  alpha is nef but not ample: with d = alpha, Q
-# has exactly one positive eigenvalue (the Hodge index theorem), its kernel
-# grows from rank 4 on, and Q(alpha, alpha) = deg(alpha^(R-1) . B) = mu_0,
-# with alpha = -[0 in F] on the flats.  Vamos is not realizable, so
-# Huh-Katz's proof does not reach it; AHK's does.  oracles.degree_one_hodge
-# checks all of it, and tests/geometries.py runs it on every geometry of
-# rank 3 or more on N points.
+# of rank R, take Q(F, G) = deg(D_F . D_G . d_1 ... d_(R-3) . B).  c(S) =
+# |S| (N - |S|) is strictly submodular on the subsets of an N-element ground
+# set and vanishes on the empty set and the whole set, so the ray values
+# l(S) = -c(S) give an ample class (Adiprasito-Huh-Katz, section 4; the
+# minus sign is alpha's, whose ray values are -[0 in S]).  With every d_i
+# = l, Q has signature (1, h1 - 1) on A^1, h1 = proper flats - n (hard
+# Lefschetz and Hodge-Riemann), and every form kills the n linear
+# functions, so the kernel is exactly theirs.  alpha and beta are nef but
+# not ample, limits of ample classes: with alpha^(R-3-b) beta^b, Q_b has
+# exactly one positive eigenvalue (the Hodge index theorem), and on
+# alpha = -[0 in F] and beta = [0 in F] - 1 it is
+# [[mu_b, mu_(b+1)], [mu_(b+1), mu_(b+2)]], so mu_(b+1)^2 >= mu_b mu_(b+2):
+# the step of Huh-Katz's proof, tied to the Moebius route's mu.  From rank
+# 4 on the kernel of Q_0 grows.  Vamos is not realizable, so Huh-Katz's
+# proof does not reach it; AHK's does.  oracles.degree_one_hodge checks all
+# of it, and tests/geometries.py runs it on every geometry of rank 3 or
+# more on N points.
 
 
 def hodge_failure(matroid):
@@ -375,13 +378,23 @@ def test_the_hodge_form_has_one_positive_eigenvalue_on_sparse_paving_matroids(do
     assert hodge_failure(load_matroid(doc)) is None
 
 
-def test_a_divisor_that_is_not_nef_breaks_the_hodge_index():
-    # alpha - m_{1,2} in place of alpha: the count has teeth.
+def test_a_divisor_that_is_not_nef_breaks_the_hodge_index(monkeypatch):
+    # alpha - m_{1,2} and alpha - beta in place of alpha: the count has teeth.
     matroid = corpus.build("u-4-6")
     n = matroid.size - 1
-    control = simplex_divisor(n, full_mask(n + 1)) - simplex_divisor(n, 0b110)
-    _, form = hodge_form(matroid, [control.value])
-    assert integer_inertia(form)[0] > 1
+    minus_simplex = simplex_divisor(n, full_mask(n + 1)) - simplex_divisor(n, 0b110)
+    for control, inertia in ((minus_simplex.value, (5, 9, 27)),
+                             (lambda s: alpha(s) - beta(s), (29, 7, 5))):
+        monkeypatch.setattr("oracles.alpha", control)
+        assert hodge_failure(matroid) == (f"alpha^1 beta^0 gives inertia {inertia}, "
+                                          "expected one positive eigenvalue")
+
+
+def test_the_forms_must_give_mu_on_alpha_and_beta():
+    # Vamos has mu = (1, 7, 21, 30): alpha^1 beta^0 gives the first three.
+    assert degree_one_hodge(LEFSCHETZ_CASES["vamos"], (1, 7, 21, 31)) == (
+        "alpha^0 beta^1 gives (7, 21, 30) on alpha and beta, "
+        "expected (mu_1, mu_2, mu_3) = (7, 21, 31)")
 
 
 def test_each_form_must_kill_the_linear_relations(monkeypatch):
@@ -407,7 +420,7 @@ def test_each_form_must_kill_the_linear_relations(monkeypatch):
         return flats, form
 
     monkeypatch.setattr("oracles.hodge_form", bumped)
-    assert hodge_failure(vamos) == "alpha does not kill every linear relation"
+    assert hodge_failure(vamos) == "alpha^1 beta^0 does not kill every linear relation"
 
 
 # hodge_form cups each ray divisor D_F once, to a row x of dimension 1,
