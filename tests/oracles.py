@@ -61,7 +61,10 @@ cupped once and its degrees read off the row, and degree_one_hodge is
 the one check of the Hodge theorem in degree 1: hard Lefschetz and
 Hodge-Riemann with an ample class, whose kernel must be spanned by the
 linear_relations, and for each mix of alpha and beta one positive
-eigenvalue and, on span(alpha, beta), three of the caller's mu.  value_at
+eigenvalue and, on span(alpha, beta), three of the caller's mu.  A row
+is balanced exactly when it kills the linear relations, so that test is
+each row's balancing check, and at rank 3, where the ample form is the
+one mix, the form is built once.  value_at
 reads a polynomial by Horner's rule.  ROUTES names the four routes as
 the tests expect them, independently of the package's own list, and
 every_route_failure is the rule that a check report passes by all four
@@ -76,8 +79,7 @@ from itertools import accumulate, combinations, permutations, product
 from math import gcd, lcm
 
 from matfan import linalg
-from matfan.fan import (Frozen, MinkowskiWeight, bergman_weight, check_balancing,
-                        permutohedral_weight)
+from matfan.fan import Frozen, MinkowskiWeight, bergman_weight, permutohedral_weight
 from matfan.intersect import (
     DegenerateDisplacementError,
     NotBalancedError,
@@ -1019,8 +1021,10 @@ def hodge_form(matroid, divisors):
     is read off x = D_F . d_1 ... d_(R-3) . B, a weight of dimension 1:
     the cup by D_G has one facet, (), whose one gap runs from the empty
     set to the ground set and so ends in no ray, and its degree is
-    -x((G,)).  That cup would raise on an unbalanced x, so each row's
-    balancing is checked once.  Every entry is computed, so
+    -x((G,)).  That cup would raise on an unbalanced x.  x is balanced
+    around () exactly when sum_G x((G,)) ([e in G] - [0 in G]) = 0 for
+    every e, that is, when row F kills the n linear_relations, which
+    degree_one_hodge checks of every form.  Every entry is computed, so
     integer_inertia's symmetry check also checks that divisor_cup commutes."""
     strata, _ = matroid.flat_strata()
     flats = [f for level in strata[1:-1] for f in level]
@@ -1028,8 +1032,6 @@ def hodge_form(matroid, divisors):
     form = []
     for f in flats:
         row = divisor_cup(lambda s, f=f: int(s == f), w)
-        if bad := check_balancing(row):
-            raise NotBalancedError(bad[0])
         form.append([-row.value((g,)) for g in flats])
     return flats, form
 
@@ -1068,23 +1070,27 @@ def degree_one_hodge(matroid, mu):
     give (mu_b, mu_(b+1), mu_(b+2)) on alpha = -[0 in F] and beta =
     [0 in F] - 1, the paper's inequality mu_(b+1)^2 >= mu_b mu_(b+2).
     alpha is not ample, and from rank 4 on the kernel of its form must
-    exceed n."""
+    exceed n.  At rank 3 no form cups a divisor, so the one form is
+    built and eliminated once and checked as both.  Each form's
+    relations are checked before its inertia: a row that does not kill
+    them is unbalanced, and makes the form asymmetric."""
     rank, n = matroid.full_rank, matroid.size - 1
     flats, form = hodge_form(matroid, [ample(matroid.size)] * (rank - 3))
-    expected = (1, len(flats) - n - 1, n)
-    if (found := integer_inertia(form)) != expected:
-        return f"the ample class gives inertia {found}, expected {expected}"
     relations = linear_relations(n, flats)
     if not kills(form, relations):
         return "the ample class does not kill every linear relation"
+    expected = (1, len(flats) - n - 1, n)
+    if (inertia := integer_inertia(form)) != expected:
+        return f"the ample class gives inertia {inertia}, expected {expected}"
     x_alpha = [-(f & 1) for f in flats]
     x_beta = [(f & 1) - 1 for f in flats]
     for b in range(rank - 2):
         named = f"alpha^{rank - 3 - b} beta^{b}"
-        form = hodge_form(matroid, [alpha] * (rank - 3 - b) + [beta] * b)[1]
-        if not kills(form, relations):
-            return f"{named} does not kill every linear relation"
-        inertia = integer_inertia(form)
+        if rank > 3:
+            form = hodge_form(matroid, [alpha] * (rank - 3 - b) + [beta] * b)[1]
+            if not kills(form, relations):
+                return f"{named} does not kill every linear relation"
+            inertia = integer_inertia(form)
         if inertia[0] != 1:
             return f"{named} gives inertia {inertia}, expected one positive eigenvalue"
         restricted = tuple(sum(x * q * y for x, row in zip(u, form) for q, y in zip(row, v))

@@ -12,7 +12,8 @@ routes and nothing skipped, whatever its field, and geometries.check
 returns the mu of that report.  The script tests/geometries.py runs the
 same on 8 points, and then oracles.degree_one_hodge, with that mu, on
 every geometry of rank 3 or more: the ample class's form and the form
-of each mix of alpha and beta.  Its main is run here on 6 points, with
+of each mix of alpha and beta, one form at rank 3, where the one mix
+cups no divisor.  Its main is run here on 6 points, with
 a geometry that fails each check and with a wrong count.
 """
 

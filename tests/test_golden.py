@@ -8,10 +8,15 @@ benchmark's seed-1 ``near-limit`` and ``lattice`` documents, frozen so
 that a change to perfbench/workloads.py does not move them, plus u(4,9)
 and u(5,9)).  The CLI runs in process.  ``check`` runs with ``--trace``,
 and a trace that is not empty is pinned beside its report as
-``.ndjson``.  After a change that alters these outputs on purpose,
+``.ndjson``; each ``check`` also runs without it, and must write the
+same report.  After a change that alters these outputs on purpose,
 rewrite every pinned file, and delete stale ones, with
 
     PYTHONPATH=src python3 tests/test_golden.py
+
+CI's install job runs this script against the installed package, from
+outside the checkout, and fails if the tree then differs from the
+commit, so CASES is the one list of pinned outputs.
 """
 
 import contextlib
@@ -60,21 +65,24 @@ for name in SEED1_NAMES:
     CASES.update(document(SEED1, name, "check", "mu_all", *["fan"] * (name in FANNED)))
 
 
-def make(report: Path, argv: list[str]) -> dict[Path, bytes]:
-    """Run one command in process: its stdout is `report`, and a check's
-    trace sits beside it, as empty bytes when there is none."""
+def stdout(argv: list[str]) -> bytes:
+    """What one command, run in process, writes to stdout."""
     out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert code == 0, (argv, code)
+    return out.getvalue().encode()
+
+
+def make(report: Path, argv: list[str]) -> dict[Path, bytes]:
+    """Run one command: its stdout is `report`, and a check's trace sits
+    beside it, as empty bytes when there is none."""
+    if argv[0] != "check":
+        return {report: stdout(argv)}
     with tempfile.TemporaryDirectory() as scratch:
         trace = Path(scratch) / "trace.ndjson"
-        if argv[0] == "check":
-            argv = [*argv, "--trace", str(trace)]
-        with contextlib.redirect_stdout(out):
-            code = cli.main(argv)
-        files = {report: out.getvalue().encode()}
-        if argv[0] == "check":
-            files[report.with_suffix(".ndjson")] = trace.read_bytes()
-    assert code == 0, (argv, code)
-    return files
+        return {report: stdout([*argv, "--trace", str(trace)]),
+                report.with_suffix(".ndjson"): trace.read_bytes()}
 
 
 def pinned() -> set[Path]:
@@ -99,6 +107,14 @@ def test_every_pinned_file_has_one_case():
 @pytest.mark.parametrize("report", CASES, ids=lambda report: str(report.relative_to(GOLDEN)))
 def test_reports_match_golden_files(report):
     assert differing(report, CASES[report]) == []
+
+
+def test_a_check_report_does_not_depend_on_its_trace():
+    # Every check case runs with --trace; without it, the report is the same.
+    checks = {report: argv for report, argv in CASES.items() if argv[0] == "check"}
+    assert len(checks) == 38
+    assert [str(report.relative_to(GOLDEN)) for report, argv in checks.items()
+            if stdout(argv) != report.read_bytes()] == []
 
 
 def test_pinned_traces_hold_one_row_per_displacement_term():
